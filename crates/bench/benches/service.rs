@@ -150,9 +150,9 @@ fn bench_batched_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// The budgeted anytime lanes against the exact lane on the same tenant:
-/// a generous budget escalates capped levels until the (identical)
-/// decisive verdict, a zero budget answers immediately with `Unknown`.
+/// The budgeted lanes against the exact lane on the same tenant: a
+/// generous budget runs the same exact analysis under a metered
+/// allowance, a zero budget answers immediately with `Unknown`.
 /// The `units_*` lanes express the allowance directly in deterministic
 /// work units ([`SlaMode::BudgetedUnits`]): `units_exhaust` measures the
 /// exhaustion-answer latency (how fast a shed request unwinds through

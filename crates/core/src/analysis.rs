@@ -350,7 +350,6 @@ impl IterationCounter {
         budget: &WorkBudget,
         phase: ProgressPhase,
         certified_interval: Option<Time>,
-        bounded_level: Option<u64>,
     ) -> Analysis {
         Analysis {
             verdict: Verdict::Unknown,
@@ -361,7 +360,6 @@ impl IterationCounter {
                 units_spent: budget.spent(),
                 phase,
                 certified_interval,
-                bounded_level,
             }),
         }
     }

@@ -40,6 +40,8 @@
 //! ```
 
 use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::analysis::{Analysis, FeasibilityTest};
@@ -71,6 +73,11 @@ where
 /// thread one [`AnalysisScratch`] arena (and one recycled preparation)
 /// through each worker, so a batch of any size performs a constant number
 /// of allocations per worker instead of per workload.
+///
+/// Workers claim items one at a time from a shared cursor rather than
+/// owning a fixed contiguous chunk each, so one expensive item (a
+/// near-critical workload among easy ones, say) delays only the worker
+/// that claimed it while the others drain the rest of the batch.
 pub fn parallel_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -86,33 +93,36 @@ where
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
-    let chunk_size = items.len().div_ceil(workers);
+    let cursor = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut local = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            break local;
+                        };
+                        local.push((index, f(&mut state, item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(i, chunk)| (i * chunk_size, chunk))
-        .collect();
-    let slots = std::sync::Mutex::new(&mut results);
-    thread::scope(|scope| {
-        for (offset, chunk) in chunks {
-            let init = &init;
-            let f = &f;
-            let slots = &slots;
-            scope.spawn(move || {
-                let mut state = init();
-                let local: Vec<R> = chunk.iter().map(|item| f(&mut state, item)).collect();
-                let mut guard = slots.lock().expect("no poisoned lock");
-                for (i, value) in local.into_iter().enumerate() {
-                    guard[offset + i] = Some(value);
-                }
-            });
-        }
-    });
+    for (index, value) in claimed.into_iter().flatten() {
+        results[index] = Some(value);
+    }
     results
         .into_iter()
-        .map(|slot| slot.expect("every slot filled by a worker"))
+        .map(|slot| slot.expect("every item claimed by a worker"))
         .collect()
 }
 
@@ -264,9 +274,9 @@ where
 
 /// [`analyze_many_prepared`] with one **caller-owned** [`WorkBudget`] per
 /// workload: item `i` runs its whole suite against `budgets[i]`, and the
-/// budget — charges included — is written back, so a caller can meter
-/// *several successive calls* (an escalation ladder, say) against one
-/// per-item allowance.  Per-item budgets make exhaustion independent of
+/// budget — charges included — is written back, so a caller that charged
+/// an entry cost up front reads one total spend per item.  Per-item
+/// budgets make exhaustion independent of
 /// the worker split: the results equal a sequential loop over the items.
 ///
 /// # Panics
@@ -344,6 +354,31 @@ mod tests {
         for (i, value) in doubled.iter().enumerate() {
             assert_eq!(*value, items[i] * 2);
         }
+    }
+
+    #[test]
+    fn skewed_batch_keeps_input_order_and_one_state_per_worker() {
+        // Item 0 costs far more than the rest: a claiming worker stays on
+        // it while the others drain the batch, and results still land in
+        // input order.
+        let items: Vec<u64> = (0..64).collect();
+        let states = AtomicUsize::new(0);
+        let results = parallel_map_with(
+            &items,
+            || states.fetch_add(1, Ordering::Relaxed),
+            |_, &item| {
+                if item == 0 {
+                    thread::sleep(std::time::Duration::from_millis(30));
+                }
+                item * 3
+            },
+        );
+        assert_eq!(
+            results,
+            items.iter().map(|&item| item * 3).collect::<Vec<_>>()
+        );
+        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert!(states.load(Ordering::Relaxed) <= workers.max(1));
     }
 
     #[test]

@@ -198,10 +198,6 @@ pub struct Progress {
     /// completed (or the phase, like QPA's descent, certifies downward
     /// rather than upward).
     pub certified_interval: Option<Time>,
-    /// The highest approximation level fully answered before exhaustion,
-    /// when the run was a level-escalation ladder (the service's budgeted
-    /// mode); `None` for single-level runs.
-    pub bounded_level: Option<u64>,
 }
 
 impl fmt::Display for Progress {
@@ -213,9 +209,6 @@ impl fmt::Display for Progress {
         )?;
         if let Some(interval) = self.certified_interval {
             write!(f, ", certified ≤ {interval}")?;
-        }
-        if let Some(level) = self.bounded_level {
-            write!(f, ", bounded level {level}")?;
         }
         Ok(())
     }
@@ -262,12 +255,10 @@ mod tests {
             units_spent: 42,
             phase: ProgressPhase::Refinement,
             certified_interval: Some(Time::new(99)),
-            bounded_level: Some(4),
         };
         let text = progress.to_string();
         assert!(text.contains("42 unit(s)"));
         assert!(text.contains("refinement"));
         assert!(text.contains("99"));
-        assert!(text.contains("level 4"));
     }
 }

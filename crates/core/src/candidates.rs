@@ -1019,7 +1019,6 @@ pub fn analyze_budgeted(
                     units_spent: budget.spent(),
                     phase: ProgressPhase::CandidateSweep,
                     certified_interval: None,
-                    bounded_level: None,
                 }),
             },
             witness_choice: None,

@@ -482,7 +482,6 @@ pub(crate) fn dynamic_error(
                         &budget,
                         ProgressPhase::Refinement,
                         certified,
-                        Some(level),
                     );
                 }
                 counter.record(interval);
@@ -589,7 +588,6 @@ pub(crate) fn all_approximated(
                         &budget,
                         ProgressPhase::Refinement,
                         certified,
-                        test.max_level,
                     );
                 }
                 counter.record(interval);

@@ -132,12 +132,7 @@ impl FeasibilityTest for ProcessorDemandTest {
         let horizon = self.horizon(workload, &mut budget);
         if budget.is_exhausted() {
             scratch.set_budget(budget);
-            return IterationCounter::new().finish_exhausted(
-                &budget,
-                ProgressPhase::Bounds,
-                None,
-                None,
-            );
+            return IterationCounter::new().finish_exhausted(&budget, ProgressPhase::Bounds, None);
         }
         let Some(horizon) = horizon else {
             // U == 1 with an overflowing hyperperiod: no usable bound.
@@ -157,7 +152,6 @@ impl FeasibilityTest for ProcessorDemandTest {
                         &budget,
                         ProgressPhase::DemandWalk,
                         counter.max_interval(),
-                        None,
                     );
                 }
                 demand = demand.saturating_add(step);

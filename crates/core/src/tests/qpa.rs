@@ -102,7 +102,7 @@ impl FeasibilityTest for QpaTest {
             // intervals *above* the current `t` only, so an exhausted run
             // reports no violation-free prefix.
             if !budget.charge(1) {
-                break counter.finish_exhausted(&budget, ProgressPhase::QpaDescent, None, None);
+                break counter.finish_exhausted(&budget, ProgressPhase::QpaDescent, None);
             }
             counter.record(t);
             let (demand, predecessor) = if on_plateau {

@@ -16,31 +16,32 @@
 //!
 //! * **Exact** — every request runs the exact test; verdicts are always
 //!   decisive (unless a [watchdog guard](WatchdogConfig) fires first).
-//! * **Budgeted** — an anytime escalation over the capped-level test
-//!   constructor ([`AllApproximatedTest::with_max_level`]): levels are
-//!   doubled until a decisive verdict lands or the per-request allowance
-//!   runs out, at which point the service answers an **honest
-//!   [`Verdict::Unknown`]** (and declines the admission) rather than a
-//!   wrong verdict.  Decisive capped verdicts are exact, so budgeting
-//!   never trades correctness — only decisiveness.
+//! * **Budgeted** — one exact run under the per-request allowance: the
+//!   same uncapped all-approximated test, metered by a [`WorkBudget`].
+//!   When the allowance runs out the analysis unwinds to an **honest
+//!   [`Verdict::Unknown`]** (and the service declines the admission)
+//!   rather than a wrong verdict; a decisive answer is the very analysis
+//!   Exact mode returns, so budgeting never trades correctness — only
+//!   decisiveness.
 //!
 //! Degradation is **budget-first**: every wall-clock allowance (the
 //! budgeted deadline, the watchdog guard, the degraded deadline) is
 //! converted once into deterministic [`WorkBudget`] units at the
 //! service's calibrated [`work rate`](AdmissionService::work_rate), and
-//! the escalation ladder meters each request against its own unit
-//! budget.  Which requests exhaust — and at which level — is therefore a
-//! pure function of the workload and the configured allowances, making
-//! load shedding, Exact→Budgeted hysteresis and wave-batched shedding
-//! bit-reproducible across runs and machines (the wall clock survives
-//! only as a backstop against mis-calibration).
+//! each request runs against its own unit budget.  Which requests
+//! exhaust — and at which step — is therefore a pure function of the
+//! workload and the configured allowances, making load shedding,
+//! Exact→Budgeted hysteresis and wave-batched shedding bit-reproducible
+//! across runs and machines (the wall clock survives only as a backstop
+//! against mis-calibration).
 //! [`SlaMode::BudgetedUnits`] expresses the allowance directly in units,
 //! with no wall-clock conversion at all.
 //!
 //! Concurrent request batches go through [`AdmissionService::admit_many`]
 //! / [`AdmissionService::what_if_many`], which fan independent tenants out
-//! across the CPU cores via [`batch::analyze_many_prepared`] with one
-//! [`AnalysisScratch`] arena per worker.
+//! across the CPU cores via [`batch::analyze_many_prepared_budgeted`]
+//! with one [`AnalysisScratch`] arena per worker and one [`WorkBudget`]
+//! per request.
 //!
 //! # Fault tolerance
 //!
@@ -121,24 +122,24 @@ pub enum SlaMode {
     /// decisive; latency is whatever exactness costs (unless a watchdog
     /// guard caps it).
     Exact,
-    /// Anytime mode: escalate capped-level tests (levels 2, 4, 8, …)
-    /// until a decisive verdict or the allowance runs out, then answer an
-    /// honest [`Verdict::Unknown`].  A decisive answer under a cap is
-    /// exact, so this mode can return a *missing* verdict but never a
-    /// *wrong* one.  The deadline is converted **once** into
-    /// deterministic work units at the service's calibrated
-    /// [`work rate`](AdmissionService::work_rate); the ladder then meters
+    /// One exact run under the allowance: the uncapped exact test,
+    /// stopped with an honest [`Verdict::Unknown`] when the allowance
+    /// runs out.  A decisive answer is the one [`SlaMode::Exact`] gives,
+    /// so this mode can return a *missing* verdict but never a *wrong*
+    /// one.  The deadline is converted **once** into deterministic work
+    /// units at the service's calibrated
+    /// [`work rate`](AdmissionService::work_rate); the run then meters
     /// units, not the clock, so the degradation point is reproducible.
     Budgeted {
         /// Per-request analysis deadline.  [`Duration::ZERO`] permits only
         /// the free checks (the exact `U > 1` comparison).
         deadline: Duration,
     },
-    /// Anytime mode with the per-request allowance expressed directly in
+    /// One exact run under an allowance expressed directly in
     /// deterministic [`WorkBudget`] units — no wall-clock conversion at
     /// all, so the same request stream degrades identically on any
     /// machine.  A unit is one checkpointed analysis-loop step (see
-    /// [`edf_analysis::budget`]).
+    /// [`edf_analysis::budget`]), plus one for entering the request.
     BudgetedUnits {
         /// Per-request work-unit allowance.  Zero permits only the free
         /// checks (the exact `U > 1` comparison).
@@ -933,7 +934,8 @@ impl AdmissionService {
 
     /// Batched [`AdmissionService::admit`]: requests for *distinct*
     /// tenants are analyzed concurrently via
-    /// [`batch::analyze_many_prepared`] (one scratch arena per worker);
+    /// [`batch::analyze_many_prepared_budgeted`] (one scratch arena per
+    /// worker, one work budget per request);
     /// requests hitting the same tenant are serialized into successive
     /// waves, each wave seeing the commits of the previous one.  Responses
     /// are in request order — exactly one per request, errors included.
@@ -1470,14 +1472,51 @@ impl UnitCaps {
     }
 }
 
+/// Opens one request's [`WorkBudget`] — unlimited when uncapped, the
+/// binding unit allowance otherwise, zero units for a forced exhaustion —
+/// and charges the one-unit request entry.  Small systems can answer
+/// without their loops ever charging, so the entry charge is what keeps
+/// the zero-allowance contract (`MODE budget 0` / `MODE units 0` sheds
+/// every non-free request) and guarantees that a forced exhaustion always
+/// unwinds to `Unknown`.  `Err` carries the shed answer and whether it
+/// counts as a guard trip.
+fn enter_request(caps: &UnitCaps, forced_exhaust: bool) -> Result<WorkBudget, (Analysis, bool)> {
+    let mut budget = match (forced_exhaust, caps.cap()) {
+        (true, _) => WorkBudget::limited(0),
+        (false, Some(units)) => WorkBudget::limited(units),
+        (false, None) => WorkBudget::unlimited(),
+    };
+    if budget.charge(1) {
+        return Ok(budget);
+    }
+    let mut shed = Analysis::trivial(Verdict::Unknown);
+    shed.progress = Some(Progress {
+        units_spent: budget.spent(),
+        phase: ProgressPhase::Bounds,
+        certified_interval: None,
+    });
+    Err((shed, caps.guard_tripped(&budget)))
+}
+
+/// Whether the wall-clock backstop fired: the guard elapsed while the
+/// request was running (`start` is `Some` exactly when a guard is set).
+/// Only a mis-calibrated work rate can make it bind before the guard
+/// units do.
+fn backstop_fired(start: Option<Instant>, guard: Option<Duration>) -> bool {
+    start
+        .zip(guard)
+        .is_some_and(|(start, guard)| start.elapsed() >= guard)
+}
+
 /// Analyzes one prepared system under the given mode and optional
-/// watchdog guard, **budget-first**: the wall-clock allowances are
-/// converted once to deterministic work units ([`UnitCaps`]) and the
-/// escalation ladder (levels 2, 4, 8, …) meters every level against one
-/// per-request [`WorkBudget`], so the request exhausts at the same step
-/// on every run.  The wall clock is consulted only as a backstop between
-/// levels, against mis-calibration; on the deterministic path the unit
-/// budget always exhausts first.
+/// watchdog guard, **budget-first**: one run of the uncapped exact test
+/// under one per-request [`WorkBudget`] (unlimited in Exact mode without
+/// a watchdog, otherwise the allowances converted once to deterministic
+/// units by [`UnitCaps`]).  The core unwinds cooperatively to an honest
+/// `Unknown` + [`Progress`] when the budget runs out, so the request
+/// exhausts at the same step on every run, and a decisive answer is the
+/// very analysis Exact mode returns.  The wall clock is consulted once,
+/// after the run, as a backstop against mis-calibration.
 ///
 /// Returns the analysis plus whether the *guard* (not the SLA budget)
 /// was the binding exhausted allowance — the watchdog's trip signal.
@@ -1501,73 +1540,26 @@ fn analyze_one(
         return (Analysis::trivial(Verdict::Unknown), true);
     }
     let caps = UnitCaps::from_allowances(mode, guard, work_rate);
-    let cap = if forced_exhaust { Some(0) } else { caps.cap() };
-    let Some(cap_units) = cap else {
-        // Exact mode without a watchdog: the uncapped exact test, always
-        // decisive — the pre-watchdog behavior, preserved bit-for-bit.
-        return (
-            AllApproximatedTest::new().analyze_prepared_with(prepared, scratch),
-            false,
-        );
+    let budget = match enter_request(&caps, forced_exhaust) {
+        Ok(budget) => budget,
+        Err(shed) => return shed,
     };
-    let start = Instant::now();
-    let mut budget = WorkBudget::limited(cap_units);
-    let mut bounded_level = None;
-    let mut level = 2u64;
-    loop {
-        // Entering a level costs one unit.  Small systems can answer
-        // without their loops ever charging, so this is what keeps the
-        // zero-allowance contract (`MODE budget 0` / `MODE units 0`
-        // sheds every non-free request) and guarantees that a forced
-        // exhaustion fault always unwinds to `Unknown`.
-        if !budget.charge(1) {
-            return (
-                shed_analysis(&budget, bounded_level),
-                caps.guard_tripped(&budget),
-            );
-        }
-        let spent_before = budget.spent();
-        scratch.set_budget(budget);
-        let test = AllApproximatedTest::new().with_max_level(level);
-        let mut analysis = test.analyze_prepared_with(prepared, scratch);
-        budget = scratch.take_budget();
-        if analysis.verdict.is_decisive() {
-            return (analysis, false);
-        }
-        if budget.is_exhausted() {
-            // Enrich the core's progress record with the deepest level
-            // the ladder fully answered before the budget ran out.
-            if let Some(progress) = analysis.progress.as_mut() {
-                progress.bounded_level = bounded_level;
-            }
-            return (analysis, caps.guard_tripped(&budget));
-        }
-        bounded_level = Some(level);
-        if let Some(guard) = guard {
-            // Wall-clock backstop only: a mis-calibrated work rate still
-            // cannot stall the service past the guard.
-            if start.elapsed() >= guard {
-                return (analysis, true);
-            }
-        }
-        if level == u64::MAX || budget.spent() == spent_before {
-            // Cannot escalate further, or the level charged nothing (no
-            // meterable work left): answer the honest Unknown.
-            return (analysis, false);
-        }
-        level = level.saturating_mul(2);
-    }
+    let start = guard.map(|_| Instant::now());
+    scratch.set_budget(budget);
+    let analysis = AllApproximatedTest::new().analyze_prepared_with(prepared, scratch);
+    let budget = scratch.take_budget();
+    let tripped = !analysis.verdict.is_decisive()
+        && (caps.guard_tripped(&budget) || backstop_fired(start, guard));
+    (analysis, tripped)
 }
 
 /// Analyzes a wave of prepared systems under the given mode and optional
 /// guard, fanning out across the CPU cores, **budget-first**: every
 /// system gets its *own* per-request [`WorkBudget`] with the same unit
-/// allowance a sequential request would get, carried across escalation
-/// levels through [`batch::analyze_many_prepared_budgeted`].  Each level
-/// runs only the still-undecided systems; a system whose budget exhausts
-/// closes with an honest [`Verdict::Unknown`] while the rest keep
-/// escalating.  Per-item budgets (not one shared wave pool) are what
-/// make batched exhaustion bit-identical to sequential exhaustion.
+/// allowance and entry charge a sequential request would get, and the
+/// whole wave is one [`batch::analyze_many_prepared_budgeted`] call.
+/// Per-item budgets (not one shared wave pool) are what make batched
+/// exhaustion bit-identical to sequential exhaustion.
 ///
 /// `fired[i]` forces system `i` to an immediate honest `Unknown` (the
 /// fault plan's simulated deadline fire); `exhausted[i]` shrinks its
@@ -1582,9 +1574,11 @@ fn analyze_wave(
     fired: &[bool],
     exhausted: &[bool],
 ) -> (Vec<Analysis>, bool) {
+    let caps = UnitCaps::from_allowances(mode, guard, work_rate);
     let mut results: Vec<Analysis> = vec![Analysis::trivial(Verdict::Unknown); prepared.len()];
-    let mut open: Vec<usize> = Vec::new();
     let mut tripped = false;
+    let mut open: Vec<usize> = Vec::new();
+    let mut budgets: Vec<WorkBudget> = Vec::new();
     for (index, system) in prepared.iter().enumerate() {
         // Free checks run even for forced fires, matching `analyze_one`:
         // the exact `U > 1` proof costs nothing, so it is sound to answer
@@ -1597,127 +1591,31 @@ fn analyze_wave(
             tripped = true;
             continue;
         }
-        open.push(index);
+        match enter_request(&caps, exhausted[index]) {
+            Ok(budget) => {
+                open.push(index);
+                budgets.push(budget);
+            }
+            Err((shed, trip)) => {
+                results[index] = shed;
+                tripped |= trip;
+            }
+        }
     }
     if open.is_empty() {
         return (results, tripped);
     }
-    let caps = UnitCaps::from_allowances(mode, guard, work_rate);
-    // Forced exhaustions run under a zero-unit budget whatever the mode:
-    // the ladder's level-entry charge refuses immediately, exactly as a
-    // sequential `analyze_one` with a zero cap would.
-    let (forced, live): (Vec<usize>, Vec<usize>) =
-        open.into_iter().partition(|&index| exhausted[index]);
-    for &index in &forced {
-        let mut budget = WorkBudget::limited(0);
-        let held = budget.charge(1);
-        debug_assert!(!held, "a zero budget refuses the entry charge");
-        results[index] = shed_analysis(&budget, None);
-        tripped |= caps.guard_tripped(&budget);
-    }
-    let mut open = live;
-    if open.is_empty() {
-        return (results, tripped);
-    }
-    match caps.cap() {
-        None => {
-            let subset: Vec<&PreparedWorkload> =
-                open.iter().map(|&index| prepared[index]).collect();
-            let tests: Vec<BoxedTest> = vec![Box::new(AllApproximatedTest::new())];
-            for (&index, mut analyses) in open
-                .iter()
-                .zip(batch::analyze_many_prepared(&subset, &tests))
-            {
-                results[index] = analyses.pop().expect("one test registered");
-            }
-        }
-        Some(cap_units) => {
-            let start = Instant::now();
-            let mut budgets: Vec<WorkBudget> = vec![WorkBudget::limited(cap_units); prepared.len()];
-            let mut bounded: Vec<Option<u64>> = vec![None; prepared.len()];
-            let mut level = 2u64;
-            loop {
-                // Level-entry charge, mirroring `analyze_one`: a budget
-                // that cannot cover entering the level sheds its system
-                // here, before any batched work.
-                let mut entered = Vec::with_capacity(open.len());
-                for &index in &open {
-                    if budgets[index].charge(1) {
-                        entered.push(index);
-                    } else {
-                        results[index] = shed_analysis(&budgets[index], bounded[index]);
-                        tripped |= caps.guard_tripped(&budgets[index]);
-                    }
-                }
-                open = entered;
-                if open.is_empty() {
-                    break;
-                }
-                let subset: Vec<&PreparedWorkload> =
-                    open.iter().map(|&index| prepared[index]).collect();
-                let mut sub_budgets: Vec<WorkBudget> =
-                    open.iter().map(|&index| budgets[index]).collect();
-                let tests: Vec<BoxedTest> =
-                    vec![Box::new(AllApproximatedTest::new().with_max_level(level))];
-                let analyses =
-                    batch::analyze_many_prepared_budgeted(&subset, &tests, &mut sub_budgets);
-                let mut next_open = Vec::with_capacity(open.len());
-                for ((&index, mut analyses), budget) in open.iter().zip(analyses).zip(sub_budgets) {
-                    let mut analysis = analyses.pop().expect("one test registered");
-                    let spent_before = budgets[index].spent();
-                    budgets[index] = budget;
-                    if analysis.verdict.is_decisive() {
-                        results[index] = analysis;
-                    } else if budget.is_exhausted() {
-                        if let Some(progress) = analysis.progress.as_mut() {
-                            progress.bounded_level = bounded[index];
-                        }
-                        tripped |= caps.guard_tripped(&budget);
-                        results[index] = analysis;
-                    } else {
-                        bounded[index] = Some(level);
-                        results[index] = analysis;
-                        // Per-item stall exit, mirroring `analyze_one`: a
-                        // level that charged nothing has no meterable work
-                        // left, so the system closes with its honest
-                        // Unknown instead of escalating forever.
-                        if budget.spent() > spent_before {
-                            next_open.push(index);
-                        }
-                    }
-                }
-                open = next_open;
-                if open.is_empty() || level == u64::MAX {
-                    break;
-                }
-                if let Some(guard) = guard {
-                    // Shared wall-clock backstop for the wave, as in
-                    // `analyze_one`: never binding on the deterministic
-                    // path.
-                    if start.elapsed() >= guard {
-                        tripped = true;
-                        break;
-                    }
-                }
-                level = level.saturating_mul(2);
-            }
-        }
+    let start = guard.map(|_| Instant::now());
+    let subset: Vec<&PreparedWorkload> = open.iter().map(|&index| prepared[index]).collect();
+    let tests: Vec<BoxedTest> = vec![Box::new(AllApproximatedTest::new())];
+    let analyses = batch::analyze_many_prepared_budgeted(&subset, &tests, &mut budgets);
+    let overran = backstop_fired(start, guard);
+    for ((&index, mut analyses), budget) in open.iter().zip(analyses).zip(&budgets) {
+        let analysis = analyses.pop().expect("one test registered");
+        tripped |= !analysis.verdict.is_decisive() && (caps.guard_tripped(budget) || overran);
+        results[index] = analysis;
     }
     (results, tripped)
-}
-
-/// The honest `Unknown` a request answers when its budget refuses the
-/// ladder's level-entry charge, carrying the exhausted budget's spend and
-/// the deepest level fully answered before it.
-fn shed_analysis(budget: &WorkBudget, bounded_level: Option<u64>) -> Analysis {
-    let mut analysis = Analysis::trivial(Verdict::Unknown);
-    analysis.progress = Some(Progress {
-        units_spent: budget.spent(),
-        phase: ProgressPhase::Bounds,
-        certified_interval: None,
-        bounded_level,
-    });
-    analysis
 }
 
 /// The checks that cost nothing even under a zero budget: the prepared
@@ -1849,10 +1747,12 @@ mod tests {
         let mut budgeted = AdmissionService::with_mode(SlaMode::Budgeted {
             deadline: Duration::from_secs(5),
         });
+        // A decisive budgeted answer comes from the same run as exact
+        // mode: the whole analysis matches, iterations included.
         for component in [light(4, 9, 10), light(3, 14, 20), light(9, 9, 10)] {
-            let exact_verdict = exact.admit("a", component).unwrap().analysis.verdict;
-            let budget_verdict = budgeted.admit("a", component).unwrap().analysis.verdict;
-            assert_eq!(exact_verdict, budget_verdict);
+            let exact_analysis = exact.admit("a", component).unwrap().analysis;
+            let budget_analysis = budgeted.admit("a", component).unwrap().analysis;
+            assert_eq!(exact_analysis, budget_analysis);
         }
         assert_eq!(exact.stat("a").unwrap().components, 2);
         assert_eq!(budgeted.stat("a").unwrap().components, 2);

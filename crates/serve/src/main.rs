@@ -59,7 +59,11 @@
 //! `MODE budget <micros>` expresses the per-request allowance in wall
 //! time (converted once to units at the work rate); `MODE units <n>`
 //! expresses it directly in deterministic work units, which is
-//! machine-independent and therefore exactly reproducible.  A request
+//! machine-independent and therefore exactly reproducible.  Either way a
+//! request is one exact run under the allowance: the analysis
+//! `MODE exact` runs, metered at one unit for entering the request plus
+//! one per checkpointed analysis step, so a decisive reply is the reply
+//! `MODE exact` gives.  A request
 //! whose allowance runs out answers `UNDETERMINED verdict=unknown` —
 //! honest, never fabricated — and increments `budget_exhaustions` in
 //! `HEALTH`.  `guard_trips` counts only exhaustions that bind on the

@@ -112,27 +112,27 @@ proptest! {
                 }
             }
         }
-        // Anchor against the uncapped exact mode: whenever it decides, the
-        // budget grid must have reached the same verdict (the top of the
-        // grid is effectively unlimited), and the grid never decides a
-        // request the exact test leaves open.
+        // Anchor against the uncapped exact mode: a decisive budgeted
+        // answer comes from the same run, so whenever exact mode decides,
+        // the budget grid must have reached the identical analysis (the
+        // top of the grid is effectively unlimited), and the grid never
+        // decides a request the exact test leaves open.
         let mut exact = service_with(&base, 0);
         exact.set_mode(SlaMode::Exact).expect("no journal attached");
         for (index, &(tenant, component)) in requests.iter().enumerate() {
-            let verdict = exact
+            let analysis = exact
                 .what_if(tenant, component)
                 .expect("valid component")
-                .analysis
-                .verdict;
+                .analysis;
             match &decisive[index] {
-                Some(analysis) => prop_assert_eq!(
-                    analysis.verdict, verdict,
-                    "request {}: budgeted decision disagrees with exact mode", index
+                Some(first) => prop_assert_eq!(
+                    first, &analysis,
+                    "request {}: budgeted analysis disagrees with exact mode", index
                 ),
                 None => prop_assert!(
-                    !verdict.is_decisive(),
+                    !analysis.verdict.is_decisive(),
                     "request {} never decided but exact mode answers {:?}",
-                    index, verdict
+                    index, analysis.verdict
                 ),
             }
         }
