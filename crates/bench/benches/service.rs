@@ -5,19 +5,19 @@
 //! what-if throughput across independent tenants, and the budgeted
 //! anytime lane.
 //!
-//! Both decision paths run the identical all-approximated exact analysis,
-//! so the `whatif_*` gap is pure preparation overhead — exactly what an
-//! admission server pays per request on its committed systems.
+//! Both decision paths run the service's exact test ([`SERVICE_TEST`], QPA
+//! descent from the §4.3 horizon), so the `whatif_*` gap is pure
+//! preparation overhead — exactly what an admission server pays per
+//! request on its committed systems.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use edf_analysis::tests::AllApproximatedTest;
 use edf_analysis::workload::{DemandComponent, PreparedWorkload};
 use edf_analysis::{AnalysisScratch, FeasibilityTest, Workload};
 use edf_bench::ratio_fixture;
 use edf_model::{TaskSet, Time};
-use edf_serve::{AdmissionService, SlaMode};
+use edf_serve::{AdmissionService, SlaMode, SERVICE_TEST};
 
 /// The committed base system of one tenant: a ratio-controlled sporadic
 /// set, taken apart into demand components.
@@ -65,7 +65,6 @@ fn bench_admission_paths(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let test = AllApproximatedTest::new();
     let bases: Vec<(u64, Vec<DemandComponent>)> = vec![
         (10, tenant_base(10, 0)),
         (100, tenant_base(100, 0)),
@@ -101,7 +100,7 @@ fn bench_admission_paths(c: &mut Criterion) {
                     let mut edited = base.clone();
                     edited.push(probe());
                     let prepared = PreparedWorkload::from_components(edited);
-                    black_box(test.analyze_prepared_with(&prepared, &mut scratch))
+                    black_box(SERVICE_TEST.analyze_prepared_with(&prepared, &mut scratch))
                 })
             },
         );
@@ -157,7 +156,9 @@ fn bench_batched_throughput(c: &mut Criterion) {
 /// work units ([`SlaMode::BudgetedUnits`]): `units_exhaust` measures the
 /// exhaustion-answer latency (how fast a shed request unwinds through
 /// the budget checkpoints to its honest `Unknown`), `units_generous`
-/// the fully-metered decisive path.
+/// the fully-metered decisive path.  The exact probe takes 45 units (the
+/// entry charge plus 44 descent steps), so the 16-unit lane sheds
+/// mid-descent; setup asserts that it does.
 fn bench_budgeted(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_budget");
     group
@@ -186,13 +187,21 @@ fn bench_budgeted(c: &mut Criterion) {
                 deadline: Duration::ZERO,
             },
         ),
-        ("units_exhaust", SlaMode::BudgetedUnits { units: 64 }),
+        ("units_exhaust", SlaMode::BudgetedUnits { units: 16 }),
         (
             "units_generous",
             SlaMode::BudgetedUnits { units: 1_000_000 },
         ),
     ] {
         service.set_mode(mode).expect("no journal attached");
+        if label == "units_exhaust" {
+            let reply = service.what_if("tenant", probe()).expect("valid probe");
+            assert!(
+                reply.analysis.budget_exhausted(),
+                "{label} must shed: {:?}",
+                reply.analysis
+            );
+        }
         group.bench_function(BenchmarkId::new(label, 100u64), |b| {
             b.iter(|| {
                 black_box(service.what_if("tenant", probe()))

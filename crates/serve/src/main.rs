@@ -21,8 +21,8 @@
 //!   bit-reproducible across machines.
 //! * `--work-rate <units-per-us>` — pin the wall-clock → work-unit
 //!   conversion rate instead of calibrating it at startup.  Without this
-//!   flag the service runs a short (~2 ms) reference analysis once at
-//!   launch and derives the rate from it.
+//!   flag the service runs its QPA test over a reference workload for
+//!   about 2 ms at launch and derives the rate from it.
 //!
 //! # Requests
 //!
@@ -39,7 +39,9 @@
 //! ```
 //!
 //! A component with a `period` is periodic; without one it is a one-shot
-//! arriving at time zero.  Replies are single lines:
+//! arriving at time zero.  Every analysed request is decided by QPA
+//! descent from the §4.3 horizon, and `iters=` in its reply counts the
+//! descent steps.  Replies are single lines:
 //!
 //! ```text
 //! ADMITTED id=<id> verdict=<v> iters=<n> us=<elapsed>
@@ -60,13 +62,12 @@
 //! time (converted once to units at the work rate); `MODE units <n>`
 //! expresses it directly in deterministic work units, which is
 //! machine-independent and therefore exactly reproducible.  Either way a
-//! request is one exact run under the allowance: the analysis
+//! request is one exact run under the allowance: the QPA descent
 //! `MODE exact` runs, metered at one unit for entering the request plus
-//! one per checkpointed analysis step, so a decisive reply is the reply
-//! `MODE exact` gives.  A request
-//! whose allowance runs out answers `UNDETERMINED verdict=unknown` —
-//! honest, never fabricated — and increments `budget_exhaustions` in
-//! `HEALTH`.  `guard_trips` counts only exhaustions that bind on the
+//! one per descent step, so a decisive reply is the reply `MODE exact`
+//! gives.  A request whose allowance runs out answers
+//! `UNDETERMINED verdict=unknown` — honest, never fabricated — and
+//! increments `budget_exhaustions` in `HEALTH`.  `guard_trips` counts only exhaustions that bind on the
 //! *watchdog* allowance (or the wall-clock backstop), so a tight SLA
 //! budget alone never drives the shed/degrade hysteresis.
 //!

@@ -7,7 +7,8 @@
 //! 1. **Exactly one reply per request** — never dropped, never
 //!    duplicated, faults included.
 //! 2. **Never a wrong verdict** — every decisive reply is re-verified by
-//!    running the uncapped exact test against a shadow model of the
+//!    running an independent exact test (the paper's all-approximated
+//!    test, not the service's QPA) against a shadow model of the
 //!    committed state; degradation is always an honest `Unknown` (or a
 //!    coded error), never a fabricated verdict.
 //! 3. **State always recoverable** — after the faulted session, the
@@ -119,8 +120,10 @@ fn journal_path(tag: &str, seed: u64) -> PathBuf {
     dir.join(format!("{tag}-{seed}.journal"))
 }
 
-/// Runs the exact (uncapped) test on the shadow committed state of
-/// `tenant` plus `component`, returning the ground-truth verdict.
+/// Runs the paper's all-approximated exact test (uncapped) on the shadow
+/// committed state of `tenant` plus `component`, returning the
+/// ground-truth verdict.  The service decides with QPA, so this oracle
+/// is an exact test independent of the one under test.
 fn ground_truth(shadow: &Shadow, tenant: usize, component: DemandComponent) -> Verdict {
     let mut components: Vec<DemandComponent> = shadow.committed[tenant]
         .iter()
@@ -312,6 +315,7 @@ fn faulted_scenario(seed: u64, panics: u32, fires: u32, exhausts: u32, writes: u
     let _ = std::fs::remove_file(&path);
     let mut service = AdmissionService::recover(&path).expect("fresh journal");
     service.set_watchdog(Some(WatchdogConfig::with_guard(Duration::from_secs(5))));
+    service.set_work_rate(25);
     service.set_fault_plan(
         FaultPlan::from_seed(seed ^ !0, panics, fires, writes)
             .with_budget_exhaust_per_mille(exhausts),
@@ -422,6 +426,7 @@ fn degradation_is_honest_under_sustained_fires() {
         recovery_threshold: 2,
         degraded_deadline: Duration::from_millis(20),
     }));
+    service.set_work_rate(25);
     service.set_fault_plan(FaultPlan::from_seed(21, 0, 1000, 0));
     let component = DemandComponent::periodic(Time::new(2), Time::new(9), Time::new(10));
     for _ in 0..6 {
