@@ -255,9 +255,8 @@ pub fn analyze_many_serial_budgeted<W: Workload>(
 ///
 /// Generic over ownership: accepts owned preparations
 /// (`&[PreparedWorkload]`) as well as borrowed ones
-/// (`&[&PreparedWorkload]`) — the admission service batches what-if
-/// requests by collecting one borrowed preparation per tenant view
-/// without cloning any of them.
+/// (`&[&PreparedWorkload]`), so preparations held elsewhere run without
+/// being cloned.
 #[must_use]
 pub fn analyze_many_prepared<P>(workloads: &[P], tests: &[BoxedTest]) -> Vec<Vec<Analysis>>
 where
@@ -270,52 +269,6 @@ where
             .map(|test| test.analyze_prepared_with(prepared, scratch))
             .collect()
     })
-}
-
-/// [`analyze_many_prepared`] with one **caller-owned** [`WorkBudget`] per
-/// workload: item `i` runs its whole suite against `budgets[i]`, and the
-/// budget — charges included — is written back, so a caller that charged
-/// an entry cost up front reads one total spend per item.  Per-item
-/// budgets make exhaustion independent of
-/// the worker split: the results equal a sequential loop over the items.
-///
-/// # Panics
-///
-/// Panics when `budgets.len() != workloads.len()`.
-pub fn analyze_many_prepared_budgeted<P>(
-    workloads: &[P],
-    tests: &[BoxedTest],
-    budgets: &mut [WorkBudget],
-) -> Vec<Vec<Analysis>>
-where
-    P: std::borrow::Borrow<PreparedWorkload> + Sync,
-{
-    assert_eq!(
-        workloads.len(),
-        budgets.len(),
-        "one budget per prepared workload"
-    );
-    let pairs: Vec<(&P, WorkBudget)> = workloads.iter().zip(budgets.iter().copied()).collect();
-    let results = parallel_map_with(
-        &pairs,
-        AnalysisScratch::new,
-        |scratch, &(prepared, budget)| {
-            scratch.set_budget(budget);
-            let analyses: Vec<Analysis> = tests
-                .iter()
-                .map(|test| test.analyze_prepared_with(prepared.borrow(), scratch))
-                .collect();
-            (analyses, scratch.take_budget())
-        },
-    );
-    results
-        .into_iter()
-        .zip(budgets.iter_mut())
-        .map(|((analyses, spent), slot)| {
-            *slot = spent;
-            analyses
-        })
-        .collect()
 }
 
 #[cfg(test)]

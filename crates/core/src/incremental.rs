@@ -514,9 +514,9 @@ impl EditView {
         &self.scratch
     }
 
-    /// The finalized prepared state, without finalizing — the shared-borrow
-    /// accessor the batch front end uses to collect one
-    /// `&PreparedWorkload` per tenant after finalizing each view.
+    /// The finalized prepared state, without finalizing — a shared-borrow
+    /// accessor for callers that finalized the view earlier and now hold
+    /// it behind `&`.
     ///
     /// # Panics
     ///

@@ -42,8 +42,7 @@
 //!   thousands of tenants, each a [`PreparedWorkload`] behind an
 //!   [`EditView`], answering admit / evict / what-if requests through
 //!   delta re-analysis (with an anytime budgeted mode that answers an
-//!   honest `Unknown` when its per-request deadline fires, and batched
-//!   entry points fanning independent tenants across the cores);
+//!   honest `Unknown` when its per-request deadline fires);
 //! * [`sim`] (`edf-sim`) — a discrete-event EDF / fixed-priority scheduler
 //!   simulator used as an independent oracle;
 //! * [`gen`] (`edf-gen`) — reproducible random task-set generation

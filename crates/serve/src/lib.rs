@@ -32,18 +32,15 @@
 //! service's calibrated [`work rate`](AdmissionService::work_rate), and
 //! each request runs against its own unit budget.  Which requests
 //! exhaust — and at which step — is therefore a pure function of the
-//! workload and the configured allowances, making load shedding,
-//! Exact→Budgeted hysteresis and wave-batched shedding bit-reproducible
-//! across runs and machines (the wall clock survives only as a backstop
-//! against mis-calibration).
+//! workload and the configured allowances, making load shedding and
+//! Exact→Budgeted hysteresis bit-reproducible across runs and machines
+//! (the wall clock survives only as a backstop against mis-calibration).
 //! [`SlaMode::BudgetedUnits`] expresses the allowance directly in units,
 //! with no wall-clock conversion at all.
 //!
-//! Concurrent request batches go through [`AdmissionService::admit_many`]
-//! / [`AdmissionService::what_if_many`], which fan independent tenants out
-//! across the CPU cores via [`batch::analyze_many_prepared_budgeted`]
-//! with one [`AnalysisScratch`] arena per worker and one [`WorkBudget`]
-//! per request.
+//! Admit and what-if requests run through one pipeline: validate, edit,
+//! one isolated analysis, then commit or roll back.  They differ only in
+//! the last step — a what-if always rolls back.
 //!
 //! # Fault tolerance
 //!
@@ -105,7 +102,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use edf_analysis::batch::{self, BoxedTest};
 use edf_analysis::tests::QpaTest;
 use edf_analysis::workload::DemandComponent;
 use edf_analysis::{
@@ -487,9 +483,9 @@ impl Tenant {
 }
 
 /// The admission-control service: a map of tenants, the active
-/// [`SlaMode`], one reusable [`AnalysisScratch`] for the single-request
-/// path, and the optional fault-tolerance attachments (journal, watchdog,
-/// fault plan — see the [module docs](self)).
+/// [`SlaMode`], one reusable [`AnalysisScratch`] for the request
+/// pipeline, and the optional fault-tolerance attachments (journal,
+/// watchdog, fault plan — see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -846,6 +842,19 @@ impl AdmissionService {
             .enumerate()
             .map(|(offset, &component)| (self.next_id + offset as u64, component))
             .collect();
+        // Replay appends `Admit` records to an existing tenant, so the
+        // replaced components are journaled out first.
+        let replaced: Vec<u64> = self
+            .tenants
+            .get(tenant)
+            .map(|entry| entry.committed.iter().map(|&(id, _)| id).collect())
+            .unwrap_or_default();
+        for id in replaced {
+            self.journal_append(&JournalRecord::Evict {
+                tenant: tenant.to_owned(),
+                id,
+            })?;
+        }
         self.journal_append(&JournalRecord::Tenant {
             tenant: tenant.to_owned(),
         })?;
@@ -882,8 +891,7 @@ impl AdmissionService {
         tenant: &str,
         component: DemandComponent,
     ) -> Result<AdmissionResponse, RequestError> {
-        let faults = self.draw_request_faults();
-        self.admit_inner(tenant, component, faults)
+        self.decide(tenant, component, true)
     }
 
     /// Answers "would this component be admitted?" without changing the
@@ -900,8 +908,7 @@ impl AdmissionService {
         tenant: &str,
         component: DemandComponent,
     ) -> Result<AdmissionResponse, RequestError> {
-        let faults = self.draw_request_faults();
-        self.what_if_inner(tenant, component, faults)
+        self.decide(tenant, component, false)
     }
 
     /// Removes the component with the given service-assigned id from
@@ -950,31 +957,6 @@ impl AdmissionService {
             components: prepared.components().len(),
             utilization: prepared.utilization(),
         })
-    }
-
-    /// Batched [`AdmissionService::admit`]: requests for *distinct*
-    /// tenants are analyzed concurrently via
-    /// [`batch::analyze_many_prepared_budgeted`] (one scratch arena per
-    /// worker, one work budget per request);
-    /// requests hitting the same tenant are serialized into successive
-    /// waves, each wave seeing the commits of the previous one.  Responses
-    /// are in request order — exactly one per request, errors included.
-    pub fn admit_many(
-        &mut self,
-        requests: &[(&str, DemandComponent)],
-    ) -> Vec<Result<AdmissionResponse, RequestError>> {
-        self.run_waves(requests, true)
-    }
-
-    /// Batched [`AdmissionService::what_if`]: same wave scheduling as
-    /// [`AdmissionService::admit_many`], but every edit is reverted, so no
-    /// committed state changes (unknown tenants are registered empty, to
-    /// keep the wave engine uniform).  Responses are in request order.
-    pub fn what_if_many(
-        &mut self,
-        requests: &[(&str, DemandComponent)],
-    ) -> Vec<Result<AdmissionResponse, RequestError>> {
-        self.run_waves(requests, false)
     }
 
     /// Draws this request's injected faults from the attached plan (none
@@ -1046,177 +1028,108 @@ impl AdmissionService {
         Ok(())
     }
 
-    /// Validation + caps shared by admit paths; also creates (and
-    /// journals) the tenant when new.
-    fn prepare_admit_target(
+    /// The one request pipeline behind [`AdmissionService::admit`]
+    /// (`commit`) and [`AdmissionService::what_if`]: draw the request's
+    /// faults, validate, apply the edit, run one isolated analysis, then
+    /// commit a feasible admission journal-first or roll the edit back.
+    /// A what-if against an unknown tenant edits a throwaway empty
+    /// system, so it registers nothing.
+    fn decide(
         &mut self,
         tenant: &str,
         component: DemandComponent,
-    ) -> Result<(), RequestError> {
+        commit: bool,
+    ) -> Result<AdmissionResponse, RequestError> {
+        // Faults are drawn before any check, so a seeded plan injects at
+        // the same requests whatever they turn out to be.
+        let faults = self.draw_request_faults();
         validate_component(&component).map_err(|fault| RequestError::InvalidComponent { fault })?;
         self.check_tenant_name(tenant)?;
-        match self.tenants.get(tenant) {
-            Some(entry) => {
-                if entry.committed.len() >= self.limits.max_components_per_tenant {
+        if commit {
+            match self.tenants.get(tenant) {
+                Some(entry) if entry.committed.len() >= self.limits.max_components_per_tenant => {
                     return Err(RequestError::ComponentLimit {
                         limit: self.limits.max_components_per_tenant,
                     });
                 }
-            }
-            None => {
-                if self.tenants.len() >= self.limits.max_tenants {
-                    return Err(RequestError::TenantLimit {
-                        limit: self.limits.max_tenants,
-                    });
+                Some(_) => {}
+                None => {
+                    if self.tenants.len() >= self.limits.max_tenants {
+                        return Err(RequestError::TenantLimit {
+                            limit: self.limits.max_tenants,
+                        });
+                    }
+                    self.journal_append(&JournalRecord::Tenant {
+                        tenant: tenant.to_owned(),
+                    })?;
+                    self.tenants.insert(tenant.to_owned(), Tenant::empty());
                 }
-                self.journal_append(&JournalRecord::Tenant {
-                    tenant: tenant.to_owned(),
-                })?;
-                self.tenants.insert(tenant.to_owned(), Tenant::empty());
             }
         }
-        Ok(())
-    }
-
-    /// The single-request admit path with explicit (possibly injected)
-    /// faults — also the per-request retry path after a wave panic.
-    fn admit_inner(
-        &mut self,
-        tenant: &str,
-        component: DemandComponent,
-        faults: RequestFaults,
-    ) -> Result<AdmissionResponse, RequestError> {
-        self.prepare_admit_target(tenant, component)?;
         let mode = self.effective_mode();
         let guard = self.watchdog.map(|config| config.guard);
         let work_rate = self.work_rate;
-        let entry = self.tenants.get_mut(tenant).expect("prepared above");
-        entry.view.insert_component(component);
-        let outcome = {
-            let view = &mut entry.view;
-            let scratch = &mut self.scratch;
-            catch_unwind(AssertUnwindSafe(|| {
-                if faults.analysis_panic {
-                    panic!("injected analysis panic");
-                }
-                analyze_one(
-                    mode,
-                    guard,
-                    faults.guard_fire,
-                    faults.budget_exhaust,
-                    work_rate,
-                    view.prepared(),
-                    scratch,
-                )
-            }))
+        let mut probe = None;
+        let target = match self.tenants.get_mut(tenant) {
+            Some(entry) => entry,
+            None => probe.insert(Tenant::empty()),
         };
-        let (analysis, tripped) = match outcome {
-            Ok(result) => result,
-            Err(_) => return Err(self.isolate_panic(tenant)),
+        target.view.insert_component(component);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if faults.analysis_panic {
+                panic!("injected analysis panic");
+            }
+            analyze_one(
+                mode,
+                guard,
+                faults.guard_fire,
+                faults.budget_exhaust,
+                work_rate,
+                target.view.prepared(),
+                &mut self.scratch,
+            )
+        }));
+        let Ok((analysis, tripped)) = outcome else {
+            return Err(self.isolate_panic(tenant));
         };
         self.observe_guard(tripped);
         self.budget_exhaustions += u64::from(analysis.budget_exhausted());
-        let entry = self.tenants.get_mut(tenant).expect("prepared above");
-        let decision = if analysis.verdict.is_feasible() {
-            let id = self.next_id;
-            // Journal-first: if the append fails the admission is rolled
-            // back, so memory never runs ahead of the journal.
-            if let Err(error) = self.journal_append(&JournalRecord::Admit {
+
+        // Journal-first: a feasible admission is appended before it takes
+        // effect, and a refused append rolls it back, so memory never
+        // runs ahead of the journal.
+        let id = self.next_id;
+        let appended = (commit && analysis.verdict.is_feasible()).then(|| {
+            self.journal_append(&JournalRecord::Admit {
                 tenant: tenant.to_owned(),
                 id,
                 component,
-            }) {
-                let entry = self.tenants.get_mut(tenant).expect("prepared above");
+            })
+        });
+        let admitted = matches!(appended, Some(Ok(())));
+        if let Some(entry) = self.tenants.get_mut(tenant) {
+            if admitted {
+                entry.view.commit();
+                entry.committed.push((id, component));
+            } else {
+                // The rollback leaves the view dirty on purpose: the
+                // refresh is paid lazily by whoever next needs the
+                // finalized state (usually the next request's own
+                // finalize), keeping the steady-state cost at one refresh
+                // per request.
                 entry.view.revert();
-                return Err(error);
             }
-            let entry = self.tenants.get_mut(tenant).expect("prepared above");
-            entry.view.commit();
-            entry.committed.push((id, component));
-            self.next_id += 1;
-            AdmissionDecision::Admitted(id)
-        } else {
-            // The rollback leaves the view dirty on purpose: the refresh
-            // is paid lazily by whoever next needs the finalized state
-            // (usually the next request's own finalize), keeping the
-            // steady-state cost at one refresh per request.
-            entry.view.revert();
-            decline(analysis.verdict)
+        }
+        let decision = match appended {
+            Some(Ok(())) => {
+                self.next_id += 1;
+                AdmissionDecision::Admitted(id)
+            }
+            Some(Err(error)) => return Err(error),
+            None if commit => decline(analysis.verdict),
+            None => hypothetical(&analysis),
         };
         Ok(AdmissionResponse { decision, analysis })
-    }
-
-    /// The single-request what-if path with explicit faults.
-    fn what_if_inner(
-        &mut self,
-        tenant: &str,
-        component: DemandComponent,
-        faults: RequestFaults,
-    ) -> Result<AdmissionResponse, RequestError> {
-        validate_component(&component).map_err(|fault| RequestError::InvalidComponent { fault })?;
-        self.check_tenant_name(tenant)?;
-        let mode = self.effective_mode();
-        let guard = self.watchdog.map(|config| config.guard);
-        let work_rate = self.work_rate;
-        let outcome = match self.tenants.get_mut(tenant) {
-            Some(entry) => {
-                entry.view.insert_component(component);
-                let view = &mut entry.view;
-                let scratch = &mut self.scratch;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if faults.analysis_panic {
-                        panic!("injected analysis panic");
-                    }
-                    analyze_one(
-                        mode,
-                        guard,
-                        faults.guard_fire,
-                        faults.budget_exhaust,
-                        work_rate,
-                        view.prepared(),
-                        scratch,
-                    )
-                }));
-                match outcome {
-                    Ok(result) => {
-                        // Lazy rollback, as in `admit_inner`.
-                        entry.view.revert();
-                        Ok(result)
-                    }
-                    Err(_) => Err(()),
-                }
-            }
-            None => {
-                let mut probe = Tenant::empty();
-                probe.view.insert_component(component);
-                let scratch = &mut self.scratch;
-                catch_unwind(AssertUnwindSafe(|| {
-                    if faults.analysis_panic {
-                        panic!("injected analysis panic");
-                    }
-                    analyze_one(
-                        mode,
-                        guard,
-                        faults.guard_fire,
-                        faults.budget_exhaust,
-                        work_rate,
-                        probe.view.prepared(),
-                        scratch,
-                    )
-                }))
-                .map_err(|_| ())
-            }
-        };
-        let (analysis, tripped) = match outcome {
-            Ok(result) => result,
-            Err(()) => return Err(self.isolate_panic(tenant)),
-        };
-        self.observe_guard(tripped);
-        self.budget_exhaustions += u64::from(analysis.budget_exhausted());
-        Ok(AdmissionResponse {
-            decision: hypothetical(&analysis),
-            analysis,
-        })
     }
 
     /// The panic-isolation path: count it, rebuild the tenant's view cold
@@ -1232,198 +1145,6 @@ impl AdmissionService {
         }
         RequestError::AnalysisPanic {
             tenant: tenant.to_owned(),
-        }
-    }
-
-    /// Shared wave engine behind the batched entry points.  Per wave:
-    /// apply one edit per distinct tenant and finalize (phase 1), analyze
-    /// all finalized views in parallel under `catch_unwind` (phase 2),
-    /// then commit or revert by verdict (phase 3).  A wave panic rebuilds
-    /// every wave tenant from its committed state and retries each wave
-    /// request through the individually isolated single-request path, so
-    /// the faulty request alone errors.
-    fn run_waves(
-        &mut self,
-        requests: &[(&str, DemandComponent)],
-        commit_admissions: bool,
-    ) -> Vec<Result<AdmissionResponse, RequestError>> {
-        let mut responses: Vec<Option<Result<AdmissionResponse, RequestError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        // Draw per-request faults up front, in request order, so batched
-        // and sequential runs of the same plan inject identically.
-        let faults: Vec<RequestFaults> = requests
-            .iter()
-            .map(|_| self.draw_request_faults())
-            .collect();
-        let mut remaining: Vec<usize> = Vec::with_capacity(requests.len());
-        for (index, &(tenant, component)) in requests.iter().enumerate() {
-            // Front-door checks first: invalid requests answer their
-            // error without consuming a wave slot.
-            match self.prepare_wave_target(tenant, component, commit_admissions) {
-                Ok(()) => remaining.push(index),
-                Err(error) => responses[index] = Some(Err(error)),
-            }
-        }
-        while !remaining.is_empty() {
-            // Phase 0: pick at most one pending request per tenant.
-            let mut wave: Vec<usize> = Vec::with_capacity(remaining.len());
-            let mut deferred: Vec<usize> = Vec::new();
-            for request in remaining.drain(..) {
-                let tenant = requests[request].0;
-                if wave
-                    .iter()
-                    .any(|&scheduled| requests[scheduled].0 == tenant)
-                {
-                    deferred.push(request);
-                } else {
-                    wave.push(request);
-                }
-            }
-            remaining = deferred;
-
-            // Phase 1: apply each wave edit and finalize its view.
-            for &request in &wave {
-                let (tenant, component) = requests[request];
-                let entry = self.tenants.get_mut(tenant).expect("prepared above");
-                entry.view.insert_component(component);
-                entry.view.prepared();
-            }
-
-            // Phase 2: analyze the finalized views of the wave in
-            // parallel, isolated: the views are clean and shared-borrowed,
-            // and a panic (injected or real) falls back to per-request
-            // isolation below.
-            let mode = self.effective_mode();
-            let guard = self.watchdog.map(|config| config.guard);
-            let work_rate = self.work_rate;
-            let fired: Vec<bool> = wave
-                .iter()
-                .map(|&request| faults[request].guard_fire)
-                .collect();
-            let exhausted: Vec<bool> = wave
-                .iter()
-                .map(|&request| faults[request].budget_exhaust)
-                .collect();
-            let injected_panic = wave.iter().any(|&request| faults[request].analysis_panic);
-            let outcome = {
-                let prepared: Vec<&PreparedWorkload> = wave
-                    .iter()
-                    .map(|&request| self.tenants[requests[request].0].view.finalized())
-                    .collect();
-                catch_unwind(AssertUnwindSafe(|| {
-                    if injected_panic {
-                        panic!("injected analysis panic");
-                    }
-                    analyze_wave(mode, guard, work_rate, &prepared, &fired, &exhausted)
-                }))
-            };
-            let (analyses, tripped) = match outcome {
-                Ok(result) => result,
-                Err(_) => {
-                    // Rebuild every wave tenant cold (dropping the pending
-                    // edits), then retry each request through the
-                    // single-request path with its already-drawn faults:
-                    // the faulty request errors, the others answer
-                    // normally.
-                    self.panics_isolated += 1;
-                    self.scratch = AnalysisScratch::new();
-                    for &request in &wave {
-                        let entry = self
-                            .tenants
-                            .get_mut(requests[request].0)
-                            .expect("prepared above");
-                        entry.view.mark_poisoned();
-                        entry.rebuild();
-                    }
-                    for &request in &wave {
-                        let (tenant, component) = requests[request];
-                        let response = if commit_admissions {
-                            self.admit_inner(tenant, component, faults[request])
-                        } else {
-                            self.what_if_inner(tenant, component, faults[request])
-                        };
-                        responses[request] = Some(response);
-                    }
-                    continue;
-                }
-            };
-            self.observe_guard(tripped);
-
-            // Phase 3: commit admissions (journal-first), revert
-            // everything else.
-            for (&request, analysis) in wave.iter().zip(analyses) {
-                let (tenant, component) = requests[request];
-                self.budget_exhaustions += u64::from(analysis.budget_exhausted());
-                let response = if commit_admissions && analysis.verdict.is_feasible() {
-                    let id = self.next_id;
-                    match self.journal_append(&JournalRecord::Admit {
-                        tenant: tenant.to_owned(),
-                        id,
-                        component,
-                    }) {
-                        Ok(()) => {
-                            let entry = self.tenants.get_mut(tenant).expect("prepared above");
-                            entry.view.commit();
-                            entry.committed.push((id, component));
-                            self.next_id += 1;
-                            Ok(AdmissionResponse {
-                                decision: AdmissionDecision::Admitted(id),
-                                analysis,
-                            })
-                        }
-                        Err(error) => {
-                            let entry = self.tenants.get_mut(tenant).expect("prepared above");
-                            entry.view.revert();
-                            Err(error)
-                        }
-                    }
-                } else {
-                    let entry = self.tenants.get_mut(tenant).expect("prepared above");
-                    entry.view.revert();
-                    let decision = if commit_admissions {
-                        decline(analysis.verdict)
-                    } else {
-                        hypothetical(&analysis)
-                    };
-                    Ok(AdmissionResponse { decision, analysis })
-                };
-                responses[request] = Some(response);
-            }
-        }
-        responses
-            .into_iter()
-            .map(|response| response.expect("every request answered"))
-            .collect()
-    }
-
-    /// Front-door checks for one wave request; creates (and journals) the
-    /// tenant when needed.  What-if waves register unknown tenants empty
-    /// (to keep the wave engine uniform), matching the previous batched
-    /// behavior.
-    fn prepare_wave_target(
-        &mut self,
-        tenant: &str,
-        component: DemandComponent,
-        commit_admissions: bool,
-    ) -> Result<(), RequestError> {
-        if commit_admissions {
-            self.prepare_admit_target(tenant, component)
-        } else {
-            validate_component(&component)
-                .map_err(|fault| RequestError::InvalidComponent { fault })?;
-            self.check_tenant_name(tenant)?;
-            if !self.tenants.contains_key(tenant) {
-                if self.tenants.len() >= self.limits.max_tenants {
-                    return Err(RequestError::TenantLimit {
-                        limit: self.limits.max_tenants,
-                    });
-                }
-                self.journal_append(&JournalRecord::Tenant {
-                    tenant: tenant.to_owned(),
-                })?;
-                self.tenants.insert(tenant.to_owned(), Tenant::empty());
-            }
-            Ok(())
         }
     }
 }
@@ -1572,72 +1293,6 @@ fn analyze_one(
     let tripped = !analysis.verdict.is_decisive()
         && (caps.guard_tripped(&budget) || backstop_fired(start, guard));
     (analysis, tripped)
-}
-
-/// Analyzes a wave of prepared systems under the given mode and optional
-/// guard, fanning out across the CPU cores, **budget-first**: every
-/// system gets its *own* per-request [`WorkBudget`] with the same unit
-/// allowance and entry charge a sequential request would get, and the
-/// whole wave is one [`batch::analyze_many_prepared_budgeted`] call
-/// running [`SERVICE_TEST`], the QPA descent `analyze_one` runs.
-/// Per-item budgets (not one shared wave pool) are what make batched
-/// exhaustion bit-identical to sequential exhaustion.
-///
-/// `fired[i]` forces system `i` to an immediate honest `Unknown` (the
-/// fault plan's simulated deadline fire); `exhausted[i]` shrinks its
-/// budget to zero units, unwinding through the production checkpoints.
-/// The returned flag reports whether the guard tripped for this wave
-/// (forced fires and guard-unit exhaustions included).
-fn analyze_wave(
-    mode: SlaMode,
-    guard: Option<Duration>,
-    work_rate: u64,
-    prepared: &[&PreparedWorkload],
-    fired: &[bool],
-    exhausted: &[bool],
-) -> (Vec<Analysis>, bool) {
-    let caps = UnitCaps::from_allowances(mode, guard, work_rate);
-    let mut results: Vec<Analysis> = vec![Analysis::trivial(Verdict::Unknown); prepared.len()];
-    let mut tripped = false;
-    let mut open: Vec<usize> = Vec::new();
-    let mut budgets: Vec<WorkBudget> = Vec::new();
-    for (index, system) in prepared.iter().enumerate() {
-        // Free checks run even for forced fires, matching `analyze_one`:
-        // the exact `U > 1` proof costs nothing, so it is sound to answer
-        // it under any deadline.
-        if let Some(free) = free_verdict(system) {
-            results[index] = free;
-            continue;
-        }
-        if fired[index] {
-            tripped = true;
-            continue;
-        }
-        match enter_request(&caps, exhausted[index]) {
-            Ok(budget) => {
-                open.push(index);
-                budgets.push(budget);
-            }
-            Err((shed, trip)) => {
-                results[index] = shed;
-                tripped |= trip;
-            }
-        }
-    }
-    if open.is_empty() {
-        return (results, tripped);
-    }
-    let start = guard.map(|_| Instant::now());
-    let subset: Vec<&PreparedWorkload> = open.iter().map(|&index| prepared[index]).collect();
-    let tests: Vec<BoxedTest> = vec![Box::new(SERVICE_TEST)];
-    let analyses = batch::analyze_many_prepared_budgeted(&subset, &tests, &mut budgets);
-    let overran = backstop_fired(start, guard);
-    for ((&index, mut analyses), budget) in open.iter().zip(analyses).zip(&budgets) {
-        let analysis = analyses.pop().expect("one test registered");
-        tripped |= !analysis.verdict.is_decisive() && (caps.guard_tripped(budget) || overran);
-        results[index] = analysis;
-    }
-    (results, tripped)
 }
 
 /// The checks that cost nothing even under a zero budget: the prepared
@@ -1877,86 +1532,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_exhaustion_matches_sequential_exhaustion() {
-        let requests: Vec<(&str, DemandComponent)> = vec![
-            ("a", light(4, 9, 10)),
-            ("b", light(2, 6, 8)),
-            ("a", light(9, 9, 10)),
-            ("c", light(1, 3, 4)),
-            ("a", light(3, 18, 20)),
-        ];
-        for units in [0, 1, 25, 400, 100_000] {
-            let mode = SlaMode::BudgetedUnits { units };
-            let mut batched = AdmissionService::with_mode(mode);
-            let batched_responses = batched.admit_many(&requests);
-            let mut sequential = AdmissionService::with_mode(mode);
-            for (index, &(tenant, component)) in requests.iter().enumerate() {
-                let response = sequential.admit(tenant, component).unwrap();
-                assert_eq!(
-                    &response.analysis,
-                    &batched_responses[index].as_ref().unwrap().analysis,
-                    "units={units} request {index}: wave and sequential \
-                     exhaustion must be bit-identical"
-                );
-            }
-            assert_eq!(
-                batched.budget_exhaustions(),
-                sequential.budget_exhaustions()
-            );
-            for tenant in ["a", "b", "c"] {
-                assert_eq!(batched.stat(tenant), sequential.stat(tenant));
-            }
-        }
-    }
-
-    #[test]
-    fn admit_many_matches_sequential_admits() {
-        let requests: Vec<(&str, DemandComponent)> = vec![
-            ("a", light(4, 9, 10)),
-            ("b", light(2, 6, 8)),
-            ("a", light(9, 9, 10)),
-            ("c", light(1, 3, 4)),
-            ("a", light(3, 18, 20)),
-        ];
-        let mut batched = AdmissionService::new();
-        let batched_responses = batched.admit_many(&requests);
-        let mut sequential = AdmissionService::new();
-        for (index, &(tenant, component)) in requests.iter().enumerate() {
-            let response = sequential.admit(tenant, component).unwrap();
-            assert_eq!(
-                &response.analysis,
-                &batched_responses[index].as_ref().unwrap().analysis,
-                "request {index} diverges between batched and sequential"
-            );
-        }
-        for tenant in ["a", "b", "c"] {
-            assert_eq!(batched.stat(tenant), sequential.stat(tenant));
-        }
-    }
-
-    #[test]
-    fn what_if_many_is_read_only_and_ordered() {
-        let mut service = AdmissionService::new();
-        service.admit("a", light(4, 9, 10)).unwrap();
-        let before = service.stat("a").unwrap();
-        let responses = service.what_if_many(&[
-            ("a", light(1, 9, 10)),
-            ("a", light(9, 9, 10)),
-            ("fresh", light(1, 4, 5)),
-        ]);
-        let decision = |index: usize| responses[index].as_ref().unwrap().decision;
-        assert_eq!(decision(0), AdmissionDecision::Admitted(u64::MAX));
-        assert_eq!(decision(1), AdmissionDecision::Rejected);
-        assert_eq!(decision(2), AdmissionDecision::Admitted(u64::MAX));
-        assert_eq!(service.stat("a").unwrap(), before);
-        assert_eq!(
-            service.stat("fresh").unwrap().components,
-            0,
-            "what-if registered the tenant but committed nothing"
-        );
-    }
-
-    #[test]
     fn invalid_components_are_refused_before_analysis() {
         let mut service = AdmissionService::new();
         let zero_cost = DemandComponent::periodic(Time::new(0), Time::new(5), Time::new(10));
@@ -2019,42 +1594,22 @@ mod tests {
         assert_eq!(service.stat("a").unwrap(), before);
         let response = service.admit("a", light(1, 9, 10)).unwrap();
         assert!(matches!(response.decision, AdmissionDecision::Admitted(_)));
-    }
 
-    #[test]
-    fn wave_panic_is_isolated_per_request() {
-        let mut service = AdmissionService::new();
-        service.set_fault_plan(FaultPlan::from_seed(5, 500, 0, 0));
-        let requests: Vec<(&str, DemandComponent)> = vec![
-            ("a", light(4, 9, 10)),
-            ("b", light(2, 6, 8)),
-            ("c", light(1, 3, 4)),
-            ("d", light(1, 9, 10)),
-        ];
-        let responses = service.admit_many(&requests);
-        assert_eq!(responses.len(), requests.len(), "one reply per request");
-        let panicked = responses
-            .iter()
-            .filter(|response| matches!(response, Err(RequestError::AnalysisPanic { .. })))
-            .count();
-        let admitted = responses
-            .iter()
-            .filter(|response| {
-                matches!(
-                    response,
-                    Ok(AdmissionResponse {
-                        decision: AdmissionDecision::Admitted(_),
-                        ..
-                    })
-                )
-            })
-            .count();
-        assert_eq!(panicked + admitted, requests.len());
-        assert!(panicked > 0, "seed 5 at rate 500/1000 injects panics");
-        assert!(admitted > 0, "non-faulted requests still succeed");
-        // Non-faulted tenants committed; faulted ones stayed empty.
-        let report = service.take_fault_plan().unwrap();
-        assert!(!report.report().injected.is_empty());
+        // A what-if against an unknown tenant panics inside the same
+        // isolation site while analyzing its throwaway probe system.
+        let tenants = service.tenant_count();
+        service.set_fault_plan(FaultPlan::from_seed(1, 1000, 0, 0));
+        let error = service.what_if("ghost", light(1, 9, 10)).unwrap_err();
+        assert_eq!(error.code(), "analysis-panic");
+        service.take_fault_plan();
+        assert_eq!(service.panics_isolated(), 2);
+        assert!(
+            service.stat("ghost").is_none(),
+            "the probe registers nothing"
+        );
+        assert_eq!(service.tenant_count(), tenants);
+        let response = service.what_if("ghost", light(1, 9, 10)).unwrap();
+        assert_eq!(response.decision, AdmissionDecision::Admitted(u64::MAX));
     }
 
     #[test]
@@ -2098,7 +1653,7 @@ mod tests {
         let path = dir.join("round-trip.journal");
         let _ = std::fs::remove_file(&path);
 
-        let (stat_a, stat_b, evicted) = {
+        let (stat_a, stat_b, stat_t, evicted) = {
             let mut service = AdmissionService::recover(&path).unwrap();
             service.set_work_rate(25);
             service.admit("a", light(4, 9, 10)).unwrap();
@@ -2110,18 +1665,31 @@ mod tests {
             };
             service.admit("b", light(9, 9, 10)).unwrap_err_or_rejected();
             service.evict("b", id).unwrap();
+            // Re-registering a tenant replaces its committed system, and
+            // replay must replace it too (not append to the old one).
+            let two = PreparedWorkload::from_components(vec![light(1, 9, 10), light(1, 9, 10)]);
+            service.register_tenant("t", &two).unwrap();
+            let one = PreparedWorkload::from_components(vec![light(3, 9, 10)]);
+            service.register_tenant("t", &one).unwrap();
             service
                 .set_mode(SlaMode::Budgeted {
                     deadline: Duration::from_millis(10),
                 })
                 .unwrap();
-            (service.stat("a").unwrap(), service.stat("b").unwrap(), id)
+            (
+                service.stat("a").unwrap(),
+                service.stat("b").unwrap(),
+                service.stat("t").unwrap(),
+                id,
+            )
         };
 
         let mut recovered = AdmissionService::recover(&path).unwrap();
         recovered.set_work_rate(25);
         assert_eq!(recovered.stat("a").unwrap(), stat_a);
         assert_eq!(recovered.stat("b").unwrap(), stat_b);
+        assert_eq!(stat_t.components, 1);
+        assert_eq!(recovered.stat("t").unwrap(), stat_t);
         assert_eq!(
             recovered.mode(),
             SlaMode::Budgeted {

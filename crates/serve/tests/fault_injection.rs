@@ -151,8 +151,7 @@ fn run_faulted_session(
     let mut seen = [false; TENANTS.len()];
     for (index, request) in requests.iter().enumerate() {
         // Invariant 1 (one reply per request) is structural here: every
-        // arm produces exactly one Result and we assert on it.  The
-        // batched path is covered by `wave_faults_preserve_invariants`.
+        // arm produces exactly one Result and we assert on it.
         match *request {
             Request::Admit { tenant, component } => {
                 let name = TENANTS[tenant];
@@ -356,63 +355,6 @@ proptest! {
     fn combined_fault_storm_holds_all_invariants(seed in 0u64..u64::MAX) {
         faulted_scenario(seed, 100, 100, 100, 40);
     }
-}
-
-/// The batched entry points under injected wave panics: exactly one
-/// reply per request, panicked requests error individually, the rest
-/// commit correctly and the committed state matches a shadow replay.
-#[test]
-fn wave_faults_preserve_invariants() {
-    silence_injected_panics();
-    let mut service = AdmissionService::new();
-    service
-        .set_fault_plan(FaultPlan::from_seed(11, 300, 100, 0).with_budget_exhaust_per_mille(300));
-    let components: Vec<DemandComponent> = (0..12)
-        .map(|index| {
-            DemandComponent::periodic(
-                Time::new(1 + index % 3),
-                Time::new(9 + index),
-                Time::new(20),
-            )
-        })
-        .collect();
-    let requests: Vec<(&str, DemandComponent)> = components
-        .iter()
-        .enumerate()
-        .map(|(index, &component)| (TENANTS[index % TENANTS.len()], component))
-        .collect();
-    let responses = service.admit_many(&requests);
-    assert_eq!(responses.len(), requests.len(), "one reply per request");
-    let mut shadow: Vec<Vec<DemandComponent>> = vec![Vec::new(); TENANTS.len()];
-    for (index, response) in responses.iter().enumerate() {
-        let (_, component) = requests[index];
-        let tenant = index % TENANTS.len();
-        match response {
-            Ok(ok) => match ok.decision {
-                AdmissionDecision::Admitted(_) => shadow[tenant].push(component),
-                AdmissionDecision::Rejected => {}
-                AdmissionDecision::Undetermined => {
-                    assert_eq!(ok.analysis.verdict, Verdict::Unknown, "honest unknown only");
-                }
-            },
-            Err(RequestError::AnalysisPanic { .. }) => {}
-            Err(error) => panic!("unexpected error {error}"),
-        }
-    }
-    for (index, name) in TENANTS.iter().enumerate() {
-        let stat = service.stat(name);
-        let committed = stat.map_or(0, |stat| stat.components);
-        assert_eq!(
-            committed,
-            shadow[index].len(),
-            "tenant {name}: committed state matches acknowledged replies"
-        );
-    }
-    let report = service.take_fault_plan().expect("plan attached");
-    assert!(
-        !report.report().injected.is_empty(),
-        "seed 11 at these rates injects faults"
-    );
 }
 
 /// Exact-mode requests are wrong-verdict-free even while the watchdog is
