@@ -37,7 +37,9 @@
 //! `max(T − D)` aggregate, George's degeneracy and the applicability flags
 //! are structural) and seeds the remaining binary searches with the
 //! previous probe's results, while staying bit-identical to the cold
-//! [`FeasibilityBounds::for_components`] computation.
+//! [`FeasibilityBounds::for_components`] computation.  After a structural
+//! edit ([`EditView`](crate::incremental::EditView)) it derives only the
+//! analysis horizon, skipping the bounds that cannot be its minimum.
 //!
 //! # Examples
 //!
@@ -324,28 +326,45 @@ impl BoundRefresher {
         self.refresh_with_utilization_budgeted(components, exceeds_one, budget)
     }
 
-    /// Recomputes every bound after a **structural edit** — components
+    /// The analysis horizon after a **structural edit** — components
     /// inserted, removed or replaced wholesale, the contract of
-    /// [`EditView`](crate::incremental::EditView).  Nothing captured by
-    /// [`BoundRefresher::new`] is guaranteed to survive such an edit, so
-    /// every aggregate (count, timing, the period-lcm chain behind the
-    /// hyperperiod bound) is re-derived in one linear pass; only the
-    /// search **hints** carry over — they merely seed the galloping
-    /// bracket, so the refreshed bounds stay exact while consecutive
-    /// edits of a live system (whose bounds barely move) converge in a
-    /// handful of predicate evaluations.  `reciprocals` is the caller's
-    /// maintained per-component reciprocal cache (see
+    /// [`EditView`](crate::incremental::EditView).  Equal to
+    /// `FeasibilityBounds::for_components(components).analysis_horizon()`
+    /// on every list with `U ≤ 1`; the caller skips `U > 1` lists, whose
+    /// horizon no test reads.
+    ///
+    /// Nothing captured by [`BoundRefresher::new`] is guaranteed to
+    /// survive such an edit, so every aggregate (count, timing, the
+    /// period-lcm chain behind the hyperperiod bound) is re-derived in one
+    /// linear pass.  `reciprocals` is the caller's maintained
+    /// per-component reciprocal cache (see
     /// [`EditView`](crate::incremental::EditView)), copied instead of
-    /// re-deriving one 128-bit division per component.  The result is
-    /// bit-identical to [`FeasibilityBounds::for_components`] on the same
-    /// list.
-    pub(crate) fn refresh_edited(
+    /// re-deriving one 128-bit division per component.  Only the George
+    /// search hint carries over: it merely seeds the galloping bracket, so
+    /// the horizon stays exact while consecutive edits of a live system
+    /// converge in a handful of predicate evaluations.
+    ///
+    /// Only the minimum of the bounds is computed, and two kinds of work
+    /// that cannot lower it are skipped:
+    ///
+    /// * **No Baruah search.**  Baruah's predicate
+    ///   `Σ Cᵢ·(L + maxⱼ(Tⱼ ⊖ Dⱼ))/Tᵢ ≤ L` implies George's
+    ///   `Σ Cᵢ·(L + (Tᵢ ⊖ Dᵢ))/Tᵢ ≤ L` term by term, because
+    ///   `Tᵢ ⊖ Dᵢ ≤ maxⱼ(Tⱼ ⊖ Dⱼ)`; so George ≤ Baruah whenever Baruah
+    ///   exists.  The superposition bound is `max(George, Dmax)`, so it is
+    ///   never below George either.
+    /// * **The busy-period fix-point stops at the running minimum**
+    ///   `m = min(George, hyperperiod)`.  Its iterates rise monotonically
+    ///   to the least fixed point, so an iterate ≥ `m` proves the busy
+    ///   period ≥ `m`.  Below `m` it runs the same iterations under the
+    ///   same convergence cut-off as [`busy_period_components`].
+    pub(crate) fn refresh_edited_horizon(
         &mut self,
         components: &[DemandComponent],
-        exceeds_one: bool,
         reciprocals: &[Reciprocal],
-    ) -> FeasibilityBounds {
+    ) -> Option<Time> {
         debug_assert_eq!(components.len(), reciprocals.len());
+        debug_assert!(!components_exceed_one(components));
         let timing = TimingAggregates::of(components);
         self.component_count = components.len();
         self.baruah_max_diff = timing.baruah_max_diff;
@@ -357,7 +376,14 @@ impl BoundRefresher {
         self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
         self.reciprocals.clear();
         self.reciprocals.extend_from_slice(reciprocals);
-        self.refresh_with_utilization(components, exceeds_one)
+        let george = self.refresh_george(components, &mut WorkBudget::unlimited());
+        let running_min = [george, self.hyperperiod].into_iter().flatten().min();
+        let busy_period = if self.busy_applicable {
+            busy_period_below(components, reciprocals, running_min)
+        } else {
+            None
+        };
+        [running_min, busy_period].into_iter().flatten().min()
     }
 
     /// Recomputes every bound for a WCET-perturbed copy of the component
@@ -667,6 +693,49 @@ fn busy_period_fixpoint_with(
     }
 }
 
+/// [`busy_period_fixpoint_with`] for a purely periodic component list
+/// released at zero, dividing through the cached period `reciprocals`
+/// ([`Reciprocal::divide`] is exact for every `u64`) and abandoned as soon
+/// as an iterate reaches `ceiling`: the iterates rise monotonically to the
+/// least fixed point, so such an iterate proves the busy period is at
+/// least `ceiling`.  Returns the busy period when it converges below
+/// `ceiling`; `None` when abandoned, cut off after
+/// [`BUSY_PERIOD_CONVERGENCE_UNITS`] iterations, or saturated.
+fn busy_period_below(
+    components: &[DemandComponent],
+    reciprocals: &[Reciprocal],
+    ceiling: Option<Time>,
+) -> Option<Time> {
+    let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
+    let mut length = components
+        .iter()
+        .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
+    loop {
+        if ceiling.is_some_and(|m| length >= m) || !convergence.charge(1) {
+            return None;
+        }
+        // `rbf` of a component released at zero: one job at `L = 0`,
+        // `⌊(L − 1)/T⌋ + 1` jobs after.
+        let next = components
+            .iter()
+            .zip(reciprocals)
+            .fold(Time::ZERO, |acc, (c, rcp)| {
+                let jobs = match length.as_u64() {
+                    0 => 1,
+                    l => rcp.divide(l - 1) + 1,
+                };
+                acc.saturating_add(c.wcet().saturating_mul(jobs))
+            });
+        if next == length {
+            return Some(length);
+        }
+        if next == Time::MAX {
+            return None;
+        }
+        length = next;
+    }
+}
+
 /// Upper limit of the bound binary searches (far beyond any realistic
 /// feasibility bound; reaching it means the bound is undefined, e.g. U = 1).
 const BOUND_SEARCH_CAP: u64 = 1 << 62;
@@ -918,9 +987,21 @@ mod tests {
     use crate::demand::dbf_set;
     use crate::workload::PreparedWorkload;
     use edf_model::{EventStream, EventStreamTask, Task};
+    use proptest::prelude::*;
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
+    }
+
+    fn periodic(c: u64, d: u64, p: u64) -> DemandComponent {
+        DemandComponent::periodic(Time::new(c), Time::new(d), Time::new(p))
+    }
+
+    fn reciprocals_of(components: &[DemandComponent]) -> Vec<Reciprocal> {
+        components
+            .iter()
+            .map(|c| Reciprocal::new(c.period().map_or(1, Time::as_u64)))
+            .collect()
     }
 
     fn constrained_set() -> TaskSet {
@@ -1284,6 +1365,149 @@ mod tests {
         let prepared = PreparedWorkload::from_components(components);
         for i in george.as_u64()..george.as_u64() + 100 {
             assert!(prepared.dbf(Time::new(i)) <= Time::new(i));
+        }
+    }
+
+    /// `refresh_edited_horizon` on `components`, through a fresh refresher
+    /// and through `carried`, whose George hint comes from earlier lists.
+    fn edited_horizon(
+        carried: &mut BoundRefresher,
+        components: &[DemandComponent],
+    ) -> Option<Time> {
+        let reciprocals = reciprocals_of(components);
+        let fresh = BoundRefresher::new(&[]).refresh_edited_horizon(components, &reciprocals);
+        assert_eq!(
+            carried.refresh_edited_horizon(components, &reciprocals),
+            fresh
+        );
+        fresh
+    }
+
+    #[test]
+    fn edited_horizon_matches_cold_horizon() {
+        const HUGE_A: u64 = 1 << 63;
+        const HUGE_B: u64 = (1 << 63) - 1;
+        // `p` and `q = p + 2` are odd, hence coprime, so `lcm(2p, 2q)`
+        // overflows; at `U = 1` the busy-period iterates then rise by less
+        // than `p + q` per step towards that lcm and are cut off first.
+        let (p, q) = ((1u64 << 32) + 15, (1u64 << 32) + 17);
+        let cut_off = vec![periodic(p, 2 * p - 1, 2 * p), periodic(q, 2 * q, 2 * q)];
+        let mut meter = WorkBudget::unlimited();
+        assert_eq!(busy_period_components_with(&cut_off, &mut meter), None);
+        assert_eq!(meter.spent(), BUSY_PERIOD_CONVERGENCE_UNITS);
+        assert_eq!(hyperperiod_components(&cut_off), None);
+
+        // Busy period 9 below George 10, Baruah 20 and the hyperperiod.
+        let busy_minimum = constrained_set().demand_components();
+        let bounds = FeasibilityBounds::for_components(&busy_minimum);
+        assert_eq!(bounds.busy_period, Some(Time::new(9)));
+        assert!([
+            bounds.baruah,
+            bounds.george,
+            bounds.hyperperiod,
+            bounds.superposition
+        ]
+        .into_iter()
+        .flatten()
+        .all(|b| b > Time::new(9)));
+
+        // George degenerates to the smallest deadline 3, while the busy
+        // period is 6: the fix-point is abandoned at its first iterate 4.
+        let early_exit = vec![periodic(2, 3, 3), periodic(2, 7, 7)];
+        assert_eq!(george_components(&early_exit), Some(Time::new(3)));
+        assert_eq!(busy_period_components(&early_exit), Some(Time::new(6)));
+        let reciprocals = reciprocals_of(&early_exit);
+        assert_eq!(
+            busy_period_below(&early_exit, &reciprocals, None),
+            Some(Time::new(6))
+        );
+        assert_eq!(
+            busy_period_below(&early_exit, &reciprocals, Some(Time::new(3))),
+            None
+        );
+
+        let cases = [
+            ("empty", vec![]),
+            (
+                "one-shot",
+                vec![
+                    periodic(1, 4, 10),
+                    DemandComponent::one_shot(Time::new(2), Time::new(5), Time::ZERO),
+                ],
+            ),
+            ("all D >= T", vec![periodic(1, 12, 10), periodic(2, 8, 8)]),
+            (
+                "mixed D > T",
+                vec![periodic(1, 15, 10), periodic(2, 3, 8), periodic(1, 20, 7)],
+            ),
+            (
+                "U = 1",
+                vec![periodic(1, 2, 2), periodic(1, 3, 4), periodic(1, 4, 4)],
+            ),
+            (
+                "lcm overflow",
+                vec![
+                    periodic(1, HUGE_A / 2, HUGE_A),
+                    periodic(1, HUGE_B - 9, HUGE_B),
+                ],
+            ),
+            ("busy period cut off", cut_off),
+            (
+                "huge periods",
+                vec![periodic(1, HUGE_A, HUGE_A), periodic(1, HUGE_B, HUGE_B)],
+            ),
+            ("busy period strict minimum", busy_minimum),
+            ("early exit", early_exit),
+            (
+                "offsets",
+                vec![
+                    DemandComponent::periodic_from(
+                        Time::new(2),
+                        Time::new(4),
+                        Time::new(10),
+                        Time::new(3),
+                    ),
+                    periodic(3, 6, 15),
+                ],
+            ),
+        ];
+        let mut carried = BoundRefresher::new(&[]);
+        for (name, components) in cases {
+            assert_eq!(
+                edited_horizon(&mut carried, &components),
+                FeasibilityBounds::for_components(&components).analysis_horizon(),
+                "{name}"
+            );
+        }
+    }
+
+    /// One periodic component with `D < T`, `D = T` or `D > T`, light
+    /// enough that short lists often stay below `U = 1`.
+    fn arb_periodic() -> impl Strategy<Value = DemandComponent> {
+        (2u64..200, 1u64..=100, 0u64..3, 0u64..=100).prop_map(|(period, cost, shape, spread)| {
+            let wcet = (period * cost / 400).max(1);
+            let deadline = match shape {
+                0 => wcet + (period - 1 - wcet) * spread / 100,
+                1 => period,
+                _ => period + period * spread / 50,
+            };
+            periodic(wcet, deadline.max(1), period)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn george_never_exceeds_baruah_on_periodic_lists(
+            components in prop::collection::vec(arb_periodic(), 1..=6),
+        ) {
+            if let Some(baruah) = baruah_components(&components) {
+                let george = george_components(&components);
+                prop_assert!(
+                    george.is_some_and(|g| g <= baruah),
+                    "George {george:?} above Baruah {baruah} on {components:?}"
+                );
+            }
         }
     }
 }

@@ -40,7 +40,7 @@
 //! |------|-----------|-------------|--------------|
 //! | [`ScaledView`] | WCETs only | column rewrite + hinted bound refresh | `O(n)` + a few bound predicates |
 //! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair, full aggregate + kernel refresh at finalize | `O(log n)` per edit + `O(n)` per finalize |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair, full aggregate + kernel refresh and a horizon-only bound refresh at finalize | `O(log n)` per edit + `O(n)` per finalize |
 //!
 //! All three implement [`WorkloadView`] — finalize to a
 //! [`&PreparedWorkload`](PreparedWorkload), dirty-tracking, revert — so
@@ -309,9 +309,14 @@ enum EditOp {
 /// * the **kernel columns** are rebuilt in place into their existing
 ///   allocations
 ///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel));
-/// * the **§4.3 bounds** are re-derived by the crate-internal
-///   `BoundRefresher::refresh_edited` — one linear aggregate pass plus
-///   hint-seeded searches, the hints carried across edits;
+/// * only the **analysis horizon** — the minimum of the §4.3 bounds,
+///   all QPA reads — is re-derived, by the crate-internal
+///   `BoundRefresher::refresh_edited_horizon`: one linear aggregate pass,
+///   the hint-seeded George search (the hint carried across edits) and a
+///   busy-period fix-point that stops once it can no longer lower the
+///   minimum.  The full [`FeasibilityBounds`](crate::bounds::FeasibilityBounds)
+///   of an edited snapshot are computed cold on first
+///   [`PreparedWorkload::bounds`] call, which no service path makes;
 /// * shrinking edits (remove/replace) **reuse the column capacity** —
 ///   debug assertions pin that an admit/evict cycle never churns the
 ///   allocator (the `recycled`-style buffer-reuse contract).
@@ -495,7 +500,7 @@ impl EditView {
 
     /// The prepared state of the current component list, applying any
     /// pending repair (aggregate recomputation, order hand-back, in-place
-    /// kernel rebuild, hinted bound refresh).  Observably identical to a
+    /// kernel rebuild, horizon refresh).  Observably identical to a
     /// cold [`PreparedWorkload`] of the same components.
     ///
     /// # Panics
@@ -579,15 +584,15 @@ impl EditView {
     /// Recomputes the cost-and-structure-dependent aggregates and installs
     /// them with the maintained order (one summation pass in component
     /// order for `f64` bit-identity with a cold preparation, one exact
-    /// `U > 1` pass, the structural bound refresh, the in-place kernel
+    /// `U > 1` pass, the structural horizon refresh, the in-place kernel
     /// rebuild).
     fn refresh(&mut self) {
         let components = self.scratch.components();
         let utilization = components.iter().map(DemandComponent::utilization).sum();
         let exceeds_one = components_exceed_one(components);
-        let bounds = (!exceeds_one).then(|| {
+        let horizon = (!exceeds_one).then(|| {
             self.refresher
-                .refresh_edited(components, false, &self.reciprocals)
+                .refresh_edited_horizon(components, &self.reciprocals)
         });
         let order = std::mem::take(&mut self.order);
         self.scratch.install_edited_state(
@@ -595,7 +600,7 @@ impl EditView {
             utilization,
             exceeds_one,
             order,
-            bounds,
+            horizon,
             &self.reciprocals,
         );
         self.dirty = false;
@@ -701,6 +706,7 @@ mod tests {
         );
         assert_eq!(view.demand_is_exact(), cold.demand_is_exact());
         assert_eq!(view.utilization_is_exact(), cold.utilization_is_exact());
+        assert_eq!(view.analysis_horizon(), cold.analysis_horizon());
         assert_eq!(view.bounds(), cold.bounds());
         assert_eq!(view.deadline_order(), cold.deadline_order());
         for test in [

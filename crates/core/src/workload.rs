@@ -944,6 +944,10 @@ pub struct PreparedWorkload {
     demand_exact: bool,
     utilization_exact: bool,
     bounds: OnceLock<FeasibilityBounds>,
+    /// The analysis horizon (the minimum of `bounds`), cached on its own
+    /// so an [`EditView`](crate::incremental::EditView) finalize can
+    /// install it without computing the full bounds.
+    horizon: OnceLock<Option<Time>>,
     deadline_order: OnceLock<Vec<usize>>,
     /// The columnar demand kernel (built lazily on the first demand
     /// query; see [`crate::kernel`]).
@@ -993,6 +997,7 @@ impl PreparedWorkload {
             demand_exact,
             utilization_exact,
             bounds: OnceLock::new(),
+            horizon: OnceLock::new(),
             deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
             scalar_demand: false,
@@ -1020,6 +1025,7 @@ impl PreparedWorkload {
         self.exceeds_one = components_exceed_one(&self.components);
         self.scalar_demand = false;
         self.bounds.take();
+        self.horizon.take();
         // The previous workload's cached order and kernel are stale either
         // way; rebuild them into their existing allocations only when a
         // demand query can actually run (every test rejects `U > 1`
@@ -1188,6 +1194,10 @@ impl PreparedWorkload {
     }
 
     /// The feasibility bounds of §4.3, computed on first use and cached.
+    /// A snapshot finalized by an
+    /// [`EditView`](crate::incremental::EditView) computes them cold on
+    /// this first call: its finalize refreshes only the
+    /// [analysis horizon](PreparedWorkload::analysis_horizon).
     pub fn bounds(&self) -> &FeasibilityBounds {
         self.bounds
             .get_or_init(|| FeasibilityBounds::for_components(&self.components))
@@ -1203,11 +1213,15 @@ impl PreparedWorkload {
             .get_or_init(|| FeasibilityBounds::for_components_cold(&self.components));
     }
 
-    /// The tightest cached feasibility bound (see
-    /// [`FeasibilityBounds::analysis_horizon`]).
+    /// The tightest feasibility bound (see
+    /// [`FeasibilityBounds::analysis_horizon`]), cached.  An
+    /// [`EditView`](crate::incremental::EditView) finalize installs it
+    /// directly; otherwise it is read off [`PreparedWorkload::bounds`].
     #[must_use]
     pub fn analysis_horizon(&self) -> Option<Time> {
-        self.bounds().analysis_horizon()
+        *self
+            .horizon
+            .get_or_init(|| self.bounds().analysis_horizon())
     }
 
     /// Smallest first deadline over all components.
@@ -1373,6 +1387,7 @@ impl PreparedWorkload {
         self.utilization = utilization;
         self.exceeds_one = exceeds_one;
         self.bounds.take();
+        self.horizon.take();
         if let Some(bounds) = bounds {
             let _ = self.bounds.set(bounds);
         }
@@ -1441,6 +1456,7 @@ impl PreparedWorkload {
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
         self.bounds.take();
+        self.horizon.take();
         if let Some(bounds) = bounds {
             let _ = self.bounds.set(bounds);
         }
@@ -1511,16 +1527,18 @@ impl PreparedWorkload {
     /// layout moved), plus the task count.  `order` must be the stable
     /// ascending-`(first deadline, index)` order of the components; the
     /// kernel columns are rebuilt from it into their existing allocations
-    /// re-using the caller's per-component period `reciprocals`; `None`
-    /// bounds leave the lazy cold path to answer a later
-    /// [`PreparedWorkload::bounds`] call.
+    /// re-using the caller's per-component period `reciprocals`.
+    /// `horizon` is the refreshed
+    /// [analysis horizon](PreparedWorkload::analysis_horizon); `None`
+    /// leaves the lazy cold path to answer a later call.  The bounds
+    /// themselves are always left to that cold path.
     pub(crate) fn install_edited_state(
         &mut self,
         task_count: usize,
         utilization: f64,
         exceeds_one: bool,
         order: Vec<usize>,
-        bounds: Option<FeasibilityBounds>,
+        horizon: Option<Option<Time>>,
         reciprocals: &[crate::arith::Reciprocal],
     ) {
         debug_assert_eq!(order.len(), self.components.len());
@@ -1538,8 +1556,9 @@ impl PreparedWorkload {
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
         self.bounds.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
+        self.horizon.take();
+        if let Some(horizon) = horizon {
+            let _ = self.horizon.set(horizon);
         }
     }
 }

@@ -949,13 +949,14 @@ impl AdmissionService {
     }
 
     /// A summary of `tenant`'s committed system, or `None` if unknown.
-    /// Finalizes any pending lazy rollback first (hence `&mut self`).
-    pub fn stat(&mut self, tenant: &str) -> Option<TenantStat> {
-        let entry = self.tenants.get_mut(tenant)?;
-        let prepared = entry.view.prepared();
+    /// Reads the view's component vector, which a rollback restores
+    /// eagerly, so no pending finalize runs.  The utilization is summed in
+    /// component order, bit-identical to a finalized preparation's.
+    pub fn stat(&self, tenant: &str) -> Option<TenantStat> {
+        let components = self.tenants.get(tenant)?.view.components();
         Some(TenantStat {
-            components: prepared.components().len(),
-            utilization: prepared.utilization(),
+            components: components.len(),
+            utilization: components.iter().map(DemandComponent::utilization).sum(),
         })
     }
 
@@ -1737,7 +1738,7 @@ mod tests {
             bytes_after < bytes_before,
             "compaction shrinks a churned log ({bytes_after} vs {bytes_before})"
         );
-        let mut recovered = AdmissionService::recover(&path).unwrap();
+        let recovered = AdmissionService::recover(&path).unwrap();
         assert_eq!(recovered.stat("a").unwrap(), stat);
         let _ = std::fs::remove_file(&path);
     }

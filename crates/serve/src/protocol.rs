@@ -244,7 +244,7 @@ fn evict(service: &mut AdmissionService, args: &[&str]) -> Result<String, Reques
 }
 
 /// `STAT <tenant>`.
-fn stat(service: &mut AdmissionService, args: &[&str]) -> Result<String, RequestError> {
+fn stat(service: &AdmissionService, args: &[&str]) -> Result<String, RequestError> {
     let Some(&tenant) = args.first() else {
         return Err(RequestError::Usage {
             usage: "STAT <tenant>",
