@@ -486,6 +486,15 @@ impl FracSum {
     }
 }
 
+/// Margin of the `f64` screen inside [`fracs_parts_le_integer_iter`]: a
+/// comparison whose `f64` estimate lies further than this from the integer
+/// it is compared with is decided without exact rational arithmetic.
+pub(crate) const FLOAT_SCREEN_MARGIN: f64 = 1e-3;
+
+/// Most terms the `f64` screen of [`fracs_parts_le_integer_iter`] sums;
+/// its error bound (below 2⁻¹² in absolute terms) holds up to this count.
+pub(crate) const FLOAT_SCREEN_MAX_TERMS: usize = 1 << 20;
+
 /// Exactly decides whether `Σ numᵢ/denᵢ ≤ bound` for non-negative fractions,
 /// without ever forming the full common denominator.
 ///
@@ -587,8 +596,7 @@ pub(crate) fn fracs_parts_le_integer_iter(
     // fall through to `FracSum`.  The hot callers hit this constantly:
     // every demand comparison of the refining tests and every `U > 1`
     // check sits right at such a boundary.
-    const FLOAT_SCREEN_MARGIN: f64 = 1e-3;
-    if remainder_count <= 1 << 20 {
+    if remainder_count <= FLOAT_SCREEN_MAX_TERMS as u128 {
         let mut float_sum = 0.0f64;
         for (_, r, den) in parts.clone() {
             if r != 0 {

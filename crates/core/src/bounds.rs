@@ -38,8 +38,19 @@
 //! are structural) and seeds the remaining binary searches with the
 //! previous probe's results, while staying bit-identical to the cold
 //! [`FeasibilityBounds::for_components`] computation.  After a structural
-//! edit ([`EditView`](crate::incremental::EditView)) it derives only the
-//! analysis horizon, skipping the bounds that cannot be its minimum.
+//! edit ([`EditView`](crate::incremental::EditView)) only the analysis
+//! horizon is derived, skipping the bounds that cannot be its minimum, from
+//! aggregates the view folds one component at a time and carries across
+//! commits.
+//!
+//! Every refresh reads the George bound in closed form,
+//! `max(1, ⌈N/(1 − U)⌉)`, from the `f64` sums it folds anyway, under a
+//! proven error window: an estimate whose window holds no integer is
+//! usually the answer outright, one holding a single integer costs one or
+//! two exact predicate evaluations, and inexact inputs (values ≥ 2⁵³),
+//! `U` within 2⁻⁹ of one, an estimate past 2⁵² or a window that two
+//! evaluations cannot settle fall back to the hinted search.  The result
+//! always equals the plain binary search of [`george_components`].
 //!
 //! # Examples
 //!
@@ -60,7 +71,9 @@
 
 use edf_model::{TaskSet, Time};
 
-use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
+use crate::arith::{
+    fracs_parts_le_integer_iter, Reciprocal, FLOAT_SCREEN_MARGIN, FLOAT_SCREEN_MAX_TERMS,
+};
 use crate::budget::WorkBudget;
 use crate::workload::{components_exceed_one, DemandComponent, Workload};
 
@@ -184,17 +197,10 @@ impl FeasibilityBounds {
 #[derive(Debug, Clone)]
 pub struct BoundRefresher {
     component_count: usize,
-    /// Baruah's `max(Tᵢ − Dᵢ)`; `None` when the bound is structurally
-    /// inapplicable (empty list, one-shot component, or zero difference).
-    baruah_max_diff: Option<Time>,
-    /// `true` when every component is periodic with `D′ ≥ T` (the George
-    /// bound then degenerates to the smallest deadline).
-    george_degenerate: bool,
-    min_first_deadline: Option<Time>,
-    max_first_deadline: Option<Time>,
-    /// The synchronous busy-period argument applies: non-empty, purely
-    /// periodic, all released at the window start.
-    busy_applicable: bool,
+    /// Deadline, offset and period-shape aggregates (Baruah's
+    /// `max(Tᵢ − Dᵢ)`, George's degeneracy, `min`/`max D'`, the
+    /// busy-period applicability).
+    timing: TimingAggregates,
     /// The hyperperiod bound is WCET-free, hence computed exactly once.
     hyperperiod: Option<Time>,
     /// `lcm` of the periods (`None` when empty, one-shot components are
@@ -210,47 +216,220 @@ pub struct BoundRefresher {
     george_hint: Option<Time>,
 }
 
-/// The timing-dependent (deadline/offset) aggregates of the §4.3 bound
-/// machinery — the half that stays fixed under WCET perturbations but
-/// moves under re-phasing.  One shared constructor serves both
-/// [`BoundRefresher::new`] and [`BoundRefresher::refresh_retimed`], so the
-/// per-aggregate rules cannot drift apart.
+/// The timing-dependent (deadline/offset/period-shape) aggregates of the
+/// §4.3 bound machinery — the half that stays fixed under WCET
+/// perturbations but moves under re-phasing and structural edits.  They
+/// are folded one component at a time, so [`BoundRefresher::new`],
+/// [`BoundRefresher::refresh_retimed`] and the [`ComponentFolds`] an
+/// [`EditView`](crate::incremental::EditView) carries across commits share
+/// one set of per-aggregate rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TimingAggregates {
-    baruah_max_diff: Option<Time>,
+    /// `max(Tᵢ ⊖ D'ᵢ)` over the periodic components.
+    max_slack: Time,
+    /// Some component is one-shot.
+    one_shot: bool,
+    /// Some component is released after the window start.
+    offset: bool,
+    /// Every component is periodic with `D' ≥ T` (vacuously true when
+    /// empty): the George numerator is then zero.
     george_degenerate: bool,
     min_first_deadline: Option<Time>,
     max_first_deadline: Option<Time>,
-    busy_applicable: bool,
 }
 
 impl TimingAggregates {
+    const EMPTY: TimingAggregates = TimingAggregates {
+        max_slack: Time::ZERO,
+        one_shot: false,
+        offset: false,
+        george_degenerate: true,
+        min_first_deadline: None,
+        max_first_deadline: None,
+    };
+
     fn of(components: &[DemandComponent]) -> Self {
-        let any_one_shot = components.iter().any(|c| c.period().is_none());
-        let baruah_max_diff = if components.is_empty() || any_one_shot {
-            None
-        } else {
-            let max_diff = components.iter().fold(Time::ZERO, |acc, c| {
-                acc.max(
-                    c.period()
-                        .expect("checked periodic above")
-                        .saturating_sub(c.first_deadline()),
-                )
-            });
-            (!max_diff.is_zero()).then_some(max_diff)
-        };
-        TimingAggregates {
-            baruah_max_diff,
-            george_degenerate: components.iter().all(|c| match c.period() {
-                Some(period) => c.first_deadline() >= period,
-                None => false,
-            }),
-            min_first_deadline: components.iter().map(DemandComponent::first_deadline).min(),
-            max_first_deadline: components.iter().map(DemandComponent::first_deadline).max(),
-            busy_applicable: !components.is_empty()
-                && !components
-                    .iter()
-                    .any(|c| c.period().is_none() || !c.release_offset().is_zero()),
+        let mut timing = TimingAggregates::EMPTY;
+        for component in components {
+            timing.push(component);
         }
+        timing
+    }
+
+    fn push(&mut self, component: &DemandComponent) {
+        let deadline = component.first_deadline();
+        match component.period() {
+            Some(period) => {
+                self.max_slack = self.max_slack.max(period.saturating_sub(deadline));
+                self.george_degenerate &= deadline >= period;
+            }
+            None => {
+                self.one_shot = true;
+                self.george_degenerate = false;
+            }
+        }
+        self.offset |= !component.release_offset().is_zero();
+        self.min_first_deadline = Some(
+            self.min_first_deadline
+                .map_or(deadline, |d| d.min(deadline)),
+        );
+        self.max_first_deadline = Some(
+            self.max_first_deadline
+                .map_or(deadline, |d| d.max(deadline)),
+        );
+    }
+
+    /// Baruah's `max(Tᵢ − Dᵢ)`; `None` when the bound is structurally
+    /// inapplicable (empty list, one-shot component, or zero difference).
+    fn baruah_max_diff(&self) -> Option<Time> {
+        (!self.one_shot && !self.max_slack.is_zero()).then_some(self.max_slack)
+    }
+
+    /// The synchronous busy-period argument applies: non-empty, purely
+    /// periodic, all released at the window start.
+    fn busy_applicable(&self) -> bool {
+        self.min_first_deadline.is_some() && !self.one_shot && !self.offset
+    }
+}
+
+/// Largest integer below which every `u64` converts to `f64` exactly.
+const EXACT_F64_LIMIT: u64 = 1 << 53;
+
+/// The WCET-dependent `f64` folds of the George bound, accumulated in
+/// component order: the utilization `Û = Σ Cᵢ/Tᵢ`, bit-identical to a
+/// cold `sum()` of [`DemandComponent::utilization`] (an
+/// [`EditView`](crate::incremental::EditView) installs it as the prepared
+/// utilization), and the numerator
+/// `N̂ = Σ_periodic Cᵢ·max(0, Tᵢ − D'ᵢ)/Tᵢ + Σ_one-shot Cᵢ`.
+#[derive(Debug, Clone, Copy)]
+struct GeorgeFolds {
+    count: usize,
+    utilization: f64,
+    numerator: f64,
+    /// Every cost, first deadline and period is below 2⁵³, so each
+    /// converts to `f64` exactly.
+    exact_inputs: bool,
+}
+
+impl GeorgeFolds {
+    fn new() -> Self {
+        GeorgeFolds {
+            count: 0,
+            // `Iterator::sum`'s starting value (−0.0), so the fold equals a
+            // cold `sum()` bit for bit, on an empty list too.
+            utilization: std::iter::empty::<f64>().sum(),
+            numerator: 0.0,
+            exact_inputs: true,
+        }
+    }
+
+    fn of(components: &[DemandComponent]) -> Self {
+        let mut folds = GeorgeFolds::new();
+        for component in components {
+            folds.push(component);
+        }
+        folds
+    }
+
+    fn push(&mut self, component: &DemandComponent) {
+        let wcet = component.wcet();
+        let deadline = component.first_deadline();
+        self.count += 1;
+        self.utilization += component.utilization();
+        let widest = match component.period() {
+            Some(period) => {
+                let slack = period.as_f64() - deadline.as_f64();
+                if slack > 0.0 {
+                    self.numerator += wcet.as_f64() * slack / period.as_f64();
+                }
+                wcet.max(deadline).max(period)
+            }
+            None => {
+                self.numerator += wcet.as_f64();
+                wcet.max(deadline)
+            }
+        };
+        self.exact_inputs &= widest.as_u64() < EXACT_F64_LIMIT;
+    }
+}
+
+/// Every aggregate the analysis horizon of a component list depends on,
+/// folded one component at a time: the [`TimingAggregates`], the
+/// [`GeorgeFolds`] and the period lcm.  An
+/// [`EditView`](crate::incremental::EditView) keeps these for its committed
+/// components and extends a copy by a probe's appended ones, so a
+/// finalize pays `O(1)` aggregate work per appended component instead of
+/// a pass over the whole list.  The `f64` sums are order-sensitive, which
+/// is why only appends extend them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ComponentFolds {
+    timing: TimingAggregates,
+    george: GeorgeFolds,
+    /// `lcm` of the periods folded so far; `None` once a one-shot
+    /// component appears or the lcm overflows (an overflow is final, since
+    /// every partial lcm divides the full one).
+    period_lcm: Option<Time>,
+}
+
+impl ComponentFolds {
+    /// The folds of `components`, in order.
+    pub(crate) fn of(components: &[DemandComponent]) -> Self {
+        let mut folds = ComponentFolds {
+            timing: TimingAggregates::EMPTY,
+            george: GeorgeFolds::new(),
+            period_lcm: Some(Time::ONE),
+        };
+        folds.extend(components);
+        folds
+    }
+
+    /// Folds `components` in after the ones already covered.
+    pub(crate) fn extend(&mut self, components: &[DemandComponent]) {
+        for component in components {
+            self.timing.push(component);
+            self.george.push(component);
+            self.period_lcm = self.period_lcm.and_then(|lcm| lcm.lcm(component.period()?));
+        }
+    }
+
+    /// Number of components folded.
+    pub(crate) fn len(&self) -> usize {
+        self.george.count
+    }
+
+    /// `Σ Cᵢ/Tᵢ` in component order, bit-identical to
+    /// [`PreparedWorkload::utilization`](crate::workload::PreparedWorkload::utilization)
+    /// of a cold preparation.
+    pub(crate) fn utilization(&self) -> f64 {
+        self.george.utilization
+    }
+
+    /// The exact `U > 1` of `components`, the list these folds cover.
+    ///
+    /// Each utilization term carries at most three roundings (two
+    /// conversions and a division) and the sum `n − 1` more, so
+    /// `|Û − U| ≤ γ_{n+2}·U < 2⁻³²·U` for `n ≤ 2²⁰` components
+    /// (`γₖ = ku/(1 − ku)`, `u = 2⁻⁵³`).  Hence `Û > 1 + 10⁻³` proves
+    /// `U > 1` and `Û < 1 − 10⁻³` proves `U ≤ 1`, the same margin as the
+    /// screen of the exact comparison itself; inside it, or beyond 2²⁰
+    /// components, the exact rational check decides.
+    pub(crate) fn exceeds_one(&self, components: &[DemandComponent]) -> bool {
+        debug_assert_eq!(components.len(), self.len());
+        let utilization = self.george.utilization;
+        if self.len() <= FLOAT_SCREEN_MAX_TERMS {
+            if utilization > 1.0 + FLOAT_SCREEN_MARGIN {
+                return true;
+            }
+            if utilization < 1.0 - FLOAT_SCREEN_MARGIN {
+                return false;
+            }
+        }
+        components_exceed_one(components)
+    }
+
+    /// `lcm + max D'` (`None` when empty: there is no `max D'`).
+    fn hyperperiod(&self) -> Option<Time> {
+        hyperperiod_from(self.period_lcm, self.timing.max_first_deadline)
     }
 }
 
@@ -260,15 +439,10 @@ impl BoundRefresher {
     pub fn new(components: &[DemandComponent]) -> Self {
         let timing = TimingAggregates::of(components);
         let period_lcm = period_lcm(components);
-        let hyperperiod = hyperperiod_from(period_lcm, timing.max_first_deadline);
         BoundRefresher {
             component_count: components.len(),
-            baruah_max_diff: timing.baruah_max_diff,
-            george_degenerate: timing.george_degenerate,
-            min_first_deadline: timing.min_first_deadline,
-            max_first_deadline: timing.max_first_deadline,
-            busy_applicable: timing.busy_applicable,
-            hyperperiod,
+            hyperperiod: hyperperiod_from(period_lcm, timing.max_first_deadline),
+            timing,
             period_lcm,
             reciprocals: components
                 .iter()
@@ -316,74 +490,9 @@ impl BoundRefresher {
         budget: &mut WorkBudget,
     ) -> FeasibilityBounds {
         debug_assert_eq!(self.component_count, components.len());
-        let timing = TimingAggregates::of(components);
-        self.baruah_max_diff = timing.baruah_max_diff;
-        self.george_degenerate = timing.george_degenerate;
-        self.min_first_deadline = timing.min_first_deadline;
-        self.max_first_deadline = timing.max_first_deadline;
-        self.busy_applicable = timing.busy_applicable;
-        self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
+        self.timing = TimingAggregates::of(components);
+        self.hyperperiod = hyperperiod_from(self.period_lcm, self.timing.max_first_deadline);
         self.refresh_with_utilization_budgeted(components, exceeds_one, budget)
-    }
-
-    /// The analysis horizon after a **structural edit** — components
-    /// inserted, removed or replaced wholesale, the contract of
-    /// [`EditView`](crate::incremental::EditView).  Equal to
-    /// `FeasibilityBounds::for_components(components).analysis_horizon()`
-    /// on every list with `U ≤ 1`; the caller skips `U > 1` lists, whose
-    /// horizon no test reads.
-    ///
-    /// Nothing captured by [`BoundRefresher::new`] is guaranteed to
-    /// survive such an edit, so every aggregate (count, timing, the
-    /// period-lcm chain behind the hyperperiod bound) is re-derived in one
-    /// linear pass.  `reciprocals` is the caller's maintained
-    /// per-component reciprocal cache (see
-    /// [`EditView`](crate::incremental::EditView)), copied instead of
-    /// re-deriving one 128-bit division per component.  Only the George
-    /// search hint carries over: it merely seeds the galloping bracket, so
-    /// the horizon stays exact while consecutive edits of a live system
-    /// converge in a handful of predicate evaluations.
-    ///
-    /// Only the minimum of the bounds is computed, and two kinds of work
-    /// that cannot lower it are skipped:
-    ///
-    /// * **No Baruah search.**  Baruah's predicate
-    ///   `Σ Cᵢ·(L + maxⱼ(Tⱼ ⊖ Dⱼ))/Tᵢ ≤ L` implies George's
-    ///   `Σ Cᵢ·(L + (Tᵢ ⊖ Dᵢ))/Tᵢ ≤ L` term by term, because
-    ///   `Tᵢ ⊖ Dᵢ ≤ maxⱼ(Tⱼ ⊖ Dⱼ)`; so George ≤ Baruah whenever Baruah
-    ///   exists.  The superposition bound is `max(George, Dmax)`, so it is
-    ///   never below George either.
-    /// * **The busy-period fix-point stops at the running minimum**
-    ///   `m = min(George, hyperperiod)`.  Its iterates rise monotonically
-    ///   to the least fixed point, so an iterate ≥ `m` proves the busy
-    ///   period ≥ `m`.  Below `m` it runs the same iterations under the
-    ///   same convergence cut-off as [`busy_period_components`].
-    pub(crate) fn refresh_edited_horizon(
-        &mut self,
-        components: &[DemandComponent],
-        reciprocals: &[Reciprocal],
-    ) -> Option<Time> {
-        debug_assert_eq!(components.len(), reciprocals.len());
-        debug_assert!(!components_exceed_one(components));
-        let timing = TimingAggregates::of(components);
-        self.component_count = components.len();
-        self.baruah_max_diff = timing.baruah_max_diff;
-        self.george_degenerate = timing.george_degenerate;
-        self.min_first_deadline = timing.min_first_deadline;
-        self.max_first_deadline = timing.max_first_deadline;
-        self.busy_applicable = timing.busy_applicable;
-        self.period_lcm = period_lcm(components);
-        self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
-        self.reciprocals.clear();
-        self.reciprocals.extend_from_slice(reciprocals);
-        let george = self.refresh_george(components, &mut WorkBudget::unlimited());
-        let running_min = [george, self.hyperperiod].into_iter().flatten().min();
-        let busy_period = if self.busy_applicable {
-            busy_period_below(components, reciprocals, running_min)
-        } else {
-            None
-        };
-        [running_min, busy_period].into_iter().flatten().min()
     }
 
     /// Recomputes every bound for a WCET-perturbed copy of the component
@@ -431,18 +540,23 @@ impl BoundRefresher {
             self.invariants_match(components),
             "refreshed component list must differ from the prepared one only in WCETs"
         );
-        let utilization_bounds_apply = !components.is_empty() && !exceeds_one;
-        let baruah = if utilization_bounds_apply {
-            self.refresh_baruah(components, budget)
+        let (baruah, george) = if !components.is_empty() && !exceeds_one {
+            let folds = GeorgeFolds::of(components);
+            (
+                self.refresh_baruah(components, folds.utilization, budget),
+                refresh_george(
+                    components,
+                    &self.reciprocals,
+                    &self.timing,
+                    &folds,
+                    &mut self.george_hint,
+                    budget,
+                ),
+            )
         } else {
-            None
+            (None, None)
         };
-        let george = if utilization_bounds_apply {
-            self.refresh_george(components, budget)
-        } else {
-            None
-        };
-        let superposition = match (george, self.max_first_deadline) {
+        let superposition = match (george, self.timing.max_first_deadline) {
             (Some(g), Some(dmax)) => Some(g.max(dmax)),
             _ => None,
         };
@@ -451,7 +565,7 @@ impl BoundRefresher {
         // budget afterwards: views cache refreshed bounds across requests,
         // so a budget-dependent bound here would leak one request's
         // exhaustion into another's verdict.
-        let busy_period = if self.busy_applicable {
+        let busy_period = if self.timing.busy_applicable() {
             let mut meter = WorkBudget::unlimited();
             let bound = busy_period_fixpoint_with(components, &mut meter);
             let _ = budget.charge(meter.spent());
@@ -476,25 +590,22 @@ impl BoundRefresher {
     fn invariants_match(&self, components: &[DemandComponent]) -> bool {
         let fresh = BoundRefresher::new(components);
         fresh.component_count == self.component_count
-            && fresh.baruah_max_diff == self.baruah_max_diff
-            && fresh.george_degenerate == self.george_degenerate
-            && fresh.min_first_deadline == self.min_first_deadline
-            && fresh.max_first_deadline == self.max_first_deadline
-            && fresh.busy_applicable == self.busy_applicable
+            && fresh.timing == self.timing
             && fresh.hyperperiod == self.hyperperiod
     }
 
+    /// Baruah's bound by the hinted search, seeded with the `f64`
+    /// prediction `U/(1−U)·max_diff` from the caller's utilization fold:
+    /// the galloping bracket makes the result exact no matter how far off
+    /// the estimate is, but an estimate within a few ulps turns the search
+    /// into a handful of predicate evaluations.
     fn refresh_baruah(
         &mut self,
         components: &[DemandComponent],
+        utilization: f64,
         budget: &mut WorkBudget,
     ) -> Option<Time> {
-        let max_diff = self.baruah_max_diff?;
-        // Floating-point prediction of `U/(1−U)·max_diff` as the search
-        // seed: the galloping bracket makes the result exact no matter how
-        // far off the estimate is, but an estimate within a few ulps turns
-        // the search into a handful of predicate evaluations.
-        let utilization: f64 = components.iter().map(DemandComponent::utilization).sum();
+        let max_diff = self.timing.baruah_max_diff()?;
         let estimate = utilization / (1.0 - utilization) * max_diff.as_f64();
         let hint = hint_from_estimate(estimate).or(self.baruah_hint);
         let reciprocals = &self.reciprocals;
@@ -510,48 +621,198 @@ impl BoundRefresher {
         }
         result
     }
+}
 
-    fn refresh_george(
-        &mut self,
-        components: &[DemandComponent],
-        budget: &mut WorkBudget,
-    ) -> Option<Time> {
-        if self.george_degenerate {
-            // The numerator is zero: any positive horizon works; report the
-            // smallest deadline so the caller has a non-trivial bound.
-            return self.min_first_deadline;
-        }
-        // Floating-point prediction of `Σ(1 − Dᵢ/Tᵢ)·Cᵢ/(1−U)` as the
-        // search seed (see `refresh_baruah` for why this stays exact).
-        let mut numerator = 0.0f64;
-        let mut utilization = 0.0f64;
-        for c in components {
-            match c.period() {
-                Some(period) => {
-                    let period = period.as_f64();
-                    let slack = period - c.first_deadline().as_f64();
-                    utilization += c.wcet().as_f64() / period;
-                    if slack > 0.0 {
-                        numerator += c.wcet().as_f64() * slack / period;
-                    }
-                }
-                None => numerator += c.wcet().as_f64(),
-            }
-        }
-        let hint = hint_from_estimate(numerator / (1.0 - utilization)).or(self.george_hint);
-        let reciprocals = &self.reciprocals;
-        let result = smallest_satisfying_hinted(
-            |l| {
-                let _ = budget.charge(1);
-                george_predicate_rcp(components, reciprocals, l)
-            },
-            hint,
-        );
-        if result.is_some() {
-            self.george_hint = result;
-        }
-        result
+/// The analysis horizon after a **structural edit** — components
+/// inserted, removed or replaced wholesale, the contract of
+/// [`EditView`](crate::incremental::EditView).  Equal to
+/// `FeasibilityBounds::for_components(components).analysis_horizon()`
+/// on every list with `U ≤ 1`; the caller skips `U > 1` lists, whose
+/// horizon no test reads.
+///
+/// Every aggregate comes from `folds`, the caller's [`ComponentFolds`] of
+/// exactly `components` (an edit view extends its committed folds by the
+/// appended components instead of re-folding the list), and `reciprocals`
+/// is the caller's maintained per-component period-reciprocal cache.  The
+/// George bound is read in closed form from the folds (see
+/// [`george_closed_form`]); where that cannot certify its answer, the
+/// search seeded with the folds' estimate takes over.
+///
+/// Only the minimum of the bounds is computed, and two kinds of work
+/// that cannot lower it are skipped:
+///
+/// * **No Baruah search.**  Baruah's predicate
+///   `Σ Cᵢ·(L + maxⱼ(Tⱼ ⊖ Dⱼ))/Tᵢ ≤ L` implies George's
+///   `Σ Cᵢ·(L + (Tᵢ ⊖ Dᵢ))/Tᵢ ≤ L` term by term, because
+///   `Tᵢ ⊖ Dᵢ ≤ maxⱼ(Tⱼ ⊖ Dⱼ)`; so George ≤ Baruah whenever Baruah
+///   exists.  The superposition bound is `max(George, Dmax)`, so it is
+///   never below George either.
+/// * **The busy-period fix-point stops at the running minimum**
+///   `m = min(George, hyperperiod)`.  Its iterates rise monotonically
+///   to the least fixed point, so an iterate ≥ `m` proves the busy
+///   period ≥ `m`.  Below `m` it runs the same iterations under the
+///   same convergence cut-off as [`busy_period_components`].
+pub(crate) fn refresh_edited_horizon(
+    components: &[DemandComponent],
+    reciprocals: &[Reciprocal],
+    folds: &ComponentFolds,
+) -> Option<Time> {
+    debug_assert_eq!(components.len(), reciprocals.len());
+    debug_assert_eq!(components.len(), folds.len());
+    debug_assert!(!components_exceed_one(components));
+    let george = refresh_george(
+        components,
+        reciprocals,
+        &folds.timing,
+        &folds.george,
+        &mut None,
+        &mut WorkBudget::unlimited(),
+    );
+    let running_min = [george, folds.hyperperiod()].into_iter().flatten().min();
+    let busy_period = if folds.timing.busy_applicable() {
+        busy_period_below(components, reciprocals, running_min)
+    } else {
+        None
+    };
+    [running_min, busy_period].into_iter().flatten().min()
+}
+
+/// The George bound of a list with exact `U ≤ 1`, equal to
+/// [`george_components`]: the degenerate case, else the closed form of
+/// [`george_closed_form`], else the search seeded with the `f64` estimate
+/// (or, when that is unusable, `hint`).  Every predicate evaluation
+/// charges one unit to `budget`; `hint` keeps the last result.
+fn refresh_george(
+    components: &[DemandComponent],
+    reciprocals: &[Reciprocal],
+    timing: &TimingAggregates,
+    folds: &GeorgeFolds,
+    hint: &mut Option<Time>,
+    budget: &mut WorkBudget,
+) -> Option<Time> {
+    if timing.george_degenerate {
+        // The numerator is zero: any positive horizon works; report the
+        // smallest deadline so the caller has a non-trivial bound.
+        return timing.min_first_deadline;
     }
+    let mut predicate = |l| {
+        let _ = budget.charge(1);
+        george_predicate_rcp(components, reciprocals, l)
+    };
+    let result = match george_closed_form(folds, &mut predicate) {
+        Ok(bound) => Some(bound),
+        Err(_) => {
+            let estimate = folds.numerator / (1.0 - folds.utilization);
+            smallest_satisfying_hinted(predicate, hint_from_estimate(estimate).or(*hint))
+        }
+    };
+    if result.is_some() {
+        *hint = result;
+    }
+    result
+}
+
+/// Why [`george_closed_form`] handed the George bound to the search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GeorgeFallback {
+    /// A cost, deadline or period is at least 2⁵³, or the list has more
+    /// than 2²⁰ components.
+    InexactInputs,
+    /// `1 − Û < 2⁻⁹`; this includes `U = 1`.
+    NearFullUtilization,
+    /// The estimate exceeds 2⁵².
+    EstimateTooLarge,
+    /// Two predicate evaluations left the answer open: the error window
+    /// holds several integers, or the predicate answered conservatively.
+    Undecided,
+}
+
+/// Smallest `1 − Û` the closed form accepts.  Above it every integer
+/// `L ≥ x + 1` has a certified predicate margin (see
+/// [`george_closed_form`]).
+const GEORGE_MIN_HEADROOM: f64 = 1.0 / 512.0;
+
+/// Largest estimate the closed form accepts, so every candidate and the
+/// window around it stay exactly representable integers.
+const GEORGE_MAX_ESTIMATE: f64 = (1u64 << 52) as f64;
+
+/// A margin `(L − hi)·(1 − Û)` of at least this certifies that the George
+/// predicate's `f64` screen answers "true" at `L`: it implies a true margin
+/// above `FLOAT_SCREEN_MARGIN + 2⁻¹²`, the screen's margin plus its
+/// proven error.
+const GEORGE_CERTIFIED_MARGIN: f64 = 1.3e-3;
+
+const _: () = assert!(GEORGE_CERTIFIED_MARGIN > FLOAT_SCREEN_MARGIN + 1.0 / 4096.0);
+const _: () = assert!(GEORGE_MIN_HEADROOM > GEORGE_CERTIFIED_MARGIN);
+
+/// The George bound `max(1, ⌈x⌉)`, `x = N/(1 − U)`, read from the `f64`
+/// folds `N̂` and `Û` — or the reason it cannot be certified.
+///
+/// The bound is the smallest integer `L ≥ 1` satisfying the exact
+/// predicate `P(L)`: `U·L + N ≤ L`, true exactly for `L ≥ x` when `U < 1`.
+/// Its implementation `predicate` ([`george_predicate_rcp`]) is *sound*:
+/// it answers "false" when unsure, never "true", and is unsure only where
+/// its `f64` screen cannot decide and the exact rational path overflows.
+///
+/// **Error window.**  With every input below 2⁵³ each conversion is exact,
+/// so each numerator term carries two roundings and each utilization term
+/// one, and the sums `n − 1` more: `|N̂ − N| ≤ γ_{n+1}·N` and
+/// `|Û − U| ≤ γ_n·U ≤ γ_n` (`γₖ = ku/(1 − ku)`, `u = 2⁻⁵³`, `U ≤ 1` on
+/// entry).  With `g = 2(n + 2)u ≥ 2γ_{n+1}`, `D̂ = fl(1 − Û) ≥ 2⁻⁹` and
+/// `n ≤ 2²⁰`, `1 − U` lies within a relative `2⁻²²` of `D̂`, and
+/// `|x − ê| ≤ 1.03·(g·(1 + 1/D̂) + 2u)·ê` for `ê = fl(N̂/D̂)`.  The
+/// window `[lo, hi] = ê ∓ 2·(g·(1 + 1/D̂) + 4u)·ê` doubles that, and the
+/// slack absorbs the roundings in forming it, so it contains `x`.
+///
+/// **Certificates.**  Below `lo`, `P` is false, so `predicate` is too.  At
+/// `L ≥ x` the margin `L − (U·L + N) = (1 − U)(L − x)` grows with `L`,
+/// and once it exceeds `FLOAT_SCREEN_MARGIN + 2⁻¹²` the screen of
+/// [`fracs_parts_le_integer_iter`] answers "true" itself — `predicate`
+/// then equals `P`.  `(L − hi)·D̂ ≥ GEORGE_CERTIFIED_MARGIN` certifies that
+/// margin, and so does `L ≥ x + 1`, since `1 − U > GEORGE_MIN_HEADROOM·(1
+/// − 2⁻²²) > GEORGE_CERTIFIED_MARGIN`.
+///
+/// **The read.**  From `max(1, ⌈lo⌉)` upward, a certified integer is the
+/// answer; otherwise `predicate` is evaluated there: "true" makes it the
+/// answer (every larger `L` is `≥ x + 1`), "false" moves one up.  A window
+/// without an integer usually certifies its ceiling outright; a window
+/// holding one integer costs an evaluation there, and one more when the
+/// next integer's margin is thin.  `predicate` is then false below the
+/// answer and certainly true from it on, so the answer is the one every
+/// search returns.  A third evaluation, or a failed precondition, returns
+/// the reason instead.
+fn george_closed_form(
+    folds: &GeorgeFolds,
+    mut predicate: impl FnMut(u64) -> bool,
+) -> Result<Time, GeorgeFallback> {
+    if !folds.exact_inputs || folds.count > FLOAT_SCREEN_MAX_TERMS {
+        return Err(GeorgeFallback::InexactInputs);
+    }
+    let headroom = 1.0 - folds.utilization;
+    if headroom < GEORGE_MIN_HEADROOM {
+        return Err(GeorgeFallback::NearFullUtilization);
+    }
+    let estimate = folds.numerator / headroom;
+    if estimate > GEORGE_MAX_ESTIMATE {
+        return Err(GeorgeFallback::EstimateTooLarge);
+    }
+    let g = (folds.count + 2) as f64 * f64::EPSILON;
+    let width = 2.0 * (g * (1.0 + 1.0 / headroom) + 2.0 * f64::EPSILON) * estimate;
+    let (lo, hi) = (estimate - width, estimate + width);
+    let certified = |l: u64| (l as f64 - hi) * headroom >= GEORGE_CERTIFIED_MARGIN;
+    let mut candidate = (lo.ceil() as u64).max(1);
+    let mut evaluations = 0;
+    while !certified(candidate) {
+        if evaluations == 2 {
+            return Err(GeorgeFallback::Undecided);
+        }
+        evaluations += 1;
+        if predicate(candidate) {
+            break;
+        }
+        candidate += 1;
+    }
+    Ok(Time::new(candidate))
 }
 
 /// `lcm` of the component periods — the WCET- **and** deadline-invariant
@@ -1368,19 +1629,10 @@ mod tests {
         }
     }
 
-    /// `refresh_edited_horizon` on `components`, through a fresh refresher
-    /// and through `carried`, whose George hint comes from earlier lists.
-    fn edited_horizon(
-        carried: &mut BoundRefresher,
-        components: &[DemandComponent],
-    ) -> Option<Time> {
-        let reciprocals = reciprocals_of(components);
-        let fresh = BoundRefresher::new(&[]).refresh_edited_horizon(components, &reciprocals);
-        assert_eq!(
-            carried.refresh_edited_horizon(components, &reciprocals),
-            fresh
-        );
-        fresh
+    /// `refresh_edited_horizon` on `components`.
+    fn edited_horizon(components: &[DemandComponent]) -> Option<Time> {
+        let folds = ComponentFolds::of(components);
+        refresh_edited_horizon(components, &reciprocals_of(components), &folds)
     }
 
     #[test]
@@ -1471,13 +1723,201 @@ mod tests {
                 ],
             ),
         ];
-        let mut carried = BoundRefresher::new(&[]);
         for (name, components) in cases {
             assert_eq!(
-                edited_horizon(&mut carried, &components),
+                edited_horizon(&components),
                 FeasibilityBounds::for_components(&components).analysis_horizon(),
                 "{name}"
             );
+        }
+    }
+
+    /// `refresh_george` on `components` (which must have `U ≤ 1`), with
+    /// no hint.
+    fn refreshed_george(components: &[DemandComponent]) -> Option<Time> {
+        refresh_george(
+            components,
+            &reciprocals_of(components),
+            &TimingAggregates::of(components),
+            &GeorgeFolds::of(components),
+            &mut None,
+            &mut WorkBudget::unlimited(),
+        )
+    }
+
+    /// The closed form on `components`, with the number of predicate
+    /// evaluations it made.
+    fn closed_form(components: &[DemandComponent]) -> (Result<Time, GeorgeFallback>, usize) {
+        let reciprocals = reciprocals_of(components);
+        let mut evaluations = 0;
+        let read = george_closed_form(&GeorgeFolds::of(components), |l| {
+            evaluations += 1;
+            george_predicate_rcp(components, &reciprocals, l)
+        });
+        (read, evaluations)
+    }
+
+    #[test]
+    fn george_closed_form_takes_and_reports_each_branch() {
+        const EXACT_LIMIT: u64 = 1 << 53;
+        let one_shot = |c: u64| DemandComponent::one_shot(Time::new(c), Time::new(c), Time::ZERO);
+        let cases = [
+            // x = 2/3: the window holds no integer and 1 is certified.
+            ("below one", vec![periodic(1, 3, 7)], Ok(Time::new(1)), 0),
+            // x = (1.4 + 7/9)/(1 − 0.2 − 1/9) ≈ 3.16.
+            (
+                "certified ceiling",
+                vec![periodic(2, 3, 10), periodic(1, 2, 9)],
+                Ok(Time::new(4)),
+                0,
+            ),
+            // x = 5/0.5 = 10 exactly: one evaluation at 10.
+            (
+                "integer estimate",
+                constrained_set().demand_components(),
+                Ok(Time::new(10)),
+                1,
+            ),
+            (
+                "period 2^53",
+                vec![periodic(1, 3, EXACT_LIMIT), periodic(1, 2, 5)],
+                Err(GeorgeFallback::InexactInputs),
+                0,
+            ),
+            (
+                "cost 2^53",
+                vec![one_shot(EXACT_LIMIT), periodic(1, 2, 5)],
+                Err(GeorgeFallback::InexactInputs),
+                0,
+            ),
+            (
+                "U = 1 - 1e-9",
+                vec![periodic(999_999_999, 10, 1_000_000_000)],
+                Err(GeorgeFallback::NearFullUtilization),
+                0,
+            ),
+            (
+                "U = 1",
+                vec![periodic(1, 1, 2), periodic(1, 2, 2)],
+                Err(GeorgeFallback::NearFullUtilization),
+                0,
+            ),
+            // x = 2·(2⁵² + 0.5) ≈ 2⁵³.
+            (
+                "estimate past 2^52",
+                vec![one_shot((1 << 52) - 1), periodic(1, 1, 2)],
+                Err(GeorgeFallback::EstimateTooLarge),
+                0,
+            ),
+            // x = 2⁴¹·256 = 2⁴⁹ with 1 − U = 2⁻⁸: the window spans about
+            // 515 integers, and the two lowest fail the predicate.
+            (
+                "wide window",
+                vec![one_shot(1 << 41), periodic(255, 256, 256)],
+                Err(GeorgeFallback::Undecided),
+                2,
+            ),
+        ];
+        for (name, components, read, evaluations) in cases {
+            assert!(!components_exceed_one(&components), "{name}");
+            assert_eq!(closed_form(&components), (read, evaluations), "{name}");
+            let oracle = george_components(&components);
+            if let Ok(bound) = read {
+                assert_eq!(Some(bound), oracle, "{name}");
+            }
+            assert_eq!(refreshed_george(&components), oracle, "{name}");
+        }
+    }
+
+    /// A component list from one of the closed form's adversarial
+    /// families, built from raw draws: `0` random periodic and one-shot
+    /// components, `1` a common period near 10⁹ with `U = 1` or
+    /// `U = 1 − 1/P`, `2` values at or above 2⁵³, `3` mostly one-shots,
+    /// `4` every `D ≥ T`, `5` a common period with `N/(1 − U)` an exact
+    /// integer, `6` a huge one-shot beside a near-full periodic load
+    /// (estimates up to 2⁶⁰, so windows holding many integers
+    /// and estimates past 2⁵²).
+    fn george_family(family: u8, raw: &[(u64, u64, u64)], pick: u64) -> Vec<DemandComponent> {
+        let n = raw.len() as u64;
+        match family {
+            0 | 3 => raw
+                .iter()
+                .map(|&(a, b, c)| {
+                    if a % 4 == 0 || (family == 3 && a % 4 != 1) {
+                        DemandComponent::one_shot(
+                            Time::new(1 + b % 40),
+                            Time::new(1 + c % 90),
+                            Time::new(a % 30),
+                        )
+                    } else {
+                        let period = 2 + c % 500;
+                        let wcet = (period * (b % 100) / (100 * n)).max(1);
+                        periodic(wcet, 1 + a % (2 * period), period)
+                    }
+                })
+                .collect(),
+            1 => {
+                let period = 1_000_000_007 + pick % 1_000;
+                let total = period - pick % 2;
+                let weight: u64 = raw.iter().map(|&(_, b, _)| 1 + b).sum();
+                let mut left = total;
+                let mut components: Vec<DemandComponent> = raw
+                    .iter()
+                    .map(|&(a, b, _)| {
+                        let wcet = (total * (1 + b) / weight).clamp(1, left.max(1));
+                        left -= wcet.min(left);
+                        periodic(wcet, 1 + a % (2 * period), period)
+                    })
+                    .collect();
+                if left > 0 {
+                    components.push(periodic(left, 1 + pick % period, period));
+                }
+                components
+            }
+            2 => raw
+                .iter()
+                .map(|&(a, b, c)| {
+                    let period = (1 << 53) + c * (1 << 20);
+                    let wcet = (period / (4 * n)) * (1 + b % 3) / 3;
+                    periodic(wcet.max(1), 1 + a * (1 << 34), period)
+                })
+                .collect(),
+            4 => raw
+                .iter()
+                .map(|&(a, b, c)| {
+                    let period = 2 + c % 500;
+                    periodic(
+                        (period / n).max(1).min(1 + b % period),
+                        period + a % period,
+                        period,
+                    )
+                })
+                .collect(),
+            5 => {
+                let period = 100 + pick % 10_000;
+                let cap = (period / (2 * n)).max(1);
+                let costs: Vec<u64> = raw.iter().map(|&(_, b, _)| 1 + b % cap).collect();
+                let headroom = period - costs.iter().sum::<u64>();
+                raw.iter()
+                    .zip(costs)
+                    .map(|(&(a, _, _), wcet)| {
+                        let multiple = a % ((period - 1) / headroom + 1);
+                        periodic(wcet, period - multiple * headroom, period)
+                    })
+                    .collect()
+            }
+            _ => {
+                let mut components = vec![DemandComponent::one_shot(
+                    Time::new((1 << (10 + pick % 43)) + pick % 1_000),
+                    Time::new(1),
+                    Time::ZERO,
+                )];
+                components.extend(raw.iter().map(|&(a, _, c)| {
+                    let period = 256 + c % 256;
+                    periodic((period - period / 128) / n, 1 + a % period, period)
+                }));
+                components
+            }
         }
     }
 
@@ -1506,6 +1946,32 @@ mod tests {
                 prop_assert!(
                     george.is_some_and(|g| g <= baruah),
                     "George {george:?} above Baruah {baruah} on {components:?}"
+                );
+            }
+        }
+
+        /// The closed-form George read (and the screened `U > 1` of the
+        /// folds) against the plain binary search and the exact rational
+        /// check, on every adversarial family.
+        #[test]
+        fn closed_form_george_matches_the_plain_search(
+            family in 0u8..7,
+            raw in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000), 1..=6),
+            pick in 0u64..1_000_000,
+        ) {
+            let components = george_family(family, &raw, pick);
+            let folds = ComponentFolds::of(&components);
+            let cold_utilization: f64 = components.iter().map(DemandComponent::utilization).sum();
+            prop_assert_eq!(folds.utilization().to_bits(), cold_utilization.to_bits());
+            let exceeds_one = components_exceed_one(&components);
+            prop_assert_eq!(folds.exceeds_one(&components), exceeds_one);
+            if !exceeds_one {
+                prop_assert_eq!(
+                    refreshed_george(&components),
+                    george_components(&components),
+                    "family {} on {:?}",
+                    family,
+                    components
                 );
             }
         }

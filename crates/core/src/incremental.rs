@@ -40,7 +40,7 @@
 //! |------|-----------|-------------|--------------|
 //! | [`ScaledView`] | WCETs only | column rewrite + hinted bound refresh | `O(n)` + a few bound predicates |
 //! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair, full aggregate + kernel refresh and a horizon-only bound refresh at finalize | `O(log n)` per edit + `O(n)` per finalize |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components, a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel, busy period), `O(1)` aggregate work per appended component |
 //!
 //! All three implement [`WorkloadView`] — finalize to a
 //! [`&PreparedWorkload`](PreparedWorkload), dirty-tracking, revert — so
@@ -82,7 +82,7 @@
 use edf_model::Time;
 
 use crate::arith::Reciprocal;
-use crate::bounds::BoundRefresher;
+use crate::bounds::{refresh_edited_horizon, BoundRefresher, ComponentFolds};
 use crate::workload::{components_exceed_one, DemandComponent, PreparedWorkload};
 
 /// The common interface of the incremental view family ([`ScaledView`],
@@ -309,10 +309,19 @@ enum EditOp {
 /// * the **kernel columns** are rebuilt in place into their existing
 ///   allocations
 ///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel));
+/// * the **aggregates** — the `f64` utilization and George numerator, the
+///   deadline extremes, the one-shot/offset/degenerate flags and the
+///   period lcm — are folds of the committed components, built at the
+///   first finalize whose undo log holds only inserts, extended at
+///   [`EditView::commit`] and dropped by any remove or replace.  A probe's
+///   finalize extends a copy by the appended components and decides
+///   `U > 1` from the folded sum behind the proven `10⁻³` screen (the
+///   exact rational check inside the margin);
 /// * only the **analysis horizon** — the minimum of the §4.3 bounds,
 ///   all QPA reads — is re-derived, by the crate-internal
-///   `BoundRefresher::refresh_edited_horizon`: one linear aggregate pass,
-///   the hint-seeded George search (the hint carried across edits) and a
+///   `bounds::refresh_edited_horizon`: the George bound read in closed
+///   form from the folds (the estimate-seeded search only where the
+///   closed form cannot certify its answer) and a
 ///   busy-period fix-point that stops once it can no longer lower the
 ///   minimum.  The full [`FeasibilityBounds`](crate::bounds::FeasibilityBounds)
 ///   of an edited snapshot are computed cold on first
@@ -367,7 +376,11 @@ enum EditOp {
 #[derive(Debug)]
 pub struct EditView {
     scratch: PreparedWorkload,
-    refresher: BoundRefresher,
+    /// The [`ComponentFolds`] of the committed components (a prefix of the
+    /// component vector while the undo log holds only inserts).  Built at
+    /// the first finalize whose undo log holds only inserts, extended at
+    /// [`EditView::commit`], dropped by any remove or replace.
+    committed_folds: Option<ComponentFolds>,
     /// Per-component period reciprocals, maintained parallel to the
     /// component vector (recomputed only for touched indices).
     reciprocals: Vec<Reciprocal>,
@@ -407,7 +420,7 @@ impl EditView {
         // the scalar path (mirrors `ScaledView::new`).
         scratch.scalar_demand = base.scalar_demand;
         EditView {
-            refresher: BoundRefresher::new(base.components()),
+            committed_folds: None,
             reciprocals: base.components().iter().map(reciprocal_of).collect(),
             order: Vec::new(),
             task_count: base.task_count(),
@@ -458,6 +471,7 @@ impl EditView {
     /// Panics if `index` is out of range.
     pub fn remove_component(&mut self, index: usize) -> DemandComponent {
         self.begin_edit();
+        self.committed_folds = None;
         self.order_remove_entry(index);
         for entry in &mut self.order {
             *entry -= usize::from(*entry > index);
@@ -481,6 +495,7 @@ impl EditView {
         index: usize,
         component: DemandComponent,
     ) -> DemandComponent {
+        self.committed_folds = None;
         let old = self.write_component(index, component);
         self.undo.push(EditOp::WriteAt(index, old));
         old
@@ -495,6 +510,9 @@ impl EditView {
     /// Accepts the edits since the last commit: [`EditView::revert`] can
     /// no longer roll them back.
     pub fn commit(&mut self) {
+        if let Some(folds) = &mut self.committed_folds {
+            folds.extend(&self.scratch.components()[folds.len()..]);
+        }
         self.undo.clear();
     }
 
@@ -582,22 +600,34 @@ impl EditView {
     }
 
     /// Recomputes the cost-and-structure-dependent aggregates and installs
-    /// them with the maintained order (one summation pass in component
-    /// order for `f64` bit-identity with a cold preparation, one exact
-    /// `U > 1` pass, the structural horizon refresh, the in-place kernel
-    /// rebuild).
+    /// them with the maintained order: the [`ComponentFolds`] (the
+    /// committed folds extended by the appended components while the undo
+    /// log holds only inserts, else one pass in component order — either
+    /// way bit-identical to a cold preparation's `f64` sums), the screened
+    /// `U > 1` decision, the structural horizon refresh and the in-place
+    /// kernel rebuild.
     fn refresh(&mut self) {
         let components = self.scratch.components();
-        let utilization = components.iter().map(DemandComponent::utilization).sum();
-        let exceeds_one = components_exceed_one(components);
-        let horizon = (!exceeds_one).then(|| {
-            self.refresher
-                .refresh_edited_horizon(components, &self.reciprocals)
-        });
+        if self.committed_folds.is_none()
+            && self.undo.iter().all(|op| matches!(op, EditOp::RemoveLast))
+        {
+            let committed = components.len() - self.undo.len();
+            self.committed_folds = Some(ComponentFolds::of(&components[..committed]));
+        }
+        let folds = match self.committed_folds {
+            Some(mut folds) => {
+                folds.extend(&components[folds.len()..]);
+                folds
+            }
+            None => ComponentFolds::of(components),
+        };
+        let exceeds_one = folds.exceeds_one(components);
+        let horizon =
+            (!exceeds_one).then(|| refresh_edited_horizon(components, &self.reciprocals, &folds));
         let order = std::mem::take(&mut self.order);
         self.scratch.install_edited_state(
             self.task_count,
-            utilization,
+            folds.utilization(),
             exceeds_one,
             order,
             horizon,

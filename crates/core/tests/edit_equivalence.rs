@@ -67,16 +67,22 @@ enum EditStep {
     /// A `ScaledView` WCET probe over the finalized intermediate state
     /// (the sensitivity-search-inside-an-admission-loop interleaving).
     Probe(u64),
+    /// [`EditView::commit`] (accept the edits so far).
+    Commit,
+    /// [`WorkloadView::revert`] (roll back to the last commit).
+    Revert,
 }
 
 fn arb_step() -> impl Strategy<Value = EditStep> {
-    (0u8..=7, arb_component(), 0usize..64, 0u64..=4_000).prop_map(
+    (0u8..=9, arb_component(), 0usize..64, 0u64..=4_000).prop_map(
         |(kind, component, selector, numer)| match kind {
             // Inserts weighted up so sequences tend to grow past the base.
             0..=2 => EditStep::Insert(component),
             3 | 4 => EditStep::Remove(selector),
             5 | 6 => EditStep::Replace(selector, component),
-            _ => EditStep::Probe(numer),
+            7 => EditStep::Probe(numer),
+            8 => EditStep::Commit,
+            _ => EditStep::Revert,
         },
     )
 }
@@ -119,6 +125,7 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
 fn check_edit_sequence(base: &PreparedWorkload, steps: Vec<EditStep>) {
     let mut view = EditView::new(base);
     let mut mirror: Vec<DemandComponent> = base.components().to_vec();
+    let mut committed = mirror.clone();
     for step in steps {
         match step {
             EditStep::Insert(component) => {
@@ -147,6 +154,14 @@ fn check_edit_sequence(base: &PreparedWorkload, steps: Vec<EditStep>) {
                 let probed = scaled.scale_wcets(numer, 1_000);
                 let cold = prepared.with_scaled_wcets(numer, 1_000);
                 assert_prepared_identical(probed, &cold);
+            }
+            EditStep::Commit => {
+                view.commit();
+                committed.clone_from(&mirror);
+            }
+            EditStep::Revert => {
+                view.revert();
+                mirror.clone_from(&committed);
             }
         }
         let cold = PreparedWorkload::from_components(mirror.clone());
@@ -235,7 +250,7 @@ proptest! {
                         }
                     }
                 }
-                EditStep::Probe(_) => {}
+                EditStep::Probe(_) | EditStep::Commit | EditStep::Revert => {}
             }
             if position + 1 == boundary {
                 view.prepared();
@@ -250,4 +265,135 @@ proptest! {
         let cold = PreparedWorkload::from_components(mirror.clone());
         assert_prepared_identical(view.prepared(), &cold);
     }
+}
+
+/// A finalize of `view` against a cold preparation of its components, on
+/// the state the committed folds feed: the utilization bits, the exact
+/// `U > 1` decision and the analysis horizon.
+fn assert_folds_match_cold(view: &mut EditView) {
+    let prepared = view.prepared();
+    let cold = PreparedWorkload::from_components(prepared.components().to_vec());
+    assert_eq!(
+        prepared.utilization().to_bits(),
+        cold.utilization().to_bits()
+    );
+    assert_eq!(
+        prepared.utilization_exceeds_one(),
+        cold.utilization_exceeds_one()
+    );
+    assert_eq!(prepared.analysis_horizon(), cold.analysis_horizon());
+}
+
+fn periodic(c: u64, d: u64, t: u64) -> DemandComponent {
+    DemandComponent::periodic(Time::new(c), Time::new(d), Time::new(t))
+}
+
+/// The committed folds an [`EditView`] carries across finalizes stay
+/// exact through every step of the admission lifecycle: they are built at
+/// a finalize whose undo log holds only inserts, extended at commit,
+/// dropped by a remove or replace, and discarded by a rebuild.
+#[test]
+fn committed_folds_follow_the_admission_lifecycle() {
+    let base = PreparedWorkload::new(&MixedSystem::new(
+        TaskSet::from_tasks(vec![
+            Task::from_ticks(1, 4, 10).expect("valid task"),
+            Task::from_ticks(2, 9, 15).expect("valid task"),
+        ]),
+        vec![EventStreamTask::new(
+            EventStream::bursty(2, Time::new(4), Time::new(60)),
+            Time::new(1),
+            Time::new(12),
+        )
+        .expect("valid stream task")],
+    ));
+    let mut view = EditView::new(&base);
+    assert_folds_match_cold(&mut view);
+
+    // Admit-commit chain, with a what-if probe before each admit.
+    for k in 1..=4u64 {
+        view.insert_component(periodic(k, 20 + k, 40 + 7 * k));
+        assert_folds_match_cold(&mut view);
+        view.revert();
+        assert_folds_match_cold(&mut view);
+        view.insert_component(periodic(1, 10 + k, 50 + 3 * k));
+        assert_folds_match_cold(&mut view);
+        view.commit();
+        assert_folds_match_cold(&mut view);
+    }
+
+    // Commit without a finalize, then probe on top of it.
+    view.insert_component(periodic(1, 30, 90));
+    view.insert_component(DemandComponent::one_shot(
+        Time::new(2),
+        Time::new(8),
+        Time::new(5),
+    ));
+    view.commit();
+    view.insert_component(periodic(2, 25, 70));
+    assert_folds_match_cold(&mut view);
+    view.revert();
+    assert_folds_match_cold(&mut view);
+
+    // Evict, then probe: the remove drops the folds, the next insert-only
+    // finalize rebuilds them.
+    view.remove_component(1);
+    assert_folds_match_cold(&mut view);
+    view.commit();
+    view.insert_component(periodic(3, 12, 45));
+    assert_folds_match_cold(&mut view);
+    view.revert();
+    assert_folds_match_cold(&mut view);
+
+    // Replace, then insert and commit on top of it.
+    view.replace_component(0, periodic(2, 6, 11));
+    assert_folds_match_cold(&mut view);
+    view.insert_component(periodic(1, 40, 80));
+    assert_folds_match_cold(&mut view);
+    view.commit();
+    view.insert_component(periodic(1, 5, 16));
+    assert_folds_match_cold(&mut view);
+    view.commit();
+    assert_folds_match_cold(&mut view);
+
+    // A panic poisons the view mid-probe; the rebuild starts over.
+    let committed = PreparedWorkload::from_components(view.components().to_vec());
+    view.insert_component(periodic(4, 9, 30));
+    assert_folds_match_cold(&mut view);
+    view.mark_poisoned();
+    view.rebuild_from(&committed);
+    assert_folds_match_cold(&mut view);
+    view.insert_component(periodic(1, 7, 25));
+    assert_folds_match_cold(&mut view);
+    view.commit();
+    assert_folds_match_cold(&mut view);
+}
+
+/// Probes whose utilization lies within the `f64` screen's `10⁻³` of one
+/// (so the exact `U > 1` check decides), on both sides of it and at it,
+/// over committed folds.
+#[test]
+fn committed_folds_decide_utilization_near_one_exactly() {
+    let mut view = EditView::new(&PreparedWorkload::from_components(Vec::new()));
+    // U = 0.9995 committed.
+    view.insert_component(periodic(1_998, 3_000, 4_000));
+    view.insert_component(periodic(1, 2, 2));
+    assert_folds_match_cold(&mut view);
+    view.commit();
+    // Probes to U = 1 − 10⁻⁹, 1, 1 + 10⁻⁹ and 1 + 5·10⁻⁴.
+    for (wcet, period) in [
+        (4_999_990u64, 10_000_000_000u64),
+        (1, 2_000),
+        (5_000_010, 10_000_000_000),
+        (1, 1_000),
+    ] {
+        view.insert_component(periodic(wcet, period, period));
+        assert_folds_match_cold(&mut view);
+        view.revert();
+        assert_folds_match_cold(&mut view);
+    }
+    view.insert_component(periodic(1, 2_000, 2_000));
+    view.commit();
+    assert!(!view.prepared().utilization_exceeds_one());
+    view.insert_component(periodic(1, 1 << 40, 1 << 40));
+    assert!(view.prepared().utilization_exceeds_one());
 }
