@@ -108,8 +108,8 @@ fn bench_dbf_eval(c: &mut Criterion) {
     });
 
     // Skewed period spreads (Tmax/Tmin = 100_000): probes cut the sorted
-    // columns at wildly different depths, so the chunked lane loops run
-    // every full-block/tail mix instead of the steady full-width regime.
+    // columns at wildly different depths, so the column loop runs over
+    // prefixes of every length instead of the whole column set.
     let skew_sets = skewed_period_fixture(8);
     let skew: Vec<PreparedWorkload> = skew_sets.iter().map(PreparedWorkload::new).collect();
     let skew_scalar: Vec<PreparedWorkload> = skew
@@ -141,7 +141,7 @@ fn bench_dbf_eval(c: &mut Criterion) {
     });
 
     // Mixed one-shot/periodic columns: every probe pays the one-shot
-    // prefix lookup *and* the periodic lane loop.
+    // prefix lookup *and* the periodic column loop.
     let mixed_system = MixedSystem::new(TaskSet::new(), mixed_mode_fixture(48));
     let mixed = PreparedWorkload::new(&mixed_system);
     let mixed_scalar = mixed.scalar_reference();
@@ -165,66 +165,6 @@ fn bench_dbf_eval(c: &mut Criterion) {
         })
     });
 
-    // Batched interval evaluation on the large-n workload: `dbf_many`'s
-    // column-major blocks vs. one-at-a-time kernel probes vs. the scalar
-    // fold — the lanes-vs-scalar series for the batched entry point.
-    let mut batch_out = Vec::with_capacity(large_probes.len());
-    group.bench_function(BenchmarkId::new("dbf_batch", "batched"), |b| {
-        b.iter(|| {
-            large.dbf_many(black_box(&large_probes), &mut batch_out);
-            batch_out
-                .iter()
-                .fold(Time::ZERO, |a, &d| a.saturating_add(d))
-        })
-    });
-    group.bench_function(BenchmarkId::new("dbf_batch", "one_at_a_time"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for &t in &large_probes {
-                acc = acc.saturating_add(large.dbf(black_box(t)));
-            }
-            acc
-        })
-    });
-    group.bench_function(BenchmarkId::new("dbf_batch", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for &t in &large_probes {
-                acc = acc.saturating_add(large_scalar.dbf(black_box(t)));
-            }
-            acc
-        })
-    });
-
-    // The QPA step function: combined kernel query vs. two scalar scans.
-    group.bench_function(BenchmarkId::new("qpa_step", "columnar"), |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for (p, probes) in prepared.iter().zip(&probes) {
-                for &t in probes {
-                    let (demand, prev) = p.demand_and_predecessor(black_box(t));
-                    acc = acc
-                        .wrapping_add(demand.as_u64())
-                        .wrapping_add(prev.map_or(0, Time::as_u64));
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function(BenchmarkId::new("qpa_step", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for (p, probes) in scalar.iter().zip(&probes) {
-                for &t in probes {
-                    let (demand, prev) = p.demand_and_predecessor(black_box(t));
-                    acc = acc
-                        .wrapping_add(demand.as_u64())
-                        .wrapping_add(prev.map_or(0, Time::as_u64));
-                }
-            }
-            acc
-        })
-    });
     group.finish();
 }
 
@@ -334,7 +274,7 @@ fn bench_refine(c: &mut Criterion) {
 /// loops were approximation *bookkeeping* — per-interval heap
 /// maintenance and exact-rational error-threshold comparisons —
 /// identical code on both preparations.  Moving the demand-side work
-/// onto the narrow lanes (QPA/PDT walks, batched component-demand
+/// onto the kernel columns (QPA/PDT walks, batched component-demand
 /// withdrawals) first pushed `scratch_reuse/16` ~7 % ahead; the shared
 /// `refine` engine (flat frontier queue, incremental aggregates,
 /// screened comparisons — see `bench_refine` above for the isolated

@@ -86,11 +86,10 @@ pub fn stream_fixture(count: usize) -> Vec<EventStreamTask> {
 }
 
 /// Task sets with a heavily skewed period spread (`Tmax/Tmin = 100_000`)
-/// for the demand-kernel lane benchmarks: short probe intervals cut off
+/// for the demand-kernel `dbf` benchmarks: short probe intervals cut off
 /// most of the deadline-sorted columns while long ones sweep them whole,
-/// so the chunked lane loops see every mix of full 8-lane blocks and
-/// scalar tails instead of the steady full-width regime of
-/// [`ratio_fixture`].
+/// so the column loop runs over prefixes of every length instead of the
+/// whole-column regime of [`ratio_fixture`].
 #[must_use]
 pub fn skewed_period_fixture(count: usize) -> Vec<TaskSet> {
     TaskSetConfig::new()
@@ -106,9 +105,9 @@ pub fn skewed_period_fixture(count: usize) -> Vec<TaskSet> {
 }
 
 /// Event-stream tasks mixing periodic tuples with one-shot start-up
-/// transients, for the demand-kernel lane benchmarks: the prepared
+/// transients, for the demand-kernel `dbf` benchmarks: the prepared
 /// workload carries both column families at once, so `dbf` pays the
-/// one-shot prefix lookup *and* the periodic lane loop on every probe —
+/// one-shot prefix lookup *and* the periodic column loop on every probe —
 /// the regime where neither column family can be specialised away.
 #[must_use]
 pub fn mixed_mode_fixture(count: usize) -> Vec<EventStreamTask> {

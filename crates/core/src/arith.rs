@@ -146,67 +146,6 @@ impl Reciprocal {
         let high = u128::from(self.hi) * u128::from(n);
         ((high + low_carry) >> 64) as u64
     }
-
-    /// The width-narrowed form of this reciprocal, valid whenever the
-    /// construction divisor fits `u32` — division-free via the nested
-    /// ceiling identity `⌈⌈2¹²⁸/d⌉ / 2⁶⁴⌉ = ⌈2⁶⁴/d⌉` (for `d ≥ 2`), i.e.
-    /// `magic = hi + (lo != 0)`.  The divisor-1 sentinel (`hi == lo == 0`)
-    /// maps onto [`Reciprocal32`]'s `magic == 0` sentinel consistently.
-    /// The caller is responsible for the `d ≤ u32::MAX` gate; the batch
-    /// rebuild paths use this to derive the narrow column from the cached
-    /// wide reciprocals without re-dividing.
-    #[inline]
-    pub(crate) fn narrowed(self) -> Reciprocal32 {
-        Reciprocal32 {
-            magic: self.hi + u64::from(self.lo != 0),
-        }
-    }
-}
-
-/// Width-narrowed [`Reciprocal`] for `u32` divisors: with
-/// `m = ⌈2⁶⁴ / d⌉`, `⌊n / d⌋ = ⌊m·n / 2⁶⁴⌋` holds for every `n < 2³²` and
-/// `d ∈ [2, 2³²)` (`F = 64 ≥ N + log₂ d` with `N = 32`).  Divisor 1 is the
-/// `magic == 0` sentinel (every real `d ≥ 2` has `m ≥ 2³² + 1 > 0`; `d = 1`
-/// would need `m = 2⁶⁴`, which wraps to 0 — the sentinel *is* the wrap).
-///
-/// This is the reciprocal the kernel's narrow (`u32` shadow-column) demand
-/// loops run on: one widening 64×64→128 multiply per element instead of the
-/// wide path's two, and a quarter of the wide reciprocal's column traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Reciprocal32 {
-    magic: u64,
-}
-
-impl Reciprocal32 {
-    /// Builds the narrowed reciprocal of `divisor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    #[cfg(test)]
-    pub(crate) fn new(divisor: u32) -> Self {
-        assert!(divisor != 0, "divisor must be positive");
-        if divisor == 1 {
-            return Reciprocal32 { magic: 0 };
-        }
-        Reciprocal32 {
-            magic: u64::MAX / u64::from(divisor) + 1,
-        }
-    }
-
-    /// `⌊n / d⌋` for the `u32` divisor this reciprocal was built from,
-    /// widened to `u64` for the caller's accumulation.  Branch-free: both
-    /// the multiply path and the sentinel path are computed and selected,
-    /// which keeps the kernel's chunked loops free of per-element branches.
-    #[inline]
-    pub(crate) fn divide(self, n: u32) -> u64 {
-        let wide = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
-        if self.magic == 0 {
-            u64::from(n)
-        } else {
-            wide
-        }
-    }
 }
 
 /// A non-negative rational number `num/den` stored in `u128`.
@@ -631,78 +570,6 @@ pub(crate) fn fracs_parts_le_integer_iter(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reciprocal32_divides_exactly_on_boundary_values() {
-        let ns = [
-            0u32,
-            1,
-            2,
-            3,
-            6,
-            7,
-            1_000_000,
-            u32::MAX - 1,
-            u32::MAX,
-            (1 << 31) - 1,
-            1 << 31,
-        ];
-        let ds = [
-            1u32,
-            2,
-            3,
-            5,
-            7,
-            64,
-            255,
-            256,
-            999_999_937,
-            (1 << 31) - 1,
-            1 << 31,
-            u32::MAX - 1,
-            u32::MAX,
-        ];
-        for &d in &ds {
-            let rcp = Reciprocal32::new(d);
-            for &n in &ns {
-                assert_eq!(
-                    rcp.divide(n),
-                    u64::from(n) / u64::from(d),
-                    "{n} / {d} through the narrowed reciprocal"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn narrowed_reciprocal_equals_direct_construction() {
-        // The division-free derivation from the wide reciprocal must match
-        // the directly constructed magic for every `u32` divisor, sentinel
-        // included — powers of two make `lo == 0` (exact ⌈2¹²⁸/d⌉), odd
-        // divisors make `lo != 0`, covering both carry branches.
-        let ds = [
-            1u32,
-            2,
-            3,
-            4,
-            7,
-            10,
-            255,
-            256,
-            1 << 16,
-            999_999_937,
-            (1 << 31) - 1,
-            1 << 31,
-            u32::MAX,
-        ];
-        for &d in &ds {
-            assert_eq!(
-                Reciprocal::new(u64::from(d)).narrowed(),
-                Reciprocal32::new(d),
-                "narrowed({d})"
-            );
-        }
-    }
 
     #[test]
     fn reciprocal_ceil_divide_matches_plain_ceiling_at_the_u64_boundary() {

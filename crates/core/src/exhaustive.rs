@@ -103,29 +103,16 @@ pub fn exhaustive_check_prepared_up_to(
         });
     }
     let mut counter = IterationCounter::new();
-    // The whole probe set is known upfront (every integer interval), so
-    // the sweep runs through the batched `dbf_many` entry point: each
-    // batch is evaluated column-major over the kernel columns, then
-    // scanned in order — recording and comparing exactly as the former
-    // one-interval-at-a-time loop did, first violation included.
-    const SWEEP_BATCH: u64 = 64;
-    let mut intervals = Vec::with_capacity(SWEEP_BATCH as usize);
-    let mut demands = Vec::with_capacity(SWEEP_BATCH as usize);
-    let mut next = 1u64;
-    while next <= horizon.as_u64() {
-        let last = horizon.as_u64().min(next + SWEEP_BATCH - 1);
-        intervals.clear();
-        intervals.extend((next..=last).map(Time::new));
-        workload.dbf_many(&intervals, &mut demands);
-        for (&interval, &demand) in intervals.iter().zip(&demands) {
-            counter.record(interval);
-            if demand > interval {
-                let overload =
-                    (reject == Verdict::Infeasible).then_some(DemandOverload { interval, demand });
-                return counter.finish(reject, overload);
-            }
+    // Every integer interval up to the horizon, in ascending order: the
+    // first violation is the witness.
+    for interval in (1..=horizon.as_u64()).map(Time::new) {
+        counter.record(interval);
+        let demand = workload.dbf(interval);
+        if demand > interval {
+            let overload =
+                (reject == Verdict::Infeasible).then_some(DemandOverload { interval, demand });
+            return counter.finish(reject, overload);
         }
-        next = last + 1;
     }
     let verdict = if horizon_is_exact {
         Verdict::Feasible

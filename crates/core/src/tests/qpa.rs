@@ -82,21 +82,11 @@ impl FeasibilityTest for QpaTest {
         let Some(mut t) = workload.last_deadline_below(start) else {
             return counter.finish(Verdict::Feasible, None);
         };
-        // `demand == t` steps need the predecessor deadline as well as the
-        // demand, and such plateau steps cluster: once one occurs, the next
-        // step usually needs both again.  Inside a plateau run the kernel's
-        // fused query delivers demand and predecessor in one pass over the
-        // columns (the former code paid a second full scan and discarded
-        // the already-computed demand); on ordinary descending steps —
-        // the overwhelmingly common case — only the demand is evaluated.
-        //
-        // Note on `PreparedWorkload::dbf_many`: the descent is a strict
-        // sequential dependence chain — `t_{k+1} = dbf(t_k)` — so there is
-        // never a second outstanding interval to batch with; the fused
-        // plateau query above *is* the batched form of this loop (two
-        // quantities per column pass), and speculatively evaluating
-        // candidate intervals would change the recorded iteration count.
-        let mut on_plateau = false;
+        // The descent is a strict sequential dependence chain —
+        // `t_{k+1} = dbf(t_k)`, or the last deadline below `t_k` when
+        // `dbf(t_k) = t_k` — so each step evaluates exactly the queries it
+        // needs and no interval is ever evaluated speculatively (which
+        // would change the recorded iteration count).
         let analysis = loop {
             // One work unit per descent step; the descent certifies
             // intervals *above* the current `t` only, so an exhausted run
@@ -105,11 +95,7 @@ impl FeasibilityTest for QpaTest {
                 break counter.finish_exhausted(&budget, ProgressPhase::QpaDescent, None);
             }
             counter.record(t);
-            let (demand, predecessor) = if on_plateau {
-                workload.demand_and_predecessor(t)
-            } else {
-                (workload.dbf(t), None)
-            };
+            let demand = workload.dbf(t);
             if demand > t {
                 break counter.finish(
                     Verdict::Infeasible,
@@ -123,13 +109,10 @@ impl FeasibilityTest for QpaTest {
                 break counter.finish(Verdict::Feasible, None);
             }
             t = if demand < t {
-                on_plateau = false;
                 demand
             } else {
                 // demand == t: step down to the largest deadline below t.
-                let prev = predecessor.or_else(|| workload.last_deadline_below(t));
-                on_plateau = true;
-                match prev {
+                match workload.last_deadline_below(t) {
                     Some(prev) => prev,
                     None => break counter.finish(Verdict::Feasible, None),
                 }
@@ -221,6 +204,37 @@ mod tests {
         assert_eq!(QpaTest::new().analyze(&over).verdict, Verdict::Infeasible);
         assert_eq!(QpaTest::new().name(), "qpa");
         assert!(QpaTest::new().is_exact());
+    }
+
+    /// A descent with two consecutive `dbf(t) = t` steps (12 → 10 → 8)
+    /// and a third one later (5 → 4): each such step moves to the last
+    /// deadline below `t`.  Verdict, step count and witness are pinned,
+    /// and the processor-demand walk reaches the same verdict and witness.
+    #[test]
+    fn consecutive_plateau_steps_descend_through_deadlines() {
+        // U = 2/4 + 3/6 = 1; job deadlines 4, 8, 12, … and 4, 10, 16, ….
+        let ts = TaskSet::from_tasks(vec![t(2, 4, 4), t(3, 4, 6)]);
+        let prepared = PreparedWorkload::new(&ts);
+        // The descent visits 12, 10, 8, 7, 5 and stops at 4.
+        for (interval, demand) in [(12, 12), (10, 10), (8, 7), (7, 5), (5, 5), (4, 5)] {
+            assert_eq!(
+                prepared.dbf(Time::new(interval)),
+                Time::new(demand),
+                "dbf({interval})"
+            );
+        }
+        let qpa = QpaTest::new().analyze(&ts);
+        assert_eq!(qpa.verdict, Verdict::Infeasible);
+        assert_eq!(qpa.iterations, 6);
+        assert_eq!(qpa.max_examined_interval, Some(Time::new(12)));
+        let witness = DemandOverload {
+            interval: Time::new(4),
+            demand: Time::new(5),
+        };
+        assert_eq!(qpa.overload, Some(witness));
+        let pdt = ProcessorDemandTest::new().analyze(&ts);
+        assert_eq!(pdt.verdict, qpa.verdict);
+        assert_eq!(pdt.overload, qpa.overload);
     }
 
     #[test]

@@ -1047,9 +1047,8 @@ impl PreparedWorkload {
     }
 
     /// A copy of this preparation that answers every demand query (`dbf`,
-    /// `last_deadline_below`, the event merge, the combined QPA step)
-    /// through the retained **scalar** array-of-structs path instead of
-    /// the columnar kernel.
+    /// `last_deadline_below`, the event merge) through the retained
+    /// **scalar** array-of-structs path instead of the columnar kernel.
     ///
     /// This is the reference oracle of the kernel rebuild: analyses of the
     /// two preparations must be bit-identical — verdicts, iteration
@@ -1132,21 +1131,6 @@ impl PreparedWorkload {
                 .fold(Time::ZERO, |acc, c| acc.saturating_add(c.dbf(interval)));
         }
         self.kernel().dbf(interval)
-    }
-
-    /// Batched demand bound function: fills `out` with `dbf(interval)`
-    /// for every entry of `intervals`, in order — bit-identical to calling
-    /// [`PreparedWorkload::dbf`] once per interval, but evaluated
-    /// column-major in interval blocks so every kernel column load is
-    /// shared across the block (see [`DemandKernel::dbf_many`]).  `out` is
-    /// cleared first; callers reuse the buffer across batches.
-    pub fn dbf_many(&self, intervals: &[Time], out: &mut Vec<Time>) {
-        if self.scalar_demand {
-            out.clear();
-            out.extend(intervals.iter().map(|&interval| self.dbf(interval)));
-            return;
-        }
-        self.kernel().dbf_many(intervals, out);
     }
 
     /// The demand of a single component at `interval` — the refining
@@ -1291,17 +1275,6 @@ impl PreparedWorkload {
                 .max();
         }
         self.kernel().last_deadline_below(limit)
-    }
-
-    /// The combined QPA step query: `dbf(interval)` and the largest job
-    /// deadline strictly below `interval`, in **one** pass over the
-    /// kernel columns (see [`DemandKernel::demand_and_predecessor`]).
-    #[must_use]
-    pub fn demand_and_predecessor(&self, interval: Time) -> (Time, Option<Time>) {
-        if self.scalar_demand {
-            return (self.dbf(interval), self.last_deadline_below(interval));
-        }
-        self.kernel().demand_and_predecessor(interval)
     }
 
     /// A copy with every component's cost scaled by `numer/denom` (per

@@ -2,8 +2,8 @@
 //! through the kernel path is **bit-identical** to the retained scalar
 //! reference — verdicts, iteration counts, examined intervals and overload
 //! witnesses — and the kernel primitives (`dbf`, `last_deadline_below`,
-//! the combined QPA step, the loser-tree event merge) equal the scalar
-//! folds and the heap merge they replaced.  Covered workload families:
+//! the loser-tree event merge) equal the scalar folds and the heap merge
+//! they replaced.  Covered workload families:
 //! sporadic task sets, event streams, mixed systems, arrival curves
 //! (exact and conservative) and transaction systems, plus
 //! `ScaledView`-over-kernel probes against cold preparations and the
@@ -66,18 +66,18 @@ fn arb_curve_task() -> impl Strategy<Value = ArrivalCurveTask> {
     )
 }
 
-/// Largest narrow-column value: the `u32` narrowing/promotion boundary.
+/// `u32::MAX`: the boundary the straddle family's values sit around.
 const NEAR_32: u64 = u32::MAX as u64;
 
-/// A parameter value either well inside the narrow (`u32`) range or
-/// straddling its upper boundary.
+/// A parameter value either small or within 40 of `u32::MAX`, on either
+/// side of it.
 fn arb_straddle_value() -> impl Strategy<Value = u64> {
     prop_oneof![1u64..=120, (NEAR_32 - 40)..=(NEAR_32 + 40)]
 }
 
 /// Raw component lists whose deadlines, periods and costs straddle
-/// `u32::MAX` in every combination — the narrowing gate's boundary family
-/// (generator-backed workload models never reach these magnitudes).
+/// `u32::MAX` in every combination, so products and sums cross 2³² and
+/// 2⁶⁴ (generator-backed workload models never reach these magnitudes).
 fn arb_straddle_components() -> impl Strategy<Value = Vec<DemandComponent>> {
     prop::collection::vec(
         (
@@ -110,8 +110,8 @@ fn arb_straddle_components() -> impl Strategy<Value = Vec<DemandComponent>> {
 }
 
 /// Probe intervals for the straddle family: a dense low range, the
-/// `u32::MAX` neighbourhood (both sides of the narrow interval gate), and
-/// the neighbourhood of every component deadline and first period step.
+/// `u32::MAX` neighbourhood (both sides of it), and the neighbourhood of
+/// every component deadline and first period step.
 fn straddle_probes(prepared: &PreparedWorkload) -> Vec<Time> {
     let mut probes: Vec<u64> = (0..=64).collect();
     probes.extend([NEAR_32 - 1, NEAR_32, NEAR_32 + 1, 2 * NEAR_32 + 17]);
@@ -149,8 +149,7 @@ fn arb_transaction_system() -> impl Strategy<Value = TransactionSystem> {
 
 /// Runs every registered test on the kernel-backed preparation and on the
 /// scalar-reference oracle, asserting bit-identical analyses (verdict,
-/// iteration count, max examined interval, overload witness), plus
-/// batched-vs-repeated `dbf` equality on both paths.
+/// iteration count, max examined interval, overload witness).
 fn assert_kernel_equals_scalar<W: Workload + ?Sized>(workload: &W) {
     let kernel = PreparedWorkload::new(workload);
     let scalar = kernel.scalar_reference();
@@ -162,25 +161,6 @@ fn assert_kernel_equals_scalar<W: Workload + ?Sized>(workload: &W) {
             test.name()
         );
     }
-    assert_dbf_many_equals_repeated(&kernel, &scalar);
-}
-
-/// Asserts `dbf_many` (column-major interval blocks) bit-identical to
-/// one-interval-at-a-time evaluation, on the kernel path and the scalar
-/// oracle alike, over a dense probe range.
-fn assert_dbf_many_equals_repeated(kernel: &PreparedWorkload, scalar: &PreparedWorkload) {
-    let horizon = kernel
-        .analysis_horizon()
-        .unwrap_or(Time::new(200))
-        .min(Time::new(300));
-    // +2 past the horizon leaves a non-full remainder block.
-    let probes: Vec<Time> = (0..=horizon.as_u64() + 2).map(Time::new).collect();
-    let repeated: Vec<Time> = probes.iter().map(|&i| scalar.dbf(i)).collect();
-    let mut batched = Vec::new();
-    kernel.dbf_many(&probes, &mut batched);
-    assert_eq!(batched, repeated, "kernel dbf_many vs repeated scalar dbf");
-    scalar.dbf_many(&probes, &mut batched);
-    assert_eq!(batched, repeated, "scalar dbf_many vs repeated scalar dbf");
 }
 
 /// Asserts the kernel primitives equal the scalar folds over a dense
@@ -198,13 +178,6 @@ fn assert_primitives_equal(prepared: &PreparedWorkload) {
             prepared.last_deadline_below(i),
             scalar.last_deadline_below(i),
             "last_deadline_below at {i}"
-        );
-        let (demand, predecessor) = prepared.demand_and_predecessor(i);
-        assert_eq!(demand, scalar.dbf(i), "combined demand at {i}");
-        assert_eq!(
-            predecessor,
-            scalar.last_deadline_below(i),
-            "combined predecessor at {i}"
         );
     }
 }
@@ -345,13 +318,13 @@ proptest! {
         }
     }
 
-    /// Columns straddling the `u32` narrowing boundary: every combination
-    /// of narrow/wide deadlines, periods and costs answers every primitive
-    /// — `dbf`, `last_deadline_below`, the fused QPA step, batched
-    /// `dbf_many` — bit-identically to the scalar oracle, on probe
-    /// intervals on both sides of the narrow interval gate.
+    /// `dbf` and `last_deadline_below` on deadlines, periods and costs near
+    /// and above 2³², in every combination, equal the scalar oracle bit
+    /// for bit, on probe intervals on both sides of `u32::MAX`.
     #[test]
-    fn straddling_u32_columns_match_scalar(components in arb_straddle_components()) {
+    fn dbf_and_predecessor_near_and_above_2_32_match_scalar(
+        components in arb_straddle_components(),
+    ) {
         let prepared = PreparedWorkload::from_components(components);
         let scalar = prepared.scalar_reference();
         let probes = straddle_probes(&prepared);
@@ -362,27 +335,14 @@ proptest! {
                 scalar.last_deadline_below(i),
                 "predecessor at {}", i
             );
-            let (demand, predecessor) = prepared.demand_and_predecessor(i);
-            prop_assert_eq!(demand, scalar.dbf(i), "combined demand at {}", i);
-            prop_assert_eq!(
-                predecessor,
-                scalar.last_deadline_below(i),
-                "combined predecessor at {}", i
-            );
         }
-        let repeated: Vec<Time> = probes.iter().map(|&i| scalar.dbf(i)).collect();
-        let mut batched = Vec::new();
-        prepared.dbf_many(&probes, &mut batched);
-        prop_assert_eq!(batched, repeated);
     }
 
-    /// Mid-`ScaledView` narrow demotion and promotion: probing a
-    /// wide-period component's cost across the `u32::MAX` boundary — above
-    /// (the kernel demotes to the wide columns in place), back below (the
-    /// probe-boundary refresh re-narrows) — always equals a cold
-    /// preparation of the same components, full analyses included.
+    /// Cost rewrites across 2³² mid-`ScaledView`: probing a wide-period
+    /// component's cost above `u32::MAX` and back below it always equals a
+    /// cold preparation of the same components, full analyses included.
     #[test]
-    fn narrow_promotion_mid_scaled_view_matches_cold(
+    fn cost_rewrites_across_2_32_mid_scaled_view_match_cold(
         ts in arb_set(),
         wcets in prop::collection::vec(
             prop_oneof![1u64..=1_000, (NEAR_32 - 2)..=(NEAR_32 + 1_000)],
@@ -398,7 +358,7 @@ proptest! {
         ));
         let wide_idx = components.len() - 1;
         let base = PreparedWorkload::from_components(components.clone());
-        // Touch the kernel so every probe rewrites live narrow columns.
+        // Touch the kernel so every probe rewrites live columns.
         let _ = base.dbf(Time::new(1));
         let mut view = ScaledView::new(&base);
         let suite = all_tests();
@@ -425,7 +385,7 @@ proptest! {
                 prop_assert_eq!(
                     test.analyze_prepared(probed),
                     test.analyze_prepared(&cold),
-                    "{} diverges between demoted/promoted view and cold preparation",
+                    "{} diverges between rewritten view and cold preparation",
                     test.name()
                 );
             }
