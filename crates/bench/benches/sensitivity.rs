@@ -1,10 +1,10 @@
 //! Benchmark of the incremental sensitivity engine
 //! (`edf_analysis::incremental` + `edf_analysis::sensitivity`): breakdown
 //! scaling and WCET slack searches, incremental (one `ScaledView`, costs
-//! rewritten in place, bounds refreshed from cached invariants and
-//! estimate-seeded searches) versus the from-scratch reference (full
-//! re-preparation with cold bound searches per probe — the
-//! pre-incremental behaviour, see `sensitivity::reference`).  Both
+//! rewritten in place, the analysis horizon re-derived with the base's
+//! period lcm and reciprocals) versus the from-scratch reference (a full
+//! re-preparation per probe — the pre-incremental behaviour, see
+//! `sensitivity::reference`).  Both
 //! variants run identical probe sequences and produce bit-identical
 //! results, so the wall-clock gap is pure preparation overhead.
 //!

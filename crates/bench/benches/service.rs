@@ -1,6 +1,6 @@
 //! Benchmark of the `edf-serve` admission-control service: the cost of one
 //! admission decision through the [`EditView`] delta path (structural
-//! edit, deadline-order repair, in-place kernel rebuild, bounds refresh)
+//! edit, deadline-order repair, in-place kernel rebuild, horizon refresh)
 //! versus a cold re-preparation of the edited component list, and the
 //! budgeted anytime lane.
 //!

@@ -30,27 +30,29 @@
 //! All bounds are rounded **up** to the next integer so that using them as
 //! a search horizon can never cut off a violating deadline.
 //!
-//! For search loops that re-derive the bounds of the *same* workload under
-//! WCET perturbations (breakdown scaling, slack probing — see
-//! [`crate::sensitivity`]), [`BoundRefresher`] caches the scale-invariant
-//! half of the computation (the hyperperiod bound is WCET-free; Baruah's
-//! `max(T − D)` aggregate, George's degeneracy and the applicability flags
-//! are structural) and seeds the remaining binary searches with the
-//! previous probe's results, while staying bit-identical to the cold
-//! [`FeasibilityBounds::for_components`] computation.  After a structural
-//! edit ([`EditView`](crate::incremental::EditView)) only the analysis
-//! horizon is derived, skipping the bounds that cannot be its minimum, from
-//! aggregates the view folds one component at a time and carries across
-//! commits.
-//!
-//! Every refresh reads the George bound in closed form,
-//! `max(1, ⌈N/(1 − U)⌉)`, from the `f64` sums it folds anyway, under a
-//! proven error window: an estimate whose window holds no integer is
-//! usually the answer outright, one holding a single integer costs one or
-//! two exact predicate evaluations, and inexact inputs (values ≥ 2⁵³),
-//! `U` within 2⁻⁹ of one, an estimate past 2⁵² or a window that two
-//! evaluations cannot settle fall back to the hinted search.  The result
-//! always equals the plain binary search of [`george_components`].
+//! The analyses read one number: the analysis horizon, the minimum of the
+//! bounds.  Every preparation derives it on one path, from aggregates
+//! folded one component at a time — a cold
+//! [`PreparedWorkload`](crate::workload::PreparedWorkload) on first use,
+//! the [`ScaledView`](crate::incremental::ScaledView) and
+//! [`CandidateView`](crate::candidates::CandidateView) probes after every
+//! re-costing or re-phasing (they keep the period lcm and re-fold the
+//! rest), and an [`EditView`](crate::incremental::EditView) finalize from
+//! the folds it carries across commits.  The path computes
+//! `min(George, busy period, hyperperiod)`: Baruah and superposition are
+//! never below George, a busy-period fix-point that can no longer lower
+//! the minimum stops, and a `U > 1` list reads its hyperperiod.  It reads
+//! the George bound in closed form, `max(1, ⌈N/(1 − U)⌉)`, from the `f64`
+//! sums it folds anyway, under a proven error window: an estimate whose
+//! window holds no integer is usually the answer outright, one holding a
+//! single integer costs one or two exact predicate evaluations, and
+//! inexact inputs (values ≥ 2⁵³), `U` within 2⁻⁹ of one, an estimate past
+//! 2⁵² or a window that two evaluations cannot settle fall back to the
+//! search seeded with the estimate.  The result always equals the plain
+//! binary search of [`george_components`].
+//! [`FeasibilityBounds::for_components`] computes every bound by its
+//! standalone search and stays the independent reference the horizon is
+//! tested against.
 //!
 //! # Examples
 //!
@@ -110,26 +112,22 @@ impl FeasibilityBounds {
         FeasibilityBounds::for_components(&task_set.demand_components())
     }
 
-    /// Computes every bound for an arbitrary component decomposition.
+    /// Computes every bound for an arbitrary component decomposition, each
+    /// by the plain binary search of its standalone function (the
+    /// superposition bound as `max(George, Dmax)` from the George value
+    /// just found).  This is the independent reference the analysis
+    /// horizon of a [`PreparedWorkload`](crate::workload::PreparedWorkload)
+    /// is tested against; no analysis reads it.
     #[must_use]
     pub fn for_components(components: &[DemandComponent]) -> Self {
-        BoundRefresher::new(components).refresh(components)
-    }
-
-    /// [`FeasibilityBounds::for_components`] without the estimate-seeded
-    /// searches: every bound is derived by the plain cold binary search of
-    /// its standalone function (the pre-refresher behaviour).  Produces
-    /// identical values — kept as the from-scratch baseline the
-    /// `sensitivity` benchmark (and [`crate::sensitivity::reference`])
-    /// measures the incremental engine against.
-    #[must_use]
-    pub fn for_components_cold(components: &[DemandComponent]) -> Self {
+        let george = george_components(components);
+        let dmax = components.iter().map(DemandComponent::first_deadline).max();
         FeasibilityBounds {
             baruah: baruah_components(components),
-            george: george_components(components),
+            george,
             busy_period: busy_period_components(components),
             hyperperiod: hyperperiod_components(components),
-            superposition: superposition_components(components),
+            superposition: george.zip(dmax).map(|(g, d)| g.max(d)),
         }
     }
 
@@ -151,82 +149,12 @@ impl FeasibilityBounds {
     }
 }
 
-/// The scale-invariant half of the §4.3 bound computation, cached once so a
-/// sensitivity search can re-derive the bounds of a WCET-perturbed
-/// component list in (near) linear time instead of from cold.
-///
-/// Under any pure WCET change (uniform breakdown scaling, a single-component
-/// slack probe) the periods, deadlines and offsets of a workload do not
-/// move, and with them a surprising amount of the bound machinery is fixed:
-/// the hyperperiod bound is WCET-free, Baruah's `max(Tᵢ − Dᵢ)` aggregate,
-/// George's degeneracy test and the `Dmax` term of the superposition bound
-/// depend only on the timing parameters, and the applicability of the busy
-/// period argument is structural.  [`BoundRefresher::new`] computes all of
-/// that once; [`BoundRefresher::refresh`] then rebuilds a full
-/// [`FeasibilityBounds`] for a re-costed component list, seeding the two
-/// remaining binary searches with the previous probe's results (galloping
-/// brackets), so consecutive probes of a search loop typically pay a
-/// handful of predicate evaluations instead of the cold 62-step searches.
-///
-/// `refresh` is **exact**: for every component list it returns bit-identical
-/// values to [`FeasibilityBounds::for_components`] (which is, in fact,
-/// implemented on top of it).  The contract is that the refreshed list
-/// differs from the one given to `new` only in the component WCETs.
-///
-/// # Examples
-///
-/// ```
-/// use edf_analysis::bounds::{BoundRefresher, FeasibilityBounds};
-/// use edf_analysis::workload::Workload;
-/// use edf_model::{Task, TaskSet, Time};
-///
-/// # fn main() -> Result<(), edf_model::TaskError> {
-/// let ts = TaskSet::from_tasks(vec![
-///     Task::new(Time::new(2), Time::new(4), Time::new(10))?,
-///     Task::new(Time::new(3), Time::new(6), Time::new(15))?,
-/// ]);
-/// let components = ts.demand_components();
-/// let mut refresher = BoundRefresher::new(&components);
-/// assert_eq!(
-///     refresher.refresh(&components),
-///     FeasibilityBounds::for_components(&components)
-/// );
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BoundRefresher {
-    component_count: usize,
-    /// Deadline, offset and period-shape aggregates (Baruah's
-    /// `max(Tᵢ − Dᵢ)`, George's degeneracy, `min`/`max D'`, the
-    /// busy-period applicability).
-    timing: TimingAggregates,
-    /// The hyperperiod bound is WCET-free, hence computed exactly once.
-    hyperperiod: Option<Time>,
-    /// `lcm` of the periods (`None` when empty, one-shot components are
-    /// present, or the lcm overflows) — invariant even under **deadline**
-    /// perturbations, so [`BoundRefresher::refresh_retimed`] re-derives the
-    /// hyperperiod bound without re-running the lcm chain.
-    period_lcm: Option<Time>,
-    /// One precomputed period reciprocal per component (one-shots get the
-    /// divisor-1 sentinel), so every search-predicate evaluation divides
-    /// by the scale-invariant periods via multiplies.
-    reciprocals: Vec<Reciprocal>,
-    baruah_hint: Option<Time>,
-    george_hint: Option<Time>,
-}
-
 /// The timing-dependent (deadline/offset/period-shape) aggregates of the
 /// §4.3 bound machinery — the half that stays fixed under WCET
-/// perturbations but moves under re-phasing and structural edits.  They
-/// are folded one component at a time, so [`BoundRefresher::new`],
-/// [`BoundRefresher::refresh_retimed`] and the [`ComponentFolds`] an
-/// [`EditView`](crate::incremental::EditView) carries across commits share
-/// one set of per-aggregate rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// perturbations but moves under re-phasing and structural edits, folded
+/// one component at a time into [`ComponentFolds`].
+#[derive(Debug, Clone, Copy)]
 struct TimingAggregates {
-    /// `max(Tᵢ ⊖ D'ᵢ)` over the periodic components.
-    max_slack: Time,
     /// Some component is one-shot.
     one_shot: bool,
     /// Some component is released after the window start.
@@ -240,7 +168,6 @@ struct TimingAggregates {
 
 impl TimingAggregates {
     const EMPTY: TimingAggregates = TimingAggregates {
-        max_slack: Time::ZERO,
         one_shot: false,
         offset: false,
         george_degenerate: true,
@@ -248,21 +175,10 @@ impl TimingAggregates {
         max_first_deadline: None,
     };
 
-    fn of(components: &[DemandComponent]) -> Self {
-        let mut timing = TimingAggregates::EMPTY;
-        for component in components {
-            timing.push(component);
-        }
-        timing
-    }
-
     fn push(&mut self, component: &DemandComponent) {
         let deadline = component.first_deadline();
         match component.period() {
-            Some(period) => {
-                self.max_slack = self.max_slack.max(period.saturating_sub(deadline));
-                self.george_degenerate &= deadline >= period;
-            }
+            Some(period) => self.george_degenerate &= deadline >= period,
             None => {
                 self.one_shot = true;
                 self.george_degenerate = false;
@@ -279,12 +195,6 @@ impl TimingAggregates {
         );
     }
 
-    /// Baruah's `max(Tᵢ − Dᵢ)`; `None` when the bound is structurally
-    /// inapplicable (empty list, one-shot component, or zero difference).
-    fn baruah_max_diff(&self) -> Option<Time> {
-        (!self.one_shot && !self.max_slack.is_zero()).then_some(self.max_slack)
-    }
-
     /// The synchronous busy-period argument applies: non-empty, purely
     /// periodic, all released at the window start.
     fn busy_applicable(&self) -> bool {
@@ -297,9 +207,8 @@ const EXACT_F64_LIMIT: u64 = 1 << 53;
 
 /// The WCET-dependent `f64` folds of the George bound, accumulated in
 /// component order: the utilization `Û = Σ Cᵢ/Tᵢ`, bit-identical to a
-/// cold `sum()` of [`DemandComponent::utilization`] (an
-/// [`EditView`](crate::incremental::EditView) installs it as the prepared
-/// utilization), and the numerator
+/// cold `sum()` of [`DemandComponent::utilization`] (the views install it
+/// as the prepared utilization), and the numerator
 /// `N̂ = Σ_periodic Cᵢ·max(0, Tᵢ − D'ᵢ)/Tᵢ + Σ_one-shot Cᵢ`.
 #[derive(Debug, Clone, Copy)]
 struct GeorgeFolds {
@@ -321,14 +230,6 @@ impl GeorgeFolds {
             numerator: 0.0,
             exact_inputs: true,
         }
-    }
-
-    fn of(components: &[DemandComponent]) -> Self {
-        let mut folds = GeorgeFolds::new();
-        for component in components {
-            folds.push(component);
-        }
-        folds
     }
 
     fn push(&mut self, component: &DemandComponent) {
@@ -355,12 +256,15 @@ impl GeorgeFolds {
 
 /// Every aggregate the analysis horizon of a component list depends on,
 /// folded one component at a time: the [`TimingAggregates`], the
-/// [`GeorgeFolds`] and the period lcm.  An
-/// [`EditView`](crate::incremental::EditView) keeps these for its committed
-/// components and extends a copy by a probe's appended ones, so a
-/// finalize pays `O(1)` aggregate work per appended component instead of
-/// a pass over the whole list.  The `f64` sums are order-sensitive, which
-/// is why only appends extend them.
+/// [`GeorgeFolds`] and the period lcm.  A cold preparation folds its list
+/// once; an [`EditView`](crate::incremental::EditView) keeps these for its
+/// committed components and extends a copy by a probe's appended ones, so
+/// a finalize pays `O(1)` aggregate work per appended component instead
+/// of a pass over the whole list; the
+/// [`ScaledView`](crate::incremental::ScaledView) and
+/// [`CandidateView`](crate::candidates::CandidateView) probes, which never
+/// move a period, [refold](ComponentFolds::refold) all but the lcm.  The
+/// `f64` sums are order-sensitive, which is why only appends extend them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ComponentFolds {
     timing: TimingAggregates,
@@ -389,6 +293,20 @@ impl ComponentFolds {
             self.timing.push(component);
             self.george.push(component);
             self.period_lcm = self.period_lcm.and_then(|lcm| lcm.lcm(component.period()?));
+        }
+    }
+
+    /// Re-folds the timing and George terms from `components`, a list
+    /// whose periods equal, one for one, those of the list these folds
+    /// were built from (costs, deadlines and offsets may differ), so the
+    /// period lcm is kept and no gcd chain runs.
+    pub(crate) fn refold(&mut self, components: &[DemandComponent]) {
+        debug_assert_eq!(components.len(), self.len());
+        self.timing = TimingAggregates::EMPTY;
+        self.george = GeorgeFolds::new();
+        for component in components {
+            self.timing.push(component);
+            self.george.push(component);
         }
     }
 
@@ -433,214 +351,33 @@ impl ComponentFolds {
     }
 }
 
-impl BoundRefresher {
-    /// Captures the scale-invariant aggregates of `components`.
-    #[must_use]
-    pub fn new(components: &[DemandComponent]) -> Self {
-        let timing = TimingAggregates::of(components);
-        let period_lcm = period_lcm(components);
-        BoundRefresher {
-            component_count: components.len(),
-            hyperperiod: hyperperiod_from(period_lcm, timing.max_first_deadline),
-            timing,
-            period_lcm,
-            reciprocals: components
-                .iter()
-                .map(|c| Reciprocal::new(c.period().map_or(1, Time::as_u64)))
-                .collect(),
-            baruah_hint: None,
-            george_hint: None,
-        }
-    }
-
-    /// Recomputes every bound for a copy of the component list given to
-    /// [`BoundRefresher::new`] whose **timing parameters** (offsets, hence
-    /// first deadlines) moved but whose periods and component count did not
-    /// — the candidate-swap contract of
-    /// [`CandidateView`](crate::candidates::CandidateView), where every
-    /// part keeps its cost and period but is re-phased within it.
-    ///
-    /// The deadline-dependent aggregates ([`TimingAggregates`], plus the
-    /// `max D'` half of the hyperperiod bound) are re-derived in one linear
-    /// pass; the period-only state (the lcm chain behind the hyperperiod
-    /// bound, the per-component reciprocals feeding every search predicate)
-    /// is reused, and the remaining searches run hint-seeded exactly as in
-    /// [`BoundRefresher::refresh`].  The result is bit-identical to
-    /// [`FeasibilityBounds::for_components`] on the same list.
-    ///
-    /// `exceeds_one` is the caller's (exact) `U > 1` verdict — invariant
-    /// under re-phasing, so candidate sweeps compute it once.
-    pub(crate) fn refresh_retimed(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-    ) -> FeasibilityBounds {
-        self.refresh_retimed_budgeted(components, exceeds_one, &mut WorkBudget::unlimited())
-    }
-
-    /// [`BoundRefresher::refresh_retimed`] metered against a caller's
-    /// [`WorkBudget`] — see
-    /// [`refresh_with_utilization_budgeted`](Self::refresh_with_utilization_budgeted)
-    /// for the charging contract (the refreshed bounds never depend on the
-    /// budget; only the charges recorded do).
-    pub(crate) fn refresh_retimed_budgeted(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-        budget: &mut WorkBudget,
-    ) -> FeasibilityBounds {
-        debug_assert_eq!(self.component_count, components.len());
-        self.timing = TimingAggregates::of(components);
-        self.hyperperiod = hyperperiod_from(self.period_lcm, self.timing.max_first_deadline);
-        self.refresh_with_utilization_budgeted(components, exceeds_one, budget)
-    }
-
-    /// Recomputes every bound for a WCET-perturbed copy of the component
-    /// list given to [`BoundRefresher::new`]; equal to
-    /// [`FeasibilityBounds::for_components`] on the same list.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) when the component count differs from the
-    /// list the refresher was built from.
-    #[must_use]
-    pub fn refresh(&mut self, components: &[DemandComponent]) -> FeasibilityBounds {
-        self.refresh_with_utilization(components, components_exceed_one(components))
-    }
-
-    /// [`BoundRefresher::refresh`] for callers that already know whether
-    /// the (exact) utilization exceeds one, sparing the rational check.
-    pub(crate) fn refresh_with_utilization(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-    ) -> FeasibilityBounds {
-        self.refresh_with_utilization_budgeted(
-            components,
-            exceeds_one,
-            &mut WorkBudget::unlimited(),
-        )
-    }
-
-    /// [`refresh_with_utilization`](Self::refresh_with_utilization) with
-    /// the searches metered against a caller's [`WorkBudget`]: every
-    /// search-predicate evaluation and every busy-period fix-point
-    /// iteration charges one work unit.  A search in flight always runs to
-    /// completion (a bound must be exact or absent, never truncated), so
-    /// the returned bounds are bit-identical regardless of the budget;
-    /// callers abort to an honest `Unknown` *after* the refresh when
-    /// [`WorkBudget::is_exhausted`] reports the overdraft.
-    pub(crate) fn refresh_with_utilization_budgeted(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-        budget: &mut WorkBudget,
-    ) -> FeasibilityBounds {
-        debug_assert!(
-            self.invariants_match(components),
-            "refreshed component list must differ from the prepared one only in WCETs"
-        );
-        let (baruah, george) = if !components.is_empty() && !exceeds_one {
-            let folds = GeorgeFolds::of(components);
-            (
-                self.refresh_baruah(components, folds.utilization, budget),
-                refresh_george(
-                    components,
-                    &self.reciprocals,
-                    &self.timing,
-                    &folds,
-                    &mut self.george_hint,
-                    budget,
-                ),
-            )
-        } else {
-            (None, None)
-        };
-        let superposition = match (george, self.timing.max_first_deadline) {
-            (Some(g), Some(dmax)) => Some(g.max(dmax)),
-            _ => None,
-        };
-        // The fix-point runs to completion under its own convergence
-        // cut-off and only *charges* its iterations to the caller's
-        // budget afterwards: views cache refreshed bounds across requests,
-        // so a budget-dependent bound here would leak one request's
-        // exhaustion into another's verdict.
-        let busy_period = if self.timing.busy_applicable() {
-            let mut meter = WorkBudget::unlimited();
-            let bound = busy_period_fixpoint_with(components, &mut meter);
-            let _ = budget.charge(meter.spent());
-            bound
-        } else {
-            None
-        };
-        FeasibilityBounds {
-            baruah,
-            george,
-            busy_period,
-            hyperperiod: self.hyperperiod,
-            superposition,
-        }
-    }
-
-    /// Debug-build contract check: re-derives every cached aggregate and
-    /// compares, catching callers that changed timing parameters (periods,
-    /// deadlines, offsets) between `new` and `refresh` — a violation that
-    /// would otherwise yield silently wrong bounds.  (Not `cfg`-gated:
-    /// `debug_assert!` still type-checks its condition in release builds.)
-    fn invariants_match(&self, components: &[DemandComponent]) -> bool {
-        let fresh = BoundRefresher::new(components);
-        fresh.component_count == self.component_count
-            && fresh.timing == self.timing
-            && fresh.hyperperiod == self.hyperperiod
-    }
-
-    /// Baruah's bound by the hinted search, seeded with the `f64`
-    /// prediction `U/(1−U)·max_diff` from the caller's utilization fold:
-    /// the galloping bracket makes the result exact no matter how far off
-    /// the estimate is, but an estimate within a few ulps turns the search
-    /// into a handful of predicate evaluations.
-    fn refresh_baruah(
-        &mut self,
-        components: &[DemandComponent],
-        utilization: f64,
-        budget: &mut WorkBudget,
-    ) -> Option<Time> {
-        let max_diff = self.timing.baruah_max_diff()?;
-        let estimate = utilization / (1.0 - utilization) * max_diff.as_f64();
-        let hint = hint_from_estimate(estimate).or(self.baruah_hint);
-        let reciprocals = &self.reciprocals;
-        let result = smallest_satisfying_hinted(
-            |l| {
-                let _ = budget.charge(1);
-                baruah_predicate_rcp(components, reciprocals, max_diff, l)
-            },
-            hint,
-        );
-        if result.is_some() {
-            self.baruah_hint = result;
-        }
-        result
-    }
+/// The period reciprocal of one component, as [`analysis_horizon`] and the
+/// kernel columns take it: one-shots get the divisor-1 sentinel.
+pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
+    Reciprocal::new(component.period().map_or(1, Time::as_u64))
 }
 
-/// The analysis horizon after a **structural edit** — components
-/// inserted, removed or replaced wholesale, the contract of
-/// [`EditView`](crate::incremental::EditView).  Equal to
-/// `FeasibilityBounds::for_components(components).analysis_horizon()`
-/// on every list with `U ≤ 1`; the caller skips `U > 1` lists, whose
-/// horizon no test reads.
+/// The analysis horizon of `components`: equal to
+/// `FeasibilityBounds::for_components(components).analysis_horizon()` on
+/// every list.  The one path every preparation derives its horizon on — a
+/// cold [`PreparedWorkload`](crate::workload::PreparedWorkload) on first
+/// use, and the [`ScaledView`](crate::incremental::ScaledView),
+/// [`CandidateView`](crate::candidates::CandidateView) and
+/// [`EditView`](crate::incremental::EditView) refreshes.
 ///
 /// Every aggregate comes from `folds`, the caller's [`ComponentFolds`] of
-/// exactly `components` (an edit view extends its committed folds by the
-/// appended components instead of re-folding the list), and `reciprocals`
-/// is the caller's maintained per-component period-reciprocal cache.  The
-/// George bound is read in closed form from the folds (see
-/// [`george_closed_form`]); where that cannot certify its answer, the
-/// search seeded with the folds' estimate takes over.
+/// exactly `components`; `reciprocals` holds one period reciprocal per
+/// component (the divisor-1 sentinel for one-shots), and `exceeds_one` is
+/// the exact `U > 1` of the list.  The George bound is read in closed form
+/// from the folds (see [`george_closed_form`]); where that cannot certify
+/// its answer, the search seeded with the folds' estimate takes over.
 ///
-/// Only the minimum of the bounds is computed, and two kinds of work
-/// that cannot lower it are skipped:
+/// Only the minimum of the bounds is computed, and the work that cannot
+/// lower it is skipped:
 ///
+/// * **`U > 1` reads the hyperperiod.**  George, Baruah and superposition
+///   are undefined there, and the busy period has no fixed point: one
+///   would need `L ≥ U·L > L`.
 /// * **No Baruah search.**  Baruah's predicate
 ///   `Σ Cᵢ·(L + maxⱼ(Tⱼ ⊖ Dⱼ))/Tᵢ ≤ L` implies George's
 ///   `Σ Cᵢ·(L + (Tᵢ ⊖ Dᵢ))/Tᵢ ≤ L` term by term, because
@@ -652,22 +389,19 @@ impl BoundRefresher {
 ///   to the least fixed point, so an iterate ≥ `m` proves the busy
 ///   period ≥ `m`.  Below `m` it runs the same iterations under the
 ///   same convergence cut-off as [`busy_period_components`].
-pub(crate) fn refresh_edited_horizon(
+pub(crate) fn analysis_horizon(
     components: &[DemandComponent],
     reciprocals: &[Reciprocal],
     folds: &ComponentFolds,
+    exceeds_one: bool,
 ) -> Option<Time> {
     debug_assert_eq!(components.len(), reciprocals.len());
     debug_assert_eq!(components.len(), folds.len());
-    debug_assert!(!components_exceed_one(components));
-    let george = refresh_george(
-        components,
-        reciprocals,
-        &folds.timing,
-        &folds.george,
-        &mut None,
-        &mut WorkBudget::unlimited(),
-    );
+    debug_assert_eq!(exceeds_one, components_exceed_one(components));
+    if exceeds_one {
+        return folds.hyperperiod();
+    }
+    let george = george_from_folds(components, reciprocals, folds);
     let running_min = [george, folds.hyperperiod()].into_iter().flatten().min();
     let busy_period = if folds.timing.busy_applicable() {
         busy_period_below(components, reciprocals, running_min)
@@ -679,37 +413,23 @@ pub(crate) fn refresh_edited_horizon(
 
 /// The George bound of a list with exact `U ≤ 1`, equal to
 /// [`george_components`]: the degenerate case, else the closed form of
-/// [`george_closed_form`], else the search seeded with the `f64` estimate
-/// (or, when that is unusable, `hint`).  Every predicate evaluation
-/// charges one unit to `budget`; `hint` keeps the last result.
-fn refresh_george(
+/// [`george_closed_form`], else the search seeded with the `f64` estimate.
+fn george_from_folds(
     components: &[DemandComponent],
     reciprocals: &[Reciprocal],
-    timing: &TimingAggregates,
-    folds: &GeorgeFolds,
-    hint: &mut Option<Time>,
-    budget: &mut WorkBudget,
+    folds: &ComponentFolds,
 ) -> Option<Time> {
-    if timing.george_degenerate {
+    if folds.timing.george_degenerate {
         // The numerator is zero: any positive horizon works; report the
         // smallest deadline so the caller has a non-trivial bound.
-        return timing.min_first_deadline;
+        return folds.timing.min_first_deadline;
     }
-    let mut predicate = |l| {
-        let _ = budget.charge(1);
-        george_predicate_rcp(components, reciprocals, l)
-    };
-    let result = match george_closed_form(folds, &mut predicate) {
-        Ok(bound) => Some(bound),
-        Err(_) => {
-            let estimate = folds.numerator / (1.0 - folds.utilization);
-            smallest_satisfying_hinted(predicate, hint_from_estimate(estimate).or(*hint))
-        }
-    };
-    if result.is_some() {
-        *hint = result;
-    }
-    result
+    let predicate = |l| george_predicate_rcp(components, reciprocals, l);
+    let george = &folds.george;
+    george_closed_form(george, predicate).ok().or_else(|| {
+        let estimate = george.numerator / (1.0 - george.utilization);
+        smallest_satisfying_hinted(predicate, hint_from_estimate(estimate))
+    })
 }
 
 /// Why [`george_closed_form`] handed the George bound to the search.
@@ -877,29 +597,8 @@ fn george_predicate(components: &[DemandComponent], l: u64) -> bool {
     )
 }
 
-/// [`baruah_predicate`] evaluated through the refresher's precomputed
-/// period reciprocals (identical decisions; the pre-divided parts are
-/// exact).
-fn baruah_predicate_rcp(
-    components: &[DemandComponent],
-    reciprocals: &[Reciprocal],
-    max_diff: Time,
-    l: u64,
-) -> bool {
-    fracs_parts_le_integer_iter(
-        components.iter().zip(reciprocals).map(|(c, &rcp)| {
-            let period = c
-                .period()
-                .expect("Baruah applies to purely periodic workloads");
-            let num = c.wcet().as_u128() * (u128::from(l) + max_diff.as_u128());
-            rcp.divided_parts(num, period.as_u64())
-        }),
-        u128::from(l),
-    )
-}
-
-/// [`george_predicate`] evaluated through the refresher's precomputed
-/// period reciprocals (identical decisions).
+/// [`george_predicate`] evaluated through precomputed period reciprocals
+/// (identical decisions; the pre-divided parts are exact).
 fn george_predicate_rcp(
     components: &[DemandComponent],
     reciprocals: &[Reciprocal],
@@ -921,40 +620,7 @@ fn george_predicate_rcp(
     )
 }
 
-/// The busy-period fix-point iteration metered against a caller's [`WorkBudget`]:
-/// every fix-point iteration charges one work unit.  The historical
-/// non-convergence cut-off is itself a second, internal budget of
-/// [`BUSY_PERIOD_CONVERGENCE_UNITS`], so overloaded sets are cut off
-/// identically whether or not the caller's budget is limited.  Returns
-/// `None` on overload, divergence, or caller-budget exhaustion — callers
-/// that need to tell exhaustion apart inspect
-/// [`WorkBudget::is_exhausted`] afterwards.
-fn busy_period_fixpoint_with(
-    components: &[DemandComponent],
-    budget: &mut WorkBudget,
-) -> Option<Time> {
-    let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
-    let mut length = components
-        .iter()
-        .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
-    loop {
-        if !convergence.charge(1) || !budget.charge(1) {
-            return None;
-        }
-        let next = components
-            .iter()
-            .fold(Time::ZERO, |acc, c| acc.saturating_add(c.rbf(length)));
-        if next == length {
-            return Some(length);
-        }
-        if next == Time::MAX {
-            return None;
-        }
-        length = next;
-    }
-}
-
-/// [`busy_period_fixpoint_with`] for a purely periodic component list
+/// [`busy_period_components`] for a purely periodic component list
 /// released at zero, dividing through the cached period `reciprocals`
 /// ([`Reciprocal::divide`] is exact for every `u64`) and abandoned as soon
 /// as an iterate reaches `ceiling`: the iterates rise monotonically to the
@@ -1019,8 +685,8 @@ fn smallest_satisfying(mut predicate: impl FnMut(u64) -> bool) -> Option<Time> {
     Some(Time::new(lo))
 }
 
-/// [`smallest_satisfying`] seeded with a hint (typically the result of the
-/// same search on a slightly perturbed workload): a bracket around the
+/// [`smallest_satisfying`] seeded with a hint (an `f64` estimate of the
+/// answer): a bracket around the
 /// answer is found by galloping out from the hint, so a hint close to the
 /// answer replaces the 62-step cold binary search with a handful of
 /// predicate evaluations.  Returns the same value as
@@ -1175,10 +841,14 @@ pub fn busy_period_components(components: &[DemandComponent]) -> Option<Time> {
     busy_period_components_with(components, &mut WorkBudget::unlimited())
 }
 
-/// [`busy_period_components`] metered against a caller's [`WorkBudget`]
-/// (one unit per fix-point iteration).  Returns `None` when the bound is
-/// inapplicable, diverges, or the budget runs out mid-iteration; the
-/// caller distinguishes the last case via [`WorkBudget::is_exhausted`].
+/// [`busy_period_components`] metered against a caller's [`WorkBudget`]:
+/// every fix-point iteration charges one work unit.  The non-convergence
+/// cut-off is itself a second, internal budget of 100 000 iterations, so
+/// overloaded sets are cut off identically whether or not the caller's
+/// budget is limited.  Returns
+/// `None` when the bound is inapplicable, on overload or divergence, and
+/// when the budget runs out mid-iteration; the caller distinguishes the
+/// last case via [`WorkBudget::is_exhausted`].
 pub fn busy_period_components_with(
     components: &[DemandComponent],
     budget: &mut WorkBudget,
@@ -1190,7 +860,25 @@ pub fn busy_period_components_with(
     {
         return None;
     }
-    busy_period_fixpoint_with(components, budget)
+    let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
+    let mut length = components
+        .iter()
+        .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
+    loop {
+        if !convergence.charge(1) || !budget.charge(1) {
+            return None;
+        }
+        let next = components
+            .iter()
+            .fold(Time::ZERO, |acc, c| acc.saturating_add(c.rbf(length)));
+        if next == length {
+            return Some(length);
+        }
+        if next == Time::MAX {
+            return None;
+        }
+        length = next;
+    }
 }
 
 /// `lcm(Tᵢ) + max Dᵢ`: a bound that is always valid (violations of the
@@ -1259,10 +947,7 @@ mod tests {
     }
 
     fn reciprocals_of(components: &[DemandComponent]) -> Vec<Reciprocal> {
-        components
-            .iter()
-            .map(|c| Reciprocal::new(c.period().map_or(1, Time::as_u64)))
-            .collect()
+        components.iter().map(period_reciprocal).collect()
     }
 
     fn constrained_set() -> TaskSet {
@@ -1458,34 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_and_seeded_bound_computations_agree() {
-        let base = constrained_set().demand_components();
-        for (numer, denom) in [(1u64, 1u64), (2, 1), (1, 2), (3, 1), (1, 10)] {
-            let scaled: Vec<DemandComponent> = base
-                .iter()
-                .map(|c| {
-                    let mut c = *c;
-                    c.set_wcet(c.scaled_wcet(numer, denom));
-                    c
-                })
-                .collect();
-            assert_eq!(
-                FeasibilityBounds::for_components(&scaled),
-                FeasibilityBounds::for_components_cold(&scaled),
-                "scaling {numer}/{denom}"
-            );
-        }
-        let mixed = vec![
-            DemandComponent::periodic(Time::new(1), Time::new(4), Time::new(10)),
-            DemandComponent::one_shot(Time::new(2), Time::new(5), Time::ZERO),
-        ];
-        assert_eq!(
-            FeasibilityBounds::for_components(&mixed),
-            FeasibilityBounds::for_components_cold(&mixed)
-        );
-    }
-
-    #[test]
     fn hinted_search_matches_cold_search_for_monotone_predicates() {
         for threshold in [1u64, 2, 3, 10, 57, 1_000, 1 << 40, BOUND_SEARCH_CAP] {
             let pred = |l: u64| l >= threshold;
@@ -1522,94 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn refresher_matches_cold_bounds_across_wcet_perturbations() {
-        let base = constrained_set().demand_components();
-        let mut refresher = BoundRefresher::new(&base);
-        // A sequence of perturbations, including overload (U > 1), reusing
-        // one refresher so the hint paths are exercised.
-        let scalings: [(u64, u64); 7] = [(1, 1), (2, 1), (1, 2), (3, 1), (7, 2), (1, 10), (1, 1)];
-        for (numer, denom) in scalings {
-            let scaled: Vec<DemandComponent> = base
-                .iter()
-                .map(|c| {
-                    let mut c = *c;
-                    c.set_wcet(c.scaled_wcet(numer, denom));
-                    c
-                })
-                .collect();
-            assert_eq!(
-                refresher.refresh(&scaled),
-                FeasibilityBounds::for_components(&scaled),
-                "scaling {numer}/{denom}"
-            );
-        }
-        // Single-component probes (the wcet_slack pattern).
-        for extra in [0u64, 1, 3, 5, 30] {
-            let mut perturbed = base.clone();
-            let inflated = perturbed[1].wcet() + Time::new(extra);
-            perturbed[1].set_wcet(inflated);
-            assert_eq!(
-                refresher.refresh(&perturbed),
-                FeasibilityBounds::for_components(&perturbed),
-                "extra {extra}"
-            );
-        }
-        // Mixed periodic/one-shot workloads go through the refresher too.
-        let mixed = vec![
-            DemandComponent::periodic(Time::new(1), Time::new(4), Time::new(10)),
-            DemandComponent::one_shot(Time::new(2), Time::new(5), Time::ZERO),
-        ];
-        let mut refresher = BoundRefresher::new(&mixed);
-        for wcet in [1u64, 2, 4, 9] {
-            let mut perturbed = mixed.clone();
-            perturbed[0].set_wcet(Time::new(wcet));
-            assert_eq!(
-                refresher.refresh(&perturbed),
-                FeasibilityBounds::for_components(&perturbed)
-            );
-        }
-    }
-
-    #[test]
-    fn retimed_refresh_matches_cold_bounds_across_deadline_perturbations() {
-        // The candidate-swap contract: costs and periods fixed, offsets and
-        // first deadlines move.  The retimed refresh must stay bit-identical
-        // to a cold computation for every re-phasing.
-        let base = vec![
-            DemandComponent::periodic_from(Time::new(2), Time::new(4), Time::new(10), Time::ZERO),
-            DemandComponent::periodic_from(Time::new(3), Time::new(6), Time::new(15), Time::new(2)),
-            DemandComponent::periodic_from(
-                Time::new(4),
-                Time::new(20),
-                Time::new(40),
-                Time::new(7),
-            ),
-        ];
-        let mut refresher = BoundRefresher::new(&base);
-        let exceeds = components_exceed_one(&base);
-        for offsets in [[0u64, 0, 0], [3, 9, 11], [9, 14, 39], [0, 14, 0], [5, 5, 5]] {
-            let retimed: Vec<DemandComponent> = base
-                .iter()
-                .zip(offsets)
-                .map(|(c, offset)| {
-                    let relative = c.first_deadline() - c.release_offset();
-                    DemandComponent::periodic_from(
-                        c.wcet(),
-                        relative,
-                        c.period().unwrap(),
-                        Time::new(offset),
-                    )
-                })
-                .collect();
-            assert_eq!(
-                refresher.refresh_retimed(&retimed, exceeds),
-                FeasibilityBounds::for_components(&retimed),
-                "offsets {offsets:?}"
-            );
-        }
-    }
-
-    #[test]
     fn one_shot_components_disable_periodic_bounds() {
         let components = vec![
             DemandComponent::periodic(Time::new(1), Time::new(4), Time::new(10)),
@@ -1629,10 +1198,25 @@ mod tests {
         }
     }
 
-    /// `refresh_edited_horizon` on `components`.
-    fn edited_horizon(components: &[DemandComponent]) -> Option<Time> {
-        let folds = ComponentFolds::of(components);
-        refresh_edited_horizon(components, &reciprocals_of(components), &folds)
+    /// [`analysis_horizon`] on `components`, from fresh folds.
+    fn folded_horizon(components: &[DemandComponent]) -> Option<Time> {
+        analysis_horizon(
+            components,
+            &reciprocals_of(components),
+            &ComponentFolds::of(components),
+            components_exceed_one(components),
+        )
+    }
+
+    /// `base` with every cost scaled by `numer/denom`.
+    fn scaled(base: &[DemandComponent], numer: u64, denom: u64) -> Vec<DemandComponent> {
+        base.iter()
+            .map(|c| {
+                let mut c = *c;
+                c.set_wcet(c.scaled_wcet(numer, denom));
+                c
+            })
+            .collect()
     }
 
     #[test]
@@ -1703,6 +1287,30 @@ mod tests {
                     periodic(1, HUGE_B - 9, HUGE_B),
                 ],
             ),
+            (
+                "U > 1",
+                vec![periodic(3, 4, 4), periodic(2, 5, 6), periodic(1, 9, 12)],
+            ),
+            (
+                "U > 1, lcm overflow",
+                vec![
+                    periodic(HUGE_A / 2 + 1, HUGE_A, HUGE_A),
+                    periodic(HUGE_B / 2 + 1, HUGE_B, HUGE_B),
+                ],
+            ),
+            (
+                "U > 1, one-shot",
+                vec![
+                    periodic(2, 3, 3),
+                    periodic(2, 3, 3),
+                    DemandComponent::one_shot(Time::new(1), Time::new(2), Time::ZERO),
+                ],
+            ),
+            ("zero costs", vec![periodic(0, 3, 5), periodic(0, 7, 7)]),
+            (
+                "one zero cost",
+                vec![periodic(0, 3, 5), periodic(2, 4, 10), periodic(1, 12, 12)],
+            ),
             ("busy period cut off", cut_off),
             (
                 "huge periods",
@@ -1725,23 +1333,98 @@ mod tests {
         ];
         for (name, components) in cases {
             assert_eq!(
-                edited_horizon(&components),
+                components_exceed_one(&components),
+                name.starts_with("U > 1"),
+                "{name}"
+            );
+            assert_eq!(
+                folded_horizon(&components),
                 FeasibilityBounds::for_components(&components).analysis_horizon(),
                 "{name}"
             );
         }
+
+        // Lists that differ from a base only in costs (the `ScaledView`
+        // probes) or only in phases (the `CandidateView` swaps): the
+        // refolded base folds, which keep the base's period lcm, give the
+        // same horizon as fresh folds and as the reference.
+        let mut probes = Vec::new();
+        let base = constrained_set().demand_components();
+        let scalings = [
+            (1, 1),
+            (2, 1),
+            (1, 2),
+            (3, 1),
+            (7, 2),
+            (1, 10),
+            (0, 1),
+            (1, 1),
+        ];
+        for (numer, denom) in scalings {
+            probes.push((base.clone(), scaled(&base, numer, denom)));
+        }
+        for extra in [0u64, 1, 3, 5, 30] {
+            let mut perturbed = base.clone();
+            let inflated = perturbed[1].wcet() + Time::new(extra);
+            perturbed[1].set_wcet(inflated);
+            probes.push((base.clone(), perturbed));
+        }
+        let mixed = vec![
+            periodic(1, 4, 10),
+            DemandComponent::one_shot(Time::new(2), Time::new(5), Time::ZERO),
+        ];
+        for wcet in [1u64, 2, 4, 9] {
+            let mut perturbed = mixed.clone();
+            perturbed[0].set_wcet(Time::new(wcet));
+            probes.push((mixed.clone(), perturbed));
+        }
+        let phased = vec![
+            DemandComponent::periodic_from(Time::new(2), Time::new(4), Time::new(10), Time::ZERO),
+            DemandComponent::periodic_from(Time::new(3), Time::new(6), Time::new(15), Time::new(2)),
+            DemandComponent::periodic_from(
+                Time::new(4),
+                Time::new(20),
+                Time::new(40),
+                Time::new(7),
+            ),
+        ];
+        for offsets in [[0u64, 0, 0], [3, 9, 11], [9, 14, 39], [0, 14, 0], [5, 5, 5]] {
+            let retimed = phased
+                .iter()
+                .zip(offsets)
+                .map(|(c, offset)| {
+                    let relative = c.first_deadline() - c.release_offset();
+                    DemandComponent::periodic_from(
+                        c.wcet(),
+                        relative,
+                        c.period().unwrap(),
+                        Time::new(offset),
+                    )
+                })
+                .collect();
+            probes.push((phased.clone(), retimed));
+        }
+        for (base, probe) in probes {
+            let reference = FeasibilityBounds::for_components(&probe).analysis_horizon();
+            assert_eq!(folded_horizon(&probe), reference, "{probe:?}");
+            let mut folds = ComponentFolds::of(&base);
+            folds.refold(&probe);
+            let horizon = analysis_horizon(
+                &probe,
+                &reciprocals_of(&probe),
+                &folds,
+                components_exceed_one(&probe),
+            );
+            assert_eq!(horizon, reference, "refolded {probe:?}");
+        }
     }
 
-    /// `refresh_george` on `components` (which must have `U ≤ 1`), with
-    /// no hint.
+    /// [`george_from_folds`] on `components` (which must have `U ≤ 1`).
     fn refreshed_george(components: &[DemandComponent]) -> Option<Time> {
-        refresh_george(
+        george_from_folds(
             components,
             &reciprocals_of(components),
-            &TimingAggregates::of(components),
-            &GeorgeFolds::of(components),
-            &mut None,
-            &mut WorkBudget::unlimited(),
+            &ComponentFolds::of(components),
         )
     }
 
@@ -1750,7 +1433,7 @@ mod tests {
     fn closed_form(components: &[DemandComponent]) -> (Result<Time, GeorgeFallback>, usize) {
         let reciprocals = reciprocals_of(components);
         let mut evaluations = 0;
-        let read = george_closed_form(&GeorgeFolds::of(components), |l| {
+        let read = george_closed_form(&ComponentFolds::of(components).george, |l| {
             evaluations += 1;
             george_predicate_rcp(components, &reciprocals, l)
         });

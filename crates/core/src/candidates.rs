@@ -42,8 +42,8 @@
 //!    shared, the cached deadline order is repaired by *merging* the
 //!    re-sorted block instead of a full re-sort, the kernel columns are
 //!    rebuilt in place into their existing allocations, and the §4.3
-//!    bounds are refreshed through the period-invariant half of
-//!    [`BoundRefresher`] with hint-seeded searches.  A candidate swap
+//!    analysis horizon is re-derived from folds that keep the
+//!    period lcm and re-fold only the timing terms.  A candidate swap
 //!    never moves a cost or a period, so the utilization and the exact
 //!    `U > 1` comparison are computed once for the whole sweep.  Gray
 //!    order is what makes the incremental swap *sound*: the view's state
@@ -104,7 +104,7 @@ use edf_model::{Time, Transaction, TransactionSystem};
 use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
 use crate::batch::parallel_map_with;
-use crate::bounds::BoundRefresher;
+use crate::bounds::{analysis_horizon, period_reciprocal, ComponentFolds};
 use crate::budget::{Progress, ProgressPhase, WorkBudget};
 use crate::incremental::WorkloadView;
 use crate::kernel::AnalysisScratch;
@@ -447,12 +447,12 @@ impl TransactionSlot {
 /// across the whole sweep; the deadline order is repaired by merging the
 /// swapped block's pre-sorted run into the unchanged remainder (`O(n)`,
 /// not a re-sort); the kernel columns are rebuilt in place from that
-/// order; and the §4.3 bounds are re-derived through
-/// `BoundRefresher::refresh_retimed` — period reciprocals and the
-/// hyperperiod lcm cached, searches seeded by the previous combination.
+/// order; and the §4.3 analysis horizon is re-derived on the one path
+/// every preparation uses (see [`crate::bounds`]), with the period
+/// reciprocals and the period lcm cached for the whole sweep.
 ///
 /// Swaps are *lazy*: consecutive [`CandidateView::set_candidate`] calls
-/// only patch the component vector, and the order/kernel/bounds repair
+/// only patch the component vector, and the order/kernel/horizon repair
 /// runs once inside [`CandidateView::prepared`] — so a combination decided
 /// by the density screen (which reads only
 /// [`CandidateView::components`]) never pays for state it does not use.
@@ -490,11 +490,13 @@ impl TransactionSlot {
 pub struct CandidateView {
     slots: Vec<TransactionSlot>,
     scratch: PreparedWorkload,
-    refresher: BoundRefresher,
+    /// The [`ComponentFolds`] of the last finalized combination; each
+    /// finalize re-folds them, keeping the period lcm.
+    folds: ComponentFolds,
     /// Per-component period reciprocals — periods are invariant across
-    /// candidate swaps, so the kernel's retimed rebuilds re-use these
-    /// instead of re-deriving a reciprocal (a 128-bit division) per
-    /// column per swap.
+    /// candidate swaps, so the kernel's retimed rebuilds and the horizon
+    /// re-use these instead of re-deriving a reciprocal (a 128-bit
+    /// division) per column per swap.
     reciprocals: Vec<Reciprocal>,
     choice: Vec<usize>,
     /// The choice at the last finalize — the state
@@ -536,22 +538,22 @@ impl CandidateView {
             });
             start += transaction.len();
         }
-        let mut refresher = BoundRefresher::new(scratch.components());
-        let reciprocals: Vec<Reciprocal> = scratch
-            .components()
-            .iter()
-            .map(|c| Reciprocal::new(c.period().map_or(1, Time::as_u64)))
-            .collect();
-        let exceeds_one = scratch.utilization_exceeds_one();
-        let bounds =
-            (!exceeds_one).then(|| refresher.refresh_with_utilization(scratch.components(), false));
-        let mut order: Vec<usize> = (0..scratch.components().len()).collect();
-        order.sort_by_key(|&i| scratch.components()[i].first_deadline());
-        scratch.install_retimed_state(order, bounds, Some(&reciprocals));
+        let components = scratch.components();
+        let reciprocals: Vec<Reciprocal> = components.iter().map(period_reciprocal).collect();
+        let folds = ComponentFolds::of(components);
+        let horizon = analysis_horizon(
+            components,
+            &reciprocals,
+            &folds,
+            scratch.utilization_exceeds_one(),
+        );
+        let mut order: Vec<usize> = (0..components.len()).collect();
+        order.sort_by_key(|&i| components[i].first_deadline());
+        scratch.install_retimed_state(order, horizon, &reciprocals);
         CandidateView {
             slots,
             scratch,
-            refresher,
+            folds,
             reciprocals,
             committed: choice.clone(),
             choice,
@@ -571,7 +573,7 @@ impl CandidateView {
     /// The component vector of the current combination — always up to
     /// date, even between [`CandidateView::set_candidate`] and
     /// [`CandidateView::prepared`] (the density screen reads this without
-    /// forcing the order/kernel/bounds repair).
+    /// forcing the order/kernel/horizon repair).
     #[must_use]
     pub fn components(&self) -> &[DemandComponent] {
         self.scratch.components()
@@ -609,8 +611,8 @@ impl CandidateView {
     }
 
     /// The prepared state of the current combination, finalizing any
-    /// pending swaps (order merge-repair, in-place kernel rebuild, hinted
-    /// bound refresh).  Observably identical to a cold
+    /// pending swaps (order merge-repair, in-place kernel rebuild, horizon
+    /// refresh).  Observably identical to a cold
     /// `PreparedWorkload::from_components` of the same combination.
     pub fn prepared(&mut self) -> &PreparedWorkload {
         if !self.dirty.is_empty() {
@@ -624,7 +626,7 @@ impl CandidateView {
     /// relative order among the untouched components is still valid) and
     /// the blocks' pre-sorted runs are merged back in by
     /// `(first deadline, index)` — reproducing a stable full sort in
-    /// `O(n)` — before the kernel columns and §4.3 bounds are refreshed.
+    /// `O(n)` — before the kernel columns and the §4.3 analysis horizon are refreshed.
     fn finalize(&mut self) {
         self.merge_buf.clear();
         for &transaction in &self.dirty {
@@ -665,12 +667,16 @@ impl CandidateView {
             order.extend_from_slice(&rest[r..]);
             order.extend_from_slice(&fresh[f..]);
         }
-        let bounds = (!self.scratch.utilization_exceeds_one()).then(|| {
-            self.refresher
-                .refresh_retimed(self.scratch.components(), false)
-        });
+        let components = self.scratch.components();
+        self.folds.refold(components);
+        let horizon = analysis_horizon(
+            components,
+            &self.reciprocals,
+            &self.folds,
+            self.scratch.utilization_exceeds_one(),
+        );
         self.scratch
-            .install_retimed_state(order, bounds, Some(&self.reciprocals));
+            .install_retimed_state(order, horizon, &self.reciprocals);
         self.dirty.clear();
         self.committed.clone_from(&self.choice);
     }
@@ -1103,6 +1109,7 @@ pub fn reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::FeasibilityBounds;
     use crate::tests::{DeviTest, ProcessorDemandTest, QpaTest};
     use edf_model::{Task, TaskSet, TransactionPart};
 
@@ -1233,7 +1240,10 @@ mod tests {
             let probed = view.prepared();
             assert_eq!(probed.components(), cold.components());
             assert_eq!(probed.deadline_order(), cold.deadline_order());
-            assert_eq!(probed.bounds(), cold.bounds());
+            assert_eq!(
+                probed.analysis_horizon(),
+                FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+            );
             assert_eq!(probed.utilization().to_bits(), cold.utilization().to_bits());
             for test in [
                 Box::new(ProcessorDemandTest::new()) as crate::BoxedTest,
@@ -1267,7 +1277,10 @@ mod tests {
         let probed = view.prepared();
         assert_eq!(probed.components(), cold.components());
         assert_eq!(probed.deadline_order(), cold.deadline_order());
-        assert_eq!(probed.bounds(), cold.bounds());
+        assert_eq!(
+            probed.analysis_horizon(),
+            FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+        );
     }
 
     #[test]

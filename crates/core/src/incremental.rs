@@ -15,11 +15,11 @@
 //! * the **deadline order** — periods, deadlines and offsets do not move
 //!   under WCET changes, so the sorted order computed once for the base
 //!   workload is seeded into the view and shared by every probe;
-//! * the **scale-invariant half of the §4.3 feasibility bounds** — the
-//!   hyperperiod bound is WCET-free and the structural aggregates of the
-//!   Baruah/George/busy-period bounds are fixed, so a
-//!   [`BoundRefresher`] re-derives the bounds from cached aggregates and
-//!   hint-seeded searches instead of from cold (see [`crate::bounds`]).
+//! * the **period half of the §4.3 analysis horizon** — the period lcm
+//!   behind the hyperperiod bound and the per-component period
+//!   reciprocals never move under WCET changes, so a probe re-folds only
+//!   the cost and timing aggregates and derives the horizon on the one
+//!   path every preparation uses (see [`crate::bounds`]).
 //!
 //! [`ScaledView`] packages all three behind two probe operations:
 //! [`ScaledView::scale_wcets`] (uniform scaling — breakdown searches) and
@@ -38,8 +38,8 @@
 //!
 //! | view | may mutate | repair path | refresh cost |
 //! |------|-----------|-------------|--------------|
-//! | [`ScaledView`] | WCETs only | column rewrite + hinted bound refresh | `O(n)` + a few bound predicates |
-//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild | `O(n)` |
+//! | [`ScaledView`] | WCETs only | column rewrite + horizon refresh | `O(n)` + a busy-period fix-point |
+//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild, horizon refresh | `O(n)` |
 //! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components, a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel, busy period), `O(1)` aggregate work per appended component |
 //!
 //! All three implement [`WorkloadView`] — finalize to a
@@ -82,8 +82,8 @@
 use edf_model::Time;
 
 use crate::arith::Reciprocal;
-use crate::bounds::{refresh_edited_horizon, BoundRefresher, ComponentFolds};
-use crate::workload::{components_exceed_one, DemandComponent, PreparedWorkload};
+use crate::bounds::{analysis_horizon, period_reciprocal, ComponentFolds};
+use crate::workload::{DemandComponent, PreparedWorkload};
 
 /// The common interface of the incremental view family ([`ScaledView`],
 /// [`CandidateView`](crate::candidates::CandidateView), [`EditView`]):
@@ -148,7 +148,12 @@ pub trait WorkloadView {
 pub struct ScaledView<'a> {
     base: &'a PreparedWorkload,
     scratch: PreparedWorkload,
-    refresher: BoundRefresher,
+    /// The [`ComponentFolds`] of the latest probe; each probe re-folds
+    /// them, keeping the base's period lcm.
+    folds: ComponentFolds,
+    /// Per-component period reciprocals of the base (invariant under
+    /// WCET changes).
+    reciprocals: Vec<Reciprocal>,
 }
 
 impl<'a> ScaledView<'a> {
@@ -169,7 +174,8 @@ impl<'a> ScaledView<'a> {
         // whole search runs.
         scratch.scalar_demand = base.scalar_demand;
         ScaledView {
-            refresher: BoundRefresher::new(base.components()),
+            folds: ComponentFolds::of(base.components()),
+            reciprocals: base.components().iter().map(period_reciprocal).collect(),
             base,
             scratch,
         }
@@ -226,21 +232,15 @@ impl<'a> ScaledView<'a> {
     }
 
     /// Recomputes the cost-dependent aggregates of the scratch workload in
-    /// one linear pass plus the hint-seeded bound refresh.  When the probe
-    /// pushes the utilization above one the bounds are skipped entirely
-    /// (no test reads them behind the trivial `U > 1` rejection) and left
-    /// to the lazy cold path should anyone ask.
+    /// one linear pass (the folds, keeping the base's period lcm), decides
+    /// `U > 1` from them and installs the refreshed analysis horizon.
     fn refresh(&mut self) -> &PreparedWorkload {
         let components = self.scratch.components();
-        let utilization = components.iter().map(DemandComponent::utilization).sum();
-        let exceeds_one = components_exceed_one(components);
-        let bounds = if exceeds_one {
-            None
-        } else {
-            Some(self.refresher.refresh_with_utilization(components, false))
-        };
+        self.folds.refold(components);
+        let exceeds_one = self.folds.exceeds_one(components);
+        let horizon = analysis_horizon(components, &self.reciprocals, &self.folds, exceeds_one);
         self.scratch
-            .install_refreshed_state(utilization, exceeds_one, bounds);
+            .install_refreshed_state(self.folds.utilization(), exceeds_one, horizon);
         &self.scratch
     }
 }
@@ -319,7 +319,7 @@ enum EditOp {
 ///   exact rational check inside the margin);
 /// * only the **analysis horizon** — the minimum of the §4.3 bounds,
 ///   all QPA reads — is re-derived, by the crate-internal
-///   `bounds::refresh_edited_horizon`: the George bound read in closed
+///   `bounds::analysis_horizon`: the George bound read in closed
 ///   form from the folds (the estimate-seeded search only where the
 ///   closed form cannot certify its answer) and a
 ///   busy-period fix-point that stops once it can no longer lower the
@@ -421,7 +421,7 @@ impl EditView {
         scratch.scalar_demand = base.scalar_demand;
         EditView {
             committed_folds: None,
-            reciprocals: base.components().iter().map(reciprocal_of).collect(),
+            reciprocals: base.components().iter().map(period_reciprocal).collect(),
             order: Vec::new(),
             task_count: base.task_count(),
             dirty: false,
@@ -455,7 +455,7 @@ impl EditView {
         self.begin_edit();
         let index = self.scratch.components().len();
         self.scratch.insert_component_at(index, component);
-        self.reciprocals.push(reciprocal_of(&component));
+        self.reciprocals.push(period_reciprocal(&component));
         self.order_insert_entry(index);
         self.task_count += 1;
         self.undo.push(EditOp::RemoveLast);
@@ -594,7 +594,7 @@ impl EditView {
         self.begin_edit();
         self.order_remove_entry(index);
         let old = self.scratch.replace_component_at(index, component);
-        self.reciprocals[index] = reciprocal_of(&component);
+        self.reciprocals[index] = period_reciprocal(&component);
         self.order_insert_entry(index);
         old
     }
@@ -622,8 +622,7 @@ impl EditView {
             None => ComponentFolds::of(components),
         };
         let exceeds_one = folds.exceeds_one(components);
-        let horizon =
-            (!exceeds_one).then(|| refresh_edited_horizon(components, &self.reciprocals, &folds));
+        let horizon = analysis_horizon(components, &self.reciprocals, &folds, exceeds_one);
         let order = std::mem::take(&mut self.order);
         self.scratch.install_edited_state(
             self.task_count,
@@ -678,14 +677,15 @@ impl WorkloadView for EditView {
                         *entry += usize::from(*entry >= index);
                     }
                     self.scratch.insert_component_at(index, component);
-                    self.reciprocals.insert(index, reciprocal_of(&component));
+                    self.reciprocals
+                        .insert(index, period_reciprocal(&component));
                     self.order_insert_entry(index);
                     self.task_count += 1;
                 }
                 EditOp::WriteAt(index, component) => {
                     self.order_remove_entry(index);
                     let _ = self.scratch.replace_component_at(index, component);
-                    self.reciprocals[index] = reciprocal_of(&component);
+                    self.reciprocals[index] = period_reciprocal(&component);
                     self.order_insert_entry(index);
                 }
             }
@@ -693,16 +693,10 @@ impl WorkloadView for EditView {
     }
 }
 
-/// The period reciprocal of one component (one-shots use the divisor-1
-/// sentinel, matching [`BoundRefresher::new`] and the kernel's cache
-/// contract).
-fn reciprocal_of(component: &DemandComponent) -> Reciprocal {
-    Reciprocal::new(component.period().map_or(1, Time::as_u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::FeasibilityBounds;
     use crate::tests::{AllApproximatedTest, ProcessorDemandTest, QpaTest};
     use crate::workload::MixedSystem;
     use crate::FeasibilityTest;
@@ -737,7 +731,10 @@ mod tests {
         assert_eq!(view.demand_is_exact(), cold.demand_is_exact());
         assert_eq!(view.utilization_is_exact(), cold.utilization_is_exact());
         assert_eq!(view.analysis_horizon(), cold.analysis_horizon());
-        assert_eq!(view.bounds(), cold.bounds());
+        assert_eq!(
+            view.analysis_horizon(),
+            FeasibilityBounds::for_components(view.components()).analysis_horizon()
+        );
         assert_eq!(view.deadline_order(), cold.deadline_order());
         for test in [
             Box::new(ProcessorDemandTest::new()) as Box<dyn FeasibilityTest>,

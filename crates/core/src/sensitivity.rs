@@ -431,13 +431,12 @@ pub mod reference {
     //! From-scratch reference implementations of the sensitivity searches.
     //!
     //! These reproduce the pre-incremental behaviour faithfully: the
-    //! workload is re-prepared at every probe and the §4.3 bounds are
-    //! derived by the cold (unseeded) searches of
-    //! [`FeasibilityBounds::for_components_cold`](crate::bounds::FeasibilityBounds::for_components_cold).
+    //! workload is re-prepared at every probe, so each probe folds its
+    //! components and derives its analysis horizon from scratch.
     //! They exist for two reasons: the property tests prove the
     //! incremental searches **bit-identical** to them
     //! (`crates/core/tests/incremental_equivalence.rs`), and the
-    //! `sensitivity` benchmark measures the incremental engine's speedup
+    //! `sensitivity` benchmark measures the incremental engine
     //! against them.  Use the functions of [`the parent
     //! module`](crate::sensitivity) for real work.
 
@@ -445,15 +444,6 @@ pub mod reference {
         breakdown_search, component_headroom, slack_search, BreakdownScaling, DemandComponent,
         FeasibilityTest, PreparedWorkload, Time, Workload, SCALE_DENOMINATOR,
     };
-
-    /// Runs `test` on a freshly prepared probe, paying the pre-incremental
-    /// preparation cost (cold bounds whenever a test would read them).
-    fn analyze_cold(test: &dyn FeasibilityTest, prepared: &PreparedWorkload) -> bool {
-        if !prepared.is_empty() && !prepared.utilization_exceeds_one() {
-            prepared.prime_cold_bounds();
-        }
-        test.analyze_prepared(prepared).verdict.is_feasible()
-    }
 
     /// [`breakdown_scaling_workload`](super::breakdown_scaling_workload),
     /// re-preparing the scaled workload at every probe.
@@ -469,7 +459,9 @@ pub mod reference {
         let mut probes = 0u32;
         let lo = breakdown_search(|numer| {
             probes += 1;
-            analyze_cold(test, &base.with_scaled_wcets(numer, SCALE_DENOMINATOR))
+            test.analyze_prepared(&base.with_scaled_wcets(numer, SCALE_DENOMINATOR))
+                .verdict
+                .is_feasible()
         })?;
         Some(BreakdownScaling {
             factor: lo as f64 / SCALE_DENOMINATOR as f64,
@@ -506,7 +498,9 @@ pub mod reference {
             )
         };
         let slack = slack_search(headroom.as_u64(), |extra| {
-            analyze_cold(test, &probe(Time::new(extra)))
+            test.analyze_prepared(&probe(Time::new(extra)))
+                .verdict
+                .is_feasible()
         });
         Some(Time::new(slack))
     }

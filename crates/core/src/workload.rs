@@ -59,7 +59,7 @@ use edf_model::{
 };
 
 use crate::arith::{fracs_le_integer_iter, Reciprocal};
-use crate::bounds::FeasibilityBounds;
+use crate::bounds::{self, period_reciprocal, ComponentFolds, FeasibilityBounds};
 use crate::kernel::{merge_pop, AnalysisScratch, DemandKernel, DemandSteps, MergeState};
 
 /// The elementary demand generator behind every supported task model.
@@ -1177,35 +1177,34 @@ impl PreparedWorkload {
             .fold(Time::ZERO, |acc, c| acc.saturating_add(c.rbf(interval)))
     }
 
-    /// The feasibility bounds of §4.3, computed on first use and cached.
-    /// A snapshot finalized by an
-    /// [`EditView`](crate::incremental::EditView) computes them cold on
-    /// this first call: its finalize refreshes only the
-    /// [analysis horizon](PreparedWorkload::analysis_horizon).
+    /// Every feasibility bound of §4.3, computed on first use by the
+    /// standalone searches of
+    /// [`FeasibilityBounds::for_components`] and cached.  No analysis
+    /// reads them: the tests read the
+    /// [analysis horizon](PreparedWorkload::analysis_horizon), which is
+    /// derived without them.
     pub fn bounds(&self) -> &FeasibilityBounds {
         self.bounds
             .get_or_init(|| FeasibilityBounds::for_components(&self.components))
     }
 
-    /// Populates the bound cache with the cold (unseeded) computation —
-    /// crate-internal, used by [`crate::sensitivity::reference`] so the
-    /// from-scratch baseline pays the pre-incremental preparation cost
-    /// (the values are identical either way).
-    pub(crate) fn prime_cold_bounds(&self) {
-        let _ = self
-            .bounds
-            .get_or_init(|| FeasibilityBounds::for_components_cold(&self.components));
-    }
-
-    /// The tightest feasibility bound (see
-    /// [`FeasibilityBounds::analysis_horizon`]), cached.  An
-    /// [`EditView`](crate::incremental::EditView) finalize installs it
-    /// directly; otherwise it is read off [`PreparedWorkload::bounds`].
+    /// The tightest feasibility bound (equal to
+    /// [`FeasibilityBounds::analysis_horizon`]), cached.  A view refresh
+    /// installs it directly; otherwise the first call folds the
+    /// components once and derives it on the same path (see
+    /// [`crate::bounds`]).
     #[must_use]
     pub fn analysis_horizon(&self) -> Option<Time> {
-        *self
-            .horizon
-            .get_or_init(|| self.bounds().analysis_horizon())
+        *self.horizon.get_or_init(|| {
+            let reciprocals: Vec<Reciprocal> =
+                self.components.iter().map(period_reciprocal).collect();
+            bounds::analysis_horizon(
+                &self.components,
+                &reciprocals,
+                &ComponentFolds::of(&self.components),
+                self.exceeds_one,
+            )
+        })
     }
 
     /// Smallest first deadline over all components.
@@ -1344,26 +1343,21 @@ impl PreparedWorkload {
     }
 
     /// Installs the aggregates matching the current (mutated) component
-    /// list: utilization, the exact `U > 1` comparison and — when already
-    /// computed by the caller — the feasibility bounds.  Passing `None`
-    /// for `bounds` leaves the lazy [`OnceLock`] empty, so a later
-    /// [`PreparedWorkload::bounds`] call falls back to the cold
-    /// computation (used when a probe's utilization already exceeds one
-    /// and no test will read the bounds).  The deadline order is left
-    /// untouched: it only depends on the scale-invariant first deadlines.
+    /// list: utilization, the exact `U > 1` comparison and the refreshed
+    /// [analysis horizon](PreparedWorkload::analysis_horizon).  The
+    /// bounds are left to the lazy [`PreparedWorkload::bounds`] path.  The
+    /// deadline order is left untouched: it only depends on the
+    /// scale-invariant first deadlines.
     pub(crate) fn install_refreshed_state(
         &mut self,
         utilization: f64,
         exceeds_one: bool,
-        bounds: Option<FeasibilityBounds>,
+        horizon: Option<Time>,
     ) {
         self.utilization = utilization;
         self.exceeds_one = exceeds_one;
         self.bounds.take();
-        self.horizon.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
-        }
+        self.horizon = OnceLock::from(horizon);
         if let Some(kernel) = self.kernel.get_mut() {
             kernel.refresh_after_rewrite();
         }
@@ -1402,17 +1396,16 @@ impl PreparedWorkload {
     /// after a batch of [`PreparedWorkload::write_component_at`] writes:
     /// `order` must be the stable ascending-first-deadline index order of
     /// the components, the kernel columns are rebuilt from it into their
-    /// existing allocations (re-using `reciprocals` — the per-component
-    /// period reciprocals, invariant under re-timing — when the caller
-    /// provides them), and the §4.3 bounds are replaced (`None` leaves the
-    /// lazy cold path to answer a later [`PreparedWorkload::bounds`]
-    /// call).  Utilization and the `U > 1` comparison are untouched —
-    /// re-phasing never moves a cost or period.
+    /// existing allocations (re-using `reciprocals`, the per-component
+    /// period reciprocals, invariant under re-timing), and `horizon` is
+    /// the refreshed [analysis horizon](PreparedWorkload::analysis_horizon).
+    /// Utilization and the `U > 1` comparison are untouched — re-phasing
+    /// never moves a cost or period.
     pub(crate) fn install_retimed_state(
         &mut self,
         order: Vec<usize>,
-        bounds: Option<FeasibilityBounds>,
-        reciprocals: Option<&[crate::arith::Reciprocal]>,
+        horizon: Option<Time>,
+        reciprocals: &[Reciprocal],
     ) {
         debug_assert!(order.len() == self.components.len());
         debug_assert!(order.windows(2).all(|w| {
@@ -1421,18 +1414,12 @@ impl PreparedWorkload {
                 || (a.first_deadline() == b.first_deadline() && w[0] < w[1])
         }));
         let mut kernel = self.kernel.take().unwrap_or_default();
-        match reciprocals {
-            Some(cache) => kernel.rebuild_with_reciprocals(&self.components, &order, cache),
-            None => kernel.rebuild(&self.components, &order),
-        }
+        kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
         let _ = self.kernel.set(kernel);
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
         self.bounds.take();
-        self.horizon.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
-        }
+        self.horizon = OnceLock::from(horizon);
     }
 
     /// Allocated capacity of the component column (crate-internal: the
@@ -1502,17 +1489,16 @@ impl PreparedWorkload {
     /// kernel columns are rebuilt from it into their existing allocations
     /// re-using the caller's per-component period `reciprocals`.
     /// `horizon` is the refreshed
-    /// [analysis horizon](PreparedWorkload::analysis_horizon); `None`
-    /// leaves the lazy cold path to answer a later call.  The bounds
-    /// themselves are always left to that cold path.
+    /// [analysis horizon](PreparedWorkload::analysis_horizon); the bounds
+    /// are left to the lazy [`PreparedWorkload::bounds`] path.
     pub(crate) fn install_edited_state(
         &mut self,
         task_count: usize,
         utilization: f64,
         exceeds_one: bool,
         order: Vec<usize>,
-        horizon: Option<Option<Time>>,
-        reciprocals: &[crate::arith::Reciprocal],
+        horizon: Option<Time>,
+        reciprocals: &[Reciprocal],
     ) {
         debug_assert_eq!(order.len(), self.components.len());
         debug_assert!(order.windows(2).all(|w| {
@@ -1529,10 +1515,7 @@ impl PreparedWorkload {
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
         self.bounds.take();
-        self.horizon.take();
-        if let Some(horizon) = horizon {
-            let _ = self.horizon.set(horizon);
-        }
+        self.horizon = OnceLock::from(horizon);
     }
 }
 

@@ -8,6 +8,7 @@
 //! consistently, and [`CandidateView`] swap sequences leave prepared state
 //! bit-identical to cold preparation.
 
+use edf_analysis::bounds::FeasibilityBounds;
 use edf_analysis::candidates::{self, CandidateView, EngineConfig, MixedRadixGray};
 use edf_analysis::tests::{DeviTest, ProcessorDemandTest, QpaTest};
 use edf_analysis::transactions::{
@@ -213,7 +214,7 @@ proptest! {
     }
 
     /// A [`CandidateView`] is bit-identical to a cold preparation after an
-    /// arbitrary swap sequence: components, deadline order, §4.3 bounds,
+    /// arbitrary swap sequence: components, deadline order, §4.3 analysis horizon,
     /// cached utilization bits, and the analyses of exact tests.
     #[test]
     fn candidate_view_matches_cold_preparation(
@@ -232,7 +233,10 @@ proptest! {
             let probed = view.prepared();
             prop_assert_eq!(probed.components(), cold.components());
             prop_assert_eq!(probed.deadline_order(), cold.deadline_order());
-            prop_assert_eq!(probed.bounds(), cold.bounds());
+            prop_assert_eq!(
+                probed.analysis_horizon(),
+                FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+            );
             prop_assert_eq!(
                 probed.utilization().to_bits(),
                 cold.utilization().to_bits()
@@ -274,6 +278,9 @@ proptest! {
         let probed = view.prepared();
         prop_assert_eq!(probed.components(), cold.components());
         prop_assert_eq!(probed.deadline_order(), cold.deadline_order());
-        prop_assert_eq!(probed.bounds(), cold.bounds());
+        prop_assert_eq!(
+            probed.analysis_horizon(),
+            FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+        );
     }
 }

@@ -11,6 +11,7 @@
 //! drift from the from-scratch answer.
 
 use edf_analysis::all_tests;
+use edf_analysis::bounds::FeasibilityBounds;
 use edf_analysis::incremental::{EditView, ScaledView, WorkloadView};
 use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload};
 use edf_model::{EventStream, EventStreamTask, Task, TaskSet, Time};
@@ -104,10 +105,11 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
         view.utilization_exceeds_one(),
         cold.utilization_exceeds_one()
     );
-    // An edit view's finalize refreshes only the horizon; its bounds are
-    // computed cold on this first read, so they do not test the refresh.
     assert_eq!(view.analysis_horizon(), cold.analysis_horizon());
-    assert_eq!(view.bounds(), cold.bounds());
+    assert_eq!(
+        view.analysis_horizon(),
+        FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+    );
     assert_eq!(view.deadline_order(), cold.deadline_order());
     for test in all_tests() {
         assert_eq!(
@@ -281,7 +283,10 @@ fn assert_folds_match_cold(view: &mut EditView) {
         prepared.utilization_exceeds_one(),
         cold.utilization_exceeds_one()
     );
-    assert_eq!(prepared.analysis_horizon(), cold.analysis_horizon());
+    assert_eq!(
+        prepared.analysis_horizon(),
+        FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+    );
 }
 
 fn periodic(c: u64, d: u64, t: u64) -> DemandComponent {

@@ -3,13 +3,14 @@
 //! the from-scratch path it replaces —
 //!
 //! * a view probe produces the same prepared state (components, exact
-//!   utilization comparison, §4.3 bounds, deadline order) and the same
+//!   utilization comparison, §4.3 analysis horizon, deadline order) and the same
 //!   [`Analysis`] from every registered test as a cold re-preparation;
 //! * `breakdown_scaling_workload` and `wcet_slack_workload` equal their
 //!   naive [`sensitivity::reference`] implementations — across sporadic
 //!   task sets, event streams and mixed systems;
 //! * `sensitivity_sweep` equals the per-workload searches.
 
+use edf_analysis::bounds::FeasibilityBounds;
 use edf_analysis::incremental::ScaledView;
 use edf_analysis::sensitivity::{
     breakdown_scaling_workload, reference, sensitivity_sweep, wcet_slack, wcet_slack_workload,
@@ -55,7 +56,10 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
         view.utilization_exceeds_one(),
         cold.utilization_exceeds_one()
     );
-    assert_eq!(view.bounds(), cold.bounds());
+    assert_eq!(
+        view.analysis_horizon(),
+        FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+    );
     assert_eq!(view.deadline_order(), cold.deadline_order());
     for test in all_tests() {
         assert_eq!(

@@ -13,9 +13,9 @@
 
 use edf_analysis::bounds::{
     baruah_components, busy_period_components, george_components, hyperperiod_components,
-    BoundRefresher, FeasibilityBounds,
+    FeasibilityBounds,
 };
-use edf_analysis::incremental::EditView;
+use edf_analysis::incremental::{EditView, ScaledView};
 use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::tests::{AllApproximatedTest, DensityTest, LiuLaylandTest};
 use edf_analysis::workload::DemandComponent;
@@ -56,21 +56,29 @@ fn period_lcm_saturates_to_none_instead_of_wrapping() {
 
 #[test]
 fn bound_refresher_survives_huge_periods_across_wcet_refreshes() {
-    // The refresher's period-lcm chain is saturated (coprime huge
-    // periods); WCET perturbations — the `refresh` contract — must keep
-    // agreeing bit-for-bit with a cold computation, from near-zero cost
-    // through the overloaded regime (`U` near 2) and back.
-    let base = vec![huge(1, HUGE_A, HUGE_A), huge(1, HUGE_B, HUGE_B)];
-    let mut refresher = BoundRefresher::new(&base);
+    // The period-lcm chain a `ScaledView` keeps is saturated (coprime huge
+    // periods); its WCET probes must keep the analysis horizon equal to
+    // the reference bounds, from near-zero cost through the overloaded
+    // regime (`U` near 2) and back.
+    let base =
+        PreparedWorkload::from_components(vec![huge(1, HUGE_A, HUGE_A), huge(1, HUGE_B, HUGE_B)]);
+    let mut view = ScaledView::new(&base);
     for wcet in [1u64, 1 << 40, HUGE_B, 1] {
-        let perturbed = vec![huge(wcet, HUGE_A, HUGE_A), huge(wcet, HUGE_B, HUGE_B)];
-        let refreshed = refresher.refresh(&perturbed);
-        let cold = FeasibilityBounds::for_components(&perturbed);
+        // Both costs at `wcet`, then each alone.
+        let probed = view.scale_wcets(wcet, 1);
         assert_eq!(
-            refreshed.analysis_horizon(),
-            cold.analysis_horizon(),
+            probed.analysis_horizon(),
+            FeasibilityBounds::for_components(probed.components()).analysis_horizon(),
             "wcet {wcet}"
         );
+        for index in 0..2 {
+            let probed = view.with_component_wcet(index, Time::new(wcet));
+            assert_eq!(
+                probed.analysis_horizon(),
+                FeasibilityBounds::for_components(probed.components()).analysis_horizon(),
+                "wcet {wcet} on component {index}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! for thousands of independently prepared workloads ("tenants"), each
 //! held behind one [`EditView`]: every request is a structural edit of the
 //! tenant's [`PreparedWorkload`], re-analyzed in place through the delta
-//! path (deadline-order repair, bounds refresh, in-place kernel rebuild)
+//! path (deadline-order repair, horizon refresh, in-place kernel rebuild)
 //! instead of a cold re-preparation.
 //!
 //! The service commits an edit only when its one exact test,

@@ -6,8 +6,10 @@
 //! Measurement model: per benchmark the routine is warmed up for
 //! `warm_up_time`, then timed over `sample_size` samples, where each
 //! sample runs the routine as many times as fit into
-//! `measurement_time / sample_size`.  Mean, minimum and maximum per-call
-//! wall-clock times are printed to stdout in a criterion-like format.
+//! `measurement_time / sample_size`.  Minimum, mean and maximum per-call
+//! wall-clock times are printed to stdout in a criterion-like format,
+//! followed by the median and the 99th percentile over the samples
+//! (nearest rank).
 //! There is no statistical analysis, no HTML report and no baseline
 //! comparison — just honest wall-clock numbers.
 //!
@@ -18,7 +20,8 @@
 //!   overriding per-group settings, so a whole bench binary finishes in
 //!   seconds; the numbers are smoke-level only;
 //! * `EDF_BENCH_JSON=<path>` — appends one JSON object per benchmark
-//!   (group, id, min/mean/max nanoseconds, sample and iteration counts) to
+//!   (group, id, min/median/mean/p99/max nanoseconds, sample and
+//!   iteration counts) to
 //!   `<path>`, one per line, for the `BENCH_smoke.json` CI artifact.
 
 use std::fmt;
@@ -228,26 +231,58 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
+/// Per-call times over the samples of one benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    min: Duration,
+    median: Duration,
+    mean: Duration,
+    p99: Duration,
+    max: Duration,
+}
+
+impl Summary {
+    /// The summary of `samples`, or `None` when there are none.
+    fn of(samples: &[Duration]) -> Option<Summary> {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let total: Duration = sorted.iter().sum();
+        Some(Summary {
+            min: *sorted.first()?,
+            median: nearest_rank(&sorted, 0.5),
+            mean: total / sorted.len() as u32,
+            p99: nearest_rank(&sorted, 0.99),
+            max: *sorted.last()?,
+        })
+    }
+}
+
+/// The `q`-quantile of the non-empty ascending `sorted` by nearest rank:
+/// the smallest sample with at least a `q` share of the samples at or
+/// below it.
+fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 fn report(group: &str, id: &BenchmarkId, bencher: &Bencher<'_>) {
-    if bencher.samples.is_empty() {
+    let Some(summary) = Summary::of(&bencher.samples) else {
         println!("{group}/{id}: no samples (routine never called iter?)");
         return;
-    }
-    let total: Duration = bencher.samples.iter().sum();
-    let mean = total / bencher.samples.len() as u32;
-    let min = bencher.samples.iter().min().copied().unwrap_or_default();
-    let max = bencher.samples.iter().max().copied().unwrap_or_default();
+    };
     println!(
-        "{group}/{id}: time [{} {} {}] ({} samples × {} iters)",
-        fmt_duration(min),
-        fmt_duration(mean),
-        fmt_duration(max),
+        "{group}/{id}: time [{} {} {}] median {} p99 {} ({} samples × {} iters)",
+        fmt_duration(summary.min),
+        fmt_duration(summary.mean),
+        fmt_duration(summary.max),
+        fmt_duration(summary.median),
+        fmt_duration(summary.p99),
         bencher.samples.len(),
         bencher.iters_per_sample,
     );
     if let Ok(path) = std::env::var("EDF_BENCH_JSON") {
         if !path.is_empty() {
-            append_json_record(&path, group, id, min, mean, max, bencher);
+            append_json_record(&path, group, id, &summary, bencher);
         }
     }
 }
@@ -259,19 +294,19 @@ fn append_json_record(
     path: &str,
     group: &str,
     id: &BenchmarkId,
-    min: Duration,
-    mean: Duration,
-    max: Duration,
+    summary: &Summary,
     bencher: &Bencher<'_>,
 ) {
     let record = format!(
-        "{{\"group\":\"{}\",\"id\":\"{}\",\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\
-         \"samples\":{},\"iters_per_sample\":{}}}\n",
+        "{{\"group\":\"{}\",\"id\":\"{}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\
+         \"p99_ns\":{},\"max_ns\":{},\"samples\":{},\"iters_per_sample\":{}}}\n",
         json_escape(group),
         json_escape(&id.to_string()),
-        min.as_nanos(),
-        mean.as_nanos(),
-        max.as_nanos(),
+        summary.min.as_nanos(),
+        summary.median.as_nanos(),
+        summary.mean.as_nanos(),
+        summary.p99.as_nanos(),
+        summary.max.as_nanos(),
         bencher.samples.len(),
         bencher.iters_per_sample,
     );
@@ -372,6 +407,32 @@ mod tests {
     }
 
     #[test]
+    fn summary_reads_nearest_rank_quantiles() {
+        let ns = Duration::from_nanos;
+        assert_eq!(Summary::of(&[]), None);
+        assert_eq!(
+            Summary::of(&[ns(7)]),
+            Some(Summary {
+                min: ns(7),
+                median: ns(7),
+                mean: ns(7),
+                p99: ns(7),
+                max: ns(7),
+            })
+        );
+        // Unsorted input; 100 samples 1..=100 ns put the p99 at 99 ns.
+        let samples: Vec<Duration> = (1..=100).rev().map(ns).collect();
+        let summary = Summary::of(&samples).expect("samples");
+        assert_eq!(
+            (summary.min, summary.median, summary.p99, summary.max),
+            (ns(1), ns(50), ns(99), ns(100))
+        );
+        assert_eq!(summary.mean, Duration::from_nanos(5050) / 100);
+        let summary = Summary::of(&[ns(4), ns(1), ns(3), ns(2)]).expect("samples");
+        assert_eq!((summary.median, summary.p99), (ns(2), ns(4)));
+    }
+
+    #[test]
     fn json_escape_handles_special_characters() {
         assert_eq!(json_escape("plain/3"), "plain/3");
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
@@ -426,7 +487,18 @@ mod tests {
             .find(|l| l.contains("shim-json-test"))
             .expect("record for this benchmark");
         assert!(line.contains("\"id\":\"fast\""));
-        assert!(line.contains("\"mean_ns\":"));
+        let field = |name: &str| -> u128 {
+            let start = line.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+            let digits: String = line[start..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect(name)
+        };
+        let (min, median, mean) = (field("min_ns"), field("median_ns"), field("mean_ns"));
+        let (p99, max) = (field("p99_ns"), field("max_ns"));
+        assert!(min <= median && median <= p99 && p99 <= max);
+        assert!(min <= mean && mean <= max);
         // The 50-sample request was clamped to the smoke budget.
         assert!(line.contains("\"samples\":2"));
     }
