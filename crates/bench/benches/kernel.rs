@@ -1,13 +1,13 @@
-//! Benchmark of the columnar demand kernel against the retained scalar
-//! reference path: `dbf`-evaluation throughput, event-merge throughput
-//! (loser tree vs. binary heap), and `analyze_many` workloads/sec with and
-//! without scratch reuse — the perf trajectory of the kernel rebuild.
+//! Benchmark of the columnar demand kernel: `dbf`-evaluation throughput,
+//! event-merge throughput on the tournament tree, the refining-test engine
+//! against its retained reference, and `analyze_many` workloads/sec with
+//! and without scratch reuse.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use edf_analysis::batch::{analyze_many_serial, BoxedTest};
-use edf_analysis::kernel::{reference, AnalysisScratch};
+use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::refine;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::{MixedSystem, PreparedWorkload};
@@ -41,8 +41,7 @@ fn probe_intervals(prepared: &PreparedWorkload, count: u64) -> Vec<Time> {
 }
 
 /// dbf-evaluation throughput: the kernel's binary-search + prefix-sum +
-/// tight-loop evaluation vs. the scalar array-of-structs fold, over the
-/// same prepared workloads and probe intervals.
+/// tight-loop evaluation over several fixture shapes.
 fn bench_dbf_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     group
@@ -52,10 +51,6 @@ fn bench_dbf_eval(c: &mut Criterion) {
 
     let sets = ratio_fixture(100, 8);
     let prepared: Vec<PreparedWorkload> = sets.iter().map(PreparedWorkload::new).collect();
-    let scalar: Vec<PreparedWorkload> = prepared
-        .iter()
-        .map(PreparedWorkload::scalar_reference)
-        .collect();
     let probes: Vec<Vec<Time>> = prepared.iter().map(|p| probe_intervals(p, 64)).collect();
 
     group.bench_function(BenchmarkId::new("dbf", "columnar"), |b| {
@@ -69,24 +64,10 @@ fn bench_dbf_eval(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function(BenchmarkId::new("dbf", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for (p, probes) in scalar.iter().zip(&probes) {
-                for &t in probes {
-                    acc = acc.saturating_add(p.dbf(black_box(t)));
-                }
-            }
-            acc
-        })
-    });
 
-    // Large component counts (a 64-stream bursty mixed system): the regime
-    // where the contiguous columns separate most clearly from the
-    // array-of-structs fold.
+    // Large component counts (a 64-stream bursty mixed system).
     let system = MixedSystem::new(TaskSet::new(), stream_fixture(64));
     let large = PreparedWorkload::new(&system);
-    let large_scalar = large.scalar_reference();
     let large_probes: Vec<Time> = (1..=256u64).map(|i| Time::new(i * 5_000 / 256)).collect();
     group.bench_function(BenchmarkId::new("dbf_large", "columnar"), |b| {
         b.iter(|| {
@@ -97,25 +78,12 @@ fn bench_dbf_eval(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function(BenchmarkId::new("dbf_large", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for &t in &large_probes {
-                acc = acc.saturating_add(large_scalar.dbf(black_box(t)));
-            }
-            acc
-        })
-    });
 
     // Skewed period spreads (Tmax/Tmin = 100_000): probes cut the sorted
     // columns at wildly different depths, so the column loop runs over
     // prefixes of every length instead of the whole column set.
     let skew_sets = skewed_period_fixture(8);
     let skew: Vec<PreparedWorkload> = skew_sets.iter().map(PreparedWorkload::new).collect();
-    let skew_scalar: Vec<PreparedWorkload> = skew
-        .iter()
-        .map(PreparedWorkload::scalar_reference)
-        .collect();
     let skew_probes: Vec<Vec<Time>> = skew.iter().map(|p| probe_intervals(p, 64)).collect();
     group.bench_function(BenchmarkId::new("dbf_skew", "columnar"), |b| {
         b.iter(|| {
@@ -128,23 +96,11 @@ fn bench_dbf_eval(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function(BenchmarkId::new("dbf_skew", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for (p, probes) in skew_scalar.iter().zip(&skew_probes) {
-                for &t in probes {
-                    acc = acc.saturating_add(p.dbf(black_box(t)));
-                }
-            }
-            acc
-        })
-    });
 
     // Mixed one-shot/periodic columns: every probe pays the one-shot
     // prefix lookup *and* the periodic column loop.
     let mixed_system = MixedSystem::new(TaskSet::new(), mixed_mode_fixture(48));
     let mixed = PreparedWorkload::new(&mixed_system);
-    let mixed_scalar = mixed.scalar_reference();
     let mixed_probes: Vec<Time> = probe_intervals(&mixed, 128);
     group.bench_function(BenchmarkId::new("dbf_mixed", "columnar"), |b| {
         b.iter(|| {
@@ -155,21 +111,12 @@ fn bench_dbf_eval(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function(BenchmarkId::new("dbf_mixed", "scalar"), |b| {
-        b.iter(|| {
-            let mut acc = Time::ZERO;
-            for &t in &mixed_probes {
-                acc = acc.saturating_add(mixed_scalar.dbf(black_box(t)));
-            }
-            acc
-        })
-    });
 
     group.finish();
 }
 
-/// Event-merge throughput: loser tree vs. the retained heap merge, walking
-/// every job deadline below a shared horizon.
+/// Event-merge throughput on the tournament tree, walking every job
+/// deadline below each workload's analysis horizon.
 fn bench_event_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     group
@@ -184,20 +131,11 @@ fn bench_event_merge(c: &mut Criterion) {
         .map(|p| p.analysis_horizon().unwrap_or(Time::new(10_000)))
         .collect();
 
-    group.bench_function(BenchmarkId::new("merge", "loser_tree"), |b| {
+    group.bench_function(BenchmarkId::new("merge", "tournament"), |b| {
         b.iter(|| {
             let mut events = 0usize;
             for (p, &horizon) in prepared.iter().zip(&horizons) {
                 events += p.demand_events(black_box(horizon)).count();
-            }
-            events
-        })
-    });
-    group.bench_function(BenchmarkId::new("merge", "binary_heap"), |b| {
-        b.iter(|| {
-            let mut events = 0usize;
-            for (p, &horizon) in prepared.iter().zip(&horizons) {
-                events += reference::demand_events(p.components(), black_box(horizon)).count();
             }
             events
         })
@@ -264,11 +202,12 @@ fn bench_refine(c: &mut Criterion) {
 
 /// Batch throughput over the exact suite: the allocation-free path (one
 /// recycled preparation + one scratch arena) vs. fresh per-workload state
-/// vs. the scalar demand path — the headline `analyze_many` number.
+/// — the headline `analyze_many` number.
 ///
 /// **History of this series:** before the refinement engine it tracked
 /// far behind the raw `dbf` speedups (`scratch_reuse/16` once sat at
-/// parity with `scalar_reference/16`, 819 µs vs 795 µs) because a
+/// parity with the since-deleted scalar demand path, 819 µs vs 795 µs)
+/// because a
 /// per-test profile showed ~60 % of the suite's wall clock inside the
 /// two refining tests (dynamic-error, all-approximated), whose inner
 /// loops were approximation *bookkeeping* — per-interval heap
@@ -306,24 +245,6 @@ fn bench_batch(c: &mut Criterion) {
                             tests
                                 .iter()
                                 .map(|t| t.analyze_prepared(&prepared))
-                                .collect::<Vec<_>>()
-                        })
-                        .count()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("analyze_many/scalar_reference", batch_size),
-            &sets,
-            |b, sets| {
-                b.iter(|| {
-                    let mut scratch = AnalysisScratch::new();
-                    sets.iter()
-                        .map(|ts| {
-                            let prepared = PreparedWorkload::new(ts).scalar_reference();
-                            tests
-                                .iter()
-                                .map(|t| t.analyze_prepared_with(&prepared, &mut scratch))
                                 .collect::<Vec<_>>()
                         })
                         .count()

@@ -169,10 +169,6 @@ impl<'a> ScaledView<'a> {
             base.utilization_is_exact(),
         );
         scratch.seed_deadline_order(base.deadline_order().to_vec());
-        // A view over the scalar-reference oracle probes through the
-        // scalar path too, so the kernel-equivalence tests can compare
-        // whole search runs.
-        scratch.scalar_demand = base.scalar_demand;
         ScaledView {
             folds: ComponentFolds::of(base.components()),
             reciprocals: base.components().iter().map(period_reciprocal).collect(),
@@ -416,9 +412,6 @@ impl EditView {
             base.utilization_is_exact(),
         );
         scratch.seed_deadline_order(base.deadline_order().to_vec());
-        // A view over the scalar-reference oracle keeps probing through
-        // the scalar path (mirrors `ScaledView::new`).
-        scratch.scalar_demand = base.scalar_demand;
         EditView {
             committed_folds: None,
             reciprocals: base.components().iter().map(period_reciprocal).collect(),
@@ -961,18 +954,6 @@ mod tests {
             assert_eq!(view.scratch.component_capacity(), capacity);
             assert_eq!(view.reciprocals.capacity(), reciprocal_capacity);
         }
-    }
-
-    #[test]
-    fn edit_view_over_scalar_oracle_stays_scalar() {
-        let base = PreparedWorkload::new(&sample_system()).scalar_reference();
-        let mut view = EditView::new(&base);
-        view.insert_component(DemandComponent::periodic(
-            Time::new(1),
-            Time::new(4),
-            Time::new(9),
-        ));
-        assert!(view.prepared().scalar_demand);
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //!   [`ScaledView`](crate::incremental::ScaledView) probe rewrites the
 //!   cost column in place and nothing else moves (the same property that
 //!   lets the view share the base's deadline order).
-//! * [`MergeState`] — a flat **loser tree** (tournament tree) over the
-//!   per-component deadline streams, replacing the former
-//!   `BinaryHeap`-based k-way merge: advancing a stream replays one
+//! * [`MergeState`] — the k-way merge of the per-component deadline
+//!   streams on a flat tournament tree (`FrontierQueue`, the same queue
+//!   the refining tests' frontier runs on): advancing a stream replays one
 //!   leaf-to-root path of `⌈log₂ k⌉` predictable comparisons instead of a
-//!   sift with data-dependent branching, and equal-deadline runs can be
+//!   heap sift with data-dependent branching, and equal-deadline runs are
 //!   drained into **one coalesced event** ([`DemandSteps`]) so the
 //!   processor-demand walk performs exactly one capacity comparison per
 //!   distinct interval without a peek-and-fold loop.
@@ -40,13 +40,10 @@
 //!   [`batch::analyze_many`](crate::batch::analyze_many) perform no
 //!   per-workload transient allocations after warm-up.
 //!
-//! The scalar array-of-structs path is retained **only** as an oracle:
-//! [`PreparedWorkload::scalar_reference`](crate::workload::PreparedWorkload::scalar_reference)
-//! answers every demand query through the original folds, and
-//! [`reference::demand_events`] keeps the heap merge, so the
-//! `kernel_equivalence` property tests can assert the kernel bit-identical
-//! (verdicts, iteration counts, overload witnesses) to the code it
-//! replaced.
+//! Every demand query answers exactly what the saturating folds of
+//! [`DemandComponent::dbf`] and [`DemandComponent::last_deadline_below`]
+//! answer; the `kernel_equivalence` property tests compare the two at
+//! every job deadline of generated workloads.
 //!
 //! # Examples
 //!
@@ -60,11 +57,15 @@
 //!     Task::new(Time::new(2), Time::new(6), Time::new(12))?,
 //! ]);
 //! let prepared = PreparedWorkload::new(&ts);
-//! // `PreparedWorkload::dbf` answers through the columnar kernel; the
-//! // retained scalar oracle must agree bit for bit.
-//! let oracle = prepared.scalar_reference();
+//! // `PreparedWorkload::dbf` answers through the columnar kernel, bit
+//! // for bit what the saturating fold over the components answers.
 //! for i in 0..40u64 {
-//!     assert_eq!(prepared.dbf(Time::new(i)), oracle.dbf(Time::new(i)));
+//!     let i = Time::new(i);
+//!     let fold = prepared
+//!         .components()
+//!         .iter()
+//!         .fold(Time::ZERO, |acc, c| acc.saturating_add(c.dbf(i)));
+//!     assert_eq!(prepared.dbf(i), fold);
 //! }
 //! # Ok(())
 //! # }
@@ -276,7 +277,8 @@ impl DemandKernel {
                 .zip(&self.p_rcp[..p_cut])
             {
                 // No overflow: k·period ≤ limit − 1 − deadline by
-                // construction, matching the checked scalar path exactly.
+                // construction, matching the checked
+                // `DemandComponent::last_deadline_below` exactly.
                 let k = rcp.divide(limit - 1 - deadline);
                 periodic_best = periodic_best.max(deadline + k * period);
             }
@@ -291,7 +293,7 @@ impl DemandKernel {
     /// period reciprocal replacing the hardware division.  This is the
     /// kernel-side form of the refining tests' withdrawal evaluations.
     #[must_use]
-    pub(crate) fn component_demand(&self, component: usize, interval: Time) -> Time {
+    pub fn component_demand(&self, component: usize, interval: Time) -> Time {
         let t = interval.as_u64();
         let slot = self.slot_of[component];
         let index = slot.index as usize;
@@ -334,10 +336,9 @@ impl DemandKernel {
 }
 
 /// Encodes a stream's current deadline and its component index into one
-/// totally ordered key: `(deadline, component)` lexicographically, which
-/// reproduces the pop order of the former `BinaryHeap<Reverse<(Time,
-/// usize)>>` exactly.  `u128::MAX` is the exhausted sentinel (strictly
-/// larger than every real key, whose top 32 bits are zero).
+/// totally ordered key: `(deadline, component)` lexicographically.
+/// `u128::MAX` is the exhausted sentinel (strictly larger than every real
+/// key, whose top 32 bits are zero).
 #[inline]
 fn merge_key(deadline: u64, component: u32) -> u128 {
     (u128::from(deadline) << 32) | u128::from(component)
@@ -345,149 +346,86 @@ fn merge_key(deadline: u64, component: u32) -> u128 {
 
 const EXHAUSTED: u128 = u128::MAX;
 
-/// The flat loser-tree merge of all component deadline streams — the
-/// reusable engine behind
+/// The merge of all component deadline streams — the reusable engine
+/// behind
 /// [`PreparedWorkload::demand_events`](crate::workload::PreparedWorkload::demand_events)
 /// and [`DemandSteps`].
 ///
-/// The tree is a plain `Vec` of stream ids: entry 0 is the current winner,
-/// entries `1..k` hold the losers of the internal tournament nodes.
-/// Popping the winner advances its stream and replays a single
-/// leaf-to-root path.  All buffers are reused across re-initializations,
-/// so a batch worker merges arbitrarily many workloads without
-/// allocating.
+/// One `FrontierQueue` slot per component holds the stream's next job
+/// deadline (empty once the stream passes the horizon).  A pop reads the
+/// winner, writes that stream's next deadline into the same slot and
+/// replays one leaf-to-root path, so events leave in ascending
+/// `(deadline, component)` order.  All buffers are reused across
+/// re-initializations, so a batch worker merges arbitrarily many
+/// workloads without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct MergeState {
-    /// Current key per stream ([`merge_key`], or [`EXHAUSTED`]).
-    key: Vec<u128>,
+    queue: FrontierQueue,
     /// Deadline increment per stream; 0 marks a one-shot stream.
     period: Vec<u64>,
     /// Cost per job of the stream (for coalesced demand steps).
     wcet: Vec<u64>,
-    /// Loser tree over the streams (see the type docs).
-    tree: Vec<u32>,
     horizon: u64,
 }
 
 impl MergeState {
     /// Prepares the merge over all component deadline streams `≤ horizon`.
     pub(crate) fn init(&mut self, components: &[DemandComponent], horizon: Time) {
-        self.key.clear();
+        self.queue.reset(components.len());
         self.period.clear();
         self.wcet.clear();
         self.horizon = horizon.as_u64();
         for (idx, component) in components.iter().enumerate() {
             if component.first_deadline() <= horizon {
-                self.key
-                    .push(merge_key(component.first_deadline().as_u64(), idx as u32));
-                self.period.push(component.period().map_or(0, Time::as_u64));
-                self.wcet.push(component.wcet().as_u64());
+                self.queue.seed(idx, component.first_deadline());
             }
+            self.period.push(component.period().map_or(0, Time::as_u64));
+            self.wcet.push(component.wcet().as_u64());
         }
-        self.rebuild_tree();
-    }
-
-    /// Rebuilds the tournament from scratch (`O(k)`).
-    fn rebuild_tree(&mut self) {
-        let k = self.key.len();
-        self.tree.clear();
-        self.tree.resize(k.max(1), 0);
-        if k == 0 {
-            return;
-        }
-        let winner = self.play(1);
-        self.tree[0] = winner;
-    }
-
-    /// Plays the tournament rooted at internal node `node` (leaves are the
-    /// virtual nodes `k..2k`), recording losers and returning the winner.
-    fn play(&mut self, node: usize) -> u32 {
-        let k = self.key.len();
-        if node >= k {
-            return (node - k) as u32;
-        }
-        let left = self.play(2 * node);
-        let right = self.play(2 * node + 1);
-        let (winner, loser) = if self.key[left as usize] <= self.key[right as usize] {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        self.tree[node] = loser;
-        winner
+        self.queue.rebuild();
     }
 
     /// The deadline of the next event, if any.
     #[inline]
-    fn peek_deadline(&self) -> Option<u64> {
-        if self.key.is_empty() {
-            return None;
-        }
-        let key = self.key[self.tree[0] as usize];
-        (key != EXHAUSTED).then_some((key >> 32) as u64)
+    fn peek_deadline(&self) -> Option<Time> {
+        self.queue.peek().map(|(deadline, _)| deadline)
     }
 
     /// Pops the next `(deadline, component, wcet)` event in ascending
     /// `(deadline, component)` order.
     #[inline]
-    fn pop(&mut self) -> Option<(u64, u32, u64)> {
-        if self.key.is_empty() {
-            return None;
-        }
-        let stream = self.tree[0] as usize;
-        let key = self.key[stream];
-        if key == EXHAUSTED {
-            return None;
-        }
-        let deadline = (key >> 32) as u64;
-        let component = (key & u128::from(u32::MAX)) as u32;
-        // Advance the stream.
-        self.key[stream] = match self.period[stream] {
-            0 => EXHAUSTED,
-            period => match deadline.checked_add(period) {
-                Some(next) if next <= self.horizon => merge_key(next, component),
-                _ => EXHAUSTED,
-            },
+    pub(crate) fn pop(&mut self) -> Option<(Time, usize, Time)> {
+        let (deadline, component) = self.queue.peek()?;
+        let next = match self.period[component] {
+            0 => None,
+            period => deadline
+                .as_u64()
+                .checked_add(period)
+                .filter(|&next| next <= self.horizon),
         };
-        // Replay the leaf-to-root path (winner key kept in a register).
-        let k = self.key.len();
-        let mut winner = stream as u32;
-        let mut winner_key = self.key[stream];
-        let mut node = (stream + k) / 2;
-        while node >= 1 {
-            let challenger = self.tree[node];
-            let challenger_key = self.key[challenger as usize];
-            if challenger_key < winner_key {
-                self.tree[node] = winner;
-                winner = challenger;
-                winner_key = challenger_key;
-            }
-            node /= 2;
-        }
-        self.tree[0] = winner;
-        Some((deadline, component, self.wcet[stream]))
+        self.queue.replace(component, next.map(Time::new));
+        Some((deadline, component, Time::new(self.wcet[component])))
     }
 }
 
-/// A flat winner (tournament) tree over **one pending test interval per
-/// component** — the refining tests' replacement for their former
-/// `BinaryHeap<Reverse<(Time, usize)>>` pending queue (see
-/// [`crate::refine`]).
+/// A flat winner (tournament) tree over **one pending deadline per
+/// component**: the queue behind the processor-demand merge
+/// ([`MergeState`]) and the refining tests' frontier of pending exact
+/// test intervals (see [`crate::refine`]).
 ///
-/// The refining tests maintain the invariant that a component has at most
-/// one outstanding exact test interval (its next unexamined deadline), so
-/// the queue is a fixed frontier of `n` slots keyed by [`merge_key`]
-/// (`(deadline, component)` lexicographically — the exact pop order of the
-/// heap it replaces; keys are unique because the component index is part
-/// of the key).  Empty slots hold the [`EXHAUSTED`] sentinel.
+/// Both users keep at most one outstanding deadline per component (a
+/// stream's next job, or a component's next unexamined deadline), so the
+/// queue is a fixed frontier of `n` slots keyed by [`merge_key`]
+/// (`(deadline, component)` lexicographically; keys are unique because the
+/// component index is part of the key).  Empty slots hold the
+/// [`EXHAUSTED`] sentinel.
 ///
-/// Unlike [`MergeState`]'s loser tree — whose single-path replay is only
-/// valid when the *winning* leaf advances — this tree stores the **winning
-/// leaf of every subtree** in its internal nodes, so an arbitrary slot
-/// update (a withdrawal re-entering a component mid-frontier) replays one
-/// leaf-to-root path of `⌈log₂ n⌉` two-child comparisons and stays
-/// correct.  Both pop and push are a slot write plus one such replay; no
-/// sift with data-dependent branching, no per-pop allocation.
+/// The internal nodes store the **winning leaf of every subtree**, so an
+/// arbitrary slot update (a merge stream advancing, or a withdrawal
+/// re-entering a component mid-frontier) replays one leaf-to-root path of
+/// `⌈log₂ n⌉` two-child comparisons and stays correct.  Pop, push and
+/// replace are a slot write plus one such replay; no sift with
+/// data-dependent branching, no per-pop allocation.
 ///
 /// Layout: `k = n` leaves are the virtual nodes `k..2k` (leaf `j` is node
 /// `k + j`), internal nodes `1..k` hold the winning slot index of their
@@ -566,21 +504,33 @@ impl FrontierQueue {
         }
     }
 
-    /// Pops the minimum `(interval, component)` entry, or `None` when
-    /// every slot is exhausted — the exact pop order of the
-    /// `BinaryHeap<Reverse<(Time, usize)>>` it replaces.
-    pub(crate) fn pop(&mut self) -> Option<(Time, usize)> {
+    /// The minimum pending `(interval, component)` entry, left in place,
+    /// or `None` when every slot is empty.
+    #[inline]
+    fn peek(&self) -> Option<(Time, usize)> {
         if self.key.is_empty() {
             return None;
         }
         let slot = self.child_winner(1) as usize;
         let key = self.key[slot];
-        if key == EXHAUSTED {
-            return None;
-        }
-        self.key[slot] = EXHAUSTED;
-        self.replay(slot);
-        Some((Time::new((key >> 32) as u64), slot))
+        (key != EXHAUSTED).then(|| (Time::new((key >> 32) as u64), slot))
+    }
+
+    /// Writes slot `component`'s pending interval (`None` empties the
+    /// slot) and replays its path.
+    #[inline]
+    fn replace(&mut self, component: usize, deadline: Option<Time>) {
+        self.key[component] =
+            deadline.map_or(EXHAUSTED, |d| merge_key(d.as_u64(), component as u32));
+        self.replay(component);
+    }
+
+    /// Pops the minimum `(interval, component)` entry, or `None` when
+    /// every slot is empty.
+    pub(crate) fn pop(&mut self) -> Option<(Time, usize)> {
+        let (deadline, slot) = self.peek()?;
+        self.replace(slot, None);
+        Some((deadline, slot))
     }
 
     /// Schedules `deadline` as slot `component`'s pending interval.  The
@@ -591,18 +541,8 @@ impl FrontierQueue {
             self.key[component], EXHAUSTED,
             "component {component} already has a pending interval"
         );
-        self.key[component] = merge_key(deadline.as_u64(), component as u32);
-        self.replay(component);
+        self.replace(component, Some(deadline));
     }
-}
-
-/// One merged per-job demand event (re-exported through
-/// [`crate::workload::DemandEvent`]'s iterator); crate-internal plumbing
-/// between [`MergeState`] and the public iterators.
-pub(crate) fn merge_pop(state: &mut MergeState) -> Option<(Time, usize)> {
-    state
-        .pop()
-        .map(|(deadline, component, _)| (Time::new(deadline), component as usize))
 }
 
 /// Coalesced demand steps: one `(interval, demand increment)` pair per
@@ -612,46 +552,16 @@ pub(crate) fn merge_pop(state: &mut MergeState) -> Option<(Time, usize)> {
 /// no peek-and-fold loop.
 ///
 /// Construct via
-/// [`PreparedWorkload::demand_steps`](crate::workload::PreparedWorkload);
-/// the scalar-oracle variant reproduces the former heap walk.
+/// [`PreparedWorkload::demand_steps`](crate::workload::PreparedWorkload::demand_steps),
+/// which runs it on the scratch's reusable [`MergeState`].
 #[derive(Debug)]
 pub struct DemandSteps<'a> {
-    inner: StepsInner<'a>,
-}
-
-#[derive(Debug)]
-enum StepsInner<'a> {
-    /// The kernel path: a borrowed, reusable loser tree.
-    Tree(&'a mut MergeState),
-    /// The retained scalar oracle: the former binary-heap walk.
-    Scalar {
-        components: &'a [DemandComponent],
-        heap: BinaryHeap<Reverse<(Time, usize)>>,
-        horizon: Time,
-    },
+    merge: &'a mut MergeState,
 }
 
 impl<'a> DemandSteps<'a> {
-    pub(crate) fn from_tree(merge: &'a mut MergeState) -> Self {
-        DemandSteps {
-            inner: StepsInner::Tree(merge),
-        }
-    }
-
-    pub(crate) fn scalar(components: &'a [DemandComponent], horizon: Time) -> Self {
-        let mut heap = BinaryHeap::with_capacity(components.len());
-        for (idx, component) in components.iter().enumerate() {
-            if component.first_deadline() <= horizon {
-                heap.push(Reverse((component.first_deadline(), idx)));
-            }
-        }
-        DemandSteps {
-            inner: StepsInner::Scalar {
-                components,
-                heap,
-                horizon,
-            },
-        }
+    pub(crate) fn new(merge: &'a mut MergeState) -> Self {
+        DemandSteps { merge }
     }
 }
 
@@ -660,42 +570,12 @@ impl Iterator for DemandSteps<'_> {
     type Item = (Time, Time);
 
     fn next(&mut self) -> Option<(Time, Time)> {
-        match &mut self.inner {
-            StepsInner::Tree(merge) => {
-                let (deadline, _, wcet) = merge.pop()?;
-                let mut demand = Time::new(wcet);
-                while merge.peek_deadline() == Some(deadline) {
-                    let (_, _, extra) = merge.pop().expect("peeked event exists");
-                    demand = demand.saturating_add(Time::new(extra));
-                }
-                Some((Time::new(deadline), demand))
-            }
-            StepsInner::Scalar {
-                components,
-                heap,
-                horizon,
-            } => {
-                let advance =
-                    |heap: &mut BinaryHeap<Reverse<(Time, usize)>>, deadline: Time, idx: usize| {
-                        if let Some(period) = components[idx].period() {
-                            if let Some(next) = deadline.checked_add(period) {
-                                if next <= *horizon {
-                                    heap.push(Reverse((next, idx)));
-                                }
-                            }
-                        }
-                    };
-                let Reverse((interval, idx)) = heap.pop()?;
-                advance(heap, interval, idx);
-                let mut demand = components[idx].wcet();
-                while matches!(heap.peek(), Some(Reverse((next, _))) if *next == interval) {
-                    let Reverse((_, extra)) = heap.pop().expect("peeked event exists");
-                    advance(heap, interval, extra);
-                    demand = demand.saturating_add(components[extra].wcet());
-                }
-                Some((interval, demand))
-            }
+        let (deadline, _, mut demand) = self.merge.pop()?;
+        while self.merge.peek_deadline() == Some(deadline) {
+            let (_, _, extra) = self.merge.pop().expect("peeked event exists");
+            demand = demand.saturating_add(extra);
         }
+        Some((deadline, demand))
     }
 }
 
@@ -717,7 +597,7 @@ pub(crate) struct RefinementState {
     pub term_slot: u32,
 }
 
-/// Reusable scratch space for one analysis worker: the loser-tree merge
+/// Reusable scratch space for one analysis worker: the deadline merge
 /// and every transient buffer the feasibility tests need.
 ///
 /// Creating a scratch is free (no allocation until first use); reusing one
@@ -749,7 +629,7 @@ pub(crate) struct RefinementState {
 /// ```
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
-    /// The loser-tree merge (processor-demand walk).
+    /// The deadline merge (processor-demand walk).
     pub(crate) merge: MergeState,
     /// Pending exact test intervals of the retained refining-test
     /// reference bookkeeping ([`crate::refine::reference`]).
@@ -822,68 +702,6 @@ impl AnalysisScratch {
     /// reuse without a stale cap.
     pub fn take_budget(&mut self) -> WorkBudget {
         std::mem::take(&mut self.budget)
-    }
-}
-
-pub mod reference {
-    //! The retained scalar merge oracle.
-    //!
-    //! [`demand_events`] reproduces the pre-kernel `BinaryHeap` k-way
-    //! merge (per-job events, ties in component order).  It exists so the
-    //! `kernel_equivalence` property tests and the `kernel` benchmark can
-    //! compare the loser tree against the exact code it replaced; use
-    //! [`PreparedWorkload::demand_events`](crate::workload::PreparedWorkload::demand_events)
-    //! for real work.
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use edf_model::Time;
-
-    use crate::workload::{DemandComponent, DemandEvent};
-
-    /// The heap-based merged stream of all job deadlines `≤ horizon` in
-    /// non-decreasing `(deadline, component)` order.
-    #[derive(Debug)]
-    pub struct ScalarDemandEvents {
-        components: Vec<DemandComponent>,
-        heap: BinaryHeap<Reverse<(Time, usize)>>,
-        horizon: Time,
-    }
-
-    /// Creates the scalar-oracle merge over `components`.
-    #[must_use]
-    pub fn demand_events(components: &[DemandComponent], horizon: Time) -> ScalarDemandEvents {
-        let mut heap = BinaryHeap::with_capacity(components.len());
-        for (idx, component) in components.iter().enumerate() {
-            if component.first_deadline() <= horizon {
-                heap.push(Reverse((component.first_deadline(), idx)));
-            }
-        }
-        ScalarDemandEvents {
-            components: components.to_vec(),
-            heap,
-            horizon,
-        }
-    }
-
-    impl Iterator for ScalarDemandEvents {
-        type Item = DemandEvent;
-
-        fn next(&mut self) -> Option<DemandEvent> {
-            let Reverse((interval, component)) = self.heap.pop()?;
-            if let Some(period) = self.components[component].period() {
-                if let Some(next) = interval.checked_add(period) {
-                    if next <= self.horizon {
-                        self.heap.push(Reverse((next, component)));
-                    }
-                }
-            }
-            Some(DemandEvent {
-                interval,
-                component,
-            })
-        }
     }
 }
 
@@ -998,25 +816,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn loser_tree_merge_equals_heap_merge() {
-        let components = sample_components();
-        let horizon = Time::new(150);
-        let mut merge = MergeState::default();
-        merge.init(&components, horizon);
-        let mut tree_events = Vec::new();
-        while let Some((deadline, component, _)) = merge.pop() {
-            tree_events.push((Time::new(deadline), component as usize));
-        }
-        let heap_events: Vec<(Time, usize)> = reference::demand_events(&components, horizon)
-            .map(|e| (e.interval, e.component))
-            .collect();
-        assert_eq!(tree_events, heap_events);
+    fn drain(merge: &mut MergeState) -> Vec<(Time, usize, Time)> {
+        std::iter::from_fn(|| merge.pop()).collect()
     }
 
+    /// Re-initializing one merge yields exactly what a fresh merge yields.
     #[test]
     fn merge_state_is_reusable_across_workloads() {
-        let mut merge = MergeState::default();
+        let mut reused = MergeState::default();
         for components in [
             sample_components(),
             vec![DemandComponent::periodic(
@@ -1025,17 +832,13 @@ mod tests {
                 Time::new(5),
             )],
             Vec::new(),
+            sample_components(),
         ] {
             let horizon = Time::new(60);
-            merge.init(&components, horizon);
-            let mut got = Vec::new();
-            while let Some((deadline, component, _)) = merge.pop() {
-                got.push((Time::new(deadline), component as usize));
-            }
-            let expected: Vec<(Time, usize)> = reference::demand_events(&components, horizon)
-                .map(|e| (e.interval, e.component))
-                .collect();
-            assert_eq!(got, expected);
+            reused.init(&components, horizon);
+            let mut fresh = MergeState::default();
+            fresh.init(&components, horizon);
+            assert_eq!(drain(&mut reused), drain(&mut fresh));
         }
     }
 
@@ -1045,7 +848,7 @@ mod tests {
         let components = ts.demand_components();
         let mut merge = MergeState::default();
         merge.init(&components, Time::new(30));
-        let steps: Vec<(Time, Time)> = DemandSteps::from_tree(&mut merge).collect();
+        let steps: Vec<(Time, Time)> = DemandSteps::new(&mut merge).collect();
         assert_eq!(
             steps,
             vec![
@@ -1056,9 +859,6 @@ mod tests {
                 (Time::new(30), Time::new(3)),
             ]
         );
-        // The scalar-oracle steps agree.
-        let scalar: Vec<(Time, Time)> = DemandSteps::scalar(&components, Time::new(30)).collect();
-        assert_eq!(steps, scalar);
     }
 
     #[test]
@@ -1072,10 +872,10 @@ mod tests {
             Time::new(10),
         )];
         merge.init(&single, Time::new(25));
-        let mut got = Vec::new();
-        while let Some((d, c, _)) = merge.pop() {
-            got.push((d, c));
-        }
+        let got: Vec<(u64, usize)> = drain(&mut merge)
+            .into_iter()
+            .map(|(d, c, _)| (d.as_u64(), c))
+            .collect();
         assert_eq!(got, vec![(4, 0), (14, 0), (24, 0)]);
         // Beyond-horizon first deadlines never enter the merge.
         merge.init(&single, Time::new(3));

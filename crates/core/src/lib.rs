@@ -37,9 +37,10 @@
 //!   spread) inputs.
 //!
 //! Supporting modules expose the building blocks: the demand bound
-//! function ([`demand`]), the superposition approximation
-//! ([`superposition`]), the feasibility bounds of §4.3 ([`bounds`]) and
-//! exact rational helpers ([`arith`]).  On top of the exact tests,
+//! function ([`demand`]), the columnar demand kernel and tournament-tree
+//! deadline merge every demand query runs on ([`kernel`]), the
+//! superposition approximation ([`superposition`]), the feasibility bounds
+//! of §4.3 ([`bounds`]) and exact rational helpers ([`arith`]).  On top of the exact tests,
 //! [`sensitivity`] answers breakdown-utilization and WCET-slack questions
 //! through the [`incremental`] engine ([`ScaledView`] probes WCET
 //! perturbations of one prepared workload without re-preparation),

@@ -141,7 +141,7 @@ impl FeasibilityTest for ProcessorDemandTest {
         let mut counter = IterationCounter::new();
         let analysis = 'walk: {
             let mut demand = Time::ZERO;
-            // The loser-tree merge hands equal-deadline runs over as one
+            // The deadline merge hands equal-deadline runs over as one
             // coalesced step, so the walk is exactly one comparison per
             // distinct interval — no peek-and-fold loop.
             for (interval, step) in workload.demand_steps(horizon, scratch) {

@@ -60,7 +60,7 @@ use edf_model::{
 
 use crate::arith::{fracs_le_integer_iter, Reciprocal};
 use crate::bounds::{self, period_reciprocal, ComponentFolds, FeasibilityBounds};
-use crate::kernel::{merge_pop, AnalysisScratch, DemandKernel, DemandSteps, MergeState};
+use crate::kernel::{AnalysisScratch, DemandKernel, DemandSteps, MergeState};
 
 /// The elementary demand generator behind every supported task model.
 ///
@@ -304,13 +304,10 @@ pub struct DemandEvent {
 /// generalizing [`DeadlineIter`](crate::demand::DeadlineIter) to arbitrary
 /// workloads).
 ///
-/// Ties are returned as separate events, one per job, so callers can
-/// accumulate per-job demand incrementally.  Since the columnar-kernel
-/// rebuild the merge runs on a flat loser tree
-/// ([`MergeState`]) that owns its stream state —
-/// the iterator no longer borrows the component list — and the heap-based
-/// original survives as [`crate::kernel::reference::demand_events`] for
-/// the equivalence tests.
+/// Ties are returned as separate events, one per job, in component order,
+/// so callers can accumulate per-job demand incrementally.  The merge runs
+/// on the kernel's tournament tree ([`MergeState`]), which owns its stream
+/// state, so the iterator does not borrow the component list.
 #[derive(Debug)]
 pub struct DemandEventIter {
     merge: MergeState,
@@ -330,10 +327,12 @@ impl Iterator for DemandEventIter {
     type Item = DemandEvent;
 
     fn next(&mut self) -> Option<DemandEvent> {
-        merge_pop(&mut self.merge).map(|(interval, component)| DemandEvent {
-            interval,
-            component,
-        })
+        self.merge
+            .pop()
+            .map(|(interval, component, _)| DemandEvent {
+                interval,
+                component,
+            })
     }
 }
 
@@ -952,10 +951,6 @@ pub struct PreparedWorkload {
     /// The columnar demand kernel (built lazily on the first demand
     /// query; see [`crate::kernel`]).
     kernel: OnceLock<DemandKernel>,
-    /// When set, every demand query runs through the retained scalar
-    /// array-of-structs path instead of the kernel — the equivalence
-    /// oracle, see [`PreparedWorkload::scalar_reference`].
-    pub(crate) scalar_demand: bool,
 }
 
 impl PreparedWorkload {
@@ -1000,7 +995,6 @@ impl PreparedWorkload {
             horizon: OnceLock::new(),
             deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
-            scalar_demand: false,
         }
     }
 
@@ -1023,7 +1017,6 @@ impl PreparedWorkload {
             .map(DemandComponent::utilization)
             .sum();
         self.exceeds_one = components_exceed_one(&self.components);
-        self.scalar_demand = false;
         self.bounds.take();
         self.horizon.take();
         // The previous workload's cached order and kernel are stale either
@@ -1044,28 +1037,6 @@ impl PreparedWorkload {
             let _ = self.kernel.set(kernel);
         }
         self
-    }
-
-    /// A copy of this preparation that answers every demand query (`dbf`,
-    /// `last_deadline_below`, the event merge) through the retained
-    /// **scalar** array-of-structs path instead of the columnar kernel.
-    ///
-    /// This is the reference oracle of the kernel rebuild: analyses of the
-    /// two preparations must be bit-identical — verdicts, iteration
-    /// counts, examined intervals and overload witnesses — which the
-    /// `kernel_equivalence` property tests assert across every workload
-    /// family.  Use the kernel path for real work; the oracle re-runs the
-    /// pre-kernel inner loops and exists for validation and benchmarking.
-    #[must_use]
-    pub fn scalar_reference(&self) -> PreparedWorkload {
-        let mut oracle = PreparedWorkload::from_parts(
-            self.components.clone(),
-            self.task_count,
-            self.demand_exact,
-            self.utilization_exact,
-        );
-        oracle.scalar_demand = true;
-        oracle
     }
 
     /// `false` when the component decomposition over-approximates the
@@ -1120,42 +1091,26 @@ impl PreparedWorkload {
     /// Total demand bound function — answered by the columnar kernel (one
     /// binary search into the sorted deadline column, a one-shot
     /// prefix-sum lookup, and a tight loop over the periodic columns; see
-    /// [`crate::kernel`]); the scalar fold survives behind
-    /// [`PreparedWorkload::scalar_reference`].
+    /// [`crate::kernel`]).
     #[must_use]
     pub fn dbf(&self, interval: Time) -> Time {
-        if self.scalar_demand {
-            return self
-                .components
-                .iter()
-                .fold(Time::ZERO, |acc, c| acc.saturating_add(c.dbf(interval)));
-        }
         self.kernel().dbf(interval)
     }
 
     /// The demand of a single component at `interval` — the refining
     /// tests' withdrawal evaluation, answered by a kernel column gather
-    /// (reciprocal multiply instead of a hardware division) on the kernel
-    /// path and by [`DemandComponent::dbf`] on the scalar oracle.
+    /// (reciprocal multiply instead of a hardware division).
     #[must_use]
     pub(crate) fn component_demand(&self, component: usize, interval: Time) -> Time {
-        if self.scalar_demand {
-            return self.components[component].dbf(interval);
-        }
         self.kernel().component_demand(component, interval)
     }
 
     /// The precomputed reciprocal of a component's period (`None` for
-    /// one-shots) — gathered once per refining analysis so the frontier
-    /// steps deadlines and re-approximates terms without dividing.  Served
-    /// from the kernel columns on the kernel path; the scalar oracle
-    /// computes it directly rather than forcing a kernel build.
+    /// one-shots), served from the kernel columns — gathered once per
+    /// refining analysis so the frontier steps deadlines and
+    /// re-approximates terms without dividing.
     #[must_use]
     pub(crate) fn component_reciprocal(&self, component: usize) -> Option<Reciprocal> {
-        if self.scalar_demand {
-            let period = self.components[component].period()?;
-            return Some(Reciprocal::new(period.as_u64()));
-        }
         self.kernel().period_reciprocal(component)
     }
 
@@ -1225,8 +1180,9 @@ impl PreparedWorkload {
             .max()
     }
 
-    /// Component indices sorted by non-decreasing first deadline (cached;
-    /// the order Devi's test and `SuperPos` iterate in).
+    /// Component indices sorted by non-decreasing first deadline, ties in
+    /// component order (cached).  Devi's test iterates in this order, and
+    /// the [demand kernel](crate::kernel) lays its columns out in it.
     #[must_use]
     pub fn deadline_order(&self) -> &[usize] {
         self.deadline_order.get_or_init(|| {
@@ -1236,29 +1192,26 @@ impl PreparedWorkload {
         })
     }
 
-    /// Merged stream of all job deadlines `≤ horizon` in ascending order
-    /// (per-job events; see [`PreparedWorkload::demand_steps`] for the
-    /// coalesced form the processor-demand walk consumes).
+    /// Merged stream of all job deadlines `≤ horizon` in ascending
+    /// `(deadline, component)` order (per-job events; see
+    /// [`PreparedWorkload::demand_steps`] for the coalesced form the
+    /// processor-demand walk consumes).
     #[must_use]
     pub fn demand_events(&self, horizon: Time) -> DemandEventIter {
         DemandEventIter::new(&self.components, horizon)
     }
 
     /// Coalesced demand steps `≤ horizon`: one `(interval, demand
-    /// increment)` pair per **distinct** job deadline, merged through the
-    /// scratch's reusable loser tree (or the scalar-oracle heap walk for a
-    /// [`PreparedWorkload::scalar_reference`] preparation).
+    /// increment)` pair per **distinct** job deadline, in ascending order,
+    /// merged through the scratch's reusable [`MergeState`].
     #[must_use]
     pub fn demand_steps<'a>(
         &'a self,
         horizon: Time,
         scratch: &'a mut AnalysisScratch,
     ) -> DemandSteps<'a> {
-        if self.scalar_demand {
-            return DemandSteps::scalar(&self.components, horizon);
-        }
         scratch.merge.init(&self.components, horizon);
-        DemandSteps::from_tree(&mut scratch.merge)
+        DemandSteps::new(&mut scratch.merge)
     }
 
     /// The largest job deadline (over all components) strictly below
@@ -1266,13 +1219,6 @@ impl PreparedWorkload {
     /// from the kernel's sorted columns instead of a full component scan.
     #[must_use]
     pub fn last_deadline_below(&self, limit: Time) -> Option<Time> {
-        if self.scalar_demand {
-            return self
-                .components
-                .iter()
-                .filter_map(|c| c.last_deadline_below(limit))
-                .max();
-        }
         self.kernel().last_deadline_below(limit)
     }
 
@@ -1298,14 +1244,12 @@ impl PreparedWorkload {
                 ..*c
             })
             .collect();
-        let mut scaled = PreparedWorkload::from_parts(
+        PreparedWorkload::from_parts(
             components,
             self.task_count,
             self.demand_exact,
             self.utilization_exact,
-        );
-        scaled.scalar_demand = self.scalar_demand;
-        scaled
+        )
     }
 
     /// The long-run utilization of the scaled copy

@@ -1,19 +1,27 @@
-//! Property tests of the columnar demand kernel's contract: every analysis
-//! through the kernel path is **bit-identical** to the retained scalar
-//! reference — verdicts, iteration counts, examined intervals and overload
-//! witnesses — and the kernel primitives (`dbf`, `last_deadline_below`,
-//! the loser-tree event merge) equal the scalar folds and the heap merge
-//! they replaced.  Covered workload families:
-//! sporadic task sets, event streams, mixed systems, arrival curves
-//! (exact and conservative) and transaction systems, plus
-//! `ScaledView`-over-kernel probes against cold preparations and the
-//! allocation-free batch path against per-workload preparation.
+//! Property tests of the columnar demand kernel's contract: every demand
+//! query answers bit for bit what the saturating folds of the
+//! `DemandComponent` methods answer, and the merged deadline streams equal
+//! a sorted list of all jobs.
+//!
+//! `dbf` is constant between consecutive job deadlines and
+//! `last_deadline_below` between consecutive `deadline + 1` points, so
+//! checking `dbf(d)`, `dbf(d − 1)`, `last_deadline_below(d)`,
+//! `last_deadline_below(d + 1)` and every per-component demand at each
+//! job deadline `d` up to the analysis horizon (plus 0 and the horizon)
+//! covers every interval an analysis can query.  On top of that, every
+//! registered test's decisive verdict must agree with the fold oracle's
+//! and every overload witness must be an overload of the fold.  Covered
+//! workload families: sporadic task sets, event streams, mixed systems,
+//! arrival curves (exact and conservative), transaction systems and raw
+//! component lists straddling 2³², plus `ScaledView`-over-kernel probes
+//! against cold preparations and the allocation-free batch path against
+//! per-workload preparation.
 
 use edf_analysis::batch::{analyze_many_serial, BoxedTest};
 use edf_analysis::incremental::ScaledView;
-use edf_analysis::kernel::{reference, AnalysisScratch};
+use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload, Workload};
-use edf_analysis::{all_tests, FeasibilityTest};
+use edf_analysis::{all_tests, FeasibilityTest, Verdict};
 use edf_model::{
     AffineSegment, ArrivalCurve, ArrivalCurveTask, EventStream, EventStreamTask, Task, TaskSet,
     Time, Transaction, TransactionPart, TransactionSystem,
@@ -147,99 +155,214 @@ fn arb_transaction_system() -> impl Strategy<Value = TransactionSystem> {
         })
 }
 
-/// Runs every registered test on the kernel-backed preparation and on the
-/// scalar-reference oracle, asserting bit-identical analyses (verdict,
-/// iteration count, max examined interval, overload witness).
-fn assert_kernel_equals_scalar<W: Workload + ?Sized>(workload: &W) {
-    let kernel = PreparedWorkload::new(workload);
-    let scalar = kernel.scalar_reference();
-    for test in all_tests() {
-        assert_eq!(
-            test.analyze_prepared(&kernel),
-            test.analyze_prepared(&scalar),
-            "{} diverges between kernel and scalar demand paths",
-            test.name()
-        );
-    }
+/// The saturating fold of [`DemandComponent::dbf`].
+fn fold_dbf(components: &[DemandComponent], interval: Time) -> Time {
+    components
+        .iter()
+        .fold(Time::ZERO, |acc, c| acc.saturating_add(c.dbf(interval)))
 }
 
-/// Asserts the kernel primitives equal the scalar folds over a dense
-/// interval range plus the exact analysis horizon neighbourhood.
-fn assert_primitives_equal(prepared: &PreparedWorkload) {
-    let scalar = prepared.scalar_reference();
+/// The fold of [`DemandComponent::last_deadline_below`].
+fn fold_last_below(components: &[DemandComponent], limit: Time) -> Option<Time> {
+    components
+        .iter()
+        .filter_map(|c| c.last_deadline_below(limit))
+        .max()
+}
+
+/// Every job `(deadline, component, cost)` with deadline `≤ horizon`,
+/// listed per component and sorted: the merge order, computed without a
+/// tournament tree.
+fn sorted_jobs(components: &[DemandComponent], horizon: Time) -> Vec<(Time, usize, Time)> {
+    let mut jobs = Vec::new();
+    for (idx, component) in components.iter().enumerate() {
+        let mut deadline = Some(component.first_deadline());
+        while let Some(d) = deadline.filter(|&d| d <= horizon) {
+            jobs.push((d, idx, component.wcet()));
+            deadline = component.period().and_then(|p| d.checked_add(p));
+        }
+    }
+    jobs.sort_unstable();
+    jobs
+}
+
+/// Upper end of the job-deadline checks.  The generated `U ≤ 1`
+/// workloads' analysis horizons stay far below it (under 1 000 in a
+/// sample of 240); a `U > 1` workload's horizon is its hyperperiod, which
+/// no test walks.
+const CHECK_CAP: Time = Time::new(20_000);
+
+/// What the folds say about the components: `Some(true)` when some
+/// interval overloads them, `Some(false)` when none up to the analysis
+/// horizon does, `None` when the horizon is unknown or past the checks.
+fn fold_oracle(prepared: &PreparedWorkload, jobs: &[(Time, usize, Time)]) -> Option<bool> {
+    if prepared.utilization_exceeds_one() {
+        return Some(true);
+    }
+    let components = prepared.components();
+    if jobs.iter().any(|&(d, _, _)| fold_dbf(components, d) > d) {
+        return Some(true);
+    }
+    let horizon = prepared.analysis_horizon()?;
+    (horizon <= CHECK_CAP).then_some(false)
+}
+
+/// Compares every demand query of `prepared` against the folds at each
+/// job deadline `≤ horizon`, at 0 and at `horizon`, and the event and step
+/// merges against the sorted job list.  Returns the job list.
+fn assert_queries_match_folds(
+    prepared: &PreparedWorkload,
+    horizon: Time,
+) -> Vec<(Time, usize, Time)> {
+    let components = prepared.components();
+    let jobs = sorted_jobs(components, horizon);
+    let mut points: Vec<Time> = jobs.iter().map(|&(d, _, _)| d).collect();
+    points.extend([Time::ZERO, horizon]);
+    points.sort_unstable();
+    points.dedup();
+    for &d in &points {
+        for t in [d, d.saturating_sub(Time::ONE)] {
+            assert_eq!(prepared.dbf(t), fold_dbf(components, t), "dbf at {t}");
+        }
+        for t in [d, d.saturating_add(Time::ONE)] {
+            assert_eq!(
+                prepared.last_deadline_below(t),
+                fold_last_below(components, t),
+                "last_deadline_below at {t}"
+            );
+        }
+        for (j, component) in components.iter().enumerate() {
+            assert_eq!(
+                prepared.kernel().component_demand(j, d),
+                component.dbf(d),
+                "component {j} demand at {d}"
+            );
+        }
+    }
+
+    let events: Vec<(Time, usize)> = prepared
+        .demand_events(horizon)
+        .map(|e| (e.interval, e.component))
+        .collect();
+    let expected: Vec<(Time, usize)> = jobs.iter().map(|&(d, c, _)| (d, c)).collect();
+    assert_eq!(events, expected, "demand_events up to {horizon}");
+
+    let mut expected_steps: Vec<(Time, Time)> = Vec::new();
+    for &(d, _, cost) in &jobs {
+        match expected_steps.last_mut() {
+            Some((last, demand)) if *last == d => *demand = demand.saturating_add(cost),
+            _ => expected_steps.push((d, cost)),
+        }
+    }
+    let mut scratch = AnalysisScratch::new();
+    let steps: Vec<(Time, Time)> = prepared.demand_steps(horizon, &mut scratch).collect();
+    assert_eq!(steps, expected_steps, "demand_steps up to {horizon}");
+    jobs
+}
+
+/// Every query and merge of the workload's kernel against the folds, then
+/// every registered test against the fold oracle: a decisive verdict
+/// agrees with it, and an overload witness is an overload of the fold.
+fn assert_analyses_match_folds<W: Workload + ?Sized>(workload: &W) {
+    let prepared = PreparedWorkload::new(workload);
     let horizon = prepared
         .analysis_horizon()
-        .unwrap_or(Time::new(200))
-        .min(Time::new(400));
-    for i in 0..=horizon.as_u64() + 2 {
-        let i = Time::new(i);
-        assert_eq!(prepared.dbf(i), scalar.dbf(i), "dbf at {i}");
-        assert_eq!(
-            prepared.last_deadline_below(i),
-            scalar.last_deadline_below(i),
-            "last_deadline_below at {i}"
-        );
+        .unwrap_or(CHECK_CAP)
+        .min(CHECK_CAP);
+    let jobs = assert_queries_match_folds(&prepared, horizon);
+    let oracle = fold_oracle(&prepared, &jobs);
+    let components = prepared.components();
+    for test in all_tests() {
+        let analysis = test.analyze_prepared(&prepared);
+        if let Some(overloaded) = oracle {
+            match analysis.verdict {
+                Verdict::Feasible => assert!(!overloaded, "{} accepts an overload", test.name()),
+                Verdict::Infeasible => {
+                    assert!(overloaded, "{} rejects a feasible set", test.name());
+                }
+                Verdict::Unknown => {}
+            }
+        }
+        if let Some(witness) = analysis.overload {
+            // The refining tests may stop partway through an
+            // equal-deadline run, so the reported demand is a lower bound.
+            let demand = fold_dbf(components, witness.interval);
+            assert!(demand > witness.interval, "{} witness", test.name());
+            assert!(
+                witness.interval < witness.demand && witness.demand <= demand,
+                "{} witness demand",
+                test.name()
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Kernel primitives equal the scalar folds on mixed systems (the
-    /// richest single decomposition: periodic + offset + one-shot mix).
+    /// `dbf` and `last_deadline_below` equal the folds at every interval of
+    /// a dense range past the analysis horizon, not only at job deadlines:
+    /// the premise that the job-deadline checks cover every interval.
     #[test]
     fn primitives_match_scalar_on_mixed_systems(system in arb_mixed()) {
-        assert_primitives_equal(&PreparedWorkload::new(&system));
-    }
-
-    /// The loser-tree merge yields exactly the heap merge's event
-    /// sequence, per-job ties in component order included.
-    #[test]
-    fn loser_tree_merge_equals_heap_merge(system in arb_mixed(), horizon in 1u64..=400) {
         let prepared = PreparedWorkload::new(&system);
-        let horizon = Time::new(horizon);
-        let tree: Vec<(Time, usize)> = prepared
-            .demand_events(horizon)
-            .map(|e| (e.interval, e.component))
-            .collect();
-        let heap: Vec<(Time, usize)> =
-            reference::demand_events(prepared.components(), horizon)
-                .map(|e| (e.interval, e.component))
-                .collect();
-        prop_assert_eq!(tree, heap);
+        let components = prepared.components();
+        let horizon = prepared
+            .analysis_horizon()
+            .unwrap_or(Time::new(200))
+            .min(Time::new(400));
+        for i in 0..=horizon.as_u64() + 2 {
+            let i = Time::new(i);
+            prop_assert_eq!(prepared.dbf(i), fold_dbf(components, i), "dbf at {}", i);
+            prop_assert_eq!(
+                prepared.last_deadline_below(i),
+                fold_last_below(components, i),
+                "last_deadline_below at {}", i
+            );
+        }
     }
 
-    /// Full-analysis equivalence on sporadic task sets.
+    /// The merged events and coalesced steps equal the sorted job list at
+    /// arbitrary horizons, per-job ties in component order included.
+    #[test]
+    fn demand_events_and_steps_equal_sorted_job_list(
+        system in arb_mixed(),
+        horizon in 0u64..=400,
+    ) {
+        assert_queries_match_folds(&PreparedWorkload::new(&system), Time::new(horizon));
+    }
+
+    /// Queries, merges and analyses against the folds on sporadic task
+    /// sets.
     #[test]
     fn analyses_match_on_task_sets(ts in arb_set()) {
-        assert_kernel_equals_scalar(&ts);
+        assert_analyses_match_folds(&ts);
     }
 
     /// ... on event-stream tasks.
     #[test]
     fn analyses_match_on_event_streams(task in arb_stream_task()) {
-        assert_kernel_equals_scalar(&task);
+        assert_analyses_match_folds(&task);
     }
 
     /// ... on mixed systems.
     #[test]
     fn analyses_match_on_mixed_systems(system in arb_mixed()) {
-        assert_kernel_equals_scalar(&system);
+        assert_analyses_match_folds(&system);
     }
 
     /// ... on arrival-curve tasks (exact and conservative decompositions;
     /// the conservative mode exercises the one-shot prefix-sum columns).
     #[test]
     fn analyses_match_on_arrival_curves(task in arb_curve_task()) {
-        assert_kernel_equals_scalar(&task);
+        assert_analyses_match_folds(&task);
     }
 
     /// ... on transaction systems (synchronous-conservative reduction).
     #[test]
     fn analyses_match_on_transaction_systems(system in arb_transaction_system()) {
-        assert_kernel_equals_scalar(&system);
+        assert_analyses_match_folds(&system);
     }
-
     /// Scratch reuse never changes a result: analyzing many workloads
     /// through one scratch arena equals fresh-scratch analyses.
     #[test]
@@ -319,22 +442,29 @@ proptest! {
     }
 
     /// `dbf` and `last_deadline_below` on deadlines, periods and costs near
-    /// and above 2³², in every combination, equal the scalar oracle bit
-    /// for bit, on probe intervals on both sides of `u32::MAX`.
+    /// and above 2³², in every combination, equal the folds bit for bit
+    /// (saturation included), on probe intervals on both sides of
+    /// `u32::MAX`.
     #[test]
     fn dbf_and_predecessor_near_and_above_2_32_match_scalar(
         components in arb_straddle_components(),
     ) {
         let prepared = PreparedWorkload::from_components(components);
-        let scalar = prepared.scalar_reference();
-        let probes = straddle_probes(&prepared);
-        for &i in &probes {
-            prop_assert_eq!(prepared.dbf(i), scalar.dbf(i), "dbf at {}", i);
+        let components = prepared.components();
+        for &i in &straddle_probes(&prepared) {
+            prop_assert_eq!(prepared.dbf(i), fold_dbf(components, i), "dbf at {}", i);
             prop_assert_eq!(
                 prepared.last_deadline_below(i),
-                scalar.last_deadline_below(i),
+                fold_last_below(components, i),
                 "predecessor at {}", i
             );
+            for (j, component) in components.iter().enumerate() {
+                prop_assert_eq!(
+                    prepared.kernel().component_demand(j, i),
+                    component.dbf(i),
+                    "component {} demand at {}", j, i
+                );
+            }
         }
     }
 
@@ -391,37 +521,11 @@ proptest! {
             }
         }
     }
-
-    /// A `ScaledView` over the scalar oracle runs entirely on the scalar
-    /// path and still equals the kernel view — whole probe sequences
-    /// compare equal end to end.
-    #[test]
-    fn scalar_view_probes_match_kernel_view_probes(
-        system in arb_mixed(),
-        numers in prop::collection::vec(0u64..=8_000, 1..=4),
-    ) {
-        let kernel_base = PreparedWorkload::new(&system);
-        let scalar_base = kernel_base.scalar_reference();
-        let mut kernel_view = ScaledView::new(&kernel_base);
-        let mut scalar_view = ScaledView::new(&scalar_base);
-        let suite = all_tests();
-        for numer in numers {
-            let kernel_probe = kernel_view.scale_wcets(numer, 1_000);
-            let scalar_probe = scalar_view.scale_wcets(numer, 1_000);
-            for test in &suite {
-                prop_assert_eq!(
-                    test.analyze_prepared(kernel_probe),
-                    test.analyze_prepared(scalar_probe),
-                    "{} diverges between kernel and scalar views", test.name()
-                );
-            }
-        }
-    }
 }
 
-/// Deterministic spot check: the overload witness survives the kernel
-/// rebuild exactly (interval and demand), for both the event-walking and
-/// the QPA-style exact tests.
+/// Deterministic spot check: the overload witness of the event-walking
+/// and the QPA-style exact tests is an overload of the fold, interval and
+/// demand.
 #[test]
 fn overload_witnesses_are_preserved() {
     use edf_analysis::tests::{ProcessorDemandTest, QpaTest};
@@ -431,16 +535,16 @@ fn overload_witnesses_are_preserved() {
         Task::from_ticks(4, 6, 10).unwrap(),
         Task::from_ticks(2, 5, 12).unwrap(),
     ]);
-    let kernel = PreparedWorkload::new(&ts);
-    let scalar = kernel.scalar_reference();
+    let prepared = PreparedWorkload::new(&ts);
     for test in [
         Box::new(ProcessorDemandTest::new()) as Box<dyn FeasibilityTest>,
         Box::new(QpaTest::new()),
     ] {
-        let a = test.analyze_prepared(&kernel);
-        let b = test.analyze_prepared(&scalar);
-        assert_eq!(a, b, "{}", test.name());
-        let witness = a.overload.expect("infeasible set has a witness");
-        assert!(witness.demand > witness.interval);
+        let analysis = test.analyze_prepared(&prepared);
+        assert_eq!(analysis.verdict, Verdict::Infeasible, "{}", test.name());
+        let witness = analysis.overload.expect("infeasible set has a witness");
+        let demand = fold_dbf(prepared.components(), witness.interval);
+        assert_eq!(witness.demand, demand, "{}", test.name());
+        assert!(demand > witness.interval, "{}", test.name());
     }
 }

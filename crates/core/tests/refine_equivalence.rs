@@ -6,13 +6,12 @@
 //! examined intervals and overload witnesses — across sporadic task sets,
 //! event streams, mixed systems and arrival curves, under every test knob
 //! (`LevelGrowth`, `RevisionOrder`, `with_initial_level`, `with_max_level`
-//! / `from_target_error`), on the kernel demand path and the scalar
-//! oracle alike.
+//! / `from_target_error`).
 
 use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::refine::reference;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
-use edf_analysis::workload::{MixedSystem, PreparedWorkload, Workload};
+use edf_analysis::workload::{MixedSystem, PreparedWorkload};
 use edf_analysis::FeasibilityTest;
 use edf_model::{
     AffineSegment, ArrivalCurve, ArrivalCurveTask, EventStream, EventStreamTask, Task, TaskSet,
@@ -134,35 +133,26 @@ fn assert_engine_equals_reference(prepared: &PreparedWorkload) {
     }
 }
 
-/// [`assert_engine_equals_reference`] on the kernel-backed preparation
-/// and on the scalar-reference oracle (the engine's reciprocal gathering
-/// takes a different path on each).
-fn assert_engine_equals_reference_both_paths<W: Workload + ?Sized>(workload: &W) {
-    let kernel = PreparedWorkload::new(workload);
-    assert_engine_equals_reference(&kernel);
-    assert_engine_equals_reference(&kernel.scalar_reference());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Engine-vs-reference equivalence on sporadic task sets.
     #[test]
     fn refining_tests_match_reference_on_task_sets(ts in arb_set()) {
-        assert_engine_equals_reference_both_paths(&ts);
+        assert_engine_equals_reference(&PreparedWorkload::new(&ts));
     }
 
     /// ... on event-stream tasks.
     #[test]
     fn refining_tests_match_reference_on_event_streams(task in arb_stream_task()) {
-        assert_engine_equals_reference_both_paths(&task);
+        assert_engine_equals_reference(&PreparedWorkload::new(&task));
     }
 
     /// ... on mixed systems (periodic + offset + one-shot components in
     /// one frontier).
     #[test]
     fn refining_tests_match_reference_on_mixed_systems(system in arb_mixed()) {
-        assert_engine_equals_reference_both_paths(&system);
+        assert_engine_equals_reference(&PreparedWorkload::new(&system));
     }
 
     /// ... on arrival-curve tasks (exact and conservative decompositions;
@@ -170,7 +160,7 @@ proptest! {
     /// frontier steps without reciprocals).
     #[test]
     fn refining_tests_match_reference_on_arrival_curves(task in arb_curve_task()) {
-        assert_engine_equals_reference_both_paths(&task);
+        assert_engine_equals_reference(&PreparedWorkload::new(&task));
     }
 
     /// Scratch reuse across engine and reference runs never changes a

@@ -14,7 +14,8 @@ use edf_model::{literature, TaskSet};
 use crate::report::{fmt_f64, Table};
 use crate::stats::IterationStats;
 
-/// The tests compared by the effort experiments, in the paper's order.
+/// The tests compared by the effort experiments, in the paper's order;
+/// the processor demand test (the exact baseline) comes last.
 fn effort_tests() -> (Vec<String>, Vec<BoxedTest>) {
     (
         vec![
@@ -97,7 +98,7 @@ pub fn run_utilization_effort(config: &UtilizationEffortConfig) -> Vec<EffortRow
         .into_iter()
         .map(|point| EffortRow {
             parameter: point.parameter,
-            stats: collect_stats(&labels, &tests, &point.task_sets),
+            stats: collect_stats(&labels, &tests, &point.task_sets, point.parameter),
         })
         .collect()
 }
@@ -168,19 +169,35 @@ pub fn run_ratio_effort(config: &RatioEffortConfig) -> Vec<EffortRow<u64>> {
         .into_iter()
         .map(|point| EffortRow {
             parameter: point.parameter,
-            stats: collect_stats(&labels, &tests, &point.task_sets),
+            stats: collect_stats(&labels, &tests, &point.task_sets, point.parameter),
         })
         .collect()
 }
 
 /// One [`analyze_many`] batch: each task set is prepared once (bounds and
 /// all) and shared by every test, with the sets fanned out across cores.
-fn collect_stats(
+///
+/// # Panics
+///
+/// Panics, naming the sweep point and the set index, if a test's verdict
+/// differs from the processor demand test's: the new tests are exact, so
+/// their counts only compare when their verdicts agree.
+fn collect_stats<P: std::fmt::Display>(
     labels: &[String],
     tests: &[BoxedTest],
     task_sets: &[TaskSet],
+    point: P,
 ) -> Vec<(String, IterationStats)> {
     let analyses = analyze_many(task_sets, tests);
+    for (set, per_set) in analyses.iter().enumerate() {
+        let (baseline, others) = per_set.split_last().expect("the effort suite is not empty");
+        for (label, analysis) in labels.iter().zip(others) {
+            assert_eq!(
+                analysis.verdict, baseline.verdict,
+                "{label} disagrees with processor demand at sweep point {point}, set {set}"
+            );
+        }
+    }
     labels
         .iter()
         .enumerate()
@@ -259,8 +276,8 @@ pub fn run_literature() -> Vec<LiteratureRow> {
             let pda = ProcessorDemandTest::new().analyze_prepared(&prepared);
             let pda_baruah =
                 ProcessorDemandTest::with_bound(BoundSelection::Baruah).analyze_prepared(&prepared);
-            debug_assert_eq!(dynamic.verdict, pda.verdict);
-            debug_assert_eq!(all_approx.verdict, pda.verdict);
+            assert_eq!(dynamic.verdict, pda.verdict, "{name}: dynamic-error");
+            assert_eq!(all_approx.verdict, pda.verdict, "{name}: all-approximated");
             LiteratureRow {
                 name: name.to_owned(),
                 tasks: ts.len(),

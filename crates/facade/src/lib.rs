@@ -23,9 +23,8 @@
 //!   once per test;
 //! * [`analysis::kernel`] — the columnar demand kernel behind every hot
 //!   demand query: structure-of-arrays columns with precomputed period
-//!   reciprocals, a flat loser-tree deadline merge, and the reusable
-//!   [`AnalysisScratch`] arena (the scalar path survives only as the
-//!   equivalence oracle [`PreparedWorkload::scalar_reference`]);
+//!   reciprocals, a flat tournament-tree deadline merge, and the reusable
+//!   [`AnalysisScratch`] arena;
 //! * [`analysis::batch`] — the parallel batch front end:
 //!   [`batch::analyze_many`] fans a workload
 //!   batch out across the CPU cores with one shared preparation and one
