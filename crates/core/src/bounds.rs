@@ -24,35 +24,43 @@
 //! component periodic; the busy period and hyperperiod arguments need the
 //! classic synchronous pattern) return `None` for workloads outside their
 //! domain, and [`FeasibilityBounds::analysis_horizon`] picks the tightest
-//! of whatever is available.  The `TaskSet` entry points are thin wrappers
-//! over the component forms.
+//! of whatever is available ([`FeasibilityBounds::qpa_horizon`] the
+//! tightest short of the busy period).  The `TaskSet` entry points are
+//! thin wrappers over the component forms.
 //!
 //! All bounds are rounded **up** to the next integer so that using them as
 //! a search horizon can never cut off a violating deadline.
 //!
-//! The analyses read one number: the analysis horizon, the minimum of the
-//! bounds.  Every preparation derives it on one path, from aggregates
-//! folded one component at a time — a cold
-//! [`PreparedWorkload`](crate::workload::PreparedWorkload) on first use,
-//! the [`ScaledView`](crate::incremental::ScaledView) and
+//! The analyses read two numbers, split by what each test needs.  QPA
+//! needs only *some* valid bound to start its descent, so it reads the
+//! QPA horizon `min(George, hyperperiod)` (the busy period only when both
+//! are undefined: `U = 1` with an overflowing lcm).  The processor-demand
+//! walk and the refining tests examine every deadline below their
+//! horizon, so they read the analysis horizon, the minimum of all bounds:
+//! `min(QPA horizon, busy period)`.  Every preparation derives the QPA
+//! horizon on one path, from aggregates folded one component at a time —
+//! a cold [`PreparedWorkload`](crate::workload::PreparedWorkload) on first
+//! use, the [`ScaledView`](crate::incremental::ScaledView) and
 //! [`CandidateView`](crate::candidates::CandidateView) probes after every
 //! re-costing or re-phasing (they keep the period lcm and re-fold the
 //! rest), and an [`EditView`](crate::incremental::EditView) finalize from
-//! the folds it carries across commits.  The path computes
-//! `min(George, busy period, hyperperiod)`: Baruah and superposition are
-//! never below George, a busy-period fix-point that can no longer lower
-//! the minimum stops, and a `U > 1` list reads its hyperperiod.  It reads
-//! the George bound in closed form, `max(1, ⌈N/(1 − U)⌉)`, from the `f64`
-//! sums it folds anyway, under a proven error window: an estimate whose
-//! window holds no integer is usually the answer outright, one holding a
-//! single integer costs one or two exact predicate evaluations, and
-//! inexact inputs (values ≥ 2⁵³), `U` within 2⁻⁹ of one, an estimate past
-//! 2⁵² or a window that two evaluations cannot settle fall back to the
-//! search seeded with the estimate.  The result always equals the plain
+//! the folds it carries across commits.  Baruah and superposition are
+//! never below George, and a `U > 1` list reads its hyperperiod.  The
+//! analysis horizon is derived lazily from the QPA horizon, once per
+//! component list and only when a test asks for it: a busy-period
+//! fix-point over the kernel's periodic columns that stops once it can no
+//! longer lower the QPA horizon.  The George bound is read in closed
+//! form, `max(1, ⌈N/(1 − U)⌉)`, from the `f64` sums the folds carry,
+//! under a proven error window: an estimate whose window holds no integer
+//! is usually the answer outright, one holding a single integer costs one
+//! or two exact predicate evaluations, and inexact inputs (values ≥ 2⁵³),
+//! `U` within 2⁻⁹ of one, an estimate past 2⁵² or a window that two
+//! evaluations cannot settle fall back to the search seeded with the
+//! estimate.  The result always equals the plain
 //! binary search of [`george_components`].
 //! [`FeasibilityBounds::for_components`] computes every bound by its
-//! standalone search and stays the independent reference the horizon is
-//! tested against.
+//! standalone search and stays the independent reference both horizons
+//! are tested against.
 //!
 //! # Examples
 //!
@@ -64,9 +72,13 @@
 //! let ts = TaskSet::from_tasks(vec![
 //!     Task::new(Time::new(2), Time::new(4), Time::new(10))?,
 //!     Task::new(Time::new(3), Time::new(6), Time::new(15))?,
+//!     Task::new(Time::new(4), Time::new(20), Time::new(40))?,
 //! ]);
 //! let all = bounds::FeasibilityBounds::compute(&ts);
-//! assert!(all.analysis_horizon().is_some());
+//! // George 10, busy period 9: QPA starts from George, the
+//! // processor-demand walk stops at the busy period.
+//! assert_eq!(all.qpa_horizon(), Some(Time::new(10)));
+//! assert_eq!(all.analysis_horizon(), Some(Time::new(9)));
 //! # Ok(())
 //! # }
 //! ```
@@ -131,6 +143,20 @@ impl FeasibilityBounds {
         }
     }
 
+    /// The horizon QPA descends from: `min(George, hyperperiod)`, or the
+    /// busy period when neither is defined (`U = 1` with an overflowing
+    /// hyperperiod), or `None` when no bound is.  Any valid bound is a
+    /// correct start for the descent, so QPA skips the busy-period
+    /// fix-point wherever a cheaper bound exists.
+    #[must_use]
+    pub fn qpa_horizon(&self) -> Option<Time> {
+        [self.george, self.hyperperiod]
+            .into_iter()
+            .flatten()
+            .min()
+            .or(self.busy_period)
+    }
+
     /// The tightest available bound: the minimum over all bounds that could
     /// be computed, or `None` if none could (utilization ≥ 1 with an
     /// overflowing or undefined hyperperiod).
@@ -149,16 +175,12 @@ impl FeasibilityBounds {
     }
 }
 
-/// The timing-dependent (deadline/offset/period-shape) aggregates of the
+/// The timing-dependent (deadline/period-shape) aggregates of the
 /// §4.3 bound machinery — the half that stays fixed under WCET
 /// perturbations but moves under re-phasing and structural edits, folded
 /// one component at a time into [`ComponentFolds`].
 #[derive(Debug, Clone, Copy)]
 struct TimingAggregates {
-    /// Some component is one-shot.
-    one_shot: bool,
-    /// Some component is released after the window start.
-    offset: bool,
     /// Every component is periodic with `D' ≥ T` (vacuously true when
     /// empty): the George numerator is then zero.
     george_degenerate: bool,
@@ -168,8 +190,6 @@ struct TimingAggregates {
 
 impl TimingAggregates {
     const EMPTY: TimingAggregates = TimingAggregates {
-        one_shot: false,
-        offset: false,
         george_degenerate: true,
         min_first_deadline: None,
         max_first_deadline: None,
@@ -177,14 +197,7 @@ impl TimingAggregates {
 
     fn push(&mut self, component: &DemandComponent) {
         let deadline = component.first_deadline();
-        match component.period() {
-            Some(period) => self.george_degenerate &= deadline >= period,
-            None => {
-                self.one_shot = true;
-                self.george_degenerate = false;
-            }
-        }
-        self.offset |= !component.release_offset().is_zero();
+        self.george_degenerate &= component.period().is_some_and(|p| deadline >= p);
         self.min_first_deadline = Some(
             self.min_first_deadline
                 .map_or(deadline, |d| d.min(deadline)),
@@ -193,12 +206,6 @@ impl TimingAggregates {
             self.max_first_deadline
                 .map_or(deadline, |d| d.max(deadline)),
         );
-    }
-
-    /// The synchronous busy-period argument applies: non-empty, purely
-    /// periodic, all released at the window start.
-    fn busy_applicable(&self) -> bool {
-        self.min_first_deadline.is_some() && !self.one_shot && !self.offset
     }
 }
 
@@ -351,17 +358,17 @@ impl ComponentFolds {
     }
 }
 
-/// The period reciprocal of one component, as [`analysis_horizon`] and the
+/// The period reciprocal of one component, as [`qpa_horizon`] and the
 /// kernel columns take it: one-shots get the divisor-1 sentinel.
 pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
     Reciprocal::new(component.period().map_or(1, Time::as_u64))
 }
 
-/// The analysis horizon of `components`: equal to
-/// `FeasibilityBounds::for_components(components).analysis_horizon()` on
-/// every list.  The one path every preparation derives its horizon on — a
-/// cold [`PreparedWorkload`](crate::workload::PreparedWorkload) on first
-/// use, and the [`ScaledView`](crate::incremental::ScaledView),
+/// The QPA horizon of `components`: equal to
+/// `FeasibilityBounds::for_components(components).qpa_horizon()` on every
+/// list.  The one path every preparation derives it on — a cold
+/// [`PreparedWorkload`](crate::workload::PreparedWorkload) on first use,
+/// and the [`ScaledView`](crate::incremental::ScaledView),
 /// [`CandidateView`](crate::candidates::CandidateView) and
 /// [`EditView`](crate::incremental::EditView) refreshes.
 ///
@@ -372,24 +379,19 @@ pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
 /// from the folds (see [`george_closed_form`]); where that cannot certify
 /// its answer, the search seeded with the folds' estimate takes over.
 ///
-/// Only the minimum of the bounds is computed, and the work that cannot
-/// lower it is skipped:
-///
 /// * **`U > 1` reads the hyperperiod.**  George, Baruah and superposition
 ///   are undefined there, and the busy period has no fixed point: one
 ///   would need `L ≥ U·L > L`.
-/// * **No Baruah search.**  Baruah's predicate
+/// * **Otherwise `min(George, hyperperiod)`.**  Baruah's predicate
 ///   `Σ Cᵢ·(L + maxⱼ(Tⱼ ⊖ Dⱼ))/Tᵢ ≤ L` implies George's
 ///   `Σ Cᵢ·(L + (Tᵢ ⊖ Dᵢ))/Tᵢ ≤ L` term by term, because
 ///   `Tᵢ ⊖ Dᵢ ≤ maxⱼ(Tⱼ ⊖ Dⱼ)`; so George ≤ Baruah whenever Baruah
 ///   exists.  The superposition bound is `max(George, Dmax)`, so it is
 ///   never below George either.
-/// * **The busy-period fix-point stops at the running minimum**
-///   `m = min(George, hyperperiod)`.  Its iterates rise monotonically
-///   to the least fixed point, so an iterate ≥ `m` proves the busy
-///   period ≥ `m`.  Below `m` it runs the same iterations under the
-///   same convergence cut-off as [`busy_period_components`].
-pub(crate) fn analysis_horizon(
+/// * **The busy period only when both are undefined** (`U = 1` with an
+///   overflowing lcm), under the same convergence cut-off as
+///   [`busy_period_components`].
+pub(crate) fn qpa_horizon(
     components: &[DemandComponent],
     reciprocals: &[Reciprocal],
     folds: &ComponentFolds,
@@ -402,13 +404,42 @@ pub(crate) fn analysis_horizon(
         return folds.hyperperiod();
     }
     let george = george_from_folds(components, reciprocals, folds);
-    let running_min = [george, folds.hyperperiod()].into_iter().flatten().min();
-    let busy_period = if folds.timing.busy_applicable() {
-        busy_period_below(components, reciprocals, running_min)
-    } else {
-        None
-    };
-    [running_min, busy_period].into_iter().flatten().min()
+    let minimum = [george, folds.hyperperiod()].into_iter().flatten().min();
+    if minimum.is_some() || !synchronous_periodic(components) {
+        return minimum;
+    }
+    let costs = components.iter().map(DemandComponent::wcet);
+    busy_period_below(costs.zip(reciprocals.iter().copied()), None)
+}
+
+/// The analysis horizon of a list with exact `U ≤ 1` to which the
+/// busy-period argument applies ([`synchronous_periodic`]), given its
+/// [`qpa_horizon`]: `min(qpa, busy period)`, equal to
+/// `FeasibilityBounds::for_components(components).analysis_horizon()`.
+/// `periodic_costs` yields the cost and period reciprocal of every
+/// component, in any order (the fix-point's saturating sums do not depend
+/// on it).
+///
+/// The fix-point stops at the QPA horizon: its iterates rise
+/// monotonically to the least fixed point, so an iterate at or above it
+/// proves the busy period cannot lower the minimum.  A `None` QPA horizon
+/// already went through the busy period, so it is the answer as it is.
+pub(crate) fn analysis_horizon(
+    qpa_horizon: Option<Time>,
+    periodic_costs: impl Iterator<Item = (Time, Reciprocal)> + Clone,
+) -> Option<Time> {
+    let qpa = qpa_horizon?;
+    Some(busy_period_below(periodic_costs, Some(qpa)).unwrap_or(qpa))
+}
+
+/// `true` when the synchronous busy-period argument applies to
+/// `components`: non-empty, purely periodic, all released at the window
+/// start.
+pub(crate) fn synchronous_periodic(components: &[DemandComponent]) -> bool {
+    !components.is_empty()
+        && components
+            .iter()
+            .all(|c| c.period().is_some() && c.release_offset().is_zero())
 }
 
 /// The George bound of a list with exact `U ≤ 1`, equal to
@@ -621,38 +652,34 @@ fn george_predicate_rcp(
 }
 
 /// [`busy_period_components`] for a purely periodic component list
-/// released at zero, dividing through the cached period `reciprocals`
-/// ([`Reciprocal::divide`] is exact for every `u64`) and abandoned as soon
-/// as an iterate reaches `ceiling`: the iterates rise monotonically to the
-/// least fixed point, so such an iterate proves the busy period is at
-/// least `ceiling`.  Returns the busy period when it converges below
-/// `ceiling`; `None` when abandoned, cut off after
+/// released at zero, given as the `(cost, period reciprocal)` pair of
+/// every component ([`Reciprocal::divide`] is exact for every `u64`), and
+/// abandoned as soon as an iterate reaches `ceiling`: the iterates rise
+/// monotonically to the least fixed point, so such an iterate proves the
+/// busy period is at least `ceiling`.  Returns the busy period when it
+/// converges below `ceiling`; `None` when abandoned, cut off after
 /// [`BUSY_PERIOD_CONVERGENCE_UNITS`] iterations, or saturated.
 fn busy_period_below(
-    components: &[DemandComponent],
-    reciprocals: &[Reciprocal],
+    costs: impl Iterator<Item = (Time, Reciprocal)> + Clone,
     ceiling: Option<Time>,
 ) -> Option<Time> {
     let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
-    let mut length = components
-        .iter()
-        .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
+    let mut length = costs
+        .clone()
+        .fold(Time::ZERO, |acc, (wcet, _)| acc.saturating_add(wcet));
     loop {
         if ceiling.is_some_and(|m| length >= m) || !convergence.charge(1) {
             return None;
         }
         // `rbf` of a component released at zero: one job at `L = 0`,
         // `⌊(L − 1)/T⌋ + 1` jobs after.
-        let next = components
-            .iter()
-            .zip(reciprocals)
-            .fold(Time::ZERO, |acc, (c, rcp)| {
-                let jobs = match length.as_u64() {
-                    0 => 1,
-                    l => rcp.divide(l - 1) + 1,
-                };
-                acc.saturating_add(c.wcet().saturating_mul(jobs))
-            });
+        let next = costs.clone().fold(Time::ZERO, |acc, (wcet, rcp)| {
+            let jobs = match length.as_u64() {
+                0 => 1,
+                l => rcp.divide(l - 1) + 1,
+            };
+            acc.saturating_add(wcet.saturating_mul(jobs))
+        });
         if next == length {
             return Some(length);
         }
@@ -853,11 +880,7 @@ pub fn busy_period_components_with(
     components: &[DemandComponent],
     budget: &mut WorkBudget,
 ) -> Option<Time> {
-    if components.is_empty()
-        || components
-            .iter()
-            .any(|c| c.period().is_none() || !c.release_offset().is_zero())
-    {
+    if !synchronous_periodic(components) {
         return None;
     }
     let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
@@ -1198,14 +1221,56 @@ mod tests {
         }
     }
 
-    /// [`analysis_horizon`] on `components`, from fresh folds.
-    fn folded_horizon(components: &[DemandComponent]) -> Option<Time> {
-        analysis_horizon(
+    /// [`qpa_horizon`] on `components`, from `folds`.
+    fn folded_qpa_horizon(components: &[DemandComponent], folds: &ComponentFolds) -> Option<Time> {
+        qpa_horizon(
             components,
             &reciprocals_of(components),
-            &ComponentFolds::of(components),
+            folds,
             components_exceed_one(components),
         )
+    }
+
+    /// The `(cost, period reciprocal)` pairs [`busy_period_below`] takes,
+    /// in component order.
+    fn costs_of(components: &[DemandComponent]) -> Vec<(Time, Reciprocal)> {
+        components
+            .iter()
+            .map(|c| (c.wcet(), period_reciprocal(c)))
+            .collect()
+    }
+
+    /// Both horizons of `components` against the reference: the QPA
+    /// horizon from fresh folds and from `base`'s folds refolded to
+    /// `components` (`base` has the same periods), and the analysis
+    /// horizon of a cold preparation, which derives it from its QPA
+    /// horizon.
+    fn assert_horizons_match_reference(base: &[DemandComponent], components: &[DemandComponent]) {
+        let reference = FeasibilityBounds::for_components(components);
+        let fresh = ComponentFolds::of(components);
+        assert_eq!(
+            folded_qpa_horizon(components, &fresh),
+            reference.qpa_horizon(),
+            "{components:?}"
+        );
+        let mut refolded = ComponentFolds::of(base);
+        refolded.refold(components);
+        assert_eq!(
+            folded_qpa_horizon(components, &refolded),
+            reference.qpa_horizon(),
+            "refolded {components:?}"
+        );
+        let prepared = PreparedWorkload::from_components(components.to_vec());
+        assert_eq!(
+            prepared.qpa_horizon(),
+            reference.qpa_horizon(),
+            "{components:?}"
+        );
+        assert_eq!(
+            prepared.analysis_horizon(),
+            reference.analysis_horizon(),
+            "{components:?}"
+        );
     }
 
     /// `base` with every cost scaled by `numer/denom`.
@@ -1252,13 +1317,13 @@ mod tests {
         let early_exit = vec![periodic(2, 3, 3), periodic(2, 7, 7)];
         assert_eq!(george_components(&early_exit), Some(Time::new(3)));
         assert_eq!(busy_period_components(&early_exit), Some(Time::new(6)));
-        let reciprocals = reciprocals_of(&early_exit);
+        let costs = costs_of(&early_exit);
         assert_eq!(
-            busy_period_below(&early_exit, &reciprocals, None),
+            busy_period_below(costs.iter().copied(), None),
             Some(Time::new(6))
         );
         assert_eq!(
-            busy_period_below(&early_exit, &reciprocals, Some(Time::new(3))),
+            busy_period_below(costs.iter().copied(), Some(Time::new(3))),
             None
         );
 
@@ -1337,11 +1402,7 @@ mod tests {
                 name.starts_with("U > 1"),
                 "{name}"
             );
-            assert_eq!(
-                folded_horizon(&components),
-                FeasibilityBounds::for_components(&components).analysis_horizon(),
-                "{name}"
-            );
+            assert_horizons_match_reference(&components, &components);
         }
 
         // Lists that differ from a base only in costs (the `ScaledView`
@@ -1405,17 +1466,91 @@ mod tests {
             probes.push((phased.clone(), retimed));
         }
         for (base, probe) in probes {
-            let reference = FeasibilityBounds::for_components(&probe).analysis_horizon();
-            assert_eq!(folded_horizon(&probe), reference, "{probe:?}");
-            let mut folds = ComponentFolds::of(&base);
-            folds.refold(&probe);
-            let horizon = analysis_horizon(
-                &probe,
-                &reciprocals_of(&probe),
-                &folds,
-                components_exceed_one(&probe),
-            );
-            assert_eq!(horizon, reference, "refolded {probe:?}");
+            assert_horizons_match_reference(&base, &probe);
+        }
+    }
+
+    /// The QPA horizon at its edges: `U > 1` reads the hyperperiod, `U ≤ 1`
+    /// reads `min(George, hyperperiod)`, and only `U = 1` with an
+    /// overflowing lcm falls back to the busy period — from fresh folds
+    /// and from refolded ones, against the reference.
+    #[test]
+    fn qpa_horizon_matches_reference_at_the_edges() {
+        let (p, q) = ((1u64 << 32) + 15, (1u64 << 32) + 17);
+        let one_shot =
+            |c: u64, d: u64| DemandComponent::one_shot(Time::new(c), Time::new(d), Time::ZERO);
+        let cases: [(&str, Vec<DemandComponent>, Option<Time>); 9] = [
+            // lcm 12 + max D' 9.
+            (
+                "U > 1",
+                vec![periodic(3, 4, 4), periodic(2, 5, 6), periodic(1, 9, 12)],
+                Some(Time::new(21)),
+            ),
+            (
+                "U > 1, lcm overflow",
+                vec![periodic(p, p, p), periodic(q, q, q)],
+                None,
+            ),
+            // George is undefined at `U = 1`; lcm 4 + max D' 4.
+            (
+                "U = 1, lcm defined",
+                vec![periodic(1, 2, 2), periodic(1, 3, 4), periodic(1, 4, 4)],
+                Some(Time::new(8)),
+            ),
+            // The zero-cost components push the lcm past `u64` but leave
+            // the fix-point `L = ⌈L/2⌉ + ⌈L/2⌉` at 2.
+            (
+                "U = 1, lcm overflow",
+                vec![
+                    periodic(1, 1, 2),
+                    periodic(1, 2, 2),
+                    periodic(0, p, p),
+                    periodic(0, q, q),
+                ],
+                Some(Time::new(2)),
+            ),
+            // The busy-period iterates are cut off before converging.
+            (
+                "U = 1, lcm overflow, busy period cut off",
+                vec![periodic(p, 2 * p - 1, 2 * p), periodic(q, 2 * q, 2 * q)],
+                None,
+            ),
+            // George only: ⌈2.6 / 0.9⌉.
+            (
+                "one-shot",
+                vec![periodic(1, 4, 10), one_shot(2, 5)],
+                Some(Time::new(3)),
+            ),
+            (
+                "one-shots only",
+                vec![one_shot(2, 5), one_shot(3, 9)],
+                Some(Time::new(5)),
+            ),
+            // `U = 0`: George is 1.
+            (
+                "zero costs",
+                vec![periodic(0, 3, 5), periodic(0, 7, 7)],
+                Some(Time::new(1)),
+            ),
+            ("empty", vec![], None),
+        ];
+        for (name, components, expected) in cases {
+            let reference = FeasibilityBounds::for_components(&components);
+            assert_eq!(reference.qpa_horizon(), expected, "{name}");
+            if name == "U = 1, lcm overflow" {
+                assert_eq!((reference.george, reference.hyperperiod), (None, None));
+                assert_eq!(reference.busy_period, expected);
+            }
+            // A base with the same periods and every cost one higher.
+            let base: Vec<DemandComponent> = components
+                .iter()
+                .map(|c| {
+                    let mut c = *c;
+                    c.set_wcet(c.wcet() + Time::ONE);
+                    c
+                })
+                .collect();
+            assert_horizons_match_reference(&base, &components);
         }
     }
 

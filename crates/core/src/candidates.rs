@@ -42,7 +42,7 @@
 //!    shared, the cached deadline order is repaired by *merging* the
 //!    re-sorted block instead of a full re-sort, the kernel columns are
 //!    rebuilt in place into their existing allocations, and the §4.3
-//!    analysis horizon is re-derived from folds that keep the
+//!    QPA horizon is re-derived from folds that keep the
 //!    period lcm and re-fold only the timing terms.  A candidate swap
 //!    never moves a cost or a period, so the utilization and the exact
 //!    `U > 1` comparison are computed once for the whole sweep.  Gray
@@ -104,7 +104,7 @@ use edf_model::{Time, Transaction, TransactionSystem};
 use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
 use crate::batch::parallel_map_with;
-use crate::bounds::{analysis_horizon, period_reciprocal, ComponentFolds};
+use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
 use crate::budget::{Progress, ProgressPhase, WorkBudget};
 use crate::incremental::WorkloadView;
 use crate::kernel::AnalysisScratch;
@@ -447,7 +447,7 @@ impl TransactionSlot {
 /// across the whole sweep; the deadline order is repaired by merging the
 /// swapped block's pre-sorted run into the unchanged remainder (`O(n)`,
 /// not a re-sort); the kernel columns are rebuilt in place from that
-/// order; and the §4.3 analysis horizon is re-derived on the one path
+/// order; and the §4.3 QPA horizon is re-derived on the one path
 /// every preparation uses (see [`crate::bounds`]), with the period
 /// reciprocals and the period lcm cached for the whole sweep.
 ///
@@ -541,7 +541,7 @@ impl CandidateView {
         let components = scratch.components();
         let reciprocals: Vec<Reciprocal> = components.iter().map(period_reciprocal).collect();
         let folds = ComponentFolds::of(components);
-        let horizon = analysis_horizon(
+        let horizon = qpa_horizon(
             components,
             &reciprocals,
             &folds,
@@ -626,7 +626,7 @@ impl CandidateView {
     /// relative order among the untouched components is still valid) and
     /// the blocks' pre-sorted runs are merged back in by
     /// `(first deadline, index)` — reproducing a stable full sort in
-    /// `O(n)` — before the kernel columns and the §4.3 analysis horizon are refreshed.
+    /// `O(n)` — before the kernel columns and the §4.3 QPA horizon are refreshed.
     fn finalize(&mut self) {
         self.merge_buf.clear();
         for &transaction in &self.dirty {
@@ -669,7 +669,7 @@ impl CandidateView {
         }
         let components = self.scratch.components();
         self.folds.refold(components);
-        let horizon = analysis_horizon(
+        let horizon = qpa_horizon(
             components,
             &self.reciprocals,
             &self.folds,
@@ -1244,6 +1244,10 @@ mod tests {
                 probed.analysis_horizon(),
                 FeasibilityBounds::for_components(cold.components()).analysis_horizon()
             );
+            assert_eq!(
+                probed.qpa_horizon(),
+                FeasibilityBounds::for_components(cold.components()).qpa_horizon()
+            );
             assert_eq!(probed.utilization().to_bits(), cold.utilization().to_bits());
             for test in [
                 Box::new(ProcessorDemandTest::new()) as crate::BoxedTest,
@@ -1280,6 +1284,10 @@ mod tests {
         assert_eq!(
             probed.analysis_horizon(),
             FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+        );
+        assert_eq!(
+            probed.qpa_horizon(),
+            FeasibilityBounds::for_components(cold.components()).qpa_horizon()
         );
     }
 

@@ -15,7 +15,7 @@
 //! * the **deadline order** — periods, deadlines and offsets do not move
 //!   under WCET changes, so the sorted order computed once for the base
 //!   workload is seeded into the view and shared by every probe;
-//! * the **period half of the §4.3 analysis horizon** — the period lcm
+//! * the **period half of the §4.3 QPA horizon** — the period lcm
 //!   behind the hyperperiod bound and the per-component period
 //!   reciprocals never move under WCET changes, so a probe re-folds only
 //!   the cost and timing aggregates and derives the horizon on the one
@@ -38,9 +38,14 @@
 //!
 //! | view | may mutate | repair path | refresh cost |
 //! |------|-----------|-------------|--------------|
-//! | [`ScaledView`] | WCETs only | column rewrite + horizon refresh | `O(n)` + a busy-period fix-point |
+//! | [`ScaledView`] | WCETs only | column rewrite + horizon refresh | `O(n)` |
 //! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild, horizon refresh | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components, a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel, busy period), `O(1)` aggregate work per appended component |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components, a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel), `O(1)` aggregate work per appended component |
+//!
+//! Every refresh installs the QPA horizon only; the busy-period
+//! fix-point behind the tightest
+//! [analysis horizon](PreparedWorkload::analysis_horizon) runs lazily,
+//! once per refresh, for the tests that read it.
 //!
 //! All three implement [`WorkloadView`] — finalize to a
 //! [`&PreparedWorkload`](PreparedWorkload), dirty-tracking, revert — so
@@ -82,7 +87,7 @@
 use edf_model::Time;
 
 use crate::arith::Reciprocal;
-use crate::bounds::{analysis_horizon, period_reciprocal, ComponentFolds};
+use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
 use crate::workload::{DemandComponent, PreparedWorkload};
 
 /// The common interface of the incremental view family ([`ScaledView`],
@@ -229,12 +234,12 @@ impl<'a> ScaledView<'a> {
 
     /// Recomputes the cost-dependent aggregates of the scratch workload in
     /// one linear pass (the folds, keeping the base's period lcm), decides
-    /// `U > 1` from them and installs the refreshed analysis horizon.
+    /// `U > 1` from them and installs the refreshed QPA horizon.
     fn refresh(&mut self) -> &PreparedWorkload {
         let components = self.scratch.components();
         self.folds.refold(components);
         let exceeds_one = self.folds.exceeds_one(components);
-        let horizon = analysis_horizon(components, &self.reciprocals, &self.folds, exceeds_one);
+        let horizon = qpa_horizon(components, &self.reciprocals, &self.folds, exceeds_one);
         self.scratch
             .install_refreshed_state(self.folds.utilization(), exceeds_one, horizon);
         &self.scratch
@@ -313,15 +318,17 @@ enum EditOp {
 ///   finalize extends a copy by the appended components and decides
 ///   `U > 1` from the folded sum behind the proven `10⁻³` screen (the
 ///   exact rational check inside the margin);
-/// * only the **analysis horizon** — the minimum of the §4.3 bounds,
-///   all QPA reads — is re-derived, by the crate-internal
-///   `bounds::analysis_horizon`: the George bound read in closed
-///   form from the folds (the estimate-seeded search only where the
-///   closed form cannot certify its answer) and a
-///   busy-period fix-point that stops once it can no longer lower the
-///   minimum.  The full [`FeasibilityBounds`](crate::bounds::FeasibilityBounds)
-///   of an edited snapshot are computed cold on first
-///   [`PreparedWorkload::bounds`] call, which no service path makes;
+/// * only the **QPA horizon** — `min(George, hyperperiod)`, all QPA
+///   reads — is re-derived, by the crate-internal `bounds::qpa_horizon`:
+///   the George bound read in closed form from the folds (the
+///   estimate-seeded search only where the closed form cannot certify
+///   its answer) and the hyperperiod from the folded lcm.  The
+///   busy-period fix-point behind the tightest
+///   [analysis horizon](PreparedWorkload::analysis_horizon) runs lazily,
+///   for a test that reads it (processor demand, the refining tests), and
+///   the full [`FeasibilityBounds`](crate::bounds::FeasibilityBounds) of
+///   an edited snapshot are computed cold on first
+///   [`PreparedWorkload::bounds`] call; no service path makes either;
 /// * shrinking edits (remove/replace) **reuse the column capacity** —
 ///   debug assertions pin that an admit/evict cycle never churns the
 ///   allocator (the `recycled`-style buffer-reuse contract).
@@ -597,8 +604,8 @@ impl EditView {
     /// committed folds extended by the appended components while the undo
     /// log holds only inserts, else one pass in component order — either
     /// way bit-identical to a cold preparation's `f64` sums), the screened
-    /// `U > 1` decision, the structural horizon refresh and the in-place
-    /// kernel rebuild.
+    /// `U > 1` decision, the QPA horizon refresh and the in-place kernel
+    /// rebuild.
     fn refresh(&mut self) {
         let components = self.scratch.components();
         if self.committed_folds.is_none()
@@ -615,7 +622,7 @@ impl EditView {
             None => ComponentFolds::of(components),
         };
         let exceeds_one = folds.exceeds_one(components);
-        let horizon = analysis_horizon(components, &self.reciprocals, &folds, exceeds_one);
+        let horizon = qpa_horizon(components, &self.reciprocals, &folds, exceeds_one);
         let order = std::mem::take(&mut self.order);
         self.scratch.install_edited_state(
             self.task_count,
@@ -727,6 +734,10 @@ mod tests {
         assert_eq!(
             view.analysis_horizon(),
             FeasibilityBounds::for_components(view.components()).analysis_horizon()
+        );
+        assert_eq!(
+            view.qpa_horizon(),
+            FeasibilityBounds::for_components(view.components()).qpa_horizon()
         );
         assert_eq!(view.deadline_order(), cold.deadline_order());
         for test in [

@@ -322,6 +322,17 @@ impl DemandKernel {
         slot.periodic.then(|| self.p_rcp[slot.index as usize])
     }
 
+    /// The cost and period reciprocal of every periodic column — what the
+    /// busy-period fix-point behind
+    /// [`PreparedWorkload::analysis_horizon`](crate::workload::PreparedWorkload::analysis_horizon)
+    /// iterates over.
+    pub(crate) fn periodic_costs(&self) -> impl Iterator<Item = (Time, Reciprocal)> + Clone + '_ {
+        self.p_wcet
+            .iter()
+            .map(|&wcet| Time::new(wcet))
+            .zip(self.p_rcp.iter().copied())
+    }
+
     /// Number of periodic columns (for the benchmarks and tests).
     #[must_use]
     pub fn periodic_len(&self) -> usize {

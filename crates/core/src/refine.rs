@@ -196,13 +196,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The exact part clamped to the `Time` range — the overload-witness
-    /// demand of a fully exact failing comparison, bit-identical to the
-    /// reference's per-comparison clamp.
-    fn exact_part(&self) -> Time {
-        Time::new(self.exact_sum.min(u128::from(u64::MAX)) as u64)
-    }
-
     /// Accounts the newly examined job of component `idx` at one of its
     /// exact deadlines (every popped frontier entry is one).
     fn examine(&mut self, idx: usize) {
@@ -489,8 +482,11 @@ pub(crate) fn dynamic_error(
                     break;
                 }
                 if engine.terms.is_empty() {
-                    // Fully exact comparison failed: genuine overload.
-                    let demand = engine.exact_part();
+                    // Fully exact comparison failed: genuine overload.  The
+                    // exact part omits jobs due at `interval` that the
+                    // frontier has not popped yet, so the witness reports
+                    // the full demand there.
+                    let demand = workload.dbf(interval);
                     break 'drive counter.finish(
                         Verdict::Infeasible,
                         Some(DemandOverload { interval, demand }),
@@ -599,7 +595,7 @@ pub(crate) fn all_approximated(
                         Verdict::Infeasible,
                         Some(DemandOverload {
                             interval,
-                            demand: engine.exact_part(),
+                            demand: workload.dbf(interval),
                         }),
                     );
                 }
@@ -788,7 +784,7 @@ pub mod reference {
                 }
                 if approx_terms.is_empty() {
                     // Fully exact comparison failed: genuine overload.
-                    let demand = exact_part;
+                    let demand = workload.dbf(interval);
                     return counter.finish(
                         Verdict::Infeasible,
                         Some(DemandOverload { interval, demand }),
@@ -945,7 +941,7 @@ pub mod reference {
                         Verdict::Infeasible,
                         Some(DemandOverload {
                             interval,
-                            demand: exact_part,
+                            demand: workload.dbf(interval),
                         }),
                     );
                 }

@@ -69,7 +69,7 @@ impl FeasibilityTest for QpaTest {
         if workload.utilization_exceeds_one() {
             return Analysis::trivial(Verdict::Infeasible);
         }
-        let Some(horizon) = workload.analysis_horizon() else {
+        let Some(horizon) = workload.qpa_horizon() else {
             return Analysis::trivial(Verdict::Unknown);
         };
         let min_deadline = workload
@@ -206,17 +206,23 @@ mod tests {
         assert!(QpaTest::new().is_exact());
     }
 
-    /// A descent with two consecutive `dbf(t) = t` steps (12 → 10 → 8)
-    /// and a third one later (5 → 4): each such step moves to the last
-    /// deadline below `t`.  Verdict, step count and witness are pinned,
-    /// and the processor-demand walk reaches the same verdict and witness.
+    /// A descent from the George bound with two consecutive `dbf(t) = t`
+    /// steps (18 → 13 → 11) and a third one later (8 → 4): each such step
+    /// moves to the last deadline below `t`.  Verdict, step count and
+    /// witness are pinned, the witness is checked against the fold over
+    /// the components, and the processor-demand walk reaches the same
+    /// verdict and witness.
     #[test]
     fn consecutive_plateau_steps_descend_through_deadlines() {
-        // U = 2/4 + 3/6 = 1; job deadlines 4, 8, 12, … and 4, 10, 16, ….
-        let ts = TaskSet::from_tasks(vec![t(2, 4, 4), t(3, 4, 6)]);
+        // U = 2/7 + 3/5 = 31/35; job deadlines 4, 11, 18, … and 3, 8, 13,
+        // 18, ….
+        let ts = TaskSet::from_tasks(vec![t(2, 4, 7), t(3, 3, 5)]);
         let prepared = PreparedWorkload::new(&ts);
-        // The descent visits 12, 10, 8, 7, 5 and stops at 4.
-        for (interval, demand) in [(12, 12), (10, 10), (8, 7), (7, 5), (5, 5), (4, 5)] {
+        // George 18 is below the hyperperiod bound 35 + 4.
+        assert_eq!(prepared.qpa_horizon(), Some(Time::new(18)));
+        assert_eq!(prepared.bounds().hyperperiod, Some(Time::new(39)));
+        // The descent visits 18, 13, 11, 10, 8 and stops at 4.
+        for (interval, demand) in [(18, 18), (13, 13), (11, 10), (10, 8), (8, 8), (4, 5)] {
             assert_eq!(
                 prepared.dbf(Time::new(interval)),
                 Time::new(demand),
@@ -226,12 +232,17 @@ mod tests {
         let qpa = QpaTest::new().analyze(&ts);
         assert_eq!(qpa.verdict, Verdict::Infeasible);
         assert_eq!(qpa.iterations, 6);
-        assert_eq!(qpa.max_examined_interval, Some(Time::new(12)));
+        assert_eq!(qpa.max_examined_interval, Some(Time::new(18)));
         let witness = DemandOverload {
             interval: Time::new(4),
             demand: Time::new(5),
         };
         assert_eq!(qpa.overload, Some(witness));
+        let fold = prepared.components().iter().fold(Time::ZERO, |acc, c| {
+            acc.saturating_add(c.dbf(witness.interval))
+        });
+        assert_eq!(fold, witness.demand);
+        assert!(fold > witness.interval);
         let pdt = ProcessorDemandTest::new().analyze(&ts);
         assert_eq!(pdt.verdict, qpa.verdict);
         assert_eq!(pdt.overload, qpa.overload);

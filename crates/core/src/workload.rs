@@ -943,9 +943,11 @@ pub struct PreparedWorkload {
     demand_exact: bool,
     utilization_exact: bool,
     bounds: OnceLock<FeasibilityBounds>,
-    /// The analysis horizon (the minimum of `bounds`), cached on its own
-    /// so an [`EditView`](crate::incremental::EditView) finalize can
-    /// install it without computing the full bounds.
+    /// The QPA horizon, cached on its own so a view refresh can install
+    /// it without computing the full bounds.
+    qpa_horizon: OnceLock<Option<Time>>,
+    /// The analysis horizon, derived lazily from `qpa_horizon` by the
+    /// busy-period fix-point; every install resets it.
     horizon: OnceLock<Option<Time>>,
     deadline_order: OnceLock<Vec<usize>>,
     /// The columnar demand kernel (built lazily on the first demand
@@ -992,6 +994,7 @@ impl PreparedWorkload {
             demand_exact,
             utilization_exact,
             bounds: OnceLock::new(),
+            qpa_horizon: OnceLock::new(),
             horizon: OnceLock::new(),
             deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
@@ -1018,6 +1021,7 @@ impl PreparedWorkload {
             .sum();
         self.exceeds_one = components_exceed_one(&self.components);
         self.bounds.take();
+        self.qpa_horizon.take();
         self.horizon.take();
         // The previous workload's cached order and kernel are stale either
         // way; rebuild them into their existing allocations only when a
@@ -1136,29 +1140,51 @@ impl PreparedWorkload {
     /// standalone searches of
     /// [`FeasibilityBounds::for_components`] and cached.  No analysis
     /// reads them: the tests read the
-    /// [analysis horizon](PreparedWorkload::analysis_horizon), which is
+    /// [QPA horizon](PreparedWorkload::qpa_horizon) or the
+    /// [analysis horizon](PreparedWorkload::analysis_horizon), which are
     /// derived without them.
     pub fn bounds(&self) -> &FeasibilityBounds {
         self.bounds
             .get_or_init(|| FeasibilityBounds::for_components(&self.components))
     }
 
-    /// The tightest feasibility bound (equal to
-    /// [`FeasibilityBounds::analysis_horizon`]), cached.  A view refresh
+    /// The horizon QPA descends from (equal to
+    /// [`FeasibilityBounds::qpa_horizon`]: `min(George, hyperperiod)`, the
+    /// busy period only when neither is defined), cached.  A view refresh
     /// installs it directly; otherwise the first call folds the
     /// components once and derives it on the same path (see
     /// [`crate::bounds`]).
     #[must_use]
-    pub fn analysis_horizon(&self) -> Option<Time> {
-        *self.horizon.get_or_init(|| {
+    pub fn qpa_horizon(&self) -> Option<Time> {
+        *self.qpa_horizon.get_or_init(|| {
             let reciprocals: Vec<Reciprocal> =
                 self.components.iter().map(period_reciprocal).collect();
-            bounds::analysis_horizon(
+            bounds::qpa_horizon(
                 &self.components,
                 &reciprocals,
                 &ComponentFolds::of(&self.components),
                 self.exceeds_one,
             )
+        })
+    }
+
+    /// The tightest feasibility bound (equal to
+    /// [`FeasibilityBounds::analysis_horizon`]), read by the
+    /// processor-demand walk and the refining tests.  Derived lazily, once
+    /// per component list, from the cached
+    /// [QPA horizon](PreparedWorkload::qpa_horizon): where the synchronous
+    /// busy-period argument applies, the fix-point runs over the kernel's
+    /// periodic columns and stops at the QPA horizon.  No view install
+    /// fills it, so a caller that reads only the QPA horizon never pays
+    /// for the fix-point.
+    #[must_use]
+    pub fn analysis_horizon(&self) -> Option<Time> {
+        *self.horizon.get_or_init(|| {
+            let qpa = self.qpa_horizon();
+            if self.exceeds_one || !bounds::synchronous_periodic(&self.components) {
+                return qpa;
+            }
+            bounds::analysis_horizon(qpa, self.kernel().periodic_costs())
         })
     }
 
@@ -1288,20 +1314,19 @@ impl PreparedWorkload {
 
     /// Installs the aggregates matching the current (mutated) component
     /// list: utilization, the exact `U > 1` comparison and the refreshed
-    /// [analysis horizon](PreparedWorkload::analysis_horizon).  The
-    /// bounds are left to the lazy [`PreparedWorkload::bounds`] path.  The
-    /// deadline order is left untouched: it only depends on the
-    /// scale-invariant first deadlines.
+    /// [QPA horizon](PreparedWorkload::qpa_horizon).  The bounds and the
+    /// [analysis horizon](PreparedWorkload::analysis_horizon) are left to
+    /// their lazy paths.  The deadline order is left untouched: it only
+    /// depends on the scale-invariant first deadlines.
     pub(crate) fn install_refreshed_state(
         &mut self,
         utilization: f64,
         exceeds_one: bool,
-        horizon: Option<Time>,
+        qpa_horizon: Option<Time>,
     ) {
         self.utilization = utilization;
         self.exceeds_one = exceeds_one;
-        self.bounds.take();
-        self.horizon = OnceLock::from(horizon);
+        self.install_qpa_horizon(qpa_horizon);
         if let Some(kernel) = self.kernel.get_mut() {
             kernel.refresh_after_rewrite();
         }
@@ -1341,14 +1366,15 @@ impl PreparedWorkload {
     /// `order` must be the stable ascending-first-deadline index order of
     /// the components, the kernel columns are rebuilt from it into their
     /// existing allocations (re-using `reciprocals`, the per-component
-    /// period reciprocals, invariant under re-timing), and `horizon` is
-    /// the refreshed [analysis horizon](PreparedWorkload::analysis_horizon).
-    /// Utilization and the `U > 1` comparison are untouched — re-phasing
-    /// never moves a cost or period.
+    /// period reciprocals, invariant under re-timing), and `qpa_horizon`
+    /// is the refreshed [QPA horizon](PreparedWorkload::qpa_horizon); the
+    /// bounds and the [analysis horizon](PreparedWorkload::analysis_horizon)
+    /// are left to their lazy paths.  Utilization and the `U > 1`
+    /// comparison are untouched — re-phasing never moves a cost or period.
     pub(crate) fn install_retimed_state(
         &mut self,
         order: Vec<usize>,
-        horizon: Option<Time>,
+        qpa_horizon: Option<Time>,
         reciprocals: &[Reciprocal],
     ) {
         debug_assert!(order.len() == self.components.len());
@@ -1362,8 +1388,16 @@ impl PreparedWorkload {
         let _ = self.kernel.set(kernel);
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
+        self.install_qpa_horizon(qpa_horizon);
+    }
+
+    /// Installs a refreshed QPA horizon and resets every cache derived from
+    /// the component list it belongs to: the bounds and the analysis
+    /// horizon.
+    fn install_qpa_horizon(&mut self, qpa_horizon: Option<Time>) {
         self.bounds.take();
-        self.horizon = OnceLock::from(horizon);
+        self.horizon.take();
+        self.qpa_horizon = OnceLock::from(qpa_horizon);
     }
 
     /// Allocated capacity of the component column (crate-internal: the
@@ -1432,16 +1466,17 @@ impl PreparedWorkload {
     /// ascending-`(first deadline, index)` order of the components; the
     /// kernel columns are rebuilt from it into their existing allocations
     /// re-using the caller's per-component period `reciprocals`.
-    /// `horizon` is the refreshed
-    /// [analysis horizon](PreparedWorkload::analysis_horizon); the bounds
-    /// are left to the lazy [`PreparedWorkload::bounds`] path.
+    /// `qpa_horizon` is the refreshed
+    /// [QPA horizon](PreparedWorkload::qpa_horizon); the bounds and the
+    /// [analysis horizon](PreparedWorkload::analysis_horizon) are left to
+    /// their lazy paths, so a finalize runs no busy-period fix-point.
     pub(crate) fn install_edited_state(
         &mut self,
         task_count: usize,
         utilization: f64,
         exceeds_one: bool,
         order: Vec<usize>,
-        horizon: Option<Time>,
+        qpa_horizon: Option<Time>,
         reciprocals: &[Reciprocal],
     ) {
         debug_assert_eq!(order.len(), self.components.len());
@@ -1458,8 +1493,7 @@ impl PreparedWorkload {
         let _ = self.kernel.set(kernel);
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
-        self.bounds.take();
-        self.horizon = OnceLock::from(horizon);
+        self.install_qpa_horizon(qpa_horizon);
     }
 }
 

@@ -238,6 +238,10 @@ proptest! {
                 FeasibilityBounds::for_components(cold.components()).analysis_horizon()
             );
             prop_assert_eq!(
+                probed.qpa_horizon(),
+                FeasibilityBounds::for_components(cold.components()).qpa_horizon()
+            );
+            prop_assert_eq!(
                 probed.utilization().to_bits(),
                 cold.utilization().to_bits()
             );
@@ -281,6 +285,10 @@ proptest! {
         prop_assert_eq!(
             probed.analysis_horizon(),
             FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+        );
+        prop_assert_eq!(
+            probed.qpa_horizon(),
+            FeasibilityBounds::for_components(cold.components()).qpa_horizon()
         );
     }
 }

@@ -110,6 +110,10 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
         view.analysis_horizon(),
         FeasibilityBounds::for_components(cold.components()).analysis_horizon()
     );
+    assert_eq!(
+        view.qpa_horizon(),
+        FeasibilityBounds::for_components(cold.components()).qpa_horizon()
+    );
     assert_eq!(view.deadline_order(), cold.deadline_order());
     for test in all_tests() {
         assert_eq!(
@@ -286,6 +290,10 @@ fn assert_folds_match_cold(view: &mut EditView) {
     assert_eq!(
         prepared.analysis_horizon(),
         FeasibilityBounds::for_components(cold.components()).analysis_horizon()
+    );
+    assert_eq!(
+        prepared.qpa_horizon(),
+        FeasibilityBounds::for_components(cold.components()).qpa_horizon()
     );
 }
 

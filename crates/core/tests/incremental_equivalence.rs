@@ -60,6 +60,10 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
         view.analysis_horizon(),
         FeasibilityBounds::for_components(cold.components()).analysis_horizon()
     );
+    assert_eq!(
+        view.qpa_horizon(),
+        FeasibilityBounds::for_components(cold.components()).qpa_horizon()
+    );
     assert_eq!(view.deadline_order(), cold.deadline_order());
     for test in all_tests() {
         assert_eq!(

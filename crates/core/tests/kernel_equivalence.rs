@@ -10,7 +10,8 @@
 //! job deadline `d` up to the analysis horizon (plus 0 and the horizon)
 //! covers every interval an analysis can query.  On top of that, every
 //! registered test's decisive verdict must agree with the fold oracle's
-//! and every overload witness must be an overload of the fold.  Covered
+//! and every overload witness must be an overload of the fold, reporting
+//! the fold's demand at its interval.  Covered
 //! workload families: sporadic task sets, event streams, mixed systems,
 //! arrival curves (exact and conservative), transaction systems and raw
 //! component lists straddling 2³², plus `ScaledView`-over-kernel probes
@@ -262,7 +263,8 @@ fn assert_queries_match_folds(
 
 /// Every query and merge of the workload's kernel against the folds, then
 /// every registered test against the fold oracle: a decisive verdict
-/// agrees with it, and an overload witness is an overload of the fold.
+/// agrees with it, and an overload witness is an overload of the fold
+/// that reports the fold's demand.
 fn assert_analyses_match_folds<W: Workload + ?Sized>(workload: &W) {
     let prepared = PreparedWorkload::new(workload);
     let horizon = prepared
@@ -284,15 +286,9 @@ fn assert_analyses_match_folds<W: Workload + ?Sized>(workload: &W) {
             }
         }
         if let Some(witness) = analysis.overload {
-            // The refining tests may stop partway through an
-            // equal-deadline run, so the reported demand is a lower bound.
             let demand = fold_dbf(components, witness.interval);
             assert!(demand > witness.interval, "{} witness", test.name());
-            assert!(
-                witness.interval < witness.demand && witness.demand <= demand,
-                "{} witness demand",
-                test.name()
-            );
+            assert_eq!(witness.demand, demand, "{} witness demand", test.name());
         }
     }
 }

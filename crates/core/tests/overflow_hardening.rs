@@ -52,6 +52,7 @@ fn period_lcm_saturates_to_none_instead_of_wrapping() {
     }
     let bounds = FeasibilityBounds::for_components(&components);
     let _ = bounds.analysis_horizon();
+    let _ = bounds.qpa_horizon();
 }
 
 #[test]
@@ -71,11 +72,21 @@ fn bound_refresher_survives_huge_periods_across_wcet_refreshes() {
             FeasibilityBounds::for_components(probed.components()).analysis_horizon(),
             "wcet {wcet}"
         );
+        assert_eq!(
+            probed.qpa_horizon(),
+            FeasibilityBounds::for_components(probed.components()).qpa_horizon(),
+            "wcet {wcet}"
+        );
         for index in 0..2 {
             let probed = view.with_component_wcet(index, Time::new(wcet));
             assert_eq!(
                 probed.analysis_horizon(),
                 FeasibilityBounds::for_components(probed.components()).analysis_horizon(),
+                "wcet {wcet} on component {index}"
+            );
+            assert_eq!(
+                probed.qpa_horizon(),
+                FeasibilityBounds::for_components(probed.components()).qpa_horizon(),
                 "wcet {wcet} on component {index}"
             );
         }
@@ -175,6 +186,7 @@ proptest! {
     ) {
         let bounds = FeasibilityBounds::for_components(&components);
         let _ = bounds.analysis_horizon();
+        let _ = bounds.qpa_horizon();
         let prepared = PreparedWorkload::from_components(components);
         let overloaded = prepared.utilization_exceeds_one();
         let mut scratch = AnalysisScratch::new();

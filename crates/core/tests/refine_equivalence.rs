@@ -11,8 +11,8 @@
 use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::refine::reference;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
-use edf_analysis::workload::{MixedSystem, PreparedWorkload};
-use edf_analysis::FeasibilityTest;
+use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload};
+use edf_analysis::{DemandOverload, FeasibilityTest, Verdict};
 use edf_model::{
     AffineSegment, ArrivalCurve, ArrivalCurveTask, EventStream, EventStreamTask, Task, TaskSet,
     Time,
@@ -213,4 +213,38 @@ fn overload_witnesses_are_preserved() {
     assert_eq!(engine, reference);
     let witness = engine.overload.expect("infeasible set has a witness");
     assert!(witness.demand > witness.interval);
+}
+
+/// Regression: four one-shots of cost 3 due at 4 overload the interval 4
+/// at the second pop, while two of the four jobs are still on the
+/// frontier.  Both refining tests, engine and reference, must report the
+/// full demand `dbf(4) = 12`, not the 6 examined so far.
+#[test]
+fn witness_reports_the_full_demand_of_an_equal_deadline_run() {
+    let one_shot = DemandComponent::one_shot(Time::new(3), Time::new(4), Time::ZERO);
+    let prepared = PreparedWorkload::from_components(vec![one_shot; 4]);
+    let witness = DemandOverload {
+        interval: Time::new(4),
+        demand: Time::new(12),
+    };
+    assert_eq!(prepared.dbf(witness.interval), witness.demand);
+    let mut scratch = AnalysisScratch::new();
+
+    let dynamic = DynamicErrorTest::new();
+    let engine = dynamic.analyze_demand(&prepared, &mut scratch);
+    assert_eq!(engine.verdict, Verdict::Infeasible);
+    assert_eq!(engine.overload, Some(witness));
+    assert_eq!(
+        reference::dynamic_error(&dynamic, &prepared, &mut scratch),
+        engine
+    );
+
+    let all = AllApproximatedTest::new();
+    let engine = all.analyze_demand(&prepared, &mut scratch);
+    assert_eq!(engine.verdict, Verdict::Infeasible);
+    assert_eq!(engine.overload, Some(witness));
+    assert_eq!(
+        reference::all_approximated(&all, &prepared, &mut scratch),
+        engine
+    );
 }

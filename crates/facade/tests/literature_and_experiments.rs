@@ -65,6 +65,38 @@ fn table_1_shape_is_reproduced() {
     assert_eq!(rendered.matches("FAILED").count(), 3);
 }
 
+/// The Table 1 iteration counts, pinned exactly: dynamic-error,
+/// all-approximated, processor demand (tightest bound) and processor
+/// demand under the Baruah bound.  The refining tests and the
+/// processor-demand walk read the tightest analysis horizon, so a change
+/// that hands them a looser one moves these counts.
+#[test]
+fn table_1_counts_are_pinned() {
+    let rows = run_literature();
+    let counts: Vec<(&str, u64, u64, u64, u64)> = rows
+        .iter()
+        .map(|r| {
+            (
+                r.name.as_str(),
+                r.dynamic,
+                r.all_approximated,
+                r.processor_demand,
+                r.processor_demand_baruah,
+            )
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("Burns", 7, 7, 23, 405),
+            ("Ma & Shin", 24, 23, 33, 220),
+            ("GAP", 16, 16, 223, 1351),
+            ("Gresser 1", 10, 7, 33, 124),
+            ("Gresser 2", 8, 6, 26, 190),
+        ]
+    );
+}
+
 /// Figure 1 shape: acceptance rates fall with utilization, higher
 /// superposition levels dominate lower ones, and the exact test dominates
 /// everything.

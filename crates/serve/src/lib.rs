@@ -4,11 +4,11 @@
 //! for thousands of independently prepared workloads ("tenants"), each
 //! held behind one [`EditView`]: every request is a structural edit of the
 //! tenant's [`PreparedWorkload`], re-analyzed in place through the delta
-//! path (deadline-order repair, horizon refresh, in-place kernel rebuild)
-//! instead of a cold re-preparation.
+//! path (deadline-order repair, QPA-horizon refresh, in-place kernel
+//! rebuild) instead of a cold re-preparation.
 //!
 //! The service commits an edit only when its one exact test,
-//! [`SERVICE_TEST`] — QPA descent from the §4.3 horizon — accepts the
+//! [`SERVICE_TEST`] — QPA descent from the QPA horizon — accepts the
 //! edited system; a rejected or hypothetical edit is rolled back through
 //! [`WorkloadView::revert`], so a tenant's committed state is always a
 //! feasibility-checked snapshot.  A reply's iteration count is the number
@@ -114,16 +114,19 @@ use fault::{FaultPlan, RequestFaults};
 use journal::{Journal, JournalRecord, JournalState};
 
 /// The one exact test the service decides every request with: QPA
-/// (Zhang & Burns 2009), descending from the prepared §4.3
-/// [`analysis_horizon`](PreparedWorkload::analysis_horizon) towards the
-/// smallest deadline.  It charges one [`WorkBudget`] unit per descent
-/// step, so a reply's `iters=` counts descent steps, and an exhausted
-/// run unwinds to an honest `Unknown` in [`ProgressPhase::QpaDescent`].
+/// (Zhang & Burns 2009), descending from the prepared
+/// [`qpa_horizon`](PreparedWorkload::qpa_horizon), `min(George,
+/// hyperperiod)`, towards the smallest deadline.  QPA needs only some
+/// valid bound to start from, so no request pays for the busy-period
+/// fix-point behind the tighter analysis horizon.  It charges one
+/// [`WorkBudget`] unit per descent step, so a reply's `iters=` counts
+/// descent steps, and an exhausted run unwinds to an honest `Unknown` in
+/// [`ProgressPhase::QpaDescent`].
 ///
 /// Every exact test returns the same verdict; QPA is chosen by
 /// measurement.  On the end-to-end benchmark's 128 near-critical tenant
-/// base sets it spends 2 577 work units where the paper's §4.2
-/// all-approximated test spends 14 166: about 0.35 ms against 3.1 ms on
+/// base sets it spends 2 633 work units where the paper's §4.2
+/// all-approximated test spends 14 166: about 0.38 ms against 3.1 ms on
 /// a 2-vCPU x86-64 host.
 pub const SERVICE_TEST: QpaTest = QpaTest;
 
@@ -131,7 +134,7 @@ pub const SERVICE_TEST: QpaTest = QpaTest;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlaMode {
     /// Run the uncapped exact test ([`SERVICE_TEST`], QPA descent from
-    /// the §4.3 horizon) on every request.  Verdicts are always decisive;
+    /// the QPA horizon) on every request.  Verdicts are always decisive;
     /// latency is whatever exactness costs (unless a watchdog guard caps
     /// it).
     Exact,
@@ -1252,7 +1255,7 @@ fn backstop_fired(start: Option<Instant>, guard: Option<Duration>) -> bool {
 
 /// Analyzes one prepared system under the given mode and optional
 /// watchdog guard, **budget-first**: one run of [`SERVICE_TEST`] — QPA
-/// descent from the §4.3 horizon, one unit and one counted iteration per
+/// descent from the QPA horizon, one unit and one counted iteration per
 /// descent step — under one per-request [`WorkBudget`] (unlimited in
 /// Exact mode without a watchdog, otherwise the allowances converted
 /// once to deterministic units by [`UnitCaps`]).  The descent unwinds

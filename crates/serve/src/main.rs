@@ -40,7 +40,7 @@
 //!
 //! A component with a `period` is periodic; without one it is a one-shot
 //! arriving at time zero.  Every analysed request is decided by QPA
-//! descent from the §4.3 horizon, and `iters=` in its reply counts the
+//! descent from the QPA horizon, and `iters=` in its reply counts the
 //! descent steps.  Replies are single lines:
 //!
 //! ```text
