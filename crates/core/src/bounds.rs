@@ -390,7 +390,9 @@ pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
 ///   never below George either.
 /// * **The busy period only when both are undefined** (`U = 1` with an
 ///   overflowing lcm), under the same convergence cut-off as
-///   [`busy_period_components`].
+///   [`busy_period_components`] — and without running the fix-point
+///   where [`busy_period_has_no_fixed_point`] proves it would answer
+///   `None`.
 pub(crate) fn qpa_horizon(
     components: &[DemandComponent],
     reciprocals: &[Reciprocal],
@@ -405,7 +407,10 @@ pub(crate) fn qpa_horizon(
     }
     let george = george_from_folds(components, reciprocals, folds);
     let minimum = [george, folds.hyperperiod()].into_iter().flatten().min();
-    if minimum.is_some() || !synchronous_periodic(components) {
+    if minimum.is_some()
+        || !synchronous_periodic(components)
+        || busy_period_has_no_fixed_point(components)
+    {
         return minimum;
     }
     let costs = components.iter().map(DemandComponent::wcet);
@@ -430,6 +435,35 @@ pub(crate) fn analysis_horizon(
 ) -> Option<Time> {
     let qpa = qpa_horizon?;
     Some(busy_period_below(periodic_costs, Some(qpa)).unwrap_or(qpa))
+}
+
+/// `true` when the busy-period fix-point of a purely periodic list with
+/// exact `U ≤ 1` provably has no fixed point in `u64`, so that
+/// [`busy_period_components`] answers `None` on it: `U = 1` exactly and
+/// the lcm of the nonzero-cost periods overflows.
+///
+/// At `U = 1`, `rbf(t) = Σ Cᵢ·⌈t/Tᵢ⌉ ≥ Σ Cᵢ·t/Tᵢ = t` for `t > 0`, with
+/// equality only where every nonzero-cost period divides `t`: a fixed
+/// point is a common multiple of those periods.  When their lcm
+/// overflows there is none, and the iterates can only saturate or be
+/// cut off after [`BUSY_PERIOD_CONVERGENCE_UNITS`] passes.  `U ≥ 1` is
+/// read as `Σ (Tᵢ − Cᵢ)/Tᵢ ≤ m − 1` over the `m` nonzero-cost
+/// components (each `Cᵢ ≤ Tᵢ` under `U ≤ 1`); that comparison errs only
+/// towards "exceeds", so a `true` here is always exact.
+fn busy_period_has_no_fixed_point(components: &[DemandComponent]) -> bool {
+    debug_assert!(synchronous_periodic(components));
+    let loaded = || components.iter().filter(|c| !c.wcet().is_zero());
+    let lcm_overflows = loaded()
+        .try_fold(Time::ONE, |lcm, c| lcm.lcm(c.period()?))
+        .is_none();
+    lcm_overflows
+        && crate::arith::fracs_le_integer_iter(
+            loaded().filter_map(|c| {
+                let period = c.period()?;
+                Some((period.saturating_sub(c.wcet()).as_u128(), period.as_u128()))
+            }),
+            loaded().count() as u128 - 1,
+        )
 }
 
 /// `true` when the synchronous busy-period argument applies to
@@ -1297,6 +1331,13 @@ mod tests {
         assert_eq!(busy_period_components_with(&cut_off, &mut meter), None);
         assert_eq!(meter.spent(), BUSY_PERIOD_CONVERGENCE_UNITS);
         assert_eq!(hyperperiod_components(&cut_off), None);
+        // The cut-off is foreseen: the QPA horizon skips the fix-point
+        // and still answers what the reference does.
+        assert!(busy_period_has_no_fixed_point(&cut_off));
+        assert_eq!(
+            folded_qpa_horizon(&cut_off, &ComponentFolds::of(&cut_off)),
+            FeasibilityBounds::for_components(&cut_off).qpa_horizon()
+        );
 
         // Busy period 9 below George 10, Baruah 20 and the hyperperiod.
         let busy_minimum = constrained_set().demand_components();
@@ -1467,6 +1508,57 @@ mod tests {
         }
         for (base, probe) in probes {
             assert_horizons_match_reference(&base, &probe);
+        }
+    }
+
+    /// [`busy_period_has_no_fixed_point`] holds only at exact `U = 1` with
+    /// an overflowing lcm of the nonzero-cost periods; wherever it holds,
+    /// the fix-point it replaces answers `None`.
+    #[test]
+    fn busy_period_fixed_point_predicate() {
+        let (p, q) = ((1u64 << 32) + 15, (1u64 << 32) + 17);
+        let cases = [
+            (
+                "U = 1, lcm overflow",
+                vec![periodic(p, 2 * p, 2 * p), periodic(q, 2 * q, 2 * q)],
+                true,
+            ),
+            (
+                "U = 1, lcm defined",
+                vec![periodic(1, 2, 2), periodic(1, 3, 4), periodic(1, 4, 4)],
+                false,
+            ),
+            // Only zero-cost periods overflow the lcm: the busy period is 2.
+            (
+                "U = 1, zero-cost lcm overflow",
+                vec![
+                    periodic(1, 1, 2),
+                    periodic(1, 2, 2),
+                    periodic(0, p, p),
+                    periodic(0, q, q),
+                ],
+                false,
+            ),
+            (
+                "U < 1, lcm overflow",
+                vec![periodic(p - 1, 2 * p, 2 * p), periodic(q, 2 * q, 2 * q)],
+                false,
+            ),
+        ];
+        for (name, components, expected) in cases {
+            assert_eq!(
+                busy_period_has_no_fixed_point(&components),
+                expected,
+                "{name}"
+            );
+            if expected {
+                assert_eq!(busy_period_components(&components), None, "{name}");
+            }
+            assert_eq!(
+                folded_qpa_horizon(&components, &ComponentFolds::of(&components)),
+                FeasibilityBounds::for_components(&components).qpa_horizon(),
+                "{name}"
+            );
         }
     }
 

@@ -92,9 +92,12 @@
 //!
 //! With `--journal`, every committed mutation (tenant creation,
 //! admission, eviction, mode change) is appended — checksummed — to the
-//! journal *before* it takes effect, and the append is handed to the OS
-//! (`write_all`) before the reply is sent: a committed mutation survives
-//! **process death** (`kill -9`) unconditionally.  Surviving **machine
+//! journal *before* it takes effect, and the record is handed to the OS
+//! (`write_all`) before its reply is written: a committed mutation
+//! survives **process death** (`kill -9`) unconditionally.  Replies
+//! leave once the service has answered every request already buffered
+//! on stdin — the replies to such a burst share one write — and always
+//! before the service waits for more input.  Surviving **machine
 //! death** (power loss) additionally requires `SYNC` (`fsync`).  On
 //! restart, the journal's valid prefix is replayed; a torn tail from a
 //! crash mid-append is truncated at the first corrupt record, losing at
@@ -155,9 +158,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    match protocol::serve(&mut service, stdin.lock(), stdout.lock()) {
+    match protocol::serve(&mut service, io::stdin().lock(), io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("edf-serve: transport error: {error}");

@@ -21,8 +21,12 @@
 //! * **Stable error codes.**  Every error reply is
 //!   `ERR code=<code> <detail>`; the codes come from
 //!   [`RequestError::code`] and never change meaning.
+//! * **No reply waits on input.**  Replies are written in request order
+//!   and flushed before any read that could block (the read buffer holds
+//!   no complete line), after `BYE` and at end of input; the replies to
+//!   requests that were already buffered share one write.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::time::{Duration, Instant};
 
 use edf_analysis::workload::DemandComponent;
@@ -38,15 +42,15 @@ pub const MAX_LINE_BYTES: usize = 4096;
 
 /// What one raw input line turned out to be (see [`classify_line`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LineClass {
+pub enum LineClass<'a> {
     /// Whitespace only: skipped, no reply.
     Blank,
     /// Over [`MAX_LINE_BYTES`]: one `ERR code=bad-line` reply.
     TooLong,
     /// Contains invalid UTF-8: one `ERR code=bad-line` reply.
     BadUtf8,
-    /// A well-formed candidate request (trimmed).
-    Request(String),
+    /// A well-formed candidate request (trimmed), borrowed from the line.
+    Request(&'a str),
 }
 
 /// Classifies one raw line (without its newline).  `truncated` reports
@@ -54,39 +58,35 @@ pub enum LineClass {
 /// the physical line was discarded.  Shared between the serve loop and
 /// the protocol fuzz tests so both agree on what counts as a request.
 #[must_use]
-pub fn classify_line(bytes: &[u8], truncated: bool) -> LineClass {
+pub fn classify_line(bytes: &[u8], truncated: bool) -> LineClass<'_> {
     if truncated {
         return LineClass::TooLong;
     }
     match std::str::from_utf8(bytes) {
         Err(_) => LineClass::BadUtf8,
-        Ok(text) => {
-            let trimmed = text.trim();
-            if trimmed.is_empty() {
-                LineClass::Blank
-            } else {
-                LineClass::Request(trimmed.to_owned())
-            }
-        }
+        Ok(text) => match text.trim() {
+            "" => LineClass::Blank,
+            trimmed => LineClass::Request(trimmed),
+        },
     }
 }
 
-/// Reads one line as raw bytes, capped at [`MAX_LINE_BYTES`]; the
-/// oversized remainder is drained without buffering.  Returns
-/// `Ok(None)` at end of input, otherwise the line bytes (newline
-/// stripped) and whether the cap truncated it.
+/// Reads one line as raw bytes into `line` (cleared first), capped at
+/// [`MAX_LINE_BYTES`]; the oversized remainder is drained without
+/// buffering.  Returns `Ok(None)` at end of input, otherwise whether the
+/// cap truncated the line; `line` then holds its bytes, newline stripped.
 ///
 /// # Errors
 ///
 /// Real transport I/O errors only — malformed *content* never errors.
-pub fn read_raw_line(input: &mut impl BufRead) -> io::Result<Option<(Vec<u8>, bool)>> {
-    let mut line = Vec::new();
+pub fn read_raw_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
     let mut truncated = false;
     loop {
         let available = input.fill_buf()?;
         if available.is_empty() {
             // End of input: the final unterminated line still counts.
-            return Ok((!line.is_empty() || truncated).then_some((line, truncated)));
+            return Ok((!line.is_empty() || truncated).then_some(truncated));
         }
         let (chunk, found_newline) = match available.iter().position(|&byte| byte == b'\n') {
             Some(position) => (&available[..position], true),
@@ -108,32 +108,48 @@ pub fn read_raw_line(input: &mut impl BufRead) -> io::Result<Option<(Vec<u8>, bo
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
-            return Ok(Some((line, truncated)));
+            return Ok(Some(truncated));
         }
     }
 }
 
-/// Drives the service over any line-oriented transport (the binary uses
+/// Drives the service over any byte transport (the binary uses
 /// stdin/stdout; the tests use in-memory buffers).  See the [module
 /// docs](self) for the robustness contract.
+///
+/// The loop owns its buffering: `input` is read through one
+/// [`BufReader`] and replies collect in one [`BufWriter`], both at std's
+/// default capacity.  Replies are flushed only when the next read could
+/// block — the read buffer holds no complete line — and after `BYE` or
+/// at end of input, so the replies to an already-buffered burst of
+/// requests leave in one write while an interactive client still gets
+/// every reply before the server waits for its next request.
 ///
 /// # Errors
 ///
 /// Real transport I/O errors only.
 pub fn serve(
     service: &mut AdmissionService,
-    mut input: impl BufRead,
-    mut output: impl Write,
+    input: impl Read,
+    output: impl Write,
 ) -> io::Result<()> {
-    while let Some((bytes, truncated)) = read_raw_line(&mut input)? {
-        let request = match classify_line(&bytes, truncated) {
+    let mut input = BufReader::new(input);
+    let mut output = BufWriter::new(output);
+    let mut line = Vec::new();
+    loop {
+        if !input.buffer().contains(&b'\n') {
+            output.flush()?;
+        }
+        let Some(truncated) = read_raw_line(&mut input, &mut line)? else {
+            break;
+        };
+        let request = match classify_line(&line, truncated) {
             LineClass::Blank => continue,
             LineClass::TooLong => {
                 let error = RequestError::BadLine {
                     reason: "line over length cap",
                 };
                 writeln!(output, "ERR {error}")?;
-                output.flush()?;
                 continue;
             }
             LineClass::BadUtf8 => {
@@ -141,20 +157,17 @@ pub fn serve(
                     reason: "invalid utf-8",
                 };
                 writeln!(output, "ERR {error}")?;
-                output.flush()?;
                 continue;
             }
             LineClass::Request(request) => request,
         };
-        let reply = dispatch(service, &request);
-        let done = reply == "BYE";
+        let reply = dispatch(service, request);
         writeln!(output, "{reply}")?;
-        output.flush()?;
-        if done {
+        if reply == "BYE" {
             break;
         }
     }
-    Ok(())
+    output.flush()
 }
 
 /// Parses one request line and runs it against the service.  Always
@@ -352,6 +365,10 @@ fn parse_component(args: &[&str]) -> Result<Option<DemandComponent>, RequestErro
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
     use super::*;
 
     fn drive(script: &str) -> Vec<String> {
@@ -472,6 +489,27 @@ mod tests {
         assert_eq!(replies.len(), 3);
     }
 
+    /// `U = 1` with coprime periods near 2³³: the QPA horizon is
+    /// undefined (no George bound, an overflowing lcm, no busy-period
+    /// fixed point), so the what-if answers an honest unknown.
+    #[test]
+    fn full_utilization_without_a_horizon_answers_unknown() {
+        let replies = drive(
+            "ADMIT a 4294967311 8589934621 8589934622\nWHATIF a 4294967313 8589934626 8589934626\nQUIT\n",
+        );
+        assert!(
+            replies[0].starts_with("ADMITTED id=0 verdict=feasible iters=0 "),
+            "{}",
+            replies[0]
+        );
+        assert!(
+            replies[1].starts_with("WHATIF unknown verdict=unknown iters=0 "),
+            "{}",
+            replies[1]
+        );
+        assert_eq!(replies[2], "BYE");
+    }
+
     #[test]
     fn sync_and_snapshot_without_a_journal_answer_no_journal() {
         let replies = drive("SYNC\nSNAPSHOT\nHEALTH\nQUIT\n");
@@ -489,19 +527,195 @@ mod tests {
         assert_eq!(classify_line(&[0xff, 0x00], false), LineClass::BadUtf8);
         assert_eq!(
             classify_line(b"  STAT a  ", false),
-            LineClass::Request("STAT a".to_owned())
+            LineClass::Request("STAT a")
         );
+    }
+
+    /// What a [`CountingOutput`] received: the bytes and the number of
+    /// inner `write` calls that carried them.
+    #[derive(Default)]
+    struct Written {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Written {
+        fn replies(&self) -> usize {
+            self.bytes.iter().filter(|&&byte| byte == b'\n').count()
+        }
+    }
+
+    /// A writer that counts the writes reaching it.
+    struct CountingOutput(Rc<RefCell<Written>>);
+
+    impl Write for CountingOutput {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut written = self.0.borrow_mut();
+            written.bytes.extend_from_slice(buf);
+            written.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that yields `chunks` in order, each `read` at most one
+    /// chunk (or what remains of it), and asserts on every `read` that
+    /// each line it has yielded so far has its reply written: a reply
+    /// held behind a read would deadlock a client that waits for it.
+    /// The scripts hold no blank lines and no `QUIT`, so every line
+    /// yielded answers exactly one reply.
+    struct ScriptedInput {
+        chunks: VecDeque<Vec<u8>>,
+        lines_yielded: usize,
+        written: Rc<RefCell<Written>>,
+    }
+
+    impl Read for ScriptedInput {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert_eq!(
+                self.written.borrow().replies(),
+                self.lines_yielded,
+                "a reply was held behind a read"
+            );
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let count = buf.len().min(chunk.len());
+            buf[..count].copy_from_slice(&chunk[..count]);
+            chunk.drain(..count);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            self.lines_yielded += buf[..count].iter().filter(|&&byte| byte == b'\n').count();
+            Ok(count)
+        }
+    }
+
+    /// Serves `chunks` on a fresh service through the scripted transport.
+    fn serve_chunks(chunks: impl IntoIterator<Item = Vec<u8>>) -> Written {
+        let written = Rc::new(RefCell::new(Written::default()));
+        let input = ScriptedInput {
+            chunks: chunks.into_iter().collect(),
+            lines_yielded: 0,
+            written: Rc::clone(&written),
+        };
+        serve(
+            &mut AdmissionService::new(),
+            input,
+            CountingOutput(Rc::clone(&written)),
+        )
+        .expect("scripted transport");
+        Rc::try_unwrap(written)
+            .ok()
+            .expect("serve dropped its transport")
+            .into_inner()
+    }
+
+    /// 1 000 timing-free requests (short, so the script fits one read
+    /// buffer), one per line.
+    fn thousand_lines() -> Vec<Vec<u8>> {
+        let requests = [
+            "STAT a",
+            "HEALTH",
+            "SYNC",
+            "FROB",
+            "EVICT a 1",
+            "MODE units 5",
+        ];
+        (0..1000)
+            .map(|index| format!("{}\n", requests[index % requests.len()]).into_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn a_buffered_burst_leaves_in_a_few_writes() {
+        let script = thousand_lines().concat();
+        assert!(script.len() <= 8192, "the script fits one read buffer");
+        let batched = serve_chunks([script]);
+        let lockstep = serve_chunks(thousand_lines());
+        assert_eq!(lockstep.replies(), 1000);
+        assert_eq!(
+            String::from_utf8(batched.bytes.clone()).expect("utf-8 replies"),
+            String::from_utf8(lockstep.bytes).expect("utf-8 replies"),
+            "batching changes no reply"
+        );
+        assert_eq!(
+            lockstep.writes, 1000,
+            "one line per read: one write per reply"
+        );
+        assert!(
+            batched.writes <= batched.bytes.len().div_ceil(8192) + 1,
+            "{} writes carried {} reply bytes",
+            batched.writes,
+            batched.bytes.len()
+        );
+    }
+
+    #[test]
+    fn no_reply_waits_behind_a_read_of_the_next_line() {
+        let written = serve_chunks(
+            [
+                "ADMIT a 4 9 10\n",
+                "WHATIF a 1 9 10\n",
+                "STAT a\n",
+                "EVICT a 0\n",
+            ]
+            .map(|line| line.as_bytes().to_vec()),
+        );
+        let text = String::from_utf8(written.bytes).expect("utf-8 replies");
+        let replies: Vec<&str> = text.lines().collect();
+        assert!(replies[0].starts_with("ADMITTED id=0"), "{}", replies[0]);
+        assert!(replies[1].starts_with("WHATIF admit"), "{}", replies[1]);
+        assert!(replies[2].starts_with("STAT tenant=a components=1"));
+        assert_eq!(replies[3], "EVICTED id=0");
+        assert_eq!(written.writes, 4);
+    }
+
+    #[test]
+    fn partial_and_over_long_lines_hold_no_reply_behind_a_read() {
+        // A request split across two reads.
+        let split =
+            serve_chunks(["STAT a\nHEA", "LTH\nSY", "NC\n"].map(|chunk| chunk.as_bytes().to_vec()));
+        let text = String::from_utf8(split.bytes).expect("utf-8 replies");
+        let replies: Vec<&str> = text.lines().collect();
+        assert!(replies[0].starts_with("ERR code=unknown-tenant"));
+        assert!(replies[1].starts_with("HEALTH tenants=0"));
+        assert!(replies[2].starts_with("ERR code=no-journal"));
+        assert_eq!(replies.len(), 3);
+
+        // An over-long line spanning several read buffers, once in one
+        // chunk and once across chunks.
+        let long = vec![b'x'; 5 * MAX_LINE_BYTES];
+        let script = [b"HEALTH\n".as_slice(), &long, b"\nSTAT a\n"];
+        for written in [
+            serve_chunks([script.concat()]),
+            serve_chunks(script.map(<[u8]>::to_vec)),
+        ] {
+            let text = String::from_utf8(written.bytes).expect("utf-8 replies");
+            let replies: Vec<&str> = text.lines().collect();
+            assert!(replies[0].starts_with("HEALTH tenants=0"));
+            assert!(replies[1].starts_with("ERR code=bad-line line over length cap"));
+            assert!(replies[2].starts_with("ERR code=unknown-tenant"));
+            assert_eq!(replies.len(), 3);
+        }
     }
 
     #[test]
     fn read_raw_line_caps_and_drains() {
         let mut input: &[u8] = b"short\r\nlong line\n";
-        let (line, truncated) = read_raw_line(&mut input).unwrap().unwrap();
+        let mut line = Vec::new();
+        let truncated = read_raw_line(&mut input, &mut line).unwrap().unwrap();
         assert_eq!(line, b"short");
         assert!(!truncated, "CR stripped, under the cap");
-        let (line, truncated) = read_raw_line(&mut input).unwrap().unwrap();
+        let truncated = read_raw_line(&mut input, &mut line).unwrap().unwrap();
         assert_eq!(line, b"long line");
         assert!(!truncated);
-        assert!(read_raw_line(&mut input).unwrap().is_none(), "end of input");
+        assert!(
+            read_raw_line(&mut input, &mut line).unwrap().is_none(),
+            "end of input"
+        );
     }
 }

@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::thread;
 
 /// Generous per-request latency ceiling.  Delta re-analysis of these tiny
 /// systems takes microseconds; the ceiling only guards against pathological
@@ -20,7 +21,12 @@ struct Service {
 
 impl Service {
     fn launch() -> Self {
+        Service::launch_with(&[])
+    }
+
+    fn launch_with(args: &[&str]) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_edf-serve"))
+            .args(args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
@@ -155,4 +161,77 @@ fn admit_whatif_evict_session() {
     );
 
     service.quit();
+}
+
+/// A few hundred requests across five tenants: admissions, what-ifs,
+/// evictions (some of ids that never existed), summaries and errors.
+fn pipelined_script() -> Vec<String> {
+    (0..300u64)
+        .map(|index| {
+            let tenant = format!("t{}", index % 5);
+            let (cost, deadline, period) = (1 + index % 4, 8 + index % 13, 10 + index % 17);
+            match index % 6 {
+                0 | 1 => format!("ADMIT {tenant} {cost} {deadline} {period}"),
+                2 => format!("WHATIF {tenant} {cost} {deadline} {period}"),
+                3 => format!("STAT {tenant}"),
+                4 => format!("EVICT {tenant} {}", index / 3),
+                _ if index % 4 == 1 => "HEALTH".to_owned(),
+                _ => format!("FROB {index}"),
+            }
+        })
+        .collect()
+}
+
+/// `reply` without its wall-clock `us=` field.
+fn without_timing(reply: &str) -> String {
+    reply
+        .split_whitespace()
+        .filter(|field| !field.starts_with("us="))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// A client that sends every request before reading any reply gets the
+/// replies a lockstep client gets, in order: the batched replies of the
+/// pipelined burst carry the same lines.
+#[test]
+fn pipelined_session_matches_lockstep_session() {
+    let script = pipelined_script();
+    let args = ["--work-rate", "25"];
+
+    let mut lockstep = Service::launch_with(&args);
+    let expected: Vec<String> = script
+        .iter()
+        .map(|request| without_timing(&lockstep.roundtrip(request)))
+        .collect();
+    lockstep.quit();
+
+    let Service {
+        mut child,
+        mut requests,
+        replies,
+    } = Service::launch_with(&args);
+    let burst = script
+        .iter()
+        .map(|request| format!("{request}\n"))
+        .collect::<String>()
+        + "QUIT\n";
+    let writer = thread::spawn(move || {
+        requests
+            .write_all(burst.as_bytes())
+            .expect("write requests");
+        // Dropping `requests` closes the service's stdin.
+    });
+    let mut replies: Vec<String> = replies
+        .lines()
+        .map(|reply| without_timing(&reply.expect("read reply")))
+        .collect();
+    writer.join().expect("writer thread");
+    let status = child.wait().expect("service exit");
+    assert!(status.success(), "service exited with {status}");
+    assert_eq!(replies.pop().as_deref(), Some("BYE"));
+    assert_eq!(replies.len(), script.len());
+    for (index, (reply, want)) in replies.iter().zip(&expected).enumerate() {
+        assert_eq!(reply, want, "request {index}: {}", script[index]);
+    }
 }
