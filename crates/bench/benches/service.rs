@@ -107,14 +107,12 @@ fn bench_admission_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// The budgeted lanes against the exact lane on the same tenant: a
-/// generous budget runs the same exact analysis under a metered
-/// allowance, a zero budget answers immediately with `Unknown`.
-/// The `units_*` lanes express the allowance directly in deterministic
-/// work units ([`SlaMode::BudgetedUnits`]): `units_exhaust` measures the
-/// exhaustion-answer latency (how fast a shed request unwinds through
-/// the budget checkpoints to its honest `Unknown`), `units_generous`
-/// the fully-metered decisive path.  The exact probe takes 45 units (the
+/// The budgeted lanes against the exact lane on the same tenant, each
+/// allowance in deterministic work units ([`SlaMode::BudgetedUnits`]):
+/// `units_zero` answers immediately with `Unknown`, `units_exhaust`
+/// measures the exhaustion-answer latency (how fast a shed request
+/// unwinds through the budget checkpoints to its honest `Unknown`), and
+/// `units_generous` the fully-metered decisive path.  The exact probe takes 45 units (the
 /// entry charge plus 44 descent steps), so the 16-unit lane sheds
 /// mid-descent; setup asserts that it does.
 fn bench_budgeted(c: &mut Criterion) {
@@ -133,18 +131,7 @@ fn bench_budgeted(c: &mut Criterion) {
 
     for (label, mode) in [
         ("exact", SlaMode::Exact),
-        (
-            "budget_1ms",
-            SlaMode::Budgeted {
-                deadline: Duration::from_millis(1),
-            },
-        ),
-        (
-            "budget_zero",
-            SlaMode::Budgeted {
-                deadline: Duration::ZERO,
-            },
-        ),
+        ("units_zero", SlaMode::BudgetedUnits { units: 0 }),
         ("units_exhaust", SlaMode::BudgetedUnits { units: 16 }),
         (
             "units_generous",

@@ -36,14 +36,15 @@
 //!
 //! Records replay in append order into [`JournalState`]: `Tenant` creates
 //! an (initially empty) tenant, `Admit` appends a committed component
-//! under its service-assigned id, `Evict` removes one by id, `Mode`
-//! switches the service-level objective and `NextId` raises the id
-//! allocator floor (written by snapshots so recovered services never
-//! reuse ids).  The rebuilt state is **bit-identical** to the pre-crash
-//! committed state — components replay in their original insertion order,
-//! so every derived aggregate (utilization sums, bounds, deadline order)
-//! is reproduced exactly; the `recovery_equivalence` proptest pins this
-//! against the live service.
+//! under its service-assigned id, `Evict` removes one by id, `Register`
+//! replaces a tenant's committed list in one record, `Mode` switches the
+//! service-level objective and `NextId` raises the id allocator floor
+//! (written by snapshots so recovered services never reuse ids).  The
+//! rebuilt state is **bit-identical** to the pre-crash committed state —
+//! components replay in their original insertion order, so every derived
+//! aggregate (utilization sums, bounds, deadline order) is reproduced
+//! exactly; the `recovery_equivalence` proptest pins this against the
+//! live service.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -53,14 +54,14 @@ use std::time::Duration;
 use edf_analysis::workload::DemandComponent;
 use edf_model::Time;
 
-use crate::SlaMode;
+use crate::{units_for, SlaMode, DEFAULT_WORK_RATE};
 
 /// File magic: journal format version 1.
 const MAGIC: &[u8; 8] = b"EDFJRNL1";
 
 /// Upper bound on one frame's payload, so a bit-flipped length field can
 /// never make the reader allocate or skip gigabytes: anything larger is
-/// treated as corruption.
+/// treated as corruption, and the writer refuses to append it.
 const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
 
 /// One durable state mutation (or snapshot element).  See the [module
@@ -87,6 +88,18 @@ pub enum JournalRecord {
         tenant: String,
         /// Service-assigned id of the removed component.
         id: u64,
+    },
+    /// The tenant was (re-)registered: its committed list is replaced by
+    /// `components`, under the consecutive ids `first_id..`.  One record,
+    /// so a torn append loses the whole registration and never half of
+    /// it.
+    Register {
+        /// Tenant name.
+        tenant: String,
+        /// Id of the first component; the rest follow consecutively.
+        first_id: u64,
+        /// The new committed components, in component order.
+        components: Vec<DemandComponent>,
     },
     /// The service-level objective changed.
     Mode(SlaMode),
@@ -129,6 +142,15 @@ impl JournalState {
                 if let Some(index) = committed.iter().position(|(existing, _)| existing == id) {
                     committed.remove(index);
                 }
+            }
+            JournalRecord::Register {
+                tenant,
+                first_id,
+                components,
+            } => {
+                self.next_id = self.next_id.max(first_id + components.len() as u64);
+                *self.tenant_entry(tenant) =
+                    (*first_id..).zip(components.iter().copied()).collect();
             }
             JournalRecord::Mode(mode) => self.mode = Some(*mode),
             JournalRecord::NextId(id) => self.next_id = self.next_id.max(*id),
@@ -234,11 +256,13 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Any I/O error from the underlying write; on error the in-memory
+    /// [`io::ErrorKind::InvalidInput`], before any byte is written, if
+    /// the record encodes to more than the 1 MiB payload cap; any I/O
+    /// error from the underlying write.  On error the in-memory
     /// accounting is left unchanged (the caller should treat the append
     /// as not having happened and roll back its own state).
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let frame = encode_frame(record);
+        let frame = encode_frame(record)?;
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
         self.records += 1;
@@ -254,9 +278,10 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Any I/O error from the underlying write.
+    /// As [`Journal::append`]: an oversized record, or any I/O error from
+    /// the underlying write.
     pub fn append_faulty(&mut self, record: &JournalRecord, fault: WriteFault) -> io::Result<()> {
-        let mut frame = encode_frame(record);
+        let mut frame = encode_frame(record)?;
         match fault {
             WriteFault::ShortWrite { keep } => frame.truncate(keep.min(frame.len())),
             WriteFault::BitFlip { bit } => {
@@ -296,7 +321,7 @@ impl Journal {
         tmp.write_all(MAGIC)?;
         let mut len = MAGIC.len() as u64;
         for record in records {
-            let frame = encode_frame(record);
+            let frame = encode_frame(record)?;
             tmp.write_all(&frame)?;
             len += frame.len() as u64;
         }
@@ -357,15 +382,22 @@ fn decode_frames(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
     (records, offset)
 }
 
-/// Encodes one record as a full frame (header + payload).
-fn encode_frame(record: &JournalRecord) -> Vec<u8> {
+/// Encodes one record as a full frame (header + payload), refusing a
+/// payload over [`MAX_PAYLOAD_BYTES`], which the reader would take for
+/// corruption.
+fn encode_frame(record: &JournalRecord) -> io::Result<Vec<u8>> {
     let payload = encode_record(record);
-    debug_assert!(payload.len() as u32 <= MAX_PAYLOAD_BYTES);
+    if payload.len() > MAX_PAYLOAD_BYTES as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("record of {} bytes over the 1 MiB frame cap", payload.len()),
+        ));
+    }
     let mut frame = Vec::with_capacity(12 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
-    frame
+    Ok(frame)
 }
 
 /// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption check
@@ -386,6 +418,7 @@ const TAG_ADMIT: u8 = 2;
 const TAG_EVICT: u8 = 3;
 const TAG_MODE: u8 = 4;
 const TAG_NEXT_ID: u8 = 5;
+const TAG_REGISTER: u8 = 6;
 
 fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
@@ -409,23 +442,27 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             put_name(&mut out, tenant);
             out.extend_from_slice(&id.to_le_bytes());
         }
+        JournalRecord::Register {
+            tenant,
+            first_id,
+            components,
+        } => {
+            out.push(TAG_REGISTER);
+            put_name(&mut out, tenant);
+            out.extend_from_slice(&first_id.to_le_bytes());
+            out.extend_from_slice(&(components.len() as u64).to_le_bytes());
+            for component in components {
+                put_component(&mut out, component);
+            }
+        }
         JournalRecord::Mode(mode) => {
             out.push(TAG_MODE);
-            match mode {
-                SlaMode::Exact => {
-                    out.push(0);
-                    out.extend_from_slice(&0u64.to_le_bytes());
-                }
-                SlaMode::Budgeted { deadline } => {
-                    out.push(1);
-                    let nanos = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
-                    out.extend_from_slice(&nanos.to_le_bytes());
-                }
-                SlaMode::BudgetedUnits { units } => {
-                    out.push(2);
-                    out.extend_from_slice(&units.to_le_bytes());
-                }
-            }
+            let (kind, units) = match mode {
+                SlaMode::Exact => (0, 0),
+                SlaMode::BudgetedUnits { units } => (2, *units),
+            };
+            out.push(kind);
+            out.extend_from_slice(&units.to_le_bytes());
         }
         JournalRecord::NextId(id) => {
             out.push(TAG_NEXT_ID);
@@ -450,16 +487,36 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             tenant: take_name(&mut rest)?,
             id: take_u64(&mut rest)?,
         },
+        TAG_REGISTER => {
+            let tenant = take_name(&mut rest)?;
+            let first_id = take_u64(&mut rest)?;
+            let count = take_u64(&mut rest)?;
+            let components = (0..count)
+                .map(|_| take_component(&mut rest))
+                .collect::<Option<Vec<_>>>()?;
+            // Replay lifts the allocator to `first_id + count`.
+            first_id.checked_add(count)?;
+            JournalRecord::Register {
+                tenant,
+                first_id,
+                components,
+            }
+        }
         TAG_MODE => {
             let (&kind, tail) = rest.split_first()?;
             rest = tail;
-            // One u64 payload whatever the kind: deadline nanos for the
-            // wall-clock budget, the unit count for the work budget.
+            // One u64 payload whatever the kind: the unit count for the
+            // work budget (kind 2), deadline nanos for the retired
+            // wall-clock budget (kind 1).
             let payload = take_u64(&mut rest)?;
             JournalRecord::Mode(match kind {
                 0 => SlaMode::Exact,
-                1 => SlaMode::Budgeted {
-                    deadline: Duration::from_nanos(payload),
+                // Kind 1 is no longer written; older journals hold it.
+                // Replay runs before the service's work rate is pinned or
+                // calibrated, so the deadline converts at the default
+                // rate, the rate an unconfigured service starts with.
+                1 => SlaMode::BudgetedUnits {
+                    units: units_for(Duration::from_nanos(payload), DEFAULT_WORK_RATE),
                 },
                 2 => SlaMode::BudgetedUnits { units: payload },
                 _ => return None,
@@ -569,12 +626,18 @@ mod tests {
                 id: 1,
                 component: DemandComponent::one_shot(Time::new(2), Time::new(5), Time::new(3)),
             },
-            JournalRecord::Mode(SlaMode::Budgeted {
-                deadline: Duration::from_micros(1500),
-            }),
+            JournalRecord::Mode(SlaMode::BudgetedUnits { units: 13_500 }),
             JournalRecord::Evict {
                 tenant: "alpha".into(),
                 id: 0,
+            },
+            JournalRecord::Register {
+                tenant: "beta".into(),
+                first_id: 2,
+                components: vec![
+                    DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10)),
+                    DemandComponent::one_shot(Time::new(2), Time::new(5), Time::new(3)),
+                ],
             },
             JournalRecord::NextId(17),
         ]
@@ -604,18 +667,33 @@ mod tests {
         for record in sample_records() {
             state.apply(&record);
         }
-        assert_eq!(state.tenants.len(), 1);
+        assert_eq!(state.tenants.len(), 2);
         let (name, committed) = &state.tenants[0];
         assert_eq!(name, "alpha");
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, 1);
-        assert_eq!(
-            state.mode,
-            Some(SlaMode::Budgeted {
-                deadline: Duration::from_micros(1500)
-            })
-        );
+        let (name, committed) = &state.tenants[1];
+        assert_eq!(name, "beta");
+        let ids: Vec<u64> = committed.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [2, 3]);
+        assert_eq!(state.mode, Some(SlaMode::BudgetedUnits { units: 13_500 }));
         assert_eq!(state.next_id, 17);
+        let component = committed[0].1;
+        // A registration replaces the tenant's committed list and lifts
+        // the allocator past its ids.
+        state.apply(&JournalRecord::Register {
+            tenant: "alpha".into(),
+            first_id: 30,
+            components: Vec::new(),
+        });
+        state.apply(&JournalRecord::Register {
+            tenant: "beta".into(),
+            first_id: 20,
+            components: vec![component],
+        });
+        assert!(state.tenants[0].1.is_empty());
+        assert_eq!(state.tenants[1].1, [(20, component)]);
+        assert_eq!(state.next_id, 30);
     }
 
     #[test]

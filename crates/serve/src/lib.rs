@@ -18,25 +18,25 @@
 //!
 //! * **Exact** — every request runs the exact test; verdicts are always
 //!   decisive (unless a [watchdog guard](WatchdogConfig) fires first).
-//! * **Budgeted** — one exact run under the per-request allowance: the
-//!   same uncapped QPA descent, metered by a [`WorkBudget`].
-//!   When the allowance runs out the analysis unwinds to an **honest
-//!   [`Verdict::Unknown`]** (and the service declines the admission)
-//!   rather than a wrong verdict; a decisive answer is the very analysis
-//!   Exact mode returns, so budgeting never trades correctness — only
-//!   decisiveness.
+//! * **Budgeted** ([`SlaMode::BudgetedUnits`]) — one exact run under a
+//!   per-request allowance of deterministic [`WorkBudget`] units: the
+//!   same uncapped QPA descent, metered.  When the allowance runs out the
+//!   analysis unwinds to an **honest [`Verdict::Unknown`]** (and the
+//!   service declines the admission) rather than a wrong verdict; a
+//!   decisive answer is the very analysis Exact mode returns, so
+//!   budgeting never trades correctness — only decisiveness.
 //!
-//! Degradation is **budget-first**: every wall-clock allowance (the
-//! budgeted deadline, the watchdog guard, the degraded deadline) is
-//! converted once into deterministic [`WorkBudget`] units at the
-//! service's calibrated [`work rate`](AdmissionService::work_rate), and
-//! each request runs against its own unit budget.  Which requests
-//! exhaust — and at which step — is therefore a pure function of the
-//! workload and the configured allowances, making load shedding and
-//! Exact→Budgeted hysteresis bit-reproducible across runs and machines
-//! (the wall clock survives only as a backstop against mis-calibration).
-//! [`SlaMode::BudgetedUnits`] expresses the allowance directly in units,
-//! with no wall-clock conversion at all.
+//! The service meters only units.  Which requests exhaust — and at which
+//! step — is therefore a pure function of the workload and the
+//! configured allowances, making load shedding and Exact→Budgeted
+//! hysteresis bit-reproducible across runs and machines.  A wall-clock
+//! SLA allowance (the protocol's `MODE budget <µs>`) is converted to
+//! units once, where it enters the service, at the current
+//! [`work rate`](AdmissionService::work_rate); the mode, and its journal
+//! record, hold the units.  The only wall-clock allowance left inside
+//! the service is the watchdog's: its guard and degraded deadline are
+//! converted at the work rate on every request, with the wall clock
+//! kept as a backstop against mis-calibration.
 //!
 //! Admit and what-if requests run through one pipeline: validate, edit,
 //! one isolated analysis, then commit or roll back.  They differ only in
@@ -49,8 +49,9 @@
 //!
 //! * **Durability** — with a [`journal::Journal`] attached (see
 //!   [`AdmissionService::recover`]), every committed mutation (tenant
-//!   creation, admission, eviction, mode change) is appended to an
-//!   append-only checksummed log *before* it takes effect in memory.
+//!   creation, admission, eviction, registration, mode change) is
+//!   appended to an append-only checksummed log as one record *before*
+//!   it takes effect in memory.
 //!   Restarting from the journal replays the valid prefix and rebuilds
 //!   every tenant bit-identically; a torn tail from a crash is truncated,
 //!   never misread.
@@ -58,8 +59,8 @@
 //!   request (Exact mode included) runs under a guard allowance,
 //!   budget-first: the guard converts to deterministic work units and a
 //!   request that cannot decide within them answers an honest
-//!   [`Verdict::Unknown`]; sustained trips degrade the service to
-//!   [`SlaMode::Budgeted`] with hysteresis
+//!   [`Verdict::Unknown`]; sustained trips degrade the service to a
+//!   budgeted allowance with hysteresis
 //!   ([`AdmissionService::is_degraded`]) so one pathological tenant
 //!   cannot stall the queue.  Guard-unit exhaustions (and the wall-clock
 //!   backstop, should calibration be badly off) count as trips; SLA
@@ -138,24 +139,17 @@ pub enum SlaMode {
     /// latency is whatever exactness costs (unless a watchdog guard caps
     /// it).
     Exact,
-    /// One exact run under the allowance: the uncapped QPA descent,
-    /// stopped with an honest [`Verdict::Unknown`] when the allowance
-    /// runs out.  A decisive answer is the one [`SlaMode::Exact`] gives,
-    /// so this mode can return a *missing* verdict but never a *wrong*
-    /// one.  The deadline is converted **once** into deterministic work
-    /// units at the service's calibrated
-    /// [`work rate`](AdmissionService::work_rate); the run then meters
-    /// units, not the clock, so the degradation point is reproducible.
-    Budgeted {
-        /// Per-request analysis deadline.  [`Duration::ZERO`] permits only
-        /// the free checks (the exact `U > 1` comparison).
-        deadline: Duration,
-    },
-    /// One exact run under an allowance expressed directly in
-    /// deterministic [`WorkBudget`] units — no wall-clock conversion at
-    /// all, so the same request stream degrades identically on any
-    /// machine.  A unit is one QPA descent step (see
-    /// [`edf_analysis::budget`]), plus one for entering the request.
+    /// One exact run under an allowance of deterministic [`WorkBudget`]
+    /// units: the uncapped QPA descent, stopped with an honest
+    /// [`Verdict::Unknown`] when the allowance runs out.  A decisive
+    /// answer is the one [`SlaMode::Exact`] gives, so this mode can
+    /// return a *missing* verdict but never a *wrong* one.  The run
+    /// meters units, not the clock, so the same request stream degrades
+    /// identically on any machine.  A unit is one QPA descent step (see
+    /// [`edf_analysis::budget`]), plus one for entering the request.  The
+    /// protocol's `MODE budget <µs>` is sugar for this mode: the
+    /// microseconds are multiplied once by the service's
+    /// [`work rate`](AdmissionService::work_rate) when the mode is set.
     BudgetedUnits {
         /// Per-request work-unit allowance.  Zero permits only the free
         /// checks (the exact `U > 1` comparison).
@@ -175,8 +169,8 @@ pub enum SlaMode {
 /// wall clock itself is retained as a backstop: if calibration is badly
 /// off, the elapsed guard still trips.)
 /// [`trip_threshold`](Self::trip_threshold) consecutive trips degrade the
-/// service to [`SlaMode::Budgeted`] with
-/// [`degraded_deadline`](Self::degraded_deadline);
+/// service to a budgeted allowance of
+/// [`degraded_deadline`](Self::degraded_deadline), converted to units;
 /// [`recovery_threshold`](Self::recovery_threshold) consecutive clean
 /// requests restore the configured mode.  Trips are counted only against
 /// the guard itself — a request that merely exhausts its (shorter) SLA
@@ -190,7 +184,8 @@ pub struct WatchdogConfig {
     pub trip_threshold: u32,
     /// Consecutive clean requests before restoring the configured mode.
     pub recovery_threshold: u32,
-    /// The [`SlaMode::Budgeted`] deadline used while degraded.
+    /// The per-request allowance used while degraded, converted to
+    /// [`SlaMode::BudgetedUnits`] at the work rate on every request.
     pub degraded_deadline: Duration,
 }
 
@@ -537,12 +532,13 @@ pub struct AdmissionService {
 /// host's rate.  Over ten launches on a shared 2-vCPU x86-64 host that
 /// calibration measured 7–11 units/µs for [`SERVICE_TEST`] (median 9.5);
 /// the default is the median rounded down, so a wall-clock allowance
-/// does not over-grant units on a host of that speed.
-const DEFAULT_WORK_RATE: u64 = 9;
+/// does not over-grant units on a host of that speed.  Journal replay
+/// converts legacy wall-clock mode records at this rate.
+pub(crate) const DEFAULT_WORK_RATE: u64 = 9;
 
 /// Converts a wall-clock allowance into deterministic work units at the
 /// given rate (units per microsecond), saturating at `u64::MAX`.
-fn units_for(allowance: Duration, work_rate: u64) -> u64 {
+pub(crate) fn units_for(allowance: Duration, work_rate: u64) -> u64 {
     u64::try_from(allowance.as_micros())
         .unwrap_or(u64::MAX)
         .saturating_mul(work_rate)
@@ -659,8 +655,8 @@ impl AdmissionService {
         self.fault_plan.take()
     }
 
-    /// Whether the watchdog has currently shed load (degraded to
-    /// [`SlaMode::Budgeted`] with the configured degraded deadline).
+    /// Whether the watchdog has currently shed load (degraded to the
+    /// budgeted allowance of the configured degraded deadline).
     #[must_use]
     pub fn is_degraded(&self) -> bool {
         self.degraded
@@ -687,10 +683,12 @@ impl AdmissionService {
     }
 
     /// The wall-clock→work-unit conversion rate, in units per
-    /// microsecond.  Wall-clock allowances ([`SlaMode::Budgeted`], the
-    /// watchdog guard, the degraded deadline) are multiplied by this rate
-    /// once per request to obtain the deterministic unit budget the
-    /// analysis is metered against.
+    /// microsecond.  The watchdog's allowances (the guard and the
+    /// degraded deadline) are multiplied by this rate once per request to
+    /// obtain the deterministic unit budget the analysis is metered
+    /// against.  The protocol's `MODE budget <µs>` is multiplied by it
+    /// once, when the mode is set; the resulting
+    /// [`SlaMode::BudgetedUnits`] does not follow later rate changes.
     #[must_use]
     pub fn work_rate(&self) -> u64 {
         self.work_rate
@@ -814,11 +812,13 @@ impl AdmissionService {
     /// an admission — but each component must still pass
     /// [`validate_component`]).  Replaces any existing tenant of that
     /// name; returns the component ids assigned to the base components,
-    /// in component order.
+    /// in component order.  The registration is journaled as one record.
     ///
     /// # Errors
     ///
     /// Validation, cap or journal errors; on any error nothing changes.
+    /// A base whose record exceeds the journal's 1 MiB frame cap (about
+    /// 31 000 periodic components) is refused as a journal error.
     pub fn register_tenant(
         &mut self,
         tenant: &str,
@@ -839,35 +839,18 @@ impl AdmissionService {
             validate_component(component)
                 .map_err(|fault| RequestError::InvalidComponent { fault })?;
         }
-        let committed: Vec<(u64, DemandComponent)> = base
-            .components()
-            .iter()
-            .enumerate()
-            .map(|(offset, &component)| (self.next_id + offset as u64, component))
-            .collect();
-        // Replay appends `Admit` records to an existing tenant, so the
-        // replaced components are journaled out first.
-        let replaced: Vec<u64> = self
-            .tenants
-            .get(tenant)
-            .map(|entry| entry.committed.iter().map(|&(id, _)| id).collect())
-            .unwrap_or_default();
-        for id in replaced {
-            self.journal_append(&JournalRecord::Evict {
-                tenant: tenant.to_owned(),
-                id,
-            })?;
-        }
-        self.journal_append(&JournalRecord::Tenant {
+        // One record replaces the tenant's committed list on replay, so a
+        // refused or torn append leaves the journal at the previous
+        // registration, never between the two.
+        let first_id = self.next_id;
+        self.journal_append(&JournalRecord::Register {
             tenant: tenant.to_owned(),
+            first_id,
+            components: base.components().to_vec(),
         })?;
-        for &(id, component) in &committed {
-            self.journal_append(&JournalRecord::Admit {
-                tenant: tenant.to_owned(),
-                id,
-                component,
-            })?;
-        }
+        let committed: Vec<(u64, DemandComponent)> = (first_id..)
+            .zip(base.components().iter().copied())
+            .collect();
         self.next_id += committed.len() as u64;
         let ids: Vec<u64> = committed.iter().map(|&(id, _)| id).collect();
         self.tenants.insert(
@@ -975,8 +958,8 @@ impl AdmissionService {
     /// watchdog's degraded budget while load is being shed.
     fn effective_mode(&self) -> SlaMode {
         match (self.degraded, self.watchdog) {
-            (true, Some(config)) => SlaMode::Budgeted {
-                deadline: config.degraded_deadline,
+            (true, Some(config)) => SlaMode::BudgetedUnits {
+                units: units_for(config.degraded_deadline, self.work_rate),
             },
             _ => self.mode,
         }
@@ -1184,17 +1167,14 @@ struct UnitCaps {
 }
 
 impl UnitCaps {
-    /// Converts the mode's and guard's wall-clock allowances once at the
-    /// service's work rate.  [`SlaMode::BudgetedUnits`] passes through
-    /// untouched.
+    /// Reads the mode's unit allowance and converts the guard's
+    /// wall-clock allowance once at the service's work rate.
     fn from_allowances(mode: SlaMode, guard: Option<Duration>, work_rate: u64) -> Self {
-        let sla = match mode {
-            SlaMode::Exact => None,
-            SlaMode::Budgeted { deadline } => Some(units_for(deadline, work_rate)),
-            SlaMode::BudgetedUnits { units } => Some(units),
-        };
         UnitCaps {
-            sla,
+            sla: match mode {
+                SlaMode::Exact => None,
+                SlaMode::BudgetedUnits { units } => Some(units),
+            },
             guard: guard.map(|guard| units_for(guard, work_rate)),
         }
     }
@@ -1385,30 +1365,40 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_answers_unknown_and_declines() {
-        let mut service = AdmissionService::with_mode(SlaMode::Budgeted {
-            deadline: Duration::ZERO,
-        });
-        let response = service.admit("a", light(4, 9, 10)).unwrap();
-        assert_eq!(response.analysis.verdict, Verdict::Unknown);
-        assert_eq!(response.decision, AdmissionDecision::Undetermined);
-        assert_eq!(
-            service.stat("a").unwrap().components,
-            0,
-            "an unknown verdict must never admit"
-        );
+    fn an_oversized_registration_fails_cleanly() {
+        let dir =
+            std::env::temp_dir().join(format!("edf-serve-oversize-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("oversize.journal");
+        let _ = std::fs::remove_file(&path);
+        let mut service = AdmissionService::recover(&path).unwrap();
+        let small = PreparedWorkload::from_components(vec![light(1, 9, 10)]);
+        assert_eq!(service.register_tenant("t", &small).unwrap(), [0]);
+        let before = service.stat("t");
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        // 32 000 periodic components encode to 33 bytes each, over the
+        // journal's 1 MiB frame cap.
+        let huge = PreparedWorkload::from_components(vec![light(1, 9_000_000, 10_000_000); 32_000]);
+        assert!(matches!(
+            service.register_tenant("t", &huge),
+            Err(RequestError::Journal { .. })
+        ));
+        assert_eq!(service.stat("t"), before, "memory is unchanged");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+        let AdmissionDecision::Admitted(id) = service.admit("t", light(1, 9, 10)).unwrap().decision
+        else {
+            panic!("expected admission");
+        };
+        assert_eq!(id, 1, "the refused registration consumed no ids");
+        drop(service);
+        let recovered = AdmissionService::recover(&path).unwrap();
+        assert_eq!(recovered.stat("t").unwrap().components, 2);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn zero_budget_still_proves_overload_infeasible() {
-        let mut service = AdmissionService::with_mode(SlaMode::Budgeted {
-            deadline: Duration::ZERO,
-        });
-        service
-            .set_mode(SlaMode::Budgeted {
-                deadline: Duration::ZERO,
-            })
-            .unwrap();
+        let mut service = AdmissionService::with_mode(SlaMode::BudgetedUnits { units: 0 });
         // U = 6/10 + 6/10 > 1: the exact rational comparison fires with
         // zero analysis budget.
         assert!(matches!(
@@ -1420,24 +1410,6 @@ mod tests {
         let response = service.admit("b", light(11, 12, 10)).unwrap();
         assert_eq!(response.analysis.verdict, Verdict::Infeasible);
         assert_eq!(response.decision, AdmissionDecision::Rejected);
-    }
-
-    #[test]
-    fn generous_budget_matches_exact_mode() {
-        let mut exact = AdmissionService::new();
-        let mut budgeted = AdmissionService::with_mode(SlaMode::Budgeted {
-            deadline: Duration::from_secs(5),
-        });
-        budgeted.set_work_rate(25);
-        // A decisive budgeted answer comes from the same run as exact
-        // mode: the whole analysis matches, iterations included.
-        for component in [light(4, 9, 10), light(3, 14, 20), light(9, 9, 10)] {
-            let exact_analysis = exact.admit("a", component).unwrap().analysis;
-            let budget_analysis = budgeted.admit("a", component).unwrap().analysis;
-            assert_eq!(exact_analysis, budget_analysis);
-        }
-        assert_eq!(exact.stat("a").unwrap().components, 2);
-        assert_eq!(budgeted.stat("a").unwrap().components, 2);
     }
 
     #[test]
@@ -1497,6 +1469,11 @@ mod tests {
             .progress
             .expect("exhaustion carries progress");
         assert!(progress.units_spent >= 1);
+        assert_eq!(
+            service.stat("a").unwrap().components,
+            0,
+            "an unknown verdict must never admit"
+        );
         assert_eq!(service.budget_exhaustions(), 1);
         service.what_if("a", light(4, 9, 10)).unwrap();
         assert_eq!(service.budget_exhaustions(), 2);
@@ -1649,6 +1626,26 @@ mod tests {
         );
     }
 
+    /// A near-critical tenant (U ≈ 0.985) and a probe whose exact QPA
+    /// descent takes 102 steps: 103 units with the entry charge.
+    fn critical_tenant() -> (PreparedWorkload, DemandComponent) {
+        let base = [
+            (96, 277, 479),
+            (60, 371, 525),
+            (84, 1658, 1904),
+            (92, 365, 513),
+            (68, 435, 695),
+            (134, 510, 903),
+            (94, 1227, 1260),
+            (148, 1080, 1175),
+        ]
+        .map(|(cost, deadline, period)| light(cost, deadline, period));
+        (
+            PreparedWorkload::from_components(base.to_vec()),
+            light(1, 23, 122),
+        )
+    }
+
     #[test]
     fn journal_round_trip_recovers_committed_state() {
         let dir =
@@ -1656,8 +1653,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round-trip.journal");
         let _ = std::fs::remove_file(&path);
+        let (critical, heavy_probe) = critical_tenant();
+        let probes = [
+            ("a", light(1, 9, 10)),
+            ("a", light(7, 8, 10)),
+            ("q", heavy_probe),
+            ("q", light(1, 2_000, 4_000)),
+        ];
 
-        let (stat_a, stat_b, stat_t, evicted) = {
+        let (stat_a, stat_b, stat_t, evicted, mode, replies) = {
             let mut service = AdmissionService::recover(&path).unwrap();
             service.set_work_rate(25);
             service.admit("a", light(4, 9, 10)).unwrap();
@@ -1675,31 +1679,40 @@ mod tests {
             service.register_tenant("t", &two).unwrap();
             let one = PreparedWorkload::from_components(vec![light(3, 9, 10)]);
             service.register_tenant("t", &one).unwrap();
-            service
-                .set_mode(SlaMode::Budgeted {
-                    deadline: Duration::from_millis(10),
-                })
-                .unwrap();
+            service.register_tenant("q", &critical).unwrap();
+            // The wall-clock allowance becomes units once, at this rate:
+            // 25 units, fewer than the heavy probe's 103.
+            let reply = protocol::dispatch(&mut service, "MODE budget 1");
+            assert_eq!(reply, "MODE budget us=1");
+            assert_eq!(service.mode(), SlaMode::BudgetedUnits { units: 25 });
+            let replies: Vec<AdmissionResponse> = probes
+                .iter()
+                .map(|&(tenant, probe)| service.what_if(tenant, probe).unwrap())
+                .collect();
+            assert_eq!(replies[2].decision, AdmissionDecision::Undetermined);
             (
                 service.stat("a").unwrap(),
                 service.stat("b").unwrap(),
                 service.stat("t").unwrap(),
                 id,
+                service.mode(),
+                replies,
             )
         };
 
+        // The recovered service runs at a rate that would grant the heavy
+        // probe its 103 units, were the allowance converted again.
         let mut recovered = AdmissionService::recover(&path).unwrap();
-        recovered.set_work_rate(25);
+        recovered.set_work_rate(1000);
         assert_eq!(recovered.stat("a").unwrap(), stat_a);
         assert_eq!(recovered.stat("b").unwrap(), stat_b);
         assert_eq!(stat_t.components, 1);
         assert_eq!(recovered.stat("t").unwrap(), stat_t);
-        assert_eq!(
-            recovered.mode(),
-            SlaMode::Budgeted {
-                deadline: Duration::from_millis(10)
-            }
-        );
+        assert_eq!(recovered.mode(), mode);
+        for (&(tenant, probe), before) in probes.iter().zip(&replies) {
+            let after = recovered.what_if(tenant, probe).unwrap();
+            assert_eq!(&after, before, "what-if {probe:?} on {tenant}");
+        }
         // The id allocator never reuses a pre-crash id.
         let AdmissionDecision::Admitted(fresh) =
             recovered.admit("b", light(1, 6, 8)).unwrap().decision

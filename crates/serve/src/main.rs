@@ -58,18 +58,22 @@
 //! ERR code=<code> <detail>
 //! ```
 //!
-//! `MODE budget <micros>` expresses the per-request allowance in wall
-//! time (converted once to units at the work rate); `MODE units <n>`
-//! expresses it directly in deterministic work units, which is
-//! machine-independent and therefore exactly reproducible.  Either way a
-//! request is one exact run under the allowance: the QPA descent
-//! `MODE exact` runs, metered at one unit for entering the request plus
-//! one per descent step, so a decisive reply is the reply `MODE exact`
-//! gives.  A request whose allowance runs out answers
+//! `MODE units <n>` sets the per-request allowance in deterministic work
+//! units, which is machine-independent and therefore exactly
+//! reproducible.  `MODE budget <micros>` is sugar for it: the service
+//! converts the microseconds to units once, when the mode is set, at its
+//! current work rate (`units = micros × work_rate`), and from then on
+//! holds — and journals — only the units.  A recovered service therefore
+//! grants the same allowance whatever work rate it restarts with.
+//! Either way a request is one exact run under the allowance: the QPA
+//! descent `MODE exact` runs, metered at one unit for entering the
+//! request plus one per descent step, so a decisive reply is the reply
+//! `MODE exact` gives.  A request whose allowance runs out answers
 //! `UNDETERMINED verdict=unknown` — honest, never fabricated — and
-//! increments `budget_exhaustions` in `HEALTH`.  `guard_trips` counts only exhaustions that bind on the
-//! *watchdog* allowance (or the wall-clock backstop), so a tight SLA
-//! budget alone never drives the shed/degrade hysteresis.
+//! increments `budget_exhaustions` in `HEALTH`.  `guard_trips` counts
+//! only exhaustions that bind on the *watchdog* allowance (or the
+//! wall-clock backstop), so a tight SLA budget alone never drives the
+//! shed/degrade hysteresis.
 //!
 //! # Error taxonomy
 //!

@@ -26,8 +26,9 @@
 //!   no complete line), after `BYE` and at end of input; the replies to
 //!   requests that were already buffered share one write.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use edf_analysis::workload::DemandComponent;
 use edf_model::Time;
@@ -170,6 +171,15 @@ pub fn serve(
     output.flush()
 }
 
+/// One more argument than any verb takes: a request's words beyond this
+/// are never read, since a surplus word already fails every verb that
+/// checks its argument count, and the others ignore surplus words.
+const MAX_ARGS: usize = 5;
+
+/// Capacity of an admission reply, enough for typical ids, counts and
+/// latencies, so formatting it allocates once.
+const REPLY_CAPACITY: usize = 64;
+
 /// Parses one request line and runs it against the service.  Always
 /// returns exactly one reply line; errors render as
 /// `ERR code=<code> <detail>`.
@@ -184,20 +194,34 @@ pub fn dispatch(service: &mut AdmissionService, request: &str) -> String {
             }
         );
     };
-    let rest: Vec<&str> = words.collect();
-    let result = match verb.to_ascii_uppercase().as_str() {
-        "ADMIT" => admission(service, &rest, true),
-        "WHATIF" => admission(service, &rest, false),
-        "EVICT" => evict(service, &rest),
-        "STAT" => stat(service, &rest),
-        "MODE" => mode(service, &rest),
-        "SYNC" => sync(service),
-        "SNAPSHOT" => snapshot(service),
-        "HEALTH" => Ok(health(service)),
-        "QUIT" => Ok("BYE".to_owned()),
-        other => Err(RequestError::UnknownCommand {
-            verb: other.to_owned(),
-        }),
+    let mut slots = [""; MAX_ARGS];
+    let mut count = 0;
+    for (slot, word) in slots.iter_mut().zip(words) {
+        *slot = word;
+        count += 1;
+    }
+    let args = &slots[..count];
+    let is = |name: &str| verb.eq_ignore_ascii_case(name);
+    let result = if is("ADMIT") || is("WHATIF") {
+        admission(service, args, is("ADMIT"))
+    } else if is("EVICT") {
+        evict(service, args)
+    } else if is("STAT") {
+        stat(service, args)
+    } else if is("MODE") {
+        mode(service, args)
+    } else if is("SYNC") {
+        sync(service)
+    } else if is("SNAPSHOT") {
+        snapshot(service)
+    } else if is("HEALTH") {
+        Ok(health(service))
+    } else if is("QUIT") {
+        Ok("BYE".to_owned())
+    } else {
+        Err(RequestError::UnknownCommand {
+            verb: verb.to_ascii_uppercase(),
+        })
     };
     match result {
         Ok(reply) => reply,
@@ -223,23 +247,23 @@ fn admission(
         service.what_if(tenant, component)?
     };
     let elapsed = start.elapsed().as_micros();
-    let verdict = response.analysis.verdict;
-    let iterations = response.analysis.iterations;
-    let tail = format!("verdict={verdict} iters={iterations} us={elapsed}");
-    Ok(if commit {
-        match response.decision {
-            AdmissionDecision::Admitted(id) => format!("ADMITTED id={id} {tail}"),
-            AdmissionDecision::Rejected => format!("REJECTED {tail}"),
-            AdmissionDecision::Undetermined => format!("UNDETERMINED {tail}"),
-        }
-    } else {
-        let outcome = match response.decision {
-            AdmissionDecision::Admitted(_) => "admit",
-            AdmissionDecision::Rejected => "reject",
-            AdmissionDecision::Undetermined => "unknown",
-        };
-        format!("WHATIF {outcome} {tail}")
-    })
+    let mut reply = String::with_capacity(REPLY_CAPACITY);
+    // Writing into a `String` cannot fail.
+    let _ = match (commit, response.decision) {
+        (true, AdmissionDecision::Admitted(id)) => write!(reply, "ADMITTED id={id}"),
+        (true, AdmissionDecision::Rejected) => write!(reply, "REJECTED"),
+        (true, AdmissionDecision::Undetermined) => write!(reply, "UNDETERMINED"),
+        (false, AdmissionDecision::Admitted(_)) => write!(reply, "WHATIF admit"),
+        (false, AdmissionDecision::Rejected) => write!(reply, "WHATIF reject"),
+        (false, AdmissionDecision::Undetermined) => write!(reply, "WHATIF unknown"),
+    };
+    let analysis = &response.analysis;
+    let _ = write!(
+        reply,
+        " verdict={} iters={} us={elapsed}",
+        analysis.verdict, analysis.iterations
+    );
+    Ok(reply)
 }
 
 /// `EVICT <tenant> <id>`.
@@ -275,6 +299,8 @@ fn stat(service: &AdmissionService, args: &[&str]) -> Result<String, RequestErro
 }
 
 /// `MODE exact`, `MODE budget <micros>` or `MODE units <units>`.
+/// `MODE budget` sets [`SlaMode::BudgetedUnits`] at `micros` times the
+/// service's work rate.
 fn mode(service: &mut AdmissionService, args: &[&str]) -> Result<String, RequestError> {
     let usage = "MODE exact | MODE budget <micros> | MODE units <units>";
     match args {
@@ -282,10 +308,12 @@ fn mode(service: &mut AdmissionService, args: &[&str]) -> Result<String, Request
             service.set_mode(SlaMode::Exact)?;
             Ok("MODE exact".to_owned())
         }
+        // Wall time is converted to units here, once, at the current
+        // work rate: the service and its journal see only the units.
         ["budget", micros] => match micros.parse::<u64>() {
             Ok(micros) => {
-                service.set_mode(SlaMode::Budgeted {
-                    deadline: Duration::from_micros(micros),
+                service.set_mode(SlaMode::BudgetedUnits {
+                    units: micros.saturating_mul(service.work_rate()),
                 })?;
                 Ok(format!("MODE budget us={micros}"))
             }
@@ -437,14 +465,19 @@ mod tests {
 
     #[test]
     fn malformed_requests_answer_coded_errors_and_keep_serving() {
-        let replies =
-            drive("ADMIT a one 9 10\nEVICT a\nFROB x\nSTAT ghost\nADMIT b 1 5 10\nQUIT\n");
+        let replies = drive(
+            "ADMIT a one 9 10\nEVICT a\nFROB x\nSTAT ghost\nADMIT b 1 5 10\nfrob\nadmit c 1 5 10 20 30\nWhatIf b 1 5 10\nquit\n",
+        );
         assert!(replies[0].starts_with("ERR code=usage"));
         assert!(replies[1].starts_with("ERR code=usage"));
-        assert!(replies[2].starts_with("ERR code=unknown-command"));
+        assert_eq!(replies[2], "ERR code=unknown-command FROB");
         assert!(replies[3].starts_with("ERR code=unknown-tenant"));
         assert!(replies[4].starts_with("ADMITTED id=0"));
-        assert_eq!(replies[5], "BYE");
+        // Verbs match in any case; an unknown one is echoed upper-cased.
+        assert_eq!(replies[5], "ERR code=unknown-command FROB");
+        assert!(replies[6].starts_with("ERR code=usage"), "{}", replies[6]);
+        assert!(replies[7].starts_with("WHATIF admit"), "{}", replies[7]);
+        assert_eq!(replies[8], "BYE");
     }
 
     #[test]

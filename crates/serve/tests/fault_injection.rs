@@ -394,3 +394,56 @@ fn degradation_is_honest_under_sustained_fires() {
     }
     assert!(!service.is_degraded(), "clean requests recover the mode");
 }
+
+/// A re-registration is journaled as one record, so a write fault on it
+/// (a crash mid-append) recovers the previous registration whole, never
+/// a mix of the two; without a fault the journal recovers what memory
+/// holds.
+#[test]
+fn a_torn_registration_recovers_whole_or_not_at_all() {
+    const SEEDS: u64 = 32;
+    let periodic = |cost, deadline, period| {
+        DemandComponent::periodic(Time::new(cost), Time::new(deadline), Time::new(period))
+    };
+    let old = PreparedWorkload::from_components(vec![periodic(1, 9, 10), periodic(2, 14, 20)]);
+    let new = PreparedWorkload::from_components(vec![periodic(3, 9, 10)]);
+    let mut torn = 0;
+    for seed in 0..SEEDS {
+        let path = journal_path("register", seed);
+        let _ = std::fs::remove_file(&path);
+        let mut service = AdmissionService::recover(&path).expect("fresh journal");
+        service
+            .register_tenant("t", &old)
+            .expect("clean registration");
+        let before = service.stat("t");
+        service.set_fault_plan(FaultPlan::from_seed(seed, 0, 0, 400));
+        service
+            .register_tenant("t", &new)
+            .expect("a torn write goes unobserved");
+        let report = service
+            .take_fault_plan()
+            .expect("plan attached")
+            .report()
+            .clone();
+        let expected = match report.first_faulty_append() {
+            Some(_) => {
+                torn += 1;
+                before
+            }
+            None => service.stat("t"),
+        };
+        drop(service);
+        let recovered = AdmissionService::recover(&path).expect("replay journal");
+        assert_eq!(
+            recovered.stat("t"),
+            expected,
+            "seed {seed}: faults {:?}",
+            report.injected
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+    assert!(
+        0 < torn && torn < SEEDS,
+        "{torn} of {SEEDS} registrations torn"
+    );
+}

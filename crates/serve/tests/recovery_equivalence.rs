@@ -13,11 +13,10 @@
 //! never drift from the pre-crash answers.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use edf_analysis::workload::DemandComponent;
 use edf_model::Time;
-use edf_serve::{AdmissionDecision, AdmissionService, SlaMode};
+use edf_serve::{protocol, AdmissionDecision, AdmissionService, SlaMode};
 use proptest::prelude::*;
 
 /// A fresh per-case journal path under the target-adjacent temp dir.
@@ -100,13 +99,12 @@ fn drive(service: &mut AdmissionService, ops: &[Op]) {
                 service.evict(TENANTS[index], id).expect("live id");
             }
             Op::Mode { budget_micros } => {
-                let mode = match budget_micros {
-                    None => SlaMode::Exact,
-                    Some(micros) => SlaMode::Budgeted {
-                        deadline: Duration::from_micros(*micros),
-                    },
+                let request = match budget_micros {
+                    None => "MODE exact".to_owned(),
+                    Some(micros) => format!("MODE budget {micros}"),
                 };
-                service.set_mode(mode).expect("journal append");
+                let reply = protocol::dispatch(service, &request);
+                assert!(reply.starts_with("MODE "), "{request}: {reply}");
             }
             Op::Snapshot => {
                 service.snapshot().expect("journal compaction");
@@ -189,4 +187,37 @@ proptest! {
         assert_equivalent(&mut resumed, &mut recovered);
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// A journal written before the wall-clock mode record was retired: the
+/// records of two admissions to `alpha`, a registration of `t` with two
+/// components, a `MODE budget 1500` record holding the deadline in
+/// nanoseconds, the re-registration of `t` with one component (`Evict`,
+/// `Evict`, `Tenant`, `Admit`) and a `NextId` floor of 9.  It still
+/// recovers; the deadline converts at the default work rate of
+/// 9 units/µs.
+#[test]
+fn a_journal_in_the_previous_format_recovers() {
+    let path = journal_path("fixture", 0);
+    std::fs::write(&path, include_bytes!("fixtures/journal_v1.bin")).expect("copy fixture");
+    let mut service = AdmissionService::recover(&path).expect("replay fixture");
+    assert_eq!(service.mode(), SlaMode::BudgetedUnits { units: 13_500 });
+    assert_eq!(service.tenant_count(), 2);
+    let alpha = service.stat("alpha").expect("alpha recovered");
+    assert_eq!(alpha.components, 2);
+    assert_eq!(alpha.utilization.to_bits(), 0.4f64.to_bits());
+    let t = service.stat("t").expect("t recovered");
+    assert_eq!(t.components, 1);
+    assert_eq!(t.utilization.to_bits(), 0.3f64.to_bits());
+    // The surviving component of `t` is id 4; the ids replaced by the
+    // re-registration are gone.
+    assert!(service.evict("t", 2).is_err());
+    service.evict("t", 4).expect("id 4 is live");
+    let next = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
+    assert_eq!(
+        service.admit("alpha", next).expect("valid").decision,
+        AdmissionDecision::Admitted(9),
+        "the allocator resumes at the NextId floor"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -1,8 +1,9 @@
-//! The serve loop adds no heap allocation per request line: reading,
-//! classifying and writing a line allocate nothing once the loop's
-//! buffers exist, so `serve` allocates per line exactly what `dispatch`
-//! alone does.  Counted by a global allocator that tallies the calling
-//! thread's allocations.
+//! One heap allocation per `WHATIF` line, the reply: `dispatch` splits
+//! and matches the request without allocating and formats the reply
+//! once, and the serve loop adds nothing (reading, classifying and
+//! writing a line allocate nothing once the loop's buffers exist).
+//! Counted by a global allocator that tallies the calling thread's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,6 +96,10 @@ fn serve_allocates_no_more_per_line_than_dispatch() {
     // buffers and leaves the cost of `LINES` lines.
     let served = served_long - served_short;
     let dispatched = dispatched_long - dispatched_short;
+    assert!(
+        dispatched <= LINES as u64,
+        "per {LINES} lines, dispatch allocates {dispatched} times"
+    );
     assert!(
         served <= dispatched,
         "per {LINES} lines, serve allocates {served} times and dispatch {dispatched}"
