@@ -1,12 +1,13 @@
 //! Benchmark of the incremental sensitivity engine
 //! (`edf_analysis::incremental` + `edf_analysis::sensitivity`): breakdown
-//! scaling and WCET slack searches, incremental (one `ScaledView`, costs
-//! rewritten in place, the analysis horizon re-derived with the base's
-//! period lcm and reciprocals) versus the from-scratch reference (a full
-//! re-preparation per probe — the pre-incremental behaviour, see
-//! `sensitivity::reference`).  Both
+//! scaling and WCET slack searches, incremental (one `ScaledView`: each
+//! probe replaces the re-costed components of one `EditView`, keeping the
+//! deadline order and the period reciprocals, and finalizes it) versus
+//! the from-scratch reference (a full re-preparation per probe — the
+//! pre-incremental behaviour, see `sensitivity::reference`).  Both
 //! variants run identical probe sequences and produce bit-identical
-//! results, so the wall-clock gap is pure preparation overhead.
+//! results — asserted per fixture before any lane is timed — so the
+//! wall-clock gap is pure preparation overhead.
 //!
 //! The QPA series isolate that overhead (QPA's own analysis is cheap);
 //! the all-approximated series show the dilution on a test whose
@@ -19,7 +20,8 @@ use edf_analysis::sensitivity::{
     breakdown_scaling_workload, reference, sensitivity_sweep, wcet_slack_workload,
 };
 use edf_analysis::tests::{AllApproximatedTest, QpaTest};
-use edf_analysis::workload::{MixedSystem, PreparedWorkload};
+use edf_analysis::workload::{MixedSystem, PreparedWorkload, Workload};
+use edf_analysis::FeasibilityTest;
 use edf_bench::{ratio_fixture, slack_fixture, stream_fixture};
 use edf_model::{Task, TaskSet, Time};
 
@@ -42,6 +44,32 @@ fn mixed_system() -> MixedSystem {
     MixedSystem::new(sporadic, stream_fixture(4))
 }
 
+/// Asserts that the incremental and from-scratch breakdown searches give
+/// the same answer on every workload of fixture `name`.
+fn assert_breakdown_parity<W: Workload>(name: &str, workloads: &[W], test: &dyn FeasibilityTest) {
+    for (i, workload) in workloads.iter().enumerate() {
+        assert_eq!(
+            breakdown_scaling_workload(workload, test),
+            reference::breakdown_scaling_workload(workload, test),
+            "breakdown search diverges from the reference on {name}[{i}]"
+        );
+    }
+}
+
+/// Asserts that the incremental and from-scratch slack searches give the
+/// same answer for every component of every workload of fixture `name`.
+fn assert_slack_parity<W: Workload>(name: &str, workloads: &[W], test: &dyn FeasibilityTest) {
+    for (i, workload) in workloads.iter().enumerate() {
+        for index in 0..PreparedWorkload::new(workload).components().len() {
+            assert_eq!(
+                wcet_slack_workload(workload, index, test),
+                reference::wcet_slack_workload(workload, index, test),
+                "slack search diverges from the reference on {name}[{i}], component {index}"
+            );
+        }
+    }
+}
+
 fn bench_breakdown(c: &mut Criterion) {
     let mut group = c.benchmark_group("sensitivity_breakdown");
     group
@@ -52,6 +80,7 @@ fn bench_breakdown(c: &mut Criterion) {
     let qpa = QpaTest::new();
     for &ratio in &[10u64, 100] {
         let sets = ratio_fixture(ratio, 8);
+        assert_breakdown_parity(&format!("ratio_fixture({ratio}, 8)"), &sets, &qpa);
         group.bench_with_input(
             BenchmarkId::new("incremental_qpa", ratio),
             &sets,
@@ -80,6 +109,7 @@ fn bench_breakdown(c: &mut Criterion) {
     // point dominates the probe cost, diluting the preparation savings.
     let all_approx = AllApproximatedTest::new();
     let sets = ratio_fixture(10, 4);
+    assert_breakdown_parity("ratio_fixture(10, 4)", &sets, &all_approx);
     group.bench_function("incremental_all_approx/10", |b| {
         b.iter(|| {
             sets.iter()
@@ -96,6 +126,7 @@ fn bench_breakdown(c: &mut Criterion) {
     });
 
     let mixed = mixed_system();
+    assert_breakdown_parity("mixed_system", std::slice::from_ref(&mixed), &qpa);
     group.bench_function("incremental_qpa/mixed", |b| {
         b.iter(|| breakdown_scaling_workload(&mixed, &qpa))
     });
@@ -125,6 +156,7 @@ fn bench_wcet_slack(c: &mut Criterion) {
     };
     // Headline series: the robustness-budgeting regime (moderate load).
     let sets = slack_fixture(60, 4);
+    assert_slack_parity("slack_fixture(60, 4)", &sets, &qpa);
     group.bench_with_input(
         BenchmarkId::new("incremental_qpa", "sets"),
         &sets,
@@ -138,6 +170,7 @@ fn bench_wcet_slack(c: &mut Criterion) {
     // Hard case: 90–99 % load, where the exact test's own work at the
     // feasibility edge dominates the probe cost on both paths.
     let tight = ratio_fixture(10, 4);
+    assert_slack_parity("ratio_fixture(10, 4)", &tight, &qpa);
     group.bench_with_input(
         BenchmarkId::new("incremental_qpa", "tight"),
         &tight,
@@ -150,6 +183,7 @@ fn bench_wcet_slack(c: &mut Criterion) {
     );
 
     let mixed = mixed_system();
+    assert_slack_parity("mixed_system", std::slice::from_ref(&mixed), &qpa);
     let components = PreparedWorkload::new(&mixed).components().len();
     group.bench_function("incremental_qpa/mixed", |b| {
         b.iter(|| {

@@ -208,7 +208,7 @@ pub trait FeasibilityTest {
     /// [`FeasibilityTest::analyze_prepared_with`] instead).
     ///
     /// `scratch` provides the reusable transient buffers (merge state,
-    /// pending-interval heaps, approximation terms); a test may ignore it.
+    /// pending-interval queues, approximation terms); a test may ignore it.
     /// The analysis result never depends on the scratch's buffer contents
     /// — the one deliberate exception is the scratch's
     /// [`WorkBudget`](crate::budget::WorkBudget), an explicit input that
@@ -277,7 +277,8 @@ pub trait FeasibilityTest {
     /// ([`ScaledView`](crate::incremental::ScaledView),
     /// [`CandidateView`](crate::candidates::CandidateView),
     /// [`EditView`](crate::incremental::EditView)): finalizes pending
-    /// mutations and analyzes the prepared state — equivalent to
+    /// mutations (a `ScaledView` probe arrives finalized, through its
+    /// `EditView`) and analyzes the prepared state — equivalent to
     /// [`FeasibilityTest::analyze_prepared`] on a cold preparation of the
     /// same components, without the cold preparation.
     fn analyze_view(&self, view: &mut dyn crate::incremental::WorkloadView) -> Analysis {

@@ -40,11 +40,11 @@
 //! `min(QPA horizon, busy period)`.  Every preparation derives the QPA
 //! horizon on one path, from aggregates folded one component at a time —
 //! a cold [`PreparedWorkload`](crate::workload::PreparedWorkload) on first
-//! use, the [`ScaledView`](crate::incremental::ScaledView) and
-//! [`CandidateView`](crate::candidates::CandidateView) probes after every
-//! re-costing or re-phasing (they keep the period lcm and re-fold the
-//! rest), and an [`EditView`](crate::incremental::EditView) finalize from
-//! the folds it carries across commits.  Baruah and superposition are
+//! use, a [`CandidateView`](crate::candidates::CandidateView) finalize
+//! after every re-phasing (it keeps the period lcm and re-folds the
+//! rest), and an [`EditView`](crate::incremental::EditView) finalize —
+//! the [`ScaledView`](crate::incremental::ScaledView) probes included —
+//! from the folds it carries across commits.  Baruah and superposition are
 //! never below George, and a `U > 1` list reads its hyperperiod.  The
 //! analysis horizon is derived lazily from the QPA horizon, once per
 //! component list and only when a test asks for it: a busy-period
@@ -267,10 +267,10 @@ impl GeorgeFolds {
 /// once; an [`EditView`](crate::incremental::EditView) keeps these for its
 /// committed components and extends a copy by a probe's appended ones, so
 /// a finalize pays `O(1)` aggregate work per appended component instead
-/// of a pass over the whole list; the
-/// [`ScaledView`](crate::incremental::ScaledView) and
-/// [`CandidateView`](crate::candidates::CandidateView) probes, which never
-/// move a period, [refold](ComponentFolds::refold) all but the lcm.  The
+/// of a pass over the whole list; a
+/// [`CandidateView`](crate::candidates::CandidateView) finalize, which
+/// never moves a period, [refolds](ComponentFolds::refold) all but the
+/// lcm.  The
 /// `f64` sums are order-sensitive, which is why only appends extend them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ComponentFolds {
@@ -368,8 +368,7 @@ pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
 /// `FeasibilityBounds::for_components(components).qpa_horizon()` on every
 /// list.  The one path every preparation derives it on — a cold
 /// [`PreparedWorkload`](crate::workload::PreparedWorkload) on first use,
-/// and the [`ScaledView`](crate::incremental::ScaledView),
-/// [`CandidateView`](crate::candidates::CandidateView) and
+/// and the [`CandidateView`](crate::candidates::CandidateView) and
 /// [`EditView`](crate::incremental::EditView) refreshes.
 ///
 /// Every aggregate comes from `folds`, the caller's [`ComponentFolds`] of
@@ -1446,8 +1445,8 @@ mod tests {
             assert_horizons_match_reference(&components, &components);
         }
 
-        // Lists that differ from a base only in costs (the `ScaledView`
-        // probes) or only in phases (the `CandidateView` swaps): the
+        // Lists that differ from a base only in costs (the `EditView`
+        // cost edits) or only in phases (the `CandidateView` swaps): the
         // refolded base folds, which keep the base's period lcm, give the
         // same horizon as fresh folds and as the reference.
         let mut probes = Vec::new();

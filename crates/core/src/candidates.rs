@@ -449,7 +449,11 @@ impl TransactionSlot {
 /// not a re-sort); the kernel columns are rebuilt in place from that
 /// order; and the §4.3 QPA horizon is re-derived on the one path
 /// every preparation uses (see [`crate::bounds`]), with the period
-/// reciprocals and the period lcm cached for the whole sweep.
+/// reciprocals and the period lcm cached for the whole sweep.  The
+/// repaired state is installed on the same path as an
+/// [`EditView`](crate::incremental::EditView) finalize; the view is not an
+/// `EditView` itself, whose per-edit order repair the sweep would pay even
+/// on the combinations the density screen decides.
 ///
 /// Swaps are *lazy*: consecutive [`CandidateView::set_candidate`] calls
 /// only patch the component vector, and the order/kernel/horizon repair
@@ -549,7 +553,14 @@ impl CandidateView {
         );
         let mut order: Vec<usize> = (0..components.len()).collect();
         order.sort_by_key(|&i| components[i].first_deadline());
-        scratch.install_retimed_state(order, horizon, &reciprocals);
+        scratch.install_edited_state(
+            scratch.task_count(),
+            scratch.utilization(),
+            scratch.utilization_exceeds_one(),
+            order,
+            horizon,
+            &reciprocals,
+        );
         CandidateView {
             slots,
             scratch,
@@ -599,14 +610,25 @@ impl CandidateView {
             return;
         }
         self.choice[transaction] = candidate;
-        let slot = &self.slots[transaction];
-        let block = &slot.candidates[candidate];
-        for (position, component) in block.components.iter().enumerate() {
-            self.scratch
-                .write_component_at(slot.start + position, *component);
-        }
+        self.patch(transaction, candidate);
         if !self.dirty.contains(&transaction) {
             self.dirty.push(transaction);
+        }
+    }
+
+    /// Writes `candidate`'s block over transaction `transaction`'s
+    /// components.  A swap moves only offsets and first deadlines, never a
+    /// cost or a period.
+    fn patch(&mut self, transaction: usize, candidate: usize) {
+        let slot = &self.slots[transaction];
+        for (position, component) in slot.candidates[candidate].components.iter().enumerate() {
+            let old = self
+                .scratch
+                .replace_component_at(slot.start + position, *component);
+            debug_assert_eq!(
+                (old.wcet(), old.period()),
+                (component.wcet(), component.period())
+            );
         }
     }
 
@@ -675,8 +697,14 @@ impl CandidateView {
             &self.folds,
             self.scratch.utilization_exceeds_one(),
         );
-        self.scratch
-            .install_retimed_state(order, horizon, &self.reciprocals);
+        self.scratch.install_edited_state(
+            self.scratch.task_count(),
+            self.scratch.utilization(),
+            self.scratch.utilization_exceeds_one(),
+            order,
+            horizon,
+            &self.reciprocals,
+        );
         self.dirty.clear();
         self.committed.clone_from(&self.choice);
     }
@@ -698,12 +726,7 @@ impl WorkloadView for CandidateView {
         while let Some(transaction) = self.dirty.pop() {
             let candidate = self.committed[transaction];
             self.choice[transaction] = candidate;
-            let slot = &self.slots[transaction];
-            let block = &slot.candidates[candidate];
-            for (position, component) in block.components.iter().enumerate() {
-                self.scratch
-                    .write_component_at(slot.start + position, *component);
-            }
+            self.patch(transaction, candidate);
         }
     }
 }

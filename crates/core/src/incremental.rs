@@ -1,46 +1,36 @@
-//! Incremental re-analysis: scale-aware prepared-workload views.
+//! Incremental re-analysis: prepared-workload views mutated in place.
 //!
 //! The point of the paper is an exact feasibility test cheap enough to run
 //! *inside a search loop* — and a search loop perturbs one workload over
-//! and over, changing nothing but the execution costs.  Re-running
-//! [`PreparedWorkload::new`] (or
-//! [`PreparedWorkload::with_scaled_wcets`]) per probe therefore throws
-//! away state that is valid for every probe:
+//! and over.  Re-running [`PreparedWorkload::new`] (or
+//! [`PreparedWorkload::with_scaled_wcets`]) per probe throws away state
+//! that the probe does not move: the component and kernel-column
+//! allocations, the deadline order and the period reciprocals.
 //!
-//! * the **component vector layout** — probes rewrite the cost column in
-//!   place instead of reallocating; since the columnar-kernel rebuild
-//!   this is literally a column write into the scratch preparation's
-//!   [`DemandKernel`](crate::kernel::DemandKernel) (deadline, period and
-//!   sort columns are scale-invariant and never move);
-//! * the **deadline order** — periods, deadlines and offsets do not move
-//!   under WCET changes, so the sorted order computed once for the base
-//!   workload is seeded into the view and shared by every probe;
-//! * the **period half of the §4.3 QPA horizon** — the period lcm
-//!   behind the hyperperiod bound and the per-component period
-//!   reciprocals never move under WCET changes, so a probe re-folds only
-//!   the cost and timing aggregates and derives the horizon on the one
-//!   path every preparation uses (see [`crate::bounds`]).
-//!
-//! [`ScaledView`] packages all three behind two probe operations:
-//! [`ScaledView::scale_wcets`] (uniform scaling — breakdown searches) and
-//! [`ScaledView::with_component_wcet`] (a single perturbed component —
-//! slack searches).  Every probe returns an ordinary
-//! [`&PreparedWorkload`](PreparedWorkload) whose observable state is
-//! **bit-identical** to a from-scratch preparation of the same scaled
-//! components, so every [`FeasibilityTest`](crate::FeasibilityTest) —
-//! and any future consumer of prepared workloads — runs on a view
-//! unchanged.  [`crate::sensitivity`] is built on top of this module.
+//! [`EditView`] keeps that state across structural edits (insert, remove,
+//! replace) and repairs the rest at finalize.  [`ScaledView`] is the
+//! sensitivity searches' face of it: a probe —
+//! [`ScaledView::scale_wcets`] (uniform scaling, breakdown searches) or
+//! [`ScaledView::with_component_wcet`] (one perturbed component, slack
+//! searches) — replaces each component whose cost it changes.  A cost
+//! edit moves no deadline and no period, so it skips the order repair and
+//! the reciprocal, and the finalize keeps the period lcm.  Every probe
+//! returns an ordinary [`&PreparedWorkload`](PreparedWorkload) whose
+//! observable state is **bit-identical** to a from-scratch preparation of
+//! the same components, so every
+//! [`FeasibilityTest`](crate::FeasibilityTest) runs on a view unchanged.
+//! [`crate::sensitivity`] is built on top of this module.
 //!
 //! # The view family
 //!
-//! Three views share the pattern "one scratch preparation, mutated in
-//! place, repaired incrementally", one per axis of change:
+//! Every view mutates one scratch preparation in place and installs the
+//! repaired state through the same crate-internal path:
 //!
 //! | view | may mutate | repair path | refresh cost |
 //! |------|-----------|-------------|--------------|
-//! | [`ScaledView`] | WCETs only | column rewrite + horizon refresh | `O(n)` |
+//! | [`ScaledView`] | WCETs only | [`EditView`] replaces that keep deadlines and periods, then the [`EditView`] finalize (period lcm kept) | `O(n)` |
 //! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild, horizon refresh | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components, a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel), `O(1)` aggregate work per appended component |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components (a full fold after a remove or replace), a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel), `O(1)` aggregate work per appended component |
 //!
 //! Every refresh installs the QPA horizon only; the busy-period
 //! fix-point behind the tightest
@@ -109,8 +99,8 @@ pub trait WorkloadView {
     fn finalize(&mut self) -> &PreparedWorkload;
 
     /// `true` while mutations are pending that [`WorkloadView::finalize`]
-    /// has not yet folded into the prepared state.  Views with eager
-    /// repair ([`ScaledView`]) are never dirty.
+    /// has not yet folded into the prepared state.  A [`ScaledView`]
+    /// finalizes every probe before returning it, so it is never dirty.
     fn is_dirty(&self) -> bool;
 
     /// Discards pending mutations, returning the view to its last stable
@@ -142,43 +132,28 @@ pub trait WorkloadView {
     fn mark_poisoned(&mut self) {}
 }
 
-/// A re-costable view of a [`PreparedWorkload`]: one scratch preparation,
-/// rewritten in place per probe, sharing everything that is invariant
-/// under WCET changes with the base workload.
+/// A re-costable view of a [`PreparedWorkload`]: one [`EditView`] over
+/// the base.
 ///
-/// See the [module documentation](self) for what is shared and why; see
-/// [`ScaledView::scale_wcets`] / [`ScaledView::with_component_wcet`] for
-/// the probe operations.
+/// A probe replaces each component whose cost it changes and finalizes;
+/// a cost edit moves neither a deadline nor a period, so the edits skip
+/// the order repair and the period reciprocals (see
+/// [`EditView::replace_component`]) and the finalize keeps the period
+/// lcm.  See [`ScaledView::scale_wcets`] /
+/// [`ScaledView::with_component_wcet`] for the probe operations.
 #[derive(Debug)]
 pub struct ScaledView<'a> {
     base: &'a PreparedWorkload,
-    scratch: PreparedWorkload,
-    /// The [`ComponentFolds`] of the latest probe; each probe re-folds
-    /// them, keeping the base's period lcm.
-    folds: ComponentFolds,
-    /// Per-component period reciprocals of the base (invariant under
-    /// WCET changes).
-    reciprocals: Vec<Reciprocal>,
+    edits: EditView,
 }
 
 impl<'a> ScaledView<'a> {
-    /// Creates a view over `base`.  The scratch preparation starts as an
-    /// identical copy; the deadline order is computed once (on the base,
-    /// where it is cached for other users too) and shared.
+    /// Creates a view over `base`: an [`EditView::new`] copy of it.
     #[must_use]
     pub fn new(base: &'a PreparedWorkload) -> Self {
-        let mut scratch = PreparedWorkload::from_parts(
-            base.components().to_vec(),
-            base.task_count(),
-            base.demand_is_exact(),
-            base.utilization_is_exact(),
-        );
-        scratch.seed_deadline_order(base.deadline_order().to_vec());
         ScaledView {
-            folds: ComponentFolds::of(base.components()),
-            reciprocals: base.components().iter().map(period_reciprocal).collect(),
             base,
-            scratch,
+            edits: EditView::new(base),
         }
     }
 
@@ -192,7 +167,7 @@ impl<'a> ScaledView<'a> {
     /// copy of the base).
     #[must_use]
     pub fn prepared(&self) -> &PreparedWorkload {
-        &self.scratch
+        self.edits.finalized()
     }
 
     /// Probes a uniform scaling: every **base** cost is scaled by
@@ -206,11 +181,7 @@ impl<'a> ScaledView<'a> {
     /// Panics if `denom` is zero.
     pub fn scale_wcets(&mut self, numer: u64, denom: u64) -> &PreparedWorkload {
         assert!(denom > 0, "scaling denominator must be positive");
-        for (index, component) in self.base.components().iter().enumerate() {
-            self.scratch
-                .set_wcet_at(index, component.scaled_wcet(numer, denom));
-        }
-        self.refresh()
+        self.probe(|_, component| component.scaled_wcet(numer, denom))
     }
 
     /// Probes a single-component perturbation: every component keeps its
@@ -222,51 +193,59 @@ impl<'a> ScaledView<'a> {
     ///
     /// Panics if `index` is out of range.
     pub fn with_component_wcet(&mut self, index: usize, wcet: Time) -> &PreparedWorkload {
-        let components = self.base.components();
-        assert!(index < components.len(), "component index out of range");
-        for (i, component) in components.iter().enumerate() {
-            self.scratch.set_wcet_at(i, component.wcet());
-        }
-        self.scratch
-            .set_wcet_at(index, components[index].clamp_wcet(wcet));
-        self.refresh()
+        assert!(
+            index < self.base.components().len(),
+            "component index out of range"
+        );
+        self.probe(|i, component| {
+            if i == index {
+                component.clamp_wcet(wcet)
+            } else {
+                component.wcet()
+            }
+        })
     }
 
-    /// Recomputes the cost-dependent aggregates of the scratch workload in
-    /// one linear pass (the folds, keeping the base's period lcm), decides
-    /// `U > 1` from them and installs the refreshed QPA horizon.
-    fn refresh(&mut self) -> &PreparedWorkload {
-        let components = self.scratch.components();
-        self.folds.refold(components);
-        let exceeds_one = self.folds.exceeds_one(components);
-        let horizon = qpa_horizon(components, &self.reciprocals, &self.folds, exceeds_one);
-        self.scratch
-            .install_refreshed_state(self.folds.utilization(), exceeds_one, horizon);
-        &self.scratch
+    /// Gives every component the cost `wcet(index, base component)`,
+    /// replacing only the components whose current cost differs, and
+    /// finalizes.  The edits are then committed, so the next probe starts
+    /// from this one's costs and the undo log never outgrows one probe.
+    fn probe(&mut self, wcet: impl Fn(usize, &DemandComponent) -> Time) -> &PreparedWorkload {
+        for (index, base) in self.base.components().iter().enumerate() {
+            let wcet = wcet(index, base);
+            if self.edits.components()[index].wcet() != wcet {
+                let mut component = *base;
+                component.set_wcet(wcet);
+                self.edits.replace_component(index, component);
+            }
+        }
+        // Finalize before the commit: with replaces in the undo log the
+        // refresh refolds the previous folds (lcm kept) instead of folding
+        // the committed list from scratch.
+        self.edits.prepared();
+        self.edits.commit();
+        self.edits.finalized()
     }
 }
 
 impl WorkloadView for ScaledView<'_> {
-    /// The prepared state of the most recent probe — probes repair
-    /// eagerly, so there is never pending work to apply.
+    /// The prepared state of the most recent probe.
     fn finalize(&mut self) -> &PreparedWorkload {
-        &self.scratch
+        self.edits.prepared()
     }
 
+    /// Always `false`: every probe and [`WorkloadView::revert`] finalizes
+    /// before returning.
     fn is_dirty(&self) -> bool {
-        false
+        self.edits.is_dirty()
     }
 
-    /// Restores the base costs (the state the view was created in),
-    /// eagerly — equivalent to a `scale_wcets(1, 1)` probe but copying
-    /// the base costs verbatim, so components whose base cost exceeds
-    /// their period (infeasible inputs kept for honest rejection) survive
-    /// the round trip unclamped.
+    /// Restores the base components verbatim (the state the view was
+    /// created in), so components whose base cost exceeds their period
+    /// (infeasible inputs kept for honest rejection) survive the round
+    /// trip unclamped.
     fn revert(&mut self) {
-        for (index, component) in self.base.components().iter().enumerate() {
-            self.scratch.set_wcet_at(index, component.wcet());
-        }
-        self.refresh();
+        self.probe(|_, component| component.wcet());
     }
 }
 
@@ -303,19 +282,23 @@ enum EditOp {
 ///   insertion/removal of the touched index — the degenerate (single-run)
 ///   case of the [`CandidateView`](crate::candidates::CandidateView)
 ///   merge-of-sorted-runs repair, `O(log n)` search plus one `memmove`
-///   instead of a re-sort;
+///   instead of a re-sort — and not at all by a replacement that keeps
+///   the first deadline;
 /// * the **period reciprocals** feeding the kernel columns and the bound
-///   searches are recomputed only for the touched index (a 128-bit
-///   division each; the untouched ones are copied);
+///   searches are recomputed only for a touched index whose period moves
+///   (a 128-bit division each; the others are kept);
 /// * the **kernel columns** are rebuilt in place into their existing
 ///   allocations
-///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel));
+///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel)),
+///   except at `U > 1`, which every test rejects before reading demand;
 /// * the **aggregates** — the `f64` utilization and George numerator, the
 ///   deadline extremes, the one-shot/offset/degenerate flags and the
 ///   period lcm — are folds of the committed components, built at the
 ///   first finalize whose undo log holds only inserts, extended at
-///   [`EditView::commit`] and dropped by any remove or replace.  A probe's
-///   finalize extends a copy by the appended components and decides
+///   [`EditView::commit`] and dropped by any remove or replace; while no
+///   edit moves a period, a finalize refolds the previous finalize's
+///   folds instead, keeping the lcm.  A probe's finalize extends a copy
+///   of the committed folds by the appended components and decides
 ///   `U > 1` from the folded sum behind the proven `10⁻³` screen (the
 ///   exact rational check inside the margin);
 /// * only the **QPA horizon** — `min(George, hyperperiod)`, all QPA
@@ -384,6 +367,11 @@ pub struct EditView {
     /// the first finalize whose undo log holds only inserts, extended at
     /// [`EditView::commit`], dropped by any remove or replace.
     committed_folds: Option<ComponentFolds>,
+    /// The [`ComponentFolds`] of the last finalize while no edit since has
+    /// moved a period: a finalize without committed folds to extend
+    /// refolds them, keeping the period lcm.  Dropped by any insert,
+    /// remove or period-moving write.
+    last_folds: Option<ComponentFolds>,
     /// Per-component period reciprocals, maintained parallel to the
     /// component vector (recomputed only for touched indices).
     reciprocals: Vec<Reciprocal>,
@@ -421,6 +409,7 @@ impl EditView {
         scratch.seed_deadline_order(base.deadline_order().to_vec());
         EditView {
             committed_folds: None,
+            last_folds: None,
             reciprocals: base.components().iter().map(period_reciprocal).collect(),
             order: Vec::new(),
             task_count: base.task_count(),
@@ -453,6 +442,7 @@ impl EditView {
     /// [`EditView::remove_component`] of a lower index shifts it).
     pub fn insert_component(&mut self, component: DemandComponent) -> usize {
         self.begin_edit();
+        self.last_folds = None;
         let index = self.scratch.components().len();
         self.scratch.insert_component_at(index, component);
         self.reciprocals.push(period_reciprocal(&component));
@@ -472,6 +462,7 @@ impl EditView {
     pub fn remove_component(&mut self, index: usize) -> DemandComponent {
         self.begin_edit();
         self.committed_folds = None;
+        self.last_folds = None;
         self.order_remove_entry(index);
         for entry in &mut self.order {
             *entry -= usize::from(*entry > index);
@@ -484,8 +475,9 @@ impl EditView {
     }
 
     /// Replaces the component at `index` wholesale (cost, timing *and*
-    /// period may change — contrast
-    /// [`ScaledView::with_component_wcet`]), returning the old component.
+    /// period may change), returning the old component.  A replacement
+    /// that keeps the first deadline skips the order repair; one that
+    /// keeps the period skips the period reciprocal.
     ///
     /// # Panics
     ///
@@ -588,22 +580,34 @@ impl EditView {
     }
 
     /// The shared write path of [`EditView::replace_component`] and the
-    /// [`EditOp::WriteAt`] rollback: order out, component + reciprocal
-    /// written, order back in under the new key.
+    /// [`EditOp::WriteAt`] rollback: the component is written, the order
+    /// entry moves only when the first deadline does and the period
+    /// reciprocal is recomputed only when the period moves — a cost edit
+    /// touches neither.
     fn write_component(&mut self, index: usize, component: DemandComponent) -> DemandComponent {
         self.begin_edit();
-        self.order_remove_entry(index);
-        let old = self.scratch.replace_component_at(index, component);
-        self.reciprocals[index] = period_reciprocal(&component);
-        self.order_insert_entry(index);
+        let old = self.scratch.components()[index];
+        let moves = old.first_deadline() != component.first_deadline();
+        if moves {
+            self.order_remove_entry(index);
+        }
+        self.scratch.replace_component_at(index, component);
+        if old.period() != component.period() {
+            self.reciprocals[index] = period_reciprocal(&component);
+            self.last_folds = None;
+        }
+        if moves {
+            self.order_insert_entry(index);
+        }
         old
     }
 
     /// Recomputes the cost-and-structure-dependent aggregates and installs
     /// them with the maintained order: the [`ComponentFolds`] (the
     /// committed folds extended by the appended components while the undo
-    /// log holds only inserts, else one pass in component order — either
-    /// way bit-identical to a cold preparation's `f64` sums), the screened
+    /// log holds only inserts, else the last finalize's folds refolded
+    /// while no period has moved, else one pass in component order — each
+    /// bit-identical to a cold preparation's `f64` sums), the screened
     /// `U > 1` decision, the QPA horizon refresh and the in-place kernel
     /// rebuild.
     fn refresh(&mut self) {
@@ -614,13 +618,18 @@ impl EditView {
             let committed = components.len() - self.undo.len();
             self.committed_folds = Some(ComponentFolds::of(&components[..committed]));
         }
-        let folds = match self.committed_folds {
-            Some(mut folds) => {
+        let folds = match (self.committed_folds, self.last_folds) {
+            (Some(mut folds), _) => {
                 folds.extend(&components[folds.len()..]);
                 folds
             }
-            None => ComponentFolds::of(components),
+            (None, Some(mut folds)) => {
+                folds.refold(components);
+                folds
+            }
+            (None, None) => ComponentFolds::of(components),
         };
+        self.last_folds = Some(folds);
         let exceeds_one = folds.exceeds_one(components);
         let horizon = qpa_horizon(components, &self.reciprocals, &folds, exceeds_one);
         let order = std::mem::take(&mut self.order);
@@ -666,6 +675,7 @@ impl WorkloadView for EditView {
         while let Some(op) = self.undo.pop() {
             match op {
                 EditOp::RemoveLast => {
+                    self.last_folds = None;
                     let index = self.scratch.components().len() - 1;
                     self.order_remove_entry(index);
                     let _ = self.scratch.remove_component_at(index);
@@ -673,6 +683,7 @@ impl WorkloadView for EditView {
                     self.task_count = self.task_count.saturating_sub(1);
                 }
                 EditOp::InsertAt(index, component) => {
+                    self.last_folds = None;
                     for entry in &mut self.order {
                         *entry += usize::from(*entry >= index);
                     }
@@ -683,10 +694,7 @@ impl WorkloadView for EditView {
                     self.task_count += 1;
                 }
                 EditOp::WriteAt(index, component) => {
-                    self.order_remove_entry(index);
-                    let _ = self.scratch.replace_component_at(index, component);
-                    self.reciprocals[index] = period_reciprocal(&component);
-                    self.order_insert_entry(index);
+                    let _ = self.write_component(index, component);
                 }
             }
         }

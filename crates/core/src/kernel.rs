@@ -19,12 +19,9 @@
 //!   search plus a precomputed (saturating) prefix sum of costs; the
 //!   periodic contribution is a tight loop over contiguous columns with no
 //!   per-element enum branch — the deadline cutoff is found by **one**
-//!   binary search and the loop body is pure arithmetic.  The layout is
-//!   valid for every WCET perturbation because deadlines, offsets and
-//!   periods are *scale-invariant*: a
-//!   [`ScaledView`](crate::incremental::ScaledView) probe rewrites the
-//!   cost column in place and nothing else moves (the same property that
-//!   lets the view share the base's deadline order).
+//!   binary search and the loop body is pure arithmetic.  A view that
+//!   mutates its preparation rebuilds the columns in place, into their
+//!   existing allocations, at finalize.
 //! * [`MergeState`] — the k-way merge of the per-component deadline
 //!   streams on a flat tournament tree (`FrontierQueue`, the same queue
 //!   the refining tests' frontier runs on): advancing a stream replays one
@@ -35,7 +32,7 @@
 //!   distinct interval without a peek-and-fold loop.
 //! * [`AnalysisScratch`] — a reusable arena holding the merge state and
 //!   every transient buffer the seven feasibility tests need (pending
-//!   interval heaps, refinement states, approximation terms).  One scratch
+//!   interval queues, refinement states, approximation terms).  One scratch
 //!   per batch worker makes high-throughput
 //!   [`batch::analyze_many`](crate::batch::analyze_many) perform no
 //!   per-workload transient allocations after warm-up.
@@ -94,8 +91,7 @@ struct Slot {
 ///
 /// Built once per [`PreparedWorkload`](crate::workload::PreparedWorkload)
 /// (lazily, on the first demand query) from the cached ascending-deadline
-/// order; see the [module documentation](self) for the layout and why it
-/// is invariant under WCET changes.
+/// order; see the [module documentation](self) for the layout.
 #[derive(Debug, Clone, Default)]
 pub struct DemandKernel {
     /// Periodic columns, ascending first deadline (ties keep component
@@ -110,13 +106,9 @@ pub struct DemandKernel {
     o_wcet: Vec<u64>,
     /// Saturating prefix sums of `o_wcet` (`prefix[i] = min(Σ₀..=i, MAX)`).
     o_prefix: Vec<u64>,
-    /// Component index → column slot (the write path of
-    /// [`ScaledView`](crate::incremental::ScaledView) probes).
+    /// Component index → column slot (the per-component gathers of the
+    /// refining tests: `component_demand` and `period_reciprocal`).
     slot_of: Vec<Slot>,
-    /// Set when a one-shot cost was rewritten; the prefix sums are
-    /// refreshed by [`DemandKernel::refresh_after_rewrite`] before the
-    /// next query.
-    prefix_dirty: bool,
 }
 
 impl DemandKernel {
@@ -155,7 +147,7 @@ impl DemandKernel {
         self.p_rcp.clear();
         self.o_deadline.clear();
         self.o_wcet.clear();
-        self.slot_of.clear();
+        // Every slot is written below: `deadline_order` is a permutation.
         self.slot_of.resize(components.len(), Slot::default());
         for &idx in deadline_order {
             let component = &components[idx];
@@ -187,41 +179,13 @@ impl DemandKernel {
                 }
             }
         }
-        self.rebuild_prefix();
-    }
-
-    /// Recomputes the one-shot prefix sums (saturating, so the clamp
-    /// semantics of the scalar fold are preserved exactly).
-    fn rebuild_prefix(&mut self) {
+        // Saturating prefix sums, so the clamp semantics of the scalar
+        // fold are preserved exactly.
         self.o_prefix.clear();
         let mut acc: u64 = 0;
         for &wcet in &self.o_wcet {
             acc = acc.saturating_add(wcet);
             self.o_prefix.push(acc);
-        }
-        self.prefix_dirty = false;
-    }
-
-    /// Rewrites the cost of `component` — a plain column write; deadlines,
-    /// periods and the sort order never move under WCET changes.
-    pub(crate) fn set_wcet(&mut self, component: usize, wcet: Time) {
-        let slot = self.slot_of[component];
-        if slot.periodic {
-            self.p_wcet[slot.index as usize] = wcet.as_u64();
-        } else {
-            self.o_wcet[slot.index as usize] = wcet.as_u64();
-            self.prefix_dirty = true;
-        }
-    }
-
-    /// Refreshes the one-shot prefix sums after a batch of
-    /// [`DemandKernel::set_wcet`] writes (called by
-    /// [`PreparedWorkload::install_refreshed_state`](crate::workload::PreparedWorkload)
-    /// at the end of every [`ScaledView`](crate::incremental::ScaledView)
-    /// probe).
-    pub(crate) fn refresh_after_rewrite(&mut self) {
-        if self.prefix_dirty {
-            self.rebuild_prefix();
         }
     }
 
@@ -229,7 +193,6 @@ impl DemandKernel {
     /// sorted one-shot deadlines plus one prefix-sum lookup.
     #[inline]
     fn one_shot_demand(&self, t: u64) -> u64 {
-        debug_assert!(!self.prefix_dirty, "query on a stale one-shot prefix");
         match self.o_deadline.partition_point(|&d| d <= t) {
             0 => 0,
             hit => self.o_prefix[hit - 1],
@@ -642,9 +605,6 @@ pub(crate) struct RefinementState {
 pub struct AnalysisScratch {
     /// The deadline merge (processor-demand walk).
     pub(crate) merge: MergeState,
-    /// Pending exact test intervals of the retained refining-test
-    /// reference bookkeeping ([`crate::refine::reference`]).
-    pub(crate) pending: BinaryHeap<Reverse<(Time, usize)>>,
     /// The refining tests' flat frontier of pending exact test intervals
     /// (one slot per component; see [`FrontierQueue`] and
     /// [`crate::refine`]).
@@ -801,29 +761,6 @@ mod tests {
                 scalar_last_below(&components, limit),
                 "limit {limit}"
             );
-        }
-    }
-
-    /// Cost rewrites, one of them to a cost above `u32::MAX` and one back
-    /// below it, answer `dbf` like the scalar fold over the rewritten
-    /// components.
-    #[test]
-    fn column_rewrite_tracks_component_updates() {
-        let components = sample_components();
-        let mut updated = components.clone();
-        let mut kernel = kernel_of(&components);
-        let rewrites: [&[(usize, u64)]; 3] =
-            [&[(0, 5), (1, 9), (4, 0)], &[(0, ABOVE_32)], &[(0, 7)]];
-        for rewrite in rewrites {
-            for &(idx, wcet) in rewrite {
-                updated[idx].set_wcet(Time::new(wcet));
-                kernel.set_wcet(idx, Time::new(wcet));
-            }
-            kernel.refresh_after_rewrite();
-            for i in (0..200u64).chain([ABOVE_32 - 1, ABOVE_32 + 50]) {
-                let i = Time::new(i);
-                assert_eq!(kernel.dbf(i), scalar_dbf(&updated, i), "dbf at {i}");
-            }
         }
     }
 

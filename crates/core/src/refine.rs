@@ -637,6 +637,7 @@ pub mod reference {
     //! iteration counts against these functions bit for bit.
 
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     use edf_model::Time;
 
@@ -736,22 +737,20 @@ pub mod reference {
 
         let mut level = test.initial_level;
         let mut counter = IterationCounter::new();
-        // All transient buffers — the state vector, the pending-interval
-        // heap and the approximation terms — come from the scratch, so a
-        // batch worker runs this test allocation-free after warm-up.  As
-        // in the all-approximated test, the exact part and the term list
-        // are maintained incrementally instead of being rebuilt per
+        // The state vector and the approximation terms come from the
+        // scratch; the pending-interval heap is local.  As in the
+        // all-approximated test, the exact part and the term list are
+        // maintained incrementally instead of being rebuilt per
         // comparison.
         let states = &mut scratch.refine;
         states.clear();
         states.resize(components.len(), RefinementState::default());
-        let pending = &mut scratch.pending;
-        pending.clear();
-        for (idx, component) in components.iter().enumerate() {
-            if component.first_deadline() <= horizon {
-                pending.push(Reverse((component.first_deadline(), idx)));
-            }
-        }
+        let mut pending: BinaryHeap<Reverse<(Time, usize)>> = components
+            .iter()
+            .enumerate()
+            .filter(|(_, component)| component.first_deadline() <= horizon)
+            .map(|(idx, component)| Reverse((component.first_deadline(), idx)))
+            .collect();
         let approx_terms = &mut scratch.approx_terms;
         approx_terms.clear();
         let term_owner = &mut scratch.term_owner;
@@ -889,9 +888,9 @@ pub mod reference {
         let components = workload.components();
 
         let mut counter = IterationCounter::new();
-        // All transient buffers come from the scratch (see
-        // [`AnalysisScratch`]); a batch worker runs this test
-        // allocation-free after warm-up.  The exact part and the
+        // The state vector and the approximation terms come from the
+        // scratch (see [`AnalysisScratch`]); the pending-interval heap is
+        // local.  The exact part and the
         // approximation-term list are maintained *incrementally* across
         // comparisons — a comparison costs one pass over the live terms,
         // not a rebuild of the whole state vector.
@@ -899,13 +898,12 @@ pub mod reference {
         states.clear();
         states.resize(components.len(), RefinementState::default());
         let mut approx_seq: u64 = 0;
-        let pending = &mut scratch.pending;
-        pending.clear();
-        for (idx, component) in components.iter().enumerate() {
-            if component.first_deadline() <= horizon {
-                pending.push(Reverse((component.first_deadline(), idx)));
-            }
-        }
+        let mut pending: BinaryHeap<Reverse<(Time, usize)>> = components
+            .iter()
+            .enumerate()
+            .filter(|(_, component)| component.first_deadline() <= horizon)
+            .map(|(idx, component)| Reverse((component.first_deadline(), idx)))
+            .collect();
         let approx_terms = &mut scratch.approx_terms;
         approx_terms.clear();
         let term_owner = &mut scratch.term_owner;

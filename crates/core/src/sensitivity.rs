@@ -14,8 +14,9 @@
 //! Both searches are exact: they binary-search over integer scalings and
 //! re-run an exact feasibility test at every probe.  The probes run through
 //! the **incremental engine** of [`crate::incremental`]: one
-//! [`ScaledView`] per search rewrites the costs in place and refreshes the
-//! cached aggregates, instead of re-preparing the workload ~14 times per
+//! [`ScaledView`] per search re-costs the components through one
+//! [`EditView`](crate::incremental::EditView) and refreshes the derived
+//! state at finalize, instead of re-preparing the workload ~14 times per
 //! search (the [`mod@reference`] submodule keeps the from-scratch variants
 //! for validation and benchmarking).  Every entry point is workload-generic —
 //! event streams, arrival curves and mixed systems probe exactly like task

@@ -161,9 +161,9 @@ impl DemandComponent {
         wcet
     }
 
-    /// Replaces the execution cost (the only field a
-    /// [`ScaledView`](crate::incremental::ScaledView) probe rewrites —
-    /// deadlines, offsets and periods are scale-invariant).
+    /// Replaces the execution cost (a
+    /// [`ScaledView`](crate::incremental::ScaledView) probe builds its
+    /// re-costed components with it).
     pub(crate) fn set_wcet(&mut self, wcet: Time) {
         self.wcet = wcet;
     }
@@ -953,6 +953,9 @@ pub struct PreparedWorkload {
     /// The columnar demand kernel (built lazily on the first demand
     /// query; see [`crate::kernel`]).
     kernel: OnceLock<DemandKernel>,
+    /// The kernel columns' allocations, parked by an install that left
+    /// `kernel` to the lazy path, for the next install to rebuild into.
+    spare_kernel: DemandKernel,
 }
 
 impl PreparedWorkload {
@@ -998,6 +1001,7 @@ impl PreparedWorkload {
             horizon: OnceLock::new(),
             deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
+            spare_kernel: DemandKernel::default(),
         }
     }
 
@@ -1297,107 +1301,18 @@ impl PreparedWorkload {
             .sum()
     }
 
-    /// Rewrites the cost of component `index` (crate-internal: only the
-    /// [`ScaledView`](crate::incremental::ScaledView) refresh path may
-    /// mutate a prepared workload, and it restores the cached aggregates
-    /// via [`PreparedWorkload::install_refreshed_state`] afterwards).
-    ///
-    /// When the kernel is already built the rewrite is **also** a plain
-    /// column write — deadlines, periods and the sort order are invariant
-    /// under WCET changes, so the columns stay valid across probes.
-    pub(crate) fn set_wcet_at(&mut self, index: usize, wcet: Time) {
-        self.components[index].set_wcet(wcet);
-        if let Some(kernel) = self.kernel.get_mut() {
-            kernel.set_wcet(index, wcet);
-        }
-    }
-
-    /// Installs the aggregates matching the current (mutated) component
-    /// list: utilization, the exact `U > 1` comparison and the refreshed
-    /// [QPA horizon](PreparedWorkload::qpa_horizon).  The bounds and the
-    /// [analysis horizon](PreparedWorkload::analysis_horizon) are left to
-    /// their lazy paths.  The deadline order is left untouched: it only
-    /// depends on the scale-invariant first deadlines.
-    pub(crate) fn install_refreshed_state(
-        &mut self,
-        utilization: f64,
-        exceeds_one: bool,
-        qpa_horizon: Option<Time>,
-    ) {
-        self.utilization = utilization;
-        self.exceeds_one = exceeds_one;
-        self.install_qpa_horizon(qpa_horizon);
-        if let Some(kernel) = self.kernel.get_mut() {
-            kernel.refresh_after_rewrite();
-        }
-    }
-
-    /// Seeds the cached deadline order (crate-internal: lets a
-    /// [`ScaledView`](crate::incremental::ScaledView) share the base
-    /// workload's sorted order instead of re-sorting, which is valid
-    /// because WCET changes never move a deadline).
+    /// Seeds the cached deadline order (crate-internal: lets an
+    /// [`EditView`](crate::incremental::EditView) copy the base
+    /// workload's sorted order instead of re-sorting).
     pub(crate) fn seed_deadline_order(&mut self, order: Vec<usize>) {
         let _ = self.deadline_order.set(order);
     }
 
-    /// Overwrites component `index` wholesale (crate-internal: the
-    /// [`CandidateView`](crate::candidates::CandidateView) block-patch
-    /// path).  The caller must preserve the component's cost and period —
-    /// only the timing (offset/first deadline) may move, which keeps the
-    /// cached utilization and the exact `U > 1` comparison valid — and must
-    /// call [`PreparedWorkload::install_retimed_state`] before the next
-    /// demand query (the deadline order, kernel columns and bounds are
-    /// stale until then).
-    pub(crate) fn write_component_at(&mut self, index: usize, component: DemandComponent) {
-        debug_assert_eq!(self.components[index].wcet(), component.wcet());
-        debug_assert_eq!(self.components[index].period(), component.period());
-        self.components[index] = component;
-    }
-
     /// Takes the cached deadline order out of the preparation (empty when
-    /// never computed), so a retiming caller can repair it in place without
-    /// reallocating; pair with [`PreparedWorkload::install_retimed_state`].
+    /// never computed), so a mutating caller can repair it in place without
+    /// reallocating; pair with [`PreparedWorkload::install_edited_state`].
     pub(crate) fn take_deadline_order(&mut self) -> Vec<usize> {
         self.deadline_order.take().unwrap_or_default()
-    }
-
-    /// Installs the state matching the current (re-timed) component list
-    /// after a batch of [`PreparedWorkload::write_component_at`] writes:
-    /// `order` must be the stable ascending-first-deadline index order of
-    /// the components, the kernel columns are rebuilt from it into their
-    /// existing allocations (re-using `reciprocals`, the per-component
-    /// period reciprocals, invariant under re-timing), and `qpa_horizon`
-    /// is the refreshed [QPA horizon](PreparedWorkload::qpa_horizon); the
-    /// bounds and the [analysis horizon](PreparedWorkload::analysis_horizon)
-    /// are left to their lazy paths.  Utilization and the `U > 1`
-    /// comparison are untouched — re-phasing never moves a cost or period.
-    pub(crate) fn install_retimed_state(
-        &mut self,
-        order: Vec<usize>,
-        qpa_horizon: Option<Time>,
-        reciprocals: &[Reciprocal],
-    ) {
-        debug_assert!(order.len() == self.components.len());
-        debug_assert!(order.windows(2).all(|w| {
-            let (a, b) = (&self.components[w[0]], &self.components[w[1]]);
-            a.first_deadline() < b.first_deadline()
-                || (a.first_deadline() == b.first_deadline() && w[0] < w[1])
-        }));
-        let mut kernel = self.kernel.take().unwrap_or_default();
-        kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
-        let _ = self.kernel.set(kernel);
-        self.deadline_order.take();
-        let _ = self.deadline_order.set(order);
-        self.install_qpa_horizon(qpa_horizon);
-    }
-
-    /// Installs a refreshed QPA horizon and resets every cache derived from
-    /// the component list it belongs to: the bounds and the analysis
-    /// horizon.
-    fn install_qpa_horizon(&mut self, qpa_horizon: Option<Time>) {
-        self.bounds.take();
-        self.horizon.take();
-        self.qpa_horizon = OnceLock::from(qpa_horizon);
     }
 
     /// Allocated capacity of the component column (crate-internal: the
@@ -1409,7 +1324,7 @@ impl PreparedWorkload {
 
     /// Inserts `component` at `index`, shifting the suffix up
     /// (crate-internal: the [`EditView`](crate::incremental::EditView)
-    /// structural-edit path).  Every derived state — utilization, the
+    /// edit path).  Every derived state — utilization, the
     /// `U > 1` comparison, order, kernel, bounds — is stale afterwards;
     /// the caller must install it via
     /// [`PreparedWorkload::install_edited_state`] before the next query.
@@ -1436,10 +1351,10 @@ impl PreparedWorkload {
     }
 
     /// Replaces the component at `index` wholesale, returning the old one
-    /// (crate-internal, see [`PreparedWorkload::insert_component_at`];
-    /// unlike [`PreparedWorkload::write_component_at`] the cost and
-    /// period may change, which is why every derived aggregate is stale
-    /// until [`PreparedWorkload::install_edited_state`]).
+    /// (crate-internal, see [`PreparedWorkload::insert_component_at`]; the
+    /// [`EditView`](crate::incremental::EditView) edits and the
+    /// [`CandidateView`](crate::candidates::CandidateView) block patches
+    /// both write through it).
     pub(crate) fn replace_component_at(
         &mut self,
         index: usize,
@@ -1456,19 +1371,18 @@ impl PreparedWorkload {
     }
 
     /// Installs the state matching the current component list after a
-    /// batch of structural edits ([`PreparedWorkload::insert_component_at`]
-    /// / [`PreparedWorkload::remove_component_at`] /
-    /// [`PreparedWorkload::replace_component_at`]): the superset of
-    /// [`PreparedWorkload::install_refreshed_state`] (utilization and the
-    /// exact `U > 1` comparison moved) and
-    /// [`PreparedWorkload::install_retimed_state`] (order and kernel
-    /// layout moved), plus the task count.  `order` must be the stable
-    /// ascending-`(first deadline, index)` order of the components; the
-    /// kernel columns are rebuilt from it into their existing allocations
-    /// re-using the caller's per-component period `reciprocals`.
-    /// `qpa_horizon` is the refreshed
+    /// batch of edits ([`PreparedWorkload::insert_component_at`] /
+    /// [`PreparedWorkload::remove_component_at`] /
+    /// [`PreparedWorkload::replace_component_at`]) — the one install path
+    /// of every view.  A caller whose edits move no cost or period passes
+    /// its task count, utilization and `U > 1` comparison through
+    /// unchanged.  `order` must be the stable ascending-`(first deadline,
+    /// index)` order of the components; the kernel columns are rebuilt
+    /// from it into their existing allocations re-using the caller's
+    /// per-component period `reciprocals` (not at `U > 1`, where the kernel
+    /// is left to its lazy path).  `qpa_horizon` is the refreshed
     /// [QPA horizon](PreparedWorkload::qpa_horizon); the bounds and the
-    /// [analysis horizon](PreparedWorkload::analysis_horizon) are left to
+    /// [analysis horizon](PreparedWorkload::analysis_horizon) are reset to
     /// their lazy paths, so a finalize runs no busy-period fix-point.
     pub(crate) fn install_edited_state(
         &mut self,
@@ -1488,12 +1402,23 @@ impl PreparedWorkload {
         self.task_count = task_count;
         self.utilization = utilization;
         self.exceeds_one = exceeds_one;
-        let mut kernel = self.kernel.take().unwrap_or_default();
-        kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
-        let _ = self.kernel.set(kernel);
+        let mut kernel = self
+            .kernel
+            .take()
+            .unwrap_or_else(|| std::mem::take(&mut self.spare_kernel));
+        if exceeds_one {
+            // Every test rejects a `U > 1` list before reading its demand
+            // (as in `recycled`): an off-chance query takes the lazy path.
+            self.spare_kernel = kernel;
+        } else {
+            kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
+            let _ = self.kernel.set(kernel);
+        }
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
-        self.install_qpa_horizon(qpa_horizon);
+        self.bounds.take();
+        self.horizon.take();
+        self.qpa_horizon = OnceLock::from(qpa_horizon);
     }
 }
 

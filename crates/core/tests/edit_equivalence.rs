@@ -65,6 +65,10 @@ enum EditStep {
     Insert(DemandComponent),
     Remove(usize),
     Replace(usize, DemandComponent),
+    /// A replace that scales the selected component's cost by `numer/1000`
+    /// and keeps its first deadline and period, so the edit moves neither
+    /// the deadline order nor a period reciprocal.
+    Recost(usize, u64),
     /// A `ScaledView` WCET probe over the finalized intermediate state
     /// (the sensitivity-search-inside-an-admission-loop interleaving).
     Probe(u64),
@@ -75,7 +79,7 @@ enum EditStep {
 }
 
 fn arb_step() -> impl Strategy<Value = EditStep> {
-    (0u8..=9, arb_component(), 0usize..64, 0u64..=4_000).prop_map(
+    (0u8..=10, arb_component(), 0usize..64, 0u64..=4_000).prop_map(
         |(kind, component, selector, numer)| match kind {
             // Inserts weighted up so sequences tend to grow past the base.
             0..=2 => EditStep::Insert(component),
@@ -83,6 +87,7 @@ fn arb_step() -> impl Strategy<Value = EditStep> {
             5 | 6 => EditStep::Replace(selector, component),
             7 => EditStep::Probe(numer),
             8 => EditStep::Commit,
+            9 => EditStep::Recost(selector, numer),
             _ => EditStep::Revert,
         },
     )
@@ -90,6 +95,14 @@ fn arb_step() -> impl Strategy<Value = EditStep> {
 
 fn arb_steps() -> impl Strategy<Value = Vec<EditStep>> {
     prop::collection::vec(arb_step(), 1..=12)
+}
+
+/// `component` with its cost scaled by `numer/1000` (per
+/// [`DemandComponent::scaled_wcet`]) and every other field kept.
+fn recosted(component: DemandComponent, numer: u64) -> DemandComponent {
+    PreparedWorkload::from_components(vec![component])
+        .with_scaled_wcets(numer, 1_000)
+        .components()[0]
 }
 
 /// Asserts that the view's finalized state and a cold preparation of the
@@ -151,6 +164,15 @@ fn check_edit_sequence(base: &PreparedWorkload, steps: Vec<EditStep>) {
                     continue;
                 }
                 let index = selector % mirror.len();
+                assert_eq!(view.replace_component(index, component), mirror[index]);
+                mirror[index] = component;
+            }
+            EditStep::Recost(selector, numer) => {
+                if mirror.is_empty() {
+                    continue;
+                }
+                let index = selector % mirror.len();
+                let component = recosted(mirror[index], numer);
                 assert_eq!(view.replace_component(index, component), mirror[index]);
                 mirror[index] = component;
             }
@@ -250,6 +272,17 @@ proptest! {
                     let count = view.components().len();
                     if count > 0 {
                         let index = selector % count;
+                        view.replace_component(index, component);
+                        if position < boundary {
+                            mirror[index] = component;
+                        }
+                    }
+                }
+                EditStep::Recost(selector, numer) => {
+                    let count = view.components().len();
+                    if count > 0 {
+                        let index = selector % count;
+                        let component = recosted(view.components()[index], numer);
                         view.replace_component(index, component);
                         if position < boundary {
                             mirror[index] = component;

@@ -401,15 +401,15 @@ proptest! {
 
     /// `ScaledView` probes over the kernel equal cold preparations of the
     /// same scaled components — including interleaved overload scalings
-    /// (bounds skipped) and the kernel's rewritten one-shot prefix sums.
+    /// (bounds skipped) and the kernel's rebuilt one-shot prefix sums.
     #[test]
     fn scaled_view_over_kernel_matches_cold_preparation(
         system in arb_mixed(),
         numers in prop::collection::vec(0u64..=16_000, 1..=6),
     ) {
         let base = PreparedWorkload::new(&system);
-        // Touch the kernel before probing so every probe rewrites live
-        // columns rather than building fresh ones.
+        // Touch the base's kernel before probing: the probes must not
+        // depend on whether the base has built one.
         let _ = base.dbf(Time::new(1));
         let mut view = ScaledView::new(&base);
         for numer in numers {
@@ -484,7 +484,7 @@ proptest! {
         ));
         let wide_idx = components.len() - 1;
         let base = PreparedWorkload::from_components(components.clone());
-        // Touch the kernel so every probe rewrites live columns.
+        // Touch the base's kernel, as above.
         let _ = base.dbf(Time::new(1));
         let mut view = ScaledView::new(&base);
         let suite = all_tests();

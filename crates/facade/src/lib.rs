@@ -32,7 +32,7 @@
 //!   on it — zero per-workload transient allocations after warm-up);
 //! * [`analysis::incremental`] — the incremental sensitivity engine:
 //!   [`ScaledView`] probes WCET perturbations of one prepared workload
-//!   without re-preparation (in-place cost rewrites, shared deadline
+//!   without re-preparation (cost-only [`EditView`] edits, kept deadline
 //!   order, refreshed §4.3 bounds), behind the breakdown-scaling and
 //!   WCET-slack searches and the batch [`sensitivity_sweep`];
 //! * [`analysis::transactions`] — exact critical-instant-candidate
