@@ -111,8 +111,11 @@ pub struct Analysis {
     /// Largest interval examined by the test, if any interval was examined.
     pub max_examined_interval: Option<Time>,
     /// Violation witness, present when the verdict is
-    /// [`Verdict::Infeasible`] and the test identifies a concrete interval
-    /// (sufficient tests may leave it empty even for `Unknown`).
+    /// [`Verdict::Infeasible`] and the test identifies a concrete interval.
+    /// A sufficient test answers `Unknown` even where it finds a real
+    /// overload, and may report that exact witness
+    /// ([`SuperpositionTest`](crate::tests::SuperpositionTest) does); an
+    /// approximation that is merely too coarse gets no witness.
     pub overload: Option<DemandOverload>,
     /// Present **if and only if** a [`WorkBudget`](crate::budget::WorkBudget)
     /// ran out before the test could finish: the verdict is then an honest

@@ -68,9 +68,6 @@
 //! # }
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use edf_model::Time;
 
 use crate::arith::Reciprocal;
@@ -621,17 +618,12 @@ pub struct AnalysisScratch {
     /// Component index owning each entry of `approx_terms` (keeps
     /// [`RefinementState::term_slot`] consistent across swap-removes).
     pub(crate) term_owner: Vec<u32>,
-    /// Per-component approximation-term prototypes of the superposition
-    /// test (`None` for one-shot components), built once per analysis.
-    pub(crate) term_cache: Vec<Option<ApproxTerm>>,
     /// Indices of the components a refining test withdraws in one
     /// level-raise pass — collected first, then evaluated as one batch of
     /// kernel column gathers ([`DemandKernel`]'s `component_demand`).
     pub(crate) withdrawn: Vec<u32>,
     /// Devi's per-prefix rational terms.
     pub(crate) devi_terms: Vec<(u128, u128)>,
-    /// The superposition test's `(deadline, component, job)` interval heap.
-    pub(crate) level_heap: BinaryHeap<Reverse<(Time, usize, u64)>>,
     /// The deterministic work budget the next analysis runs under
     /// (unlimited by default; see [`crate::budget`]).
     pub(crate) budget: WorkBudget,
@@ -681,6 +673,8 @@ mod tests {
     use super::*;
     use crate::workload::{PreparedWorkload, Workload};
     use edf_model::{Task, TaskSet};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")

@@ -29,7 +29,8 @@
 //! * the exact but slow baseline — [`tests::ProcessorDemandTest`]
 //!   (plus [`tests::QpaTest`] as a newer exact baseline);
 //! * the adjustable sufficient superposition test —
-//!   [`tests::SuperpositionTest`];
+//!   [`tests::SuperpositionTest`], the dynamic-error test below with its
+//!   level held at `x` (§4.1's bounded form);
 //! * the paper's two **new exact tests** — [`tests::DynamicErrorTest`] and
 //!   [`tests::AllApproximatedTest`] — which accept exactly the same
 //!   workloads as the processor demand test while examining orders of
@@ -39,8 +40,10 @@
 //! Supporting modules expose the building blocks: the demand bound
 //! function ([`demand`]), the columnar demand kernel and tournament-tree
 //! deadline merge every demand query runs on ([`kernel`]), the
-//! superposition approximation ([`superposition`]), the feasibility bounds
-//! of §4.3 ([`bounds`]) and exact rational helpers ([`arith`]).  On top of the exact tests,
+//! superposition approximation ([`superposition`]), the refinement engine
+//! the superposition-family tests share ([`refine`]), the feasibility
+//! bounds of §4.3 ([`bounds`]) and exact rational helpers ([`arith`]).
+//! On top of the exact tests,
 //! [`sensitivity`] answers breakdown-utilization and WCET-slack questions
 //! through the [`incremental`] engine ([`ScaledView`] probes WCET
 //! perturbations of one prepared workload without re-preparation),

@@ -1,7 +1,10 @@
-//! The shared refinement engine of the two refining feasibility tests —
-//! the dynamic-error test (§4.1) and the all-approximated test (§4.2).
+//! The shared refinement engine of the superposition-family feasibility
+//! tests: the dynamic-error test (§4.1), the all-approximated test (§4.2)
+//! and the superposition test `SuperPos(x)` (§3.4), which runs the
+//! dynamic-error driver with its level held at `x` and no horizon (see
+//! [`SuperpositionTest`](crate::tests::SuperpositionTest)).
 //!
-//! Both tests share the same skeleton: pop the next pending exact test
+//! The refining tests share one skeleton: pop the next pending exact test
 //! interval, account the owning component's newly examined job, compare
 //! the approximated demand against the interval's capacity, and refine
 //! (withdraw approximations) until the comparison succeeds or turns fully
@@ -35,8 +38,8 @@
 //!
 //! After the integer base comparison, the exact decision is whether the
 //! rational sum `V = Σⱼ Cⱼ·(I − Imⱼ)/Tⱼ` over the live terms satisfies
-//! `V ≤ slack` (with `slack = I − base ≤ I ≤ H`, the analysis horizon).
-//! The screen estimates `V` as `est = S·I − K` from two running `f64`
+//! `V ≤ slack` (with `slack = I − base ≤ I`, the compared interval).  The
+//! screen estimates `V` as `est = S·I − K` from two running `f64`
 //! aggregates
 //!
 //! ```text
@@ -46,31 +49,36 @@
 //!
 //! and answers `Some(true)` iff `est + margin ≤ slack`, `Some(false)` iff
 //! `est − margin > slack`, and `None` (fall through to the exact rational
-//! walk) otherwise.  The margin is `(16·ops + 64)·2⁻⁵³·H`, where `ops`
+//! walk) otherwise.  The margin is `(16·ops + 64)·2⁻⁵³·I`, where `ops`
 //! counts every aggregate update (term push or removal) since the
 //! analysis started.  It dominates the accumulated floating-point error:
 //!
+//! * The frontier pops intervals in non-decreasing order, and every push
+//!   and removal happens at the interval compared at that time, so every
+//!   interval at which an aggregate was updated is `≤ I`.  The margin
+//!   therefore needs no a-priori horizon: it holds unchanged when the
+//!   caller passes `Time::MAX`.
 //! * The engine only runs after the exact rational utilization check, so
 //!   `Σ rate(j) ≤ 1` over **all** components, hence each `rate(j) ≤ 1`
 //!   and `S ≤ 1` up to rounding.  Each computed `rate(j)` carries at most
 //!   three roundings (two `u64 → f64` conversions and one division), i.e.
 //!   a relative error `≤ 4·2⁻⁵³`.
-//! * Terms are compared only at `I ≥ Im(j)`, and `Im(j) ≤ H`, so every
-//!   product `rate(j)·Im(j) ≤ H` and the true `K ≤ (Σ rate(j))·H ≤ H`.
-//!   One push adds `≤ 6·2⁻⁵³·H` of absolute error to `K` (rate error,
-//!   `Im` conversion, product and accumulation roundings) and `≤ 5·2⁻⁵³`
-//!   to `S`.
+//! * A term is pushed at `Im(j)` and compared only at `I ≥ Im(j)`, so
+//!   every product `rate(j)·Im(j) ≤ Im(j) ≤ I` and, at every update, the
+//!   true `K ≤ (Σ rate(j))·I ≤ I`.  One push adds `≤ 6·2⁻⁵³·I` of
+//!   absolute error to `K` (rate error, `Im` conversion, product and
+//!   accumulation roundings) and `≤ 5·2⁻⁵³` to `S`.
 //! * A removal recomputes the *identical* `f64` contribution from the
 //!   same inputs (floating-point arithmetic is deterministic), so the
 //!   incremental subtraction cancels the pushed value exactly, leaving
-//!   only the subtraction rounding: `≤ 2⁻⁵³·H` per removal for `K`,
+//!   only the subtraction rounding: `≤ 2⁻⁵³·I` per removal for `K`,
 //!   `≤ 2⁻⁵³` for `S`.
 //! * At the comparison, `est = S·I − K` adds the `I` conversion, one
-//!   product and one subtraction (each `≤ 2⁻⁵³·H` absolute, using
-//!   `S ≤ 1 + ε` and `I ≤ H`), and `slack` converts to `f64` with
-//!   `≤ 2⁻⁵³·H` absolute error.
+//!   product and one subtraction (each `≤ 2⁻⁵³·I` absolute, using
+//!   `S ≤ 1 + ε`), and `slack ≤ I` converts to `f64` with `≤ 2⁻⁵³·I`
+//!   absolute error.
 //!
-//! Summing: `|est − V| ≤ (6·ops + 8)·2⁻⁵³·H` — the margin keeps more than
+//! Summing: `|est − V| ≤ (6·ops + 8)·2⁻⁵³·I` — the margin keeps more than
 //! a 2× headroom on every term.  A `Some(true)`/`Some(false)` answer is
 //! therefore mathematically certain, and an uncertain comparison falls
 //! through to the exact walk — the screen can skip work, never flip a
@@ -143,8 +151,6 @@ struct Engine<'a> {
     /// Number of aggregate updates so far — the screen margin grows with
     /// it so the accumulated rounding error always stays covered.
     screen_ops: u64,
-    /// `horizon.as_f64()`, the absolute scale of every margin term.
-    scale: f64,
 }
 
 impl<'a> Engine<'a> {
@@ -192,7 +198,6 @@ impl<'a> Engine<'a> {
             slope: 0.0,
             offset: 0.0,
             screen_ops: 0,
-            scale: horizon.as_f64(),
         }
     }
 
@@ -241,8 +246,9 @@ impl<'a> Engine<'a> {
     /// marginal and needs the exact walk.
     #[inline]
     fn screen(&self, interval: Time, slack: u128) -> Option<bool> {
-        let est = self.slope * interval.as_f64() - self.offset;
-        let margin = (16.0 * self.screen_ops as f64 + 64.0) * EPS * self.scale;
+        let scale = interval.as_f64();
+        let est = self.slope * scale - self.offset;
+        let margin = (16.0 * self.screen_ops as f64 + 64.0) * EPS * scale;
         let slack_f = slack as f64;
         if est + margin <= slack_f {
             Some(true)
@@ -433,23 +439,20 @@ impl<'a> Engine<'a> {
 }
 
 /// The dynamic-error analysis loop (§4.1, Figure 5) on the shared
-/// engine — called by
-/// [`DynamicErrorTest::analyze_demand`](crate::analysis::FeasibilityTest::analyze_demand);
-/// bit-identical to [`reference::dynamic_error`].
+/// engine, examining the deadlines up to `horizon`.  The caller has
+/// already answered the empty and `U > 1` workloads:
+/// [`DynamicErrorTest`] passes the analysis horizon (bit-identical to
+/// [`reference::dynamic_error`]), [`SuperpositionTest`] passes `Time::MAX`
+/// with its level capped, which stops the frontier by itself.
+///
+/// [`SuperpositionTest`]: crate::tests::SuperpositionTest
 pub(crate) fn dynamic_error(
     test: &DynamicErrorTest,
     workload: &PreparedWorkload,
+    horizon: Time,
     scratch: &mut AnalysisScratch,
 ) -> Analysis {
-    if workload.is_empty() {
-        return Analysis::trivial(Verdict::Feasible);
-    }
-    if workload.utilization_exceeds_one() {
-        return Analysis::trivial(Verdict::Infeasible);
-    }
-    let Some(horizon) = workload.analysis_horizon() else {
-        return Analysis::trivial(Verdict::Unknown);
-    };
+    debug_assert!(!workload.is_empty() && !workload.utilization_exceeds_one());
     let mut budget = scratch.budget();
     let mut counter = IterationCounter::new();
     let mut level = test.initial_level;
@@ -992,6 +995,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::FeasibilityTest;
     use crate::tests::LevelGrowth;
     use edf_model::{Task, TaskSet};
 
@@ -1026,7 +1030,7 @@ mod tests {
             let prepared = PreparedWorkload::new(&ts);
             for test in &tests {
                 let mut scratch = AnalysisScratch::new();
-                let engine = dynamic_error(test, &prepared, &mut scratch);
+                let engine = test.analyze_demand(&prepared, &mut scratch);
                 let reference = reference::dynamic_error(test, &prepared, &mut scratch);
                 assert_eq!(engine, reference, "{test:?} on {ts}");
             }

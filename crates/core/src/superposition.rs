@@ -1,33 +1,36 @@
 //! The superposition approximation of the demand bound function
 //! (Def. 4–5 of the paper) and the helper quantities of §4.
 //!
-//! The approximation examines only the first `x` jobs of each task exactly
-//! (up to the *maximum test interval* `Im(τ)`, the absolute deadline of the
-//! `x`-th job) and replaces the remaining staircase by a line of slope
-//! `C/T` starting at `(Im, dbf(Im))`:
+//! The approximation examines only the first `x` jobs of each demand
+//! component exactly (up to the *maximum test interval* `Im`, the
+//! absolute deadline of the `x`-th job, see
+//! [`DemandComponent::max_test_interval`]) and replaces the remaining
+//! staircase by a line of slope `C/T` starting at `(Im, dbf(Im))`:
 //!
 //! ```text
 //! dbf'(I, τ) = dbf(I, τ)                            for I ≤ Im(τ)
 //!            = dbf(Im, τ) + C·(I − Im)/T            for I > Im(τ)
 //! ```
 //!
-//! Because this crate works on integer time, the linear part is evaluated
-//! with **ceiling division**, i.e. as `dbf(Im, τ) + ⌈C·(I − Im)/T⌉`.  This
-//! keeps `dbf'` an over-approximation of `dbf` (the property every proof in
-//! the paper relies on) while staying in exact integer arithmetic; see
-//! `DESIGN.md` §2.1 for the full argument.
+//! An [`ApproxTerm`] is one such line, and [`approx_demand_within`] is the
+//! comparison of Def. 5, evaluating the real-valued superposition in exact
+//! rational arithmetic.  The tests of the superposition family —
+//! `SuperPos(x)`, the dynamic-error and the all-approximated test — all
+//! run on the shared engine of [`crate::refine`], which keeps the terms
+//! and their sums incrementally.  Where an integer value of the linear
+//! part is needed (the `LargestError` revision order, Lemma 6's
+//! over-estimation [`approximation_error_component`]), it is rounded up,
+//! `⌈C·(I − Im)/T⌉`, which keeps `dbf'` an over-approximation of `dbf`.
 
-use edf_model::{Task, Time};
+use edf_model::Time;
 
 use crate::arith::{ceil_div_u128, fracs_parts_le_integer_iter, Reciprocal};
-use crate::demand::dbf_task;
 use crate::workload::DemandComponent;
 
 /// `⌈num / period⌉` with a hardware-division fast path for numerators that
 /// fit `u64` (virtually all of them: `C·δ` overflows `u64` only for
 /// astronomically large cost × interval products).  The generic
-/// [`ceil_div_u128`] lowers to a software `__udivti3` call, which the
-/// `LargestError` revision scan used to pay once per live term.
+/// [`ceil_div_u128`] lowers to a software `__udivti3` call.
 #[inline]
 fn ceil_linear_div(num: u128, period: u64) -> u128 {
     if let Ok(n64) = u64::try_from(num) {
@@ -35,85 +38,6 @@ fn ceil_linear_div(num: u128, period: u64) -> u128 {
     } else {
         ceil_div_u128(num, u128::from(period))
     }
-}
-
-/// The maximum test interval `Im(τ)` of a task at approximation level
-/// `level ≥ 1`: the absolute deadline of its `level`-th job,
-/// `(level − 1)·T + D`.
-///
-/// Saturates instead of overflowing (a saturated border simply means the
-/// task is never approximated within any realistic horizon).
-///
-/// # Panics
-///
-/// Panics if `level` is zero — level 0 would approximate a task before its
-/// first deadline, which the superposition construction does not define.
-///
-/// # Examples
-///
-/// ```
-/// use edf_analysis::superposition::max_test_interval;
-/// use edf_model::{Task, Time};
-///
-/// # fn main() -> Result<(), edf_model::TaskError> {
-/// let tau = Task::new(Time::new(1), Time::new(4), Time::new(10))?;
-/// assert_eq!(max_test_interval(&tau, 1), Time::new(4));
-/// assert_eq!(max_test_interval(&tau, 3), Time::new(24));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn max_test_interval(task: &Task, level: u64) -> Time {
-    assert!(level >= 1, "approximation level must be at least 1");
-    task.period()
-        .saturating_mul(level - 1)
-        .saturating_add(task.deadline())
-}
-
-/// The approximated contribution of a task that has been approximated from
-/// interval `im` onwards, where `dbf_at_im = dbf(im, τ)`:
-/// `dbf(im, τ) + ⌈C·(I − im)/T⌉` for `interval ≥ im`.
-///
-/// # Panics
-///
-/// Panics (debug assertions) if `interval < im`; the approximation is only
-/// defined beyond its starting interval.
-#[must_use]
-pub fn approx_contribution(task: &Task, im: Time, dbf_at_im: Time, interval: Time) -> Time {
-    debug_assert!(interval >= im, "approximation queried before its start");
-    let delta = interval.saturating_sub(im);
-    if delta.is_zero() {
-        return dbf_at_im;
-    }
-    let linear = ceil_linear_div(
-        task.wcet().as_u128() * delta.as_u128(),
-        task.period().as_u64(),
-    );
-    dbf_at_im.saturating_add(Time::new(linear.min(u128::from(u64::MAX)) as u64))
-}
-
-/// The approximated task demand bound function `dbf'(I, τ)` at a given
-/// approximation level (Def. 4).
-#[must_use]
-pub fn dbf_approx_task(task: &Task, level: u64, interval: Time) -> Time {
-    let im = max_test_interval(task, level);
-    if interval <= im {
-        return dbf_task(task, interval);
-    }
-    approx_contribution(task, im, dbf_task(task, im), interval)
-}
-
-/// The approximated demand bound function of a whole task set (Def. 5):
-/// the superposition `Σ dbf'(I, τ)`.
-#[must_use]
-pub fn dbf_approx_set<'a>(
-    tasks: impl IntoIterator<Item = &'a Task>,
-    level: u64,
-    interval: Time,
-) -> Time {
-    tasks.into_iter().fold(Time::ZERO, |acc, t| {
-        acc.saturating_add(dbf_approx_task(t, level, interval))
-    })
 }
 
 /// The smallest approximation level whose relative demand error is bounded
@@ -164,10 +88,9 @@ pub fn level_for_target_error(epsilon: f64) -> u64 {
 /// slope parameters (`C`, `T`) and the interval `Im` from which the demand
 /// is approximated linearly.
 ///
-/// The term is model-agnostic — built from a sporadic [`Task`]
-/// ([`ApproxTerm::for_task`]) or from any periodic
+/// The term is model-agnostic — built from any periodic
 /// [`DemandComponent`] ([`ApproxTerm::for_component`]), which is how the
-/// superposition machinery serves event-stream workloads.  One-shot
+/// superposition machinery serves every workload model.  One-shot
 /// components are never approximated (their demand is constant beyond the
 /// single deadline, so keeping them exact is free).
 #[derive(Debug, Clone, Copy)]
@@ -187,18 +110,6 @@ pub struct ApproxTerm {
 }
 
 impl ApproxTerm {
-    /// The approximation term of a sporadic task.
-    #[must_use]
-    pub fn for_task(task: &Task, im: Time, dbf_at_im: Time) -> Self {
-        ApproxTerm {
-            wcet: task.wcet(),
-            period: task.period(),
-            im,
-            dbf_at_im,
-            rcp: Reciprocal::new(task.period().as_u64()),
-        }
-    }
-
     /// The approximation term of a periodic demand component.
     ///
     /// # Panics
@@ -253,8 +164,8 @@ impl ApproxTerm {
     }
 
     /// The ceiling-division linear part `⌈C·(interval − Im)/T⌉` of this
-    /// term, clamped to the `Time` range — the quantity
-    /// [`approx_contribution`] adds to `dbf(Im)`, computed through the
+    /// term, clamped to the `Time` range — the amount the integer `dbf'`
+    /// adds to `dbf(Im)`, computed through the
     /// term's cached reciprocal (the `LargestError` revision scan calls
     /// this once per live term per revision pick).
     #[inline]
@@ -289,9 +200,11 @@ impl ApproxTerm {
 /// capacity `interval`, evaluating the real-valued linear terms with exact
 /// rational arithmetic (no ceiling pessimism).
 ///
-/// This is the comparison performed at every test interval of the
-/// superposition, dynamic-error and all-approximated tests.  Returns
-/// `true` when the demand is certainly within the capacity.  In the
+/// This is the comparison of every test interval of the superposition
+/// family; the engine of [`crate::refine`] makes the same decision from
+/// its incremental sums, and [`crate::refine::reference`] calls this
+/// form.  Returns `true` when the demand is certainly within the
+/// capacity.  In the
 /// (astronomically rare) case where even the remainder-based rational
 /// comparison overflows, the answer degrades conservatively to `false`,
 /// which at worst triggers one extra refinement — never a wrong verdict.
@@ -327,19 +240,12 @@ pub fn approx_demand_within(
 }
 
 /// The over-estimation `app(I, τ)` of Lemma 6 in the ceiling-division
-/// variant: the amount by which the approximated contribution (started at
-/// `im`) exceeds the exact demand at `interval`.
-///
+/// variant: the amount by which the approximated contribution of
+/// `component` (started at `im`) exceeds its exact demand at `interval`.
 /// Revising an approximation subtracts exactly this amount from the
-/// approximated total demand.
-#[must_use]
-pub fn approximation_error(task: &Task, im: Time, interval: Time) -> Time {
-    approximation_error_component(&DemandComponent::from_task(task), im, interval)
-}
-
-/// [`approximation_error`] for an arbitrary demand component (zero for
-/// one-shot components: their demand never grows past `im`, so the linear
-/// approximation with slope 0 is exact).
+/// approximated total demand.  Zero for one-shot components: their demand
+/// never grows past `im`, so the linear approximation with slope 0 is
+/// exact.
 #[must_use]
 pub fn approximation_error_component(
     component: &DemandComponent,
@@ -365,55 +271,32 @@ pub fn approximation_error_component(
         .saturating_sub(component.dbf(interval))
 }
 
-/// The approximated demand bound function of a demand component at a given
-/// approximation level (Def. 4 carried over to arbitrary workloads; exact
-/// below the component's maximum test interval, linear with slope `C/T`
-/// beyond it, constant for one-shot components).
-#[must_use]
-pub fn dbf_approx_component(component: &DemandComponent, level: u64, interval: Time) -> Time {
-    let im = component.max_test_interval(level);
-    if interval <= im {
-        return component.dbf(interval);
-    }
-    let Some(period) = component.period() else {
-        // One-shot: demand is constant past the single deadline.
-        return component.dbf(interval);
-    };
-    let delta = interval - im;
-    let linear = ceil_linear_div(
-        component.wcet().as_u128() * delta.as_u128(),
-        period.as_u64(),
-    );
-    component
-        .dbf(im)
-        .saturating_add(Time::new(linear.min(u128::from(u64::MAX)) as u64))
-}
-
-/// The approximated demand bound function of a whole component list
-/// (Def. 5 on the [`Workload`](crate::workload::Workload) canonical form).
-#[must_use]
-pub fn dbf_approx_components(components: &[DemandComponent], level: u64, interval: Time) -> Time {
-    components.iter().fold(Time::ZERO, |acc, c| {
-        acc.saturating_add(dbf_approx_component(c, level, interval))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edf_model::TaskSet;
 
-    fn t(c: u64, d: u64, p: u64) -> Task {
-        Task::from_ticks(c, d, p).expect("valid task")
+    fn c(wcet: u64, deadline: u64, period: u64) -> DemandComponent {
+        DemandComponent::periodic(Time::new(wcet), Time::new(deadline), Time::new(period))
+    }
+
+    /// Def. 4 on one component in its integer (ceiling) form, through the
+    /// term API the refining engine uses.
+    fn dbf_approx(component: &DemandComponent, level: u64, interval: Time) -> Time {
+        let im = component.max_test_interval(level);
+        if interval <= im || component.period().is_none() {
+            return component.dbf(interval);
+        }
+        let term = ApproxTerm::for_component(component, im, component.dbf(im));
+        term.dbf_at_im.saturating_add(term.ceil_linear(interval))
     }
 
     #[test]
     fn max_test_interval_is_kth_deadline() {
-        let tau = t(2, 7, 10);
+        let tau = c(2, 7, 10);
         for level in 1..=10u64 {
             assert_eq!(
-                max_test_interval(&tau, level),
-                tau.job_deadline(level - 1).unwrap()
+                tau.max_test_interval(level),
+                Time::new(7 + 10 * (level - 1))
             );
         }
     }
@@ -421,8 +304,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn level_zero_is_rejected() {
-        let tau = t(1, 2, 3);
-        let _ = max_test_interval(&tau, 0);
+        let _ = c(1, 2, 3).max_test_interval(0);
     }
 
     #[test]
@@ -461,13 +343,14 @@ mod tests {
 
     #[test]
     fn approx_equals_exact_below_border() {
-        let tau = t(3, 5, 12);
+        let tau = c(3, 5, 12);
         for level in 1..=4u64 {
-            let im = max_test_interval(&tau, level);
+            let im = tau.max_test_interval(level);
             for i in 0..=im.as_u64() {
+                let i = Time::new(i);
                 assert_eq!(
-                    dbf_approx_task(&tau, level, Time::new(i)),
-                    dbf_task(&tau, Time::new(i)),
+                    dbf_approx(&tau, level, i),
+                    tau.dbf(i),
                     "level {level}, I = {i}"
                 );
             }
@@ -476,12 +359,12 @@ mod tests {
 
     #[test]
     fn approx_dominates_exact_everywhere() {
-        let tau = t(3, 5, 12);
+        let tau = c(3, 5, 12);
         for level in 1..=5u64 {
             for i in 0..300u64 {
                 let i = Time::new(i);
                 assert!(
-                    dbf_approx_task(&tau, level, i) >= dbf_task(&tau, i),
+                    dbf_approx(&tau, level, i) >= tau.dbf(i),
                     "dbf' must over-approximate dbf (level {level}, I = {i})"
                 );
             }
@@ -492,11 +375,11 @@ mod tests {
     fn approx_overestimate_is_below_one_job() {
         // The ceiling-division over-estimate stays strictly below C + 1 per
         // task (C from the real-valued superposition bound, +1 from ceiling).
-        let tau = t(4, 6, 15);
+        let tau = c(4, 6, 15);
         for level in 1..=3u64 {
             for i in 0..400u64 {
                 let i = Time::new(i);
-                let err = dbf_approx_task(&tau, level, i).saturating_sub(dbf_task(&tau, i));
+                let err = dbf_approx(&tau, level, i).saturating_sub(tau.dbf(i));
                 assert!(err <= tau.wcet(), "error {err} at level {level}, I = {i}");
             }
         }
@@ -504,12 +387,12 @@ mod tests {
 
     #[test]
     fn higher_level_is_tighter() {
-        let tau = t(3, 5, 12);
+        let tau = c(3, 5, 12);
         for i in 0..400u64 {
             let i = Time::new(i);
             for level in 1..=6u64 {
                 assert!(
-                    dbf_approx_task(&tau, level + 1, i) <= dbf_approx_task(&tau, level, i),
+                    dbf_approx(&tau, level + 1, i) <= dbf_approx(&tau, level, i),
                     "raising the level can only tighten the approximation"
                 );
             }
@@ -518,12 +401,12 @@ mod tests {
 
     #[test]
     fn approx_is_monotone_in_interval() {
-        let tau = t(2, 9, 10);
+        let tau = c(2, 9, 10);
         for level in 1..=3u64 {
             for i in 0..200u64 {
                 assert!(
-                    dbf_approx_task(&tau, level, Time::new(i + 1))
-                        >= dbf_approx_task(&tau, level, Time::new(i))
+                    dbf_approx(&tau, level, Time::new(i + 1))
+                        >= dbf_approx(&tau, level, Time::new(i))
                 );
             }
         }
@@ -531,44 +414,75 @@ mod tests {
 
     #[test]
     fn set_approx_is_superposition_of_tasks() {
-        let ts = TaskSet::from_tasks(vec![t(1, 3, 6), t(2, 5, 10), t(3, 12, 20)]);
-        for i in (0..150).step_by(7) {
-            let i = Time::new(i);
-            let expected: u64 = ts
-                .iter()
-                .map(|task| dbf_approx_task(task, 2, i).as_u64())
-                .sum();
-            assert_eq!(dbf_approx_set(ts.iter(), 2, i).as_u64(), expected);
+        // Def. 5: the comparison over a whole set decides the sum of the
+        // per-component Def. 4 lines, exactly (scaled by lcm(T) = 60, the
+        // real-valued sum is an integer).  The integer form of each line
+        // rounds up by less than one unit.
+        let set = [c(1, 3, 6), c(2, 5, 10), c(3, 12, 20)];
+        let level = 2;
+        for i in 0..150u64 {
+            let interval = Time::new(i);
+            let mut exact = Time::ZERO;
+            let mut terms = Vec::new();
+            let (mut real_60, mut integer) = (0u64, 0u64);
+            for component in &set {
+                let im = component.max_test_interval(level);
+                integer += dbf_approx(component, level, interval).as_u64();
+                if interval <= im {
+                    exact += component.dbf(interval);
+                    real_60 += 60 * component.dbf(interval).as_u64();
+                } else {
+                    terms.push(ApproxTerm::for_component(component, im, component.dbf(im)));
+                    let period = component.period().expect("periodic").as_u64();
+                    real_60 += 60 * component.dbf(im).as_u64()
+                        + component.wcet().as_u64() * (i - im.as_u64()) * (60 / period);
+                }
+            }
+            assert_eq!(
+                approx_demand_within(exact, &terms, interval),
+                real_60 <= 60 * i,
+                "I = {i}"
+            );
+            assert!(
+                60 * integer >= real_60 && 60 * integer < real_60 + 60 * 3,
+                "I = {i}"
+            );
         }
     }
 
     #[test]
     fn approx_contribution_at_start_is_exact() {
-        let tau = t(3, 5, 12);
+        let tau = c(3, 5, 12);
         let im = Time::new(17); // deadline of 2nd job
-        assert_eq!(
-            approx_contribution(&tau, im, dbf_task(&tau, im), im),
-            dbf_task(&tau, im)
-        );
+        let term = ApproxTerm::for_component(&tau, im, tau.dbf(im));
+        assert_eq!(term.ceil_linear(im), Time::ZERO);
+        assert_eq!(term.linear_parts(im), None);
+        assert_eq!(dbf_approx(&tau, 2, im), tau.dbf(im));
     }
 
     #[test]
     fn approximation_error_zero_at_start_and_nonnegative() {
-        let tau = t(3, 5, 12);
-        let im = max_test_interval(&tau, 2);
-        assert_eq!(approximation_error(&tau, im, im), Time::ZERO);
+        let tau = c(3, 5, 12);
+        let im = tau.max_test_interval(2);
+        assert_eq!(approximation_error_component(&tau, im, im), Time::ZERO);
         for i in im.as_u64()..im.as_u64() + 100 {
-            let err = approximation_error(&tau, im, Time::new(i));
+            let i = Time::new(i);
+            let err = approximation_error_component(&tau, im, i);
+            assert_eq!(err, dbf_approx(&tau, 2, i) - tau.dbf(i), "I = {i}");
             assert!(err <= tau.wcet());
         }
+        let one_shot = DemandComponent::one_shot(Time::new(3), Time::new(5), Time::ZERO);
+        assert_eq!(
+            approximation_error_component(&one_shot, Time::new(5), Time::new(90)),
+            Time::ZERO
+        );
     }
 
     #[test]
     fn approx_demand_within_matches_real_valued_superposition() {
         // τ = (3, 5, 12) approximated from its first deadline (Im = 5):
         // real-valued dbf'(I) = 3 + 3·(I − 5)/12.
-        let tau = t(3, 5, 12);
-        let term = ApproxTerm::for_task(&tau, Time::new(5), Time::new(3));
+        let term = ApproxTerm::for_component(&c(3, 5, 12), Time::new(5), Time::new(3));
         for i in 5..200u64 {
             let real = 3.0 + 3.0 * (i as f64 - 5.0) / 12.0;
             let within = approx_demand_within(Time::ZERO, &[term], Time::new(i));
@@ -578,8 +492,7 @@ mod tests {
 
     #[test]
     fn approx_demand_within_includes_exact_part() {
-        let tau = t(2, 4, 10);
-        let term = ApproxTerm::for_task(&tau, Time::new(4), Time::new(2));
+        let term = ApproxTerm::for_component(&c(2, 4, 10), Time::new(4), Time::new(2));
         // Demand at I = 12 is exact + dbf(4) + 2*(12-4)/10 = exact + 3.6.
         assert!(approx_demand_within(Time::new(8), &[term], Time::new(12)));
         assert!(!approx_demand_within(Time::new(9), &[term], Time::new(12)));
@@ -618,27 +531,26 @@ mod tests {
     }
 
     #[test]
-    fn term_ceil_linear_matches_approx_contribution() {
-        let tau = t(3, 5, 12);
-        let im = max_test_interval(&tau, 2);
-        let base = dbf_task(&tau, im);
-        let term = ApproxTerm::for_task(&tau, im, base);
+    fn term_ceil_linear_matches_wide_ceiling() {
+        let tau = c(3, 5, 12);
+        let im = tau.max_test_interval(2);
+        let term = ApproxTerm::for_component(&tau, im, tau.dbf(im));
         for i in im.as_u64()..im.as_u64() + 150 {
-            let i = Time::new(i);
+            let expected = ceil_div_u128(3 * u128::from(i - im.as_u64()), 12);
             assert_eq!(
-                base.saturating_add(term.ceil_linear(i)),
-                approx_contribution(&tau, im, base, i),
+                term.ceil_linear(Time::new(i)).as_u128(),
+                expected,
                 "I = {i}"
             );
         }
-        // Saturating tail: a huge cost·delta product must clamp like the
-        // contribution helper does.
-        let wide = t(u64::MAX, 1, u64::MAX);
-        let wide_term = ApproxTerm::for_task(&wide, Time::new(1), Time::new(u64::MAX));
-        assert_eq!(
-            Time::new(u64::MAX).saturating_add(wide_term.ceil_linear(Time::MAX)),
-            approx_contribution(&wide, Time::new(1), Time::new(u64::MAX), Time::MAX),
-        );
+        // A cost·delta product past `u64` stays exact in `u128`, and a
+        // quotient past `u64` clamps to the `Time` range.
+        let wide = c(u64::MAX, 1, u64::MAX);
+        let wide_term = ApproxTerm::for_component(&wide, Time::new(1), Time::new(u64::MAX));
+        assert_eq!(wide_term.ceil_linear(Time::MAX), Time::new(u64::MAX - 1));
+        let steep = c(u64::MAX, 1, 1);
+        let steep_term = ApproxTerm::for_component(&steep, Time::new(1), Time::new(u64::MAX));
+        assert_eq!(steep_term.ceil_linear(Time::MAX), Time::MAX);
     }
 
     #[test]
@@ -659,13 +571,13 @@ mod tests {
         // When (I - Im) is a multiple of T the ceiling and the real-valued
         // approximation coincide, and both equal the exact dbf at the next
         // deadline position.
-        let tau = t(4, 7, 9);
-        let im = max_test_interval(&tau, 1);
+        let tau = c(4, 7, 9);
+        let im = tau.max_test_interval(1);
         for k in 1..10u64 {
-            let i = im + tau.period() * k;
-            let approx = approx_contribution(&tau, im, dbf_task(&tau, im), i);
-            assert_eq!(approx, dbf_task(&tau, im) + tau.wcet() * k);
-            assert_eq!(approx, dbf_task(&tau, i));
+            let i = im + Time::new(9 * k);
+            let approx = dbf_approx(&tau, 1, i);
+            assert_eq!(approx, tau.dbf(im) + Time::new(4 * k));
+            assert_eq!(approx, tau.dbf(i));
         }
     }
 }

@@ -18,7 +18,7 @@
 //! bounding the level (`with_max_level`) yields a sufficient test with a
 //! strictly limited worst-case run time, as discussed at the end of §4.1.
 
-use crate::analysis::{Analysis, FeasibilityTest};
+use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::kernel::AnalysisScratch;
 use crate::workload::PreparedWorkload;
 
@@ -154,18 +154,26 @@ impl FeasibilityTest for DynamicErrorTest {
         workload: &PreparedWorkload,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
+        if workload.is_empty() {
+            return Analysis::trivial(Verdict::Feasible);
+        }
+        if workload.utilization_exceeds_one() {
+            return Analysis::trivial(Verdict::Infeasible);
+        }
+        let Some(horizon) = workload.analysis_horizon() else {
+            return Analysis::trivial(Verdict::Unknown);
+        };
         // The analysis loop lives in the shared refinement engine (flat
         // frontier queue, incremental comparison aggregates, batched
         // withdrawals); see [`crate::refine`] for the structure and the
         // bit-identity argument against the retained reference loop.
-        crate::refine::dynamic_error(self, workload, scratch)
+        crate::refine::dynamic_error(self, workload, horizon, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Verdict;
     use crate::tests::{DeviTest, ProcessorDemandTest};
     use edf_model::{Task, TaskSet};
 

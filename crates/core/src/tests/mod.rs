@@ -7,7 +7,7 @@
 //! | [`DeviTest`] | sufficient | Def. 1, §3.2 |
 //! | [`ProcessorDemandTest`] | exact | Def. 3, §3.3 |
 //! | [`QpaTest`] | exact (extension, Zhang & Burns 2009) | — |
-//! | [`SuperpositionTest`] | sufficient, adjustable level | Def. 4–6, §3.4 |
+//! | [`SuperpositionTest`] | sufficient, adjustable level (the dynamic-error engine, level held at `x`) | Def. 4–6, §3.4, §4.1 |
 //! | [`DynamicErrorTest`] | **exact** (new) | §4.1, Fig. 5 |
 //! | [`AllApproximatedTest`] | **exact** (new) | §4.2, Fig. 7 |
 //!

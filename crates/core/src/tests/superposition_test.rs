@@ -1,19 +1,28 @@
 //! The superposition test `SuperPos(x)` (Def. 6, §3.4 of the paper).
 //!
-//! `SuperPos(x)` examines the deadlines of the first `x` jobs of every task
-//! exactly and covers all later intervals by the linear approximation of
-//! [`dbf_approx_set`](crate::superposition::dbf_approx_set).  It is a
+//! `SuperPos(x)` examines the deadlines of the first `x` jobs of every
+//! demand component exactly and covers all later intervals by the linear
+//! approximation of Def. 4 (see [`crate::superposition`]).  It is a
 //! sufficient test whose pessimism shrinks as `x` grows; `SuperPos(1)` is
 //! exactly Devi's test (Lemma 2) and `SuperPos(∞)` is the processor demand
 //! test.
-
-use std::cmp::Reverse;
+//!
+//! §4.1 describes the dynamic-error test as this analysis with a growing
+//! level, and bounding that level gives a sufficient test.  `SuperPos(x)`
+//! is that bounded test with its level held at `x`: it runs the
+//! dynamic-error driver of [`crate::refine`] with initial and maximum
+//! level `x` and no horizon.  Every periodic component is approximated
+//! after its `x`-th deadline, so the frontier empties by itself.
+//!
+//! The engine counts one comparison per examined `(interval, component)`
+//! pair, so components sharing a deadline count once each, and it charges
+//! one [`WorkBudget`](crate::budget::WorkBudget) unit per comparison.
 
 use edf_model::Time;
 
-use crate::analysis::{Analysis, DemandOverload, FeasibilityTest, IterationCounter, Verdict};
+use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::kernel::AnalysisScratch;
-use crate::superposition::{approx_demand_within, dbf_approx_components, ApproxTerm};
+use crate::tests::DynamicErrorTest;
 use crate::workload::PreparedWorkload;
 
 /// The superposition test at a fixed approximation level.
@@ -101,66 +110,18 @@ impl FeasibilityTest for SuperpositionTest {
         if workload.utilization_exceeds_one() {
             return Analysis::trivial(Verdict::Infeasible);
         }
-        let components = workload.components();
-        // Test intervals: deadlines of the first `level` jobs of each
-        // component, merged in ascending order, de-duplicated.  The heap
-        // and the approximation-term buffer live in the scratch so batch
-        // workers reuse them across workloads.
-        let heap = &mut scratch.level_heap;
-        heap.clear();
-        for (idx, component) in components.iter().enumerate() {
-            heap.push(Reverse((component.first_deadline(), idx, 1)));
+        let capped = DynamicErrorTest::new()
+            .with_initial_level(self.level)
+            .with_max_level(self.level);
+        let mut analysis = crate::refine::dynamic_error(&capped, workload, Time::MAX, scratch);
+        // A failed comparison with approximations left ends in `Unknown`
+        // at the level cap, without a witness.  A failed fully exact
+        // comparison is a genuine overload, whose exact witness the
+        // sufficient test keeps while it answers `Unknown`.
+        if analysis.verdict == Verdict::Infeasible {
+            analysis.verdict = Verdict::Unknown;
         }
-        // The per-component approximation data — border `Im`, exact demand
-        // at the border and the period reciprocal — is invariant across
-        // test intervals at a fixed level, so the term prototypes are built
-        // exactly once (one-shots have no linear tail and get `None`).
-        let prototypes = &mut scratch.term_cache;
-        prototypes.clear();
-        prototypes.extend(components.iter().map(|component| {
-            component.period().is_some().then(|| {
-                let im = component.max_test_interval(self.level);
-                ApproxTerm::for_component(component, im, component.dbf(im))
-            })
-        }));
-        let approx_terms = &mut scratch.approx_terms;
-        let mut counter = IterationCounter::new();
-        let mut last_checked: Option<Time> = None;
-        while let Some(Reverse((interval, idx, job))) = heap.pop() {
-            // Schedule the next job of this component if still below its
-            // border (one-shot components have a single job).
-            if job < self.level {
-                if let Some(period) = components[idx].period() {
-                    if let Some(next) = interval.checked_add(period) {
-                        heap.push(Reverse((next, idx, job + 1)));
-                    }
-                }
-            }
-            if last_checked == Some(interval) {
-                continue; // dbf' already checked at this interval length
-            }
-            last_checked = Some(interval);
-            counter.record(interval);
-            // Real-valued superposition comparison (Def. 5), evaluated with
-            // exact rational arithmetic.
-            let mut exact_part = Time::ZERO;
-            approx_terms.clear();
-            for (component, prototype) in components.iter().zip(prototypes.iter()) {
-                match prototype {
-                    Some(term) if interval > term.im => approx_terms.push(*term),
-                    // Below the border, or a one-shot (whose demand is
-                    // constant beyond `im`) — exact either way.
-                    _ => exact_part = exact_part.saturating_add(component.dbf(interval)),
-                }
-            }
-            if !approx_demand_within(exact_part, approx_terms, interval) {
-                // Report the (slightly pessimistic) integer upper bound of
-                // the approximated demand as the witness.
-                let demand = dbf_approx_components(components, self.level, interval);
-                return counter.finish(Verdict::Unknown, Some(DemandOverload { interval, demand }));
-            }
-        }
-        counter.finish(Verdict::Feasible, None)
+        analysis
     }
 }
 
@@ -237,11 +198,26 @@ mod tests {
 
     #[test]
     fn unknown_verdict_reports_witness_interval() {
+        // Feasible, but too coarse at level 1: the level cap answers
+        // `Unknown` and names no interval, since none is overloaded.
         let ts = TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]);
+        assert!(brute_force_feasible(&ts, 1_000));
         let analysis = SuperpositionTest::new(1).analyze(&ts);
         assert_eq!(analysis.verdict, Verdict::Unknown);
-        let overload = analysis.overload.expect("witness expected");
-        assert!(overload.demand > overload.interval);
+        assert_eq!(analysis.overload, None);
+
+        // At level 2 both jobs due by 4 are examined exactly and overload
+        // it: the answer stays `Unknown`, with the exact witness `dbf(4)`.
+        let ts = TaskSet::from_tasks(vec![t(3, 3, 10), t(3, 4, 10)]);
+        let analysis = SuperpositionTest::new(2).analyze(&ts);
+        assert_eq!(analysis.verdict, Verdict::Unknown);
+        let overload = analysis.overload.expect("exact overload has a witness");
+        assert_eq!(overload.interval, Time::new(4));
+        assert_eq!(overload.demand, dbf_set(&ts, Time::new(4)));
+        assert_eq!(overload.demand, Time::new(6));
+        // At level 1 the first task is approximated by 4, so the failure
+        // is the level cap's and carries no witness.
+        assert_eq!(SuperpositionTest::new(1).analyze(&ts).overload, None);
     }
 
     #[test]

@@ -1027,23 +1027,26 @@ impl PreparedWorkload {
         self.bounds.take();
         self.qpa_horizon.take();
         self.horizon.take();
-        // The previous workload's cached order and kernel are stale either
-        // way; rebuild them into their existing allocations only when a
-        // demand query can actually run (every test rejects `U > 1`
-        // workloads before touching the demand, so eager work there would
-        // be pure waste — the lazy path handles the off-chance query).
-        let order = self.deadline_order.take();
-        let kernel = self.kernel.take();
-        if !self.exceeds_one {
-            let mut order = order.unwrap_or_default();
-            order.clear();
-            order.extend(0..self.components.len());
-            order.sort_by_key(|&i| self.components[i].first_deadline());
-            let mut kernel = kernel.unwrap_or_default();
+        // The previous workload's cached order and kernel are stale; both
+        // are rebuilt into their existing allocations.  As in
+        // `install_edited_state`, the kernel of a `U > 1` workload is left
+        // to its lazy path (every test rejects it before touching the
+        // demand), its columns parked for the next rebuild.
+        let mut order = self.deadline_order.take().unwrap_or_default();
+        order.clear();
+        order.extend(0..self.components.len());
+        order.sort_by_key(|&i| self.components[i].first_deadline());
+        let mut kernel = self
+            .kernel
+            .take()
+            .unwrap_or_else(|| std::mem::take(&mut self.spare_kernel));
+        if self.exceeds_one {
+            self.spare_kernel = kernel;
+        } else {
             kernel.rebuild(&self.components, &order);
-            let _ = self.deadline_order.set(order);
             let _ = self.kernel.set(kernel);
         }
+        let _ = self.deadline_order.set(order);
         self
     }
 
@@ -1746,5 +1749,30 @@ mod tests {
         assert_eq!(c.rbf(Time::new(14)), Time::new(4));
         // And the deadline is shifted by the offset.
         assert_eq!(c.first_deadline(), Time::new(7));
+    }
+
+    #[test]
+    fn recycling_through_an_overloaded_set_answers_like_a_cold_preparation() {
+        let light = TaskSet::from_tasks(vec![t(1, 4, 8), t(2, 6, 12), t(1, 9, 18)]);
+        let overloaded = TaskSet::from_tasks(vec![t(5, 6, 8), t(5, 9, 10)]);
+        let feasible = TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]);
+        let infeasible = TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]);
+        for next in [&feasible, &infeasible] {
+            let recycled = PreparedWorkload::new(&light).recycled(&overloaded);
+            assert!(recycled.utilization_exceeds_one());
+            // The `U > 1` kernel is left to its lazy path.
+            assert!(recycled.kernel.get().is_none());
+            let recycled = recycled.recycled(next);
+            let cold = PreparedWorkload::new(next);
+            assert_eq!(recycled.deadline_order(), cold.deadline_order());
+            for test in crate::all_tests() {
+                assert_eq!(
+                    test.analyze_prepared(&recycled),
+                    test.analyze_prepared(&cold),
+                    "{} on {next}",
+                    test.name()
+                );
+            }
+        }
     }
 }

@@ -519,6 +519,19 @@ proptest! {
     }
 }
 
+/// Deterministic spot check: a feasible `U = 1` set on which `SuperPos(2)`
+/// fails at interval 10, where the exact demand is 10.  A witness there
+/// would name an interval that is not overloaded, so the level-capped
+/// `Unknown` reports none.
+#[test]
+fn level_capped_unknown_reports_no_witness() {
+    let ts = TaskSet::from_tasks(vec![
+        Task::from_ticks(1, 1, 5).unwrap(),
+        Task::from_ticks(4, 5, 5).unwrap(),
+    ]);
+    assert_analyses_match_folds(&ts);
+}
+
 /// Deterministic spot check: the overload witness of the event-walking
 /// and the QPA-style exact tests is an overload of the fold, interval and
 /// demand.
