@@ -1,6 +1,6 @@
 //! Benchmark of the columnar demand kernel: `dbf`-evaluation throughput,
 //! event-merge throughput on the tournament tree, the refining-test engine
-//! against its retained reference, and `analyze_many` workloads/sec with
+//! against the plain loops of `edf-oracle`, and `analyze_many` workloads/sec with
 //! and without scratch reuse.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use edf_analysis::batch::{analyze_many_serial, BoxedTest};
 use edf_analysis::kernel::AnalysisScratch;
-use edf_analysis::refine;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::{MixedSystem, PreparedWorkload};
 use edf_analysis::FeasibilityTest;
@@ -17,6 +16,7 @@ use edf_bench::{
     withdrawal_storm_fixture,
 };
 use edf_model::{TaskSet, Time};
+use edf_oracle::refine;
 
 fn exact_suite() -> Vec<BoxedTest> {
     vec![
@@ -145,14 +145,15 @@ fn bench_event_merge(c: &mut Criterion) {
 
 /// Refining-test engine throughput: the shared `refine` engine (flat
 /// frontier queue, incremental comparison aggregates with the f64
-/// proven-margin screen, batched withdrawal passes) against the retained
-/// pre-engine reference loops (`refine::reference`), on the two fixtures
+/// proven-margin screen, batched withdrawal passes) against the plain
+/// reference loops of `edf_oracle::refine`, on the two fixtures
 /// where the bookkeeping dominates — the hot ratio-100 high-utilization
 /// sets of the Figure 9 regime and the withdrawal-storm sets whose
 /// narrow period band makes every level increase cross many exactness
 /// thresholds at once.  Both sides produce bit-identical analyses (the
-/// `refine_equivalence` proptests pin this), so any delta here is pure
-/// bookkeeping cost.
+/// `refine_equivalence` proptests pin this), so the delta is the cost of
+/// the plain loops' per-comparison re-summation and `DemandComponent::dbf`
+/// evaluations against the engine's incremental state.
 fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     group
@@ -180,17 +181,14 @@ fn bench_refine(c: &mut Criterion) {
                 iterations
             })
         });
-        let mut scratch = AnalysisScratch::new();
         group.bench_function(
             BenchmarkId::new(format!("refine_{lane}"), "reference"),
             |b| {
                 b.iter(|| {
                     let mut iterations = 0u64;
                     for p in &prepared {
-                        iterations +=
-                            refine::reference::dynamic_error(&dynamic, p, &mut scratch).iterations;
-                        iterations +=
-                            refine::reference::all_approximated(&all, p, &mut scratch).iterations;
+                        iterations += refine::dynamic_error(&dynamic, p).iterations;
+                        iterations += refine::all_approximated(&all, p).iterations;
                     }
                     iterations
                 })

@@ -1,30 +1,29 @@
 //! Benchmark of the candidate-product transaction engine
-//! (`edf_analysis::candidates`) against the retained naive reference,
-//! across candidate-product sizes, utilizations and offset shapes.
+//! (`edf_analysis::candidates`) across candidate-product sizes,
+//! utilizations and offset shapes.
 //!
 //! Lanes per fixture: `engine_serial` (dominance pruning, density screen
-//! and Gray-code incremental swaps, single-threaded — the apples-to-apples
-//! comparison against `naive` on the 1-CPU CI container), `engine` (the
-//! default configuration including the parallel early-exit sweep) and
-//! `naive` (`candidates::reference`: full lexicographic product, one cold
-//! preparation per combination).  Pruned-product and screened-combination
-//! counts are printed per fixture so every run records how much of the win
-//! comes from which layer.
+//! and Gray-code incremental swaps, single-threaded: `analyze_budgeted`
+//! under a limited `WorkBudget` too large to run out, which forces the
+//! serial sweep) and `engine` (`analyze`, including the parallel
+//! early-exit sweep).  Pruned-product and screened-combination counts are
+//! printed per fixture so every run records how much of the work each
+//! layer removed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use edf_analysis::candidates::{self, EngineConfig};
+use edf_analysis::candidates::{self, CandidateAnalysis};
 use edf_analysis::tests::QpaTest;
+use edf_analysis::WorkBudget;
 use edf_bench::transaction_product_fixture;
 use edf_model::TransactionSystem;
 
-/// The serial engine: every algorithmic layer on, the parallel fan-out off.
-const SERIAL: EngineConfig = EngineConfig {
-    prune: true,
-    screen: true,
-    parallel: false,
-};
+/// The serial engine: every algorithmic layer on, the parallel fan-out
+/// off (a limited budget forces the serial sweep).
+fn serial(test: &QpaTest, system: &TransactionSystem) -> CandidateAnalysis {
+    candidates::analyze_budgeted(test, system, &mut WorkBudget::limited(u64::MAX - 1))
+}
 
 fn fixtures() -> Vec<(&'static str, TransactionSystem)> {
     vec![
@@ -45,7 +44,7 @@ fn fixtures() -> Vec<(&'static str, TransactionSystem)> {
             "product_1024_dup_offsets",
             transaction_product_fixture(&[4; 5], 60, 2, 41),
         ),
-        // A wider product, still naive-tractable in fast mode.
+        // A wider product.
         (
             "product_4096_util75",
             transaction_product_fixture(&[8, 8, 8, 8], 75, 0, 42),
@@ -53,7 +52,7 @@ fn fixtures() -> Vec<(&'static str, TransactionSystem)> {
     ]
 }
 
-fn bench_engine_vs_naive(c: &mut Criterion) {
+fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("transactions");
     group
         .sample_size(10)
@@ -64,12 +63,7 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
     for (name, system) in &fixtures() {
         // Sanity check once per fixture, and record how much each layer
         // removed (the numbers land in the bench log next to the timings).
-        let engine = candidates::analyze_with(&test, system, &SERIAL);
-        let naive = candidates::reference(&test, system);
-        assert_eq!(
-            engine.analysis.verdict, naive.analysis.verdict,
-            "engine and naive reference disagree on {name}"
-        );
+        let engine = serial(&test, system);
         eprintln!(
             "transactions/{name}: verdict {}, product {} -> pruned {}, \
              examined {}, screened {}",
@@ -82,13 +76,7 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("engine_serial", name),
             system,
-            |b, system| {
-                b.iter(|| {
-                    candidates::analyze_with(&test, black_box(system), &SERIAL)
-                        .analysis
-                        .iterations
-                })
-            },
+            |b, system| b.iter(|| serial(&test, black_box(system)).analysis.iterations),
         );
         group.bench_with_input(BenchmarkId::new("engine", name), system, |b, system| {
             b.iter(|| {
@@ -97,20 +85,12 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
                     .iterations
             })
         });
-        group.bench_with_input(BenchmarkId::new("naive", name), system, |b, system| {
-            b.iter(|| {
-                candidates::reference(&test, black_box(system))
-                    .analysis
-                    .iterations
-            })
-        });
     }
     group.finish();
 }
 
-/// Engine-only scaling lane: a 10⁵ product the naive path has no business
-/// enumerating (it would re-prepare a hundred thousand workloads per
-/// iteration).
+/// Scaling lane: a 10⁵ product (a cold re-preparation per combination
+/// would prepare a hundred thousand workloads per iteration).
 fn bench_engine_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("transactions");
     group
@@ -120,7 +100,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
 
     let test = QpaTest::new();
     let system = transaction_product_fixture(&[10; 5], 60, 0, 46);
-    let stats = candidates::analyze_with(&test, &system, &SERIAL).stats;
+    let stats = serial(&test, &system).stats;
     eprintln!(
         "transactions/product_100000_util60: product {} -> pruned {}, examined {}, screened {}",
         stats.candidate_product,
@@ -131,16 +111,10 @@ fn bench_engine_scaling(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("engine_serial", "product_100000_util60"),
         &system,
-        |b, system| {
-            b.iter(|| {
-                candidates::analyze_with(&test, black_box(system), &SERIAL)
-                    .analysis
-                    .iterations
-            })
-        },
+        |b, system| b.iter(|| serial(&test, black_box(system)).analysis.iterations),
     );
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_vs_naive, bench_engine_scaling);
+criterion_group!(benches, bench_engine, bench_engine_scaling);
 criterion_main!(benches);

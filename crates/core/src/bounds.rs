@@ -7,13 +7,16 @@
 //! only need to examine deadlines below it.  This module implements the
 //! bounds discussed in the paper and its references:
 //!
-//! * [`baruah_bound`] — Baruah et al.: `U/(1−U) · max(Tᵢ − Dᵢ)`;
-//! * [`george_bound`] — George et al.: `Σ_{Dᵢ≤Tᵢ} (1 − Dᵢ/Tᵢ)·Cᵢ / (1 − U)`;
-//! * [`busy_period`] — length of the synchronous processor busy period;
-//! * [`hyperperiod_bound`] — `lcm(Tᵢ) + max Dᵢ` (always valid, often huge);
-//! * [`superposition_bound`] — the bound implicitly reached by the
-//!   all-approximated test (§4.3), `max(Dmax, George)`; the paper proves it
-//!   coincides with the George bound whenever `Cτ ≤ Dτ`.
+//! * [`baruah_components`] — Baruah et al.: `U/(1−U) · max(Tᵢ − Dᵢ)`;
+//! * [`george_components`] — George et al.:
+//!   `Σ_{Dᵢ≤Tᵢ} (1 − Dᵢ/Tᵢ)·Cᵢ / (1 − U)`;
+//! * [`busy_period_components`] — length of the synchronous processor
+//!   busy period;
+//! * [`hyperperiod_components`] — `lcm(Tᵢ) + max Dᵢ` (always valid, often
+//!   huge);
+//! * [`FeasibilityBounds::superposition`] — the bound implicitly reached
+//!   by the all-approximated test (§4.3), `max(Dmax, George)`; the paper
+//!   proves it coincides with the George bound whenever `Cτ ≤ Dτ`.
 //!
 //! Every bound is defined on [`DemandComponent`] lists (the canonical form
 //! of any [`Workload`]), which is how the §4.3
@@ -25,8 +28,7 @@
 //! classic synchronous pattern) return `None` for workloads outside their
 //! domain, and [`FeasibilityBounds::analysis_horizon`] picks the tightest
 //! of whatever is available ([`FeasibilityBounds::qpa_horizon`] the
-//! tightest short of the busy period).  The `TaskSet` entry points are
-//! thin wrappers over the component forms.
+//! tightest short of the busy period).
 //!
 //! All bounds are rounded **up** to the next integer so that using them as
 //! a search horizon can never cut off a violating deadline.
@@ -818,20 +820,13 @@ fn smallest_satisfying_hinted(
 /// inequality but can be evaluated exactly with
 /// [`fracs_le_integer`](crate::arith::fracs_le_integer) — no common
 /// denominator of all periods is ever formed, so the computation cannot
-/// overflow for realistic task sets.
+/// overflow for realistic task sets.  The per-task inequality
+/// `dbf(I, τ) ≤ Uτ·(I + (T − D))` holds for any periodic component
+/// (offsets are folded into the first deadline), but not for one-shots.
 ///
-/// Returns `None` when the bound is undefined: `U ≥ 1`, or every task has
-/// `Dᵢ ≥ Tᵢ` (the bound degenerates to zero; callers should rely on
-/// another bound).
-#[must_use]
-pub fn baruah_bound(task_set: &TaskSet) -> Option<Time> {
-    baruah_components(&task_set.demand_components())
-}
-
-/// [`baruah_bound`] on an arbitrary component decomposition.  The per-task
-/// inequality `dbf(I, τ) ≤ Uτ·(I + (T − D))` holds for any periodic
-/// component (offsets are folded into the first deadline), but not for
-/// one-shots, so workloads containing one-shot components return `None`.
+/// Returns `None` when the bound is undefined: `U ≥ 1`, a one-shot
+/// component, or every component has `D' ≥ T` (the bound degenerates to
+/// zero; callers should rely on another bound).
 #[must_use]
 pub fn baruah_components(components: &[DemandComponent]) -> Option<Time> {
     if components.is_empty() || components_exceed_one(components) {
@@ -853,17 +848,18 @@ pub fn baruah_components(components: &[DemandComponent]) -> Option<Time> {
 ///
 /// Internally the bound is found as the smallest integer `L` with
 /// `Σᵢ Cᵢ·L/Tᵢ + Σ_{Dᵢ≤Tᵢ} (Tᵢ − Dᵢ)·Cᵢ/Tᵢ ≤ L`, evaluated exactly with
-/// [`fracs_le_integer`](crate::arith::fracs_le_integer).
+/// [`fracs_le_integer`](crate::arith::fracs_le_integer).  Periodic
+/// components contribute the `(T − D')·C/T` slack term (clamped at zero),
+/// one-shot components a constant `C`.
+///
+/// The superposition bound of §4.3, the interval from which on the
+/// all-approximated test can approximate every task and still stay below
+/// the capacity, is `max(Dmax, George)`
+/// ([`FeasibilityBounds::superposition`]); for `Cτ ≤ Dτ` it equals this
+/// bound, which is the paper's point: the George bound is implied by —
+/// and checked implicitly in — the new test.
 ///
 /// Returns `None` when `U ≥ 1`.
-#[must_use]
-pub fn george_bound(task_set: &TaskSet) -> Option<Time> {
-    george_components(&task_set.demand_components())
-}
-
-/// [`george_bound`] on an arbitrary component decomposition: periodic
-/// components contribute the usual `(T − D')·C/T` slack term (clamped at
-/// zero), one-shot components a constant `C`.
 #[must_use]
 pub fn george_components(components: &[DemandComponent]) -> Option<Time> {
     if components.is_empty() || components_exceed_one(components) {
@@ -885,17 +881,11 @@ pub fn george_components(components: &[DemandComponent]) -> Option<Time> {
 /// of `L = Σ ⌈L/Tᵢ⌉·Cᵢ` starting from `L₀ = Σ Cᵢ`.
 ///
 /// Any EDF deadline miss of the synchronous arrival pattern happens inside
-/// the first busy period, so its length is a valid feasibility bound.
-/// Returns `None` if the iteration does not converge within an internal
-/// budget (which happens for overloaded sets).
-#[must_use]
-pub fn busy_period(task_set: &TaskSet) -> Option<Time> {
-    busy_period_components(&task_set.demand_components())
-}
-
-/// [`busy_period`] on a component decomposition.  The synchronous-pattern
-/// argument is specific to the sporadic model, so this returns `None`
-/// whenever a component is one-shot or released after the window start.
+/// the first busy period, so its length is a valid feasibility bound.  The
+/// synchronous-pattern argument is specific to the sporadic model, so this
+/// returns `None` whenever a component is one-shot or released after the
+/// window start, and when the iteration does not converge within an
+/// internal budget (which happens for overloaded sets).
 #[must_use]
 pub fn busy_period_components(components: &[DemandComponent]) -> Option<Time> {
     busy_period_components_with(components, &mut WorkBudget::unlimited())
@@ -937,18 +927,11 @@ pub fn busy_period_components_with(
     }
 }
 
-/// `lcm(Tᵢ) + max Dᵢ`: a bound that is always valid (violations of the
-/// synchronous pattern repeat with the hyperperiod), but typically far
-/// larger than the others.  `None` if the hyperperiod overflows.
-#[must_use]
-pub fn hyperperiod_bound(task_set: &TaskSet) -> Option<Time> {
-    hyperperiod_components(&task_set.demand_components())
-}
-
-/// [`hyperperiod_bound`] on a component decomposition: the demand pattern
-/// of periodic components (offsets included) repeats with the lcm of the
-/// cycles, so `lcm + max D'` stays valid; one-shot components break the
-/// periodicity and yield `None`.
+/// `lcm(Tᵢ) + max D'ᵢ`: a bound that is always valid (the demand pattern
+/// of periodic components, offsets included, repeats with the lcm of the
+/// cycles), but typically far larger than the others.  `None` if the
+/// hyperperiod overflows, and for one-shot components, which break the
+/// periodicity.
 #[must_use]
 pub fn hyperperiod_components(components: &[DemandComponent]) -> Option<Time> {
     hyperperiod_from(
@@ -961,29 +944,6 @@ pub fn hyperperiod_components(components: &[DemandComponent]) -> Option<Time> {
 /// undefined or the sum overflows).
 fn hyperperiod_from(period_lcm: Option<Time>, max_first_deadline: Option<Time>) -> Option<Time> {
     period_lcm?.checked_add(max_first_deadline?)
-}
-
-/// The superposition feasibility bound of §4.3: the interval from which on
-/// the all-approximated test can approximate every task and still stay
-/// below the capacity, `max(Dmax, Σ(1 − Dᵢ/Tᵢ)·Cᵢ / (1 − U))`.
-///
-/// For `Cτ ≤ Dτ` this equals the George et al. bound (that is the paper's
-/// point: the George bound is implied by — and checked implicitly in — the
-/// new test); it is never larger than `max(Dmax, George)`.
-#[must_use]
-pub fn superposition_bound(task_set: &TaskSet) -> Option<Time> {
-    superposition_components(&task_set.demand_components())
-}
-
-/// [`superposition_bound`] on an arbitrary component decomposition.
-#[must_use]
-pub fn superposition_components(components: &[DemandComponent]) -> Option<Time> {
-    let george = george_components(components)?;
-    let dmax = components
-        .iter()
-        .map(DemandComponent::first_deadline)
-        .max()?;
-    Some(george.max(dmax))
 }
 
 #[cfg(test)]
@@ -1014,7 +974,10 @@ mod tests {
     fn baruah_matches_hand_computation() {
         let ts = constrained_set();
         // U = 0.2 + 0.2 + 0.1 = 0.5; max(T-D) = 20; bound = 0.5/0.5*20 = 20.
-        assert_eq!(baruah_bound(&ts), Some(Time::new(20)));
+        assert_eq!(
+            baruah_components(&ts.demand_components()),
+            Some(Time::new(20))
+        );
     }
 
     #[test]
@@ -1022,7 +985,10 @@ mod tests {
         let ts = constrained_set();
         // numerator = (6/10)*2 + (9/15)*3 + (20/40)*4 = 1.2 + 1.8 + 2 = 5
         // bound = 5 / 0.5 = 10
-        assert_eq!(george_bound(&ts), Some(Time::new(10)));
+        assert_eq!(
+            george_components(&ts.demand_components()),
+            Some(Time::new(10))
+        );
     }
 
     #[test]
@@ -1034,8 +1000,8 @@ mod tests {
             TaskSet::from_tasks(vec![t(5, 10, 100), t(30, 80, 100)]),
         ];
         for ts in sets {
-            let g = george_bound(&ts).unwrap();
-            let b = baruah_bound(&ts).unwrap();
+            let g = george_components(&ts.demand_components()).unwrap();
+            let b = baruah_components(&ts.demand_components()).unwrap();
             assert!(g <= b, "George {g} must be <= Baruah {b}");
         }
     }
@@ -1044,39 +1010,64 @@ mod tests {
     fn implicit_deadline_set_bounds() {
         let ts = TaskSet::from_tasks(vec![t(1, 4, 4), t(1, 6, 6)]);
         // No task with D < T: Baruah degenerates.
-        assert_eq!(baruah_bound(&ts), None);
+        assert_eq!(baruah_components(&ts.demand_components()), None);
         // George falls back to the smallest deadline.
-        assert_eq!(george_bound(&ts), Some(Time::new(4)));
-        assert_eq!(superposition_bound(&ts), Some(Time::new(6)));
-        assert_eq!(busy_period(&ts), Some(Time::new(2)));
-        assert_eq!(hyperperiod_bound(&ts), Some(Time::new(12 + 6)));
+        assert_eq!(
+            george_components(&ts.demand_components()),
+            Some(Time::new(4))
+        );
+        assert_eq!(
+            FeasibilityBounds::compute(&ts).superposition,
+            Some(Time::new(6))
+        );
+        assert_eq!(
+            busy_period_components(&ts.demand_components()),
+            Some(Time::new(2))
+        );
+        assert_eq!(
+            hyperperiod_components(&ts.demand_components()),
+            Some(Time::new(12 + 6))
+        );
     }
 
     #[test]
     fn overloaded_set_has_no_utilization_bounds() {
         let ts = TaskSet::from_tasks(vec![t(5, 5, 5), t(1, 10, 10)]);
         assert!(ts.utilization_exceeds_one());
-        assert_eq!(baruah_bound(&ts), None);
-        assert_eq!(george_bound(&ts), None);
-        assert_eq!(superposition_bound(&ts), None);
-        assert_eq!(busy_period(&ts), None, "busy period diverges");
+        assert_eq!(baruah_components(&ts.demand_components()), None);
+        assert_eq!(george_components(&ts.demand_components()), None);
+        assert_eq!(FeasibilityBounds::compute(&ts).superposition, None);
+        assert_eq!(
+            busy_period_components(&ts.demand_components()),
+            None,
+            "busy period diverges"
+        );
         // The hyperperiod bound still exists.
-        assert!(hyperperiod_bound(&ts).is_some());
+        assert!(hyperperiod_components(&ts.demand_components()).is_some());
         // And the combined horizon falls back to it.
         let all = FeasibilityBounds::compute(&ts);
-        assert_eq!(all.analysis_horizon(), hyperperiod_bound(&ts));
+        assert_eq!(
+            all.analysis_horizon(),
+            hyperperiod_components(&ts.demand_components())
+        );
     }
 
     #[test]
     fn full_utilization_set() {
         let ts = TaskSet::from_tasks(vec![t(1, 2, 2), t(1, 2, 2)]);
-        assert_eq!(baruah_bound(&ts), None);
+        assert_eq!(baruah_components(&ts.demand_components()), None);
         // All deadlines are implicit, so no interval ever needs checking and
         // the George bound degenerates to the smallest deadline.
-        assert_eq!(george_bound(&ts), Some(Time::new(2)));
+        assert_eq!(
+            george_components(&ts.demand_components()),
+            Some(Time::new(2))
+        );
         // Busy period exists and equals 2 (the processor is never idle but
         // the fix-point converges at the hyperperiod).
-        assert_eq!(busy_period(&ts), Some(Time::new(2)));
+        assert_eq!(
+            busy_period_components(&ts.demand_components()),
+            Some(Time::new(2))
+        );
         assert!(FeasibilityBounds::compute(&ts).analysis_horizon().is_some());
     }
 
@@ -1084,11 +1075,17 @@ mod tests {
     fn busy_period_fixpoint_examples() {
         let ts = constrained_set();
         // L0 = 9; rbf(9) = 2+3+4 = 9 -> converges at 9.
-        assert_eq!(busy_period(&ts), Some(Time::new(9)));
+        assert_eq!(
+            busy_period_components(&ts.demand_components()),
+            Some(Time::new(9))
+        );
 
         let ts2 = TaskSet::from_tasks(vec![t(3, 5, 5), t(2, 10, 10)]);
         // L0=5, rbf(5)=3+2=5 ... converges at 5? rbf(5)=ceil(5/5)*3+ceil(5/10)*2=3+2=5. yes.
-        assert_eq!(busy_period(&ts2), Some(Time::new(5)));
+        assert_eq!(
+            busy_period_components(&ts2.demand_components()),
+            Some(Time::new(5))
+        );
     }
 
     #[test]
@@ -1097,7 +1094,7 @@ mod tests {
         // can exist beyond it. We check the weaker sanity property that dbf
         // never exceeds the interval after the busy period for this set.
         let ts = constrained_set();
-        let bp = busy_period(&ts).unwrap();
+        let bp = busy_period_components(&ts.demand_components()).unwrap();
         for i in bp.as_u64()..bp.as_u64() + 100 {
             assert!(dbf_set(&ts, Time::new(i)) <= Time::new(i));
         }
@@ -1139,8 +1136,12 @@ mod tests {
     fn superposition_is_max_of_george_and_dmax() {
         let ts = constrained_set();
         assert_eq!(
-            superposition_bound(&ts),
-            Some(george_bound(&ts).unwrap().max(ts.max_deadline().unwrap()))
+            FeasibilityBounds::compute(&ts).superposition,
+            Some(
+                george_components(&ts.demand_components())
+                    .unwrap()
+                    .max(ts.max_deadline().unwrap())
+            )
         );
     }
 

@@ -61,11 +61,12 @@
 //!    lowest-ranked discovered witness is reported; iterations are summed
 //!    over all examined combinations).
 //!
-//! The naive re-preparing path of PR 2 survives as [`reference`](fn@reference) — full
-//! lexicographic product, one cold [`PreparedWorkload`] per combination —
-//! and is the baseline both for the `candidate_equivalence` property tests
-//! (verdicts equal, witnesses genuine) and for the `transactions`
-//! benchmark.
+//! The `candidate_equivalence` property tests pin the engine against
+//! [`exhaustive_transaction_check`](crate::transactions::exhaustive_transaction_check)
+//! (exact verdicts), against cold preparations of each witnessing
+//! combination (genuine witnesses) and of every [`CandidateView`] swap
+//! sequence (bit-identical prepared state), and the parallel sweep
+//! against the serial one.
 //!
 //! # Examples
 //!
@@ -111,8 +112,8 @@ use crate::kernel::AnalysisScratch;
 use crate::transactions::{candidate_components, combination_components};
 use crate::workload::{DemandComponent, PreparedWorkload};
 
-/// Minimum pruned product before [`analyze_with`] bothers fanning the
-/// sweep out over worker threads.
+/// Minimum pruned product before [`analyze`] bothers fanning the sweep
+/// out over worker threads.
 const PARALLEL_MIN_PRODUCT: u128 = 128;
 
 /// Chunks handed out per worker thread (more than one, so an early exit in
@@ -122,23 +123,6 @@ const CHUNKS_PER_WORKER: u128 = 4;
 // ---------------------------------------------------------------------------
 // Mixed-radix enumeration
 // ---------------------------------------------------------------------------
-
-/// Advances `digits` to the lexicographic successor under `radices` (the
-/// **last** digit varies fastest, matching the historical
-/// [`CombinationIter`](crate::transactions::CombinationIter) order);
-/// returns `false` when `digits` was the last combination.  Allocation-free
-/// — the shared core behind the public iterator and [`reference`](fn@reference).
-pub(crate) fn advance_lex(digits: &mut [usize], radices: &[usize]) -> bool {
-    debug_assert_eq!(digits.len(), radices.len());
-    for (digit, &radix) in digits.iter_mut().zip(radices).rev() {
-        *digit += 1;
-        if *digit < radix {
-            return true;
-        }
-        *digit = 0;
-    }
-    false
-}
 
 /// A reflected mixed-radix Gray-code counter: every call to
 /// [`MixedRadixGray::advance`] changes exactly **one** digit by ±1, and the
@@ -735,32 +719,6 @@ impl WorkloadView for CandidateView {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs of [`analyze_with`] — every switch preserves verdicts;
-/// they exist for the equivalence tests and the benchmark ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Dominance-prune each transaction's candidate set before
-    /// enumerating (engages only for exact tests; see
-    /// [`dominant_candidates`]).
-    pub prune: bool,
-    /// Run the density screen before the exact test on every combination
-    /// (engages only for exact tests).
-    pub screen: bool,
-    /// Fan the sweep out over the CPU cores when the pruned product is
-    /// large enough.
-    pub parallel: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            prune: true,
-            screen: true,
-            parallel: true,
-        }
-    }
-}
-
 /// Work accounting of one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -815,6 +773,7 @@ struct Sweep<'a, T: ?Sized> {
     /// Radices of the pruned product (`kept[i].len()`).
     radices: &'a [usize],
     stop: &'a AtomicBool,
+    /// Run the density screen first (exact tests only).
     screen: bool,
 }
 
@@ -889,12 +848,15 @@ impl<T: FeasibilityTest + ?Sized> Sweep<'_, T> {
 }
 
 /// Runs `test` on the candidate combinations of `system` through the full
-/// engine (dominance pruning, density screen, Gray-code incremental swaps,
-/// parallel early-exit sweep) with the default [`EngineConfig`].
+/// engine: dominance pruning and the density screen (both for exact tests
+/// only), Gray-code incremental swaps, and — on more than one CPU, for a
+/// pruned product of at least 128 and `U ≤ 1` — the parallel early-exit
+/// sweep.
 ///
-/// Verdicts equal [`reference`](fn@reference)'s for the stock tests — exactly, as
-/// asserted by the `candidate_equivalence` property suite — and the
-/// reported witness is genuine: re-analyzing
+/// Exact verdicts equal the
+/// [`exhaustive_transaction_check`](crate::transactions::exhaustive_transaction_check)
+/// oracle's — asserted by the `candidate_equivalence` property suite — and
+/// the reported witness is genuine: re-analyzing
 /// [`CandidateAnalysis::witness_choice`] from scratch reproduces the
 /// overload bit for bit.
 #[must_use]
@@ -902,20 +864,10 @@ pub fn analyze(
     test: &(impl FeasibilityTest + Sync + ?Sized),
     system: &TransactionSystem,
 ) -> CandidateAnalysis {
-    analyze_with(test, system, &EngineConfig::default())
+    analyze_budgeted(test, system, &mut WorkBudget::unlimited())
 }
 
-/// [`analyze`] with explicit [`EngineConfig`] knobs.
-#[must_use]
-pub fn analyze_with(
-    test: &(impl FeasibilityTest + Sync + ?Sized),
-    system: &TransactionSystem,
-    config: &EngineConfig,
-) -> CandidateAnalysis {
-    analyze_budgeted(test, system, config, &mut WorkBudget::unlimited())
-}
-
-/// [`analyze_with`] under a [`WorkBudget`]: every candidate combination
+/// [`analyze`] under a [`WorkBudget`]: every candidate combination
 /// charges one work unit, and the per-combination analyses meter their
 /// own loop units against the same budget.  Exhaustion unwinds to an
 /// honest [`Verdict::Unknown`] carrying a [`Progress`] record
@@ -923,15 +875,14 @@ pub fn analyze_with(
 /// before the budget ran out is still reported (it is exact regardless
 /// of what was left unexamined).
 ///
-/// A **limited** budget forces the serial sweep (`config.parallel` is
-/// ignored): exhaustion must cut the sweep at a deterministic
-/// combination, and the racy early-exit of the parallel sweep cannot
-/// guarantee that.  Unlimited budgets keep the configured parallelism.
+/// A **limited** budget forces the serial sweep: exhaustion must cut the
+/// sweep at a deterministic combination, and the racy early-exit of the
+/// parallel sweep cannot guarantee that.  An unlimited budget sweeps as
+/// [`analyze`] does.
 #[must_use]
 pub fn analyze_budgeted(
     test: &(impl FeasibilityTest + Sync + ?Sized),
     system: &TransactionSystem,
-    config: &EngineConfig,
     budget: &mut WorkBudget,
 ) -> CandidateAnalysis {
     let exact = test.is_exact();
@@ -939,7 +890,7 @@ pub fn analyze_budgeted(
         .transactions()
         .iter()
         .map(|transaction| {
-            if config.prune && exact {
+            if exact {
                 dominant_candidates(transaction)
             } else {
                 (0..transaction.candidate_count()).collect()
@@ -958,7 +909,7 @@ pub fn analyze_budgeted(
         kept: &kept,
         radices: &radices,
         stop: &AtomicBool::new(false),
-        screen: config.screen && exact,
+        screen: exact,
     };
 
     let workers = thread::available_parallelism()
@@ -971,7 +922,6 @@ pub fn analyze_budgeted(
     let mut first_view = CandidateView::new(system);
     let limited = budget.limit() != u64::MAX;
     let outcomes: Vec<ChunkOutcome> = if limited
-        || !config.parallel
         || workers <= 1
         || pruned_product < PARALLEL_MIN_PRODUCT
         || first_view.utilization_exceeds_one()
@@ -1053,79 +1003,6 @@ pub fn analyze_budgeted(
             witness_choice: None,
             stats,
         },
-    }
-}
-
-/// The retained naive path: the **full** candidate product in
-/// lexicographic order, one cold [`PreparedWorkload`] per combination, no
-/// pruning, no screen, no incremental state — byte-for-byte the PR 2
-/// semantics of
-/// [`analyze_transaction_system`](crate::transactions::analyze_transaction_system).
-/// Deliberately slow; the correctness baseline of the property tests and
-/// the performance baseline of the `transactions` benchmark.
-#[must_use]
-pub fn reference(
-    test: &(impl FeasibilityTest + ?Sized),
-    system: &TransactionSystem,
-) -> CandidateAnalysis {
-    let radices: Vec<usize> = system
-        .transactions()
-        .iter()
-        .map(Transaction::candidate_count)
-        .collect();
-    let candidate_product = radices
-        .iter()
-        .fold(1u128, |acc, &r| acc.saturating_mul(r as u128));
-    let mut stats = EngineStats {
-        candidate_product,
-        pruned_product: candidate_product,
-        ..EngineStats::default()
-    };
-    let mut choice = vec![0usize; radices.len()];
-    let mut iterations: u64 = 0;
-    let mut max_examined: Option<Time> = None;
-    let mut all_decisive = true;
-    loop {
-        stats.combinations_examined += 1;
-        let prepared = PreparedWorkload::from_components(combination_components(system, &choice));
-        let analysis = test.analyze_prepared(&prepared);
-        iterations = iterations.saturating_add(analysis.iterations);
-        max_examined = max_examined.max(analysis.max_examined_interval);
-        match analysis.verdict {
-            Verdict::Infeasible => {
-                return CandidateAnalysis {
-                    analysis: Analysis {
-                        verdict: Verdict::Infeasible,
-                        iterations,
-                        max_examined_interval: max_examined,
-                        overload: analysis.overload,
-                        progress: None,
-                    },
-                    witness_choice: Some(choice),
-                    stats,
-                };
-            }
-            Verdict::Unknown => all_decisive = false,
-            Verdict::Feasible => {}
-        }
-        if !advance_lex(&mut choice, &radices) {
-            break;
-        }
-    }
-    CandidateAnalysis {
-        analysis: Analysis {
-            verdict: if all_decisive {
-                Verdict::Feasible
-            } else {
-                Verdict::Unknown
-            },
-            iterations,
-            max_examined_interval: max_examined,
-            overload: None,
-            progress: None,
-        },
-        witness_choice: None,
-        stats,
     }
 }
 
@@ -1312,101 +1189,6 @@ mod tests {
             probed.qpa_horizon(),
             FeasibilityBounds::for_components(cold.components()).qpa_horizon()
         );
-    }
-
-    #[test]
-    fn engine_and_reference_agree_on_small_systems() {
-        let systems = vec![
-            TransactionSystem::new(
-                TaskSet::from_tasks(vec![Task::from_ticks(1, 5, 10).unwrap()]),
-                vec![tr(12, vec![part(0, 2, 6), part(6, 2, 6)])],
-            ),
-            TransactionSystem::new(
-                TaskSet::new(),
-                vec![
-                    tr(10, vec![part(0, 2, 4), part(5, 2, 4)]),
-                    tr(15, vec![part(2, 1, 3), part(9, 2, 5)]),
-                ],
-            ),
-            // Infeasible (U = 1 with a concentrated burst).
-            TransactionSystem::new(
-                TaskSet::from_tasks(vec![Task::from_ticks(2, 2, 8).unwrap()]),
-                vec![tr(8, vec![part(0, 3, 3), part(4, 3, 3)])],
-            ),
-            // Overloaded.
-            TransactionSystem::new(
-                TaskSet::new(),
-                vec![tr(10, vec![part(0, 6, 6), part(5, 6, 6)])],
-            ),
-        ];
-        for system in &systems {
-            for test in [
-                Box::new(QpaTest::new()) as crate::BoxedTest,
-                Box::new(ProcessorDemandTest::new()),
-                Box::new(DeviTest::new()),
-            ] {
-                let engine = analyze(test.as_ref(), system);
-                let naive = reference(test.as_ref(), system);
-                assert_eq!(
-                    engine.analysis.verdict,
-                    naive.analysis.verdict,
-                    "{} diverges on {system}",
-                    test.name()
-                );
-                if let Some(choice) = &engine.witness_choice {
-                    let cold =
-                        PreparedWorkload::from_components(combination_components(system, choice));
-                    let replay = test.analyze_prepared(&cold);
-                    assert_eq!(replay.verdict, Verdict::Infeasible);
-                    assert_eq!(replay.overload, engine.analysis.overload);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_knobs_do_not_change_verdicts() {
-        let system = TransactionSystem::new(
-            TaskSet::from_tasks(vec![Task::from_ticks(1, 4, 8).unwrap()]),
-            vec![
-                tr(12, vec![part(0, 2, 6), part(0, 2, 6), part(6, 2, 6)]),
-                tr(15, vec![part(2, 1, 3), part(9, 2, 5)]),
-            ],
-        );
-        let test = QpaTest::new();
-        let configs = [
-            EngineConfig::default(),
-            EngineConfig {
-                prune: false,
-                screen: false,
-                parallel: false,
-            },
-            EngineConfig {
-                prune: true,
-                screen: false,
-                parallel: false,
-            },
-            EngineConfig {
-                prune: false,
-                screen: true,
-                parallel: true,
-            },
-        ];
-        let baseline = reference(&test, &system);
-        for config in configs {
-            let run = analyze_with(&test, &system, &config);
-            assert_eq!(
-                run.analysis.verdict, baseline.analysis.verdict,
-                "{config:?}"
-            );
-            assert!(run.stats.pruned_product <= run.stats.candidate_product);
-        }
-        // Pruning actually fires: the duplicate-offset candidates collapse
-        // and the burst anchor (both deadline-6 parts at the window start)
-        // additionally dominates the lone deadline-12 anchor.
-        let pruned = analyze(&test, &system);
-        assert_eq!(pruned.stats.candidate_product, 6);
-        assert_eq!(pruned.stats.pruned_product, 2);
     }
 
     #[test]

@@ -54,7 +54,9 @@
 //! re-preparation, parallel early-exit sweep),
 //! [`event_stream_analysis`] keeps the compatibility surface of the former
 //! bespoke event-stream loop, and [`exhaustive`] provides a naive
-//! reference oracle for validation.
+//! reference oracle for validation.  The plain loops the refinement
+//! engine is tested against live in the dev-only `edf-oracle` crate, not
+//! in this one.
 //!
 //! # Quick start
 //!

@@ -11,8 +11,8 @@
 //! exact.  The PR 6 profile showed that this *bookkeeping* — not demand
 //! evaluation — dominates the exact suite's wall clock, so the engine
 //! restructures it three ways while keeping every observable output
-//! **bit-identical** to the retained [`mod@reference`] implementation
-//! (verdict, overload witness and iteration counts, pinned by the
+//! **bit-identical** to the plain loops of the dev-only `edf-oracle`
+//! crate (verdict, overload witness and iteration counts, pinned by the
 //! `refine_equivalence` proptests):
 //!
 //! 1. **Incremental comparison aggregates.**  The running `Σ dbf(Imⱼ)` of
@@ -31,8 +31,9 @@
 //! 3. **Batched withdrawal passes.**  The dynamic-error level-raise scan
 //!    runs over the engine's compact live-term list instead of all
 //!    component states, collects the whole pass, and then applies it in
-//!    ascending component order (reproducing the reference's interleaved
-//!    loop bit for bit) with one `component_demand` gather per withdrawal.
+//!    ascending component order (reproducing the plain loop's scan over
+//!    every component bit for bit) with one `component_demand` gather per
+//!    withdrawal.
 //!
 //! # Soundness of the screened comparison
 //!
@@ -85,9 +86,9 @@
 //! comparison.
 //!
 //! One documented corner keeps the screen from being *literally* the
-//! reference decision procedure: [`fracs_parts_le_integer_iter`]'s exact
+//! plain decision procedure: [`fracs_parts_le_integer_iter`]'s exact
 //! accumulator can overflow `u128` when the live terms' periods are
-//! coprime with a product beyond `2¹²⁸`, in which case the reference
+//! coprime with a product beyond `2¹²⁸`, in which case the exact walk
 //! answers conservatively (`false` unless the value is at least `1e-6`
 //! below the slack).  A screen answer of `Some(true)` in that corner
 //! would diverge.  Reaching it needs both the astronomical periods *and*
@@ -211,9 +212,10 @@ impl<'a> Engine<'a> {
         self.states[idx].examined_demand = examined;
     }
 
-    /// The screened `demand ≤ capacity` comparison — the decision
-    /// `approx_demand_within` makes, restructured around the incremental
-    /// aggregates (see the module docs for the bit-identity argument).
+    /// The screened `demand ≤ capacity` comparison of Def. 5 (the exact
+    /// part plus every live term's line, decided in exact rational
+    /// arithmetic), restructured around the incremental aggregates (see
+    /// the module docs for the bit-identity argument).
     fn demand_within(&self, interval: Time) -> bool {
         #[cfg(debug_assertions)]
         for term in self.terms.iter() {
@@ -331,7 +333,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Number of jobs of component `idx` with deadlines inside
-    /// `interval` — the reference's `jobs_within` through the cached
+    /// `interval` — `⌊(interval − D')/T⌋ + 1` through the cached
     /// reciprocal.
     fn jobs_within(&self, idx: usize, interval: Time) -> u64 {
         let first = self.components[idx].first_deadline();
@@ -368,7 +370,7 @@ impl<'a> Engine<'a> {
     /// live term whose component would not be approximated at the new
     /// `level`, then applies the withdrawals in ascending component order
     /// (one `component_demand` gather each) — the same set, in the same
-    /// order, as the reference's scan over all states.  Returns whether
+    /// order, as a scan over all component states.  Returns whether
     /// anything was withdrawn.
     fn withdraw_below_level(&mut self, level: u64, interval: Time) -> bool {
         self.withdrawn.clear();
@@ -396,9 +398,9 @@ impl<'a> Engine<'a> {
     /// live-term list instead of every component state.  Every comparator
     /// is a unique total order over the candidates (the approximation
     /// sequence number breaks all ties), so the pick is independent of
-    /// the scan order and identical to the reference's ascending-index
-    /// scan.  `LargestError` evaluates each term's over-estimation
-    /// through its cached reciprocal instead of a `u128` division.
+    /// the scan order and identical to an ascending-index scan.
+    /// `LargestError` evaluates each term's over-estimation through its
+    /// cached reciprocal instead of a `u128` division.
     fn pick_revision(&self, test: &AllApproximatedTest, interval: Time) -> Option<usize> {
         let approximated = self.owners.iter().enumerate().filter_map(|(slot, &owner)| {
             let j = owner as usize;
@@ -441,9 +443,9 @@ impl<'a> Engine<'a> {
 /// The dynamic-error analysis loop (§4.1, Figure 5) on the shared
 /// engine, examining the deadlines up to `horizon`.  The caller has
 /// already answered the empty and `U > 1` workloads:
-/// [`DynamicErrorTest`] passes the analysis horizon (bit-identical to
-/// [`reference::dynamic_error`]), [`SuperpositionTest`] passes `Time::MAX`
-/// with its level capped, which stops the frontier by itself.
+/// [`DynamicErrorTest`] passes the analysis horizon, [`SuperpositionTest`]
+/// passes `Time::MAX` with its level capped, which stops the frontier by
+/// itself.
 ///
 /// [`SuperpositionTest`]: crate::tests::SuperpositionTest
 pub(crate) fn dynamic_error(
@@ -546,8 +548,7 @@ pub(crate) fn dynamic_error(
 
 /// The all-approximated analysis loop (§4.2, Figure 7) on the shared
 /// engine — called by
-/// [`AllApproximatedTest::analyze_demand`](crate::analysis::FeasibilityTest::analyze_demand);
-/// bit-identical to [`reference::all_approximated`].
+/// [`AllApproximatedTest::analyze_demand`](crate::analysis::FeasibilityTest::analyze_demand).
 pub(crate) fn all_approximated(
     test: &AllApproximatedTest,
     workload: &PreparedWorkload,
@@ -631,430 +632,13 @@ pub(crate) fn all_approximated(
     analysis
 }
 
-pub mod reference {
-    //! The retained pre-engine implementations of the two refining
-    //! tests — the `BinaryHeap` pending queue, the per-comparison
-    //! [`approx_demand_within`] base re-summation and the per-state
-    //! withdrawal scans, moved here verbatim.  The `refine_equivalence`
-    //! proptests pin the engine's verdicts, overload witnesses and
-    //! iteration counts against these functions bit for bit.
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use edf_model::Time;
-
-    use crate::analysis::{Analysis, DemandOverload, IterationCounter, Verdict};
-    use crate::kernel::{AnalysisScratch, RefinementState};
-    use crate::superposition::{approx_demand_within, approximation_error_component, ApproxTerm};
-    use crate::tests::{AllApproximatedTest, DynamicErrorTest, RevisionOrder};
-    use crate::workload::{DemandComponent, PreparedWorkload};
-
-    /// Number of jobs of `component` with deadlines inside an interval of
-    /// length `interval` — how many jobs a withdrawal up to `interval`
-    /// has examined exactly.
-    fn jobs_within(component: &DemandComponent, interval: Time) -> u64 {
-        if interval < component.first_deadline() {
-            return 0;
-        }
-        match component.period() {
-            None => 1,
-            Some(period) => (interval - component.first_deadline()).div_floor(period) + 1,
-        }
-    }
-
-    /// Swap-removes the approximation term of component `withdrawn`,
-    /// patching the `term_slot` of the component whose term was moved
-    /// into the gap.
-    fn remove_term(
-        terms: &mut Vec<ApproxTerm>,
-        owners: &mut Vec<u32>,
-        states: &mut [RefinementState],
-        withdrawn: usize,
-    ) {
-        let slot = states[withdrawn].term_slot as usize;
-        terms.swap_remove(slot);
-        owners.swap_remove(slot);
-        if slot < terms.len() {
-            states[owners[slot] as usize].term_slot = slot as u32;
-        }
-    }
-
-    /// Picks the approximated component whose approximation is withdrawn
-    /// next, or `None` when every approximated component has already
-    /// been refined up to the configured level limit.
-    fn pick_revision(
-        test: &AllApproximatedTest,
-        components: &[DemandComponent],
-        states: &[RefinementState],
-        interval: Time,
-    ) -> Option<usize> {
-        let approximated = states.iter().enumerate().filter_map(|(j, s)| {
-            if let Some(limit) = test.max_level {
-                if s.examined_jobs >= limit {
-                    return None;
-                }
-            }
-            s.approximated_from.map(|im| (j, im, s.approx_seq))
-        });
-        match test.revision_order {
-            RevisionOrder::Fifo => approximated
-                .min_by_key(|&(_, _, seq)| seq)
-                .map(|(j, _, _)| j),
-            RevisionOrder::LargestError => approximated
-                .max_by_key(|&(j, im, seq)| {
-                    (
-                        approximation_error_component(&components[j], im, interval),
-                        u64::MAX - seq,
-                    )
-                })
-                .map(|(j, _, _)| j),
-            RevisionOrder::LargestUtilization => approximated
-                .max_by(|&(a, _, sa), &(b, _, sb)| {
-                    components[a]
-                        .utilization()
-                        .partial_cmp(&components[b].utilization())
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                        .then(sb.cmp(&sa))
-                })
-                .map(|(j, _, _)| j),
-        }
-    }
-
-    /// The pre-engine dynamic-error analysis loop (§4.1, Figure 5).
-    pub fn dynamic_error(
-        test: &DynamicErrorTest,
-        workload: &PreparedWorkload,
-        scratch: &mut AnalysisScratch,
-    ) -> Analysis {
-        if workload.is_empty() {
-            return Analysis::trivial(Verdict::Feasible);
-        }
-        if workload.utilization_exceeds_one() {
-            return Analysis::trivial(Verdict::Infeasible);
-        }
-        let Some(horizon) = workload.analysis_horizon() else {
-            return Analysis::trivial(Verdict::Unknown);
-        };
-        let components = workload.components();
-
-        let mut level = test.initial_level;
-        let mut counter = IterationCounter::new();
-        // The state vector and the approximation terms come from the
-        // scratch; the pending-interval heap is local.  As in the
-        // all-approximated test, the exact part and the term list are
-        // maintained incrementally instead of being rebuilt per
-        // comparison.
-        let states = &mut scratch.refine;
-        states.clear();
-        states.resize(components.len(), RefinementState::default());
-        let mut pending: BinaryHeap<Reverse<(Time, usize)>> = components
-            .iter()
-            .enumerate()
-            .filter(|(_, component)| component.first_deadline() <= horizon)
-            .map(|(idx, component)| Reverse((component.first_deadline(), idx)))
-            .collect();
-        let approx_terms = &mut scratch.approx_terms;
-        approx_terms.clear();
-        let term_owner = &mut scratch.term_owner;
-        term_owner.clear();
-        let withdrawn = &mut scratch.withdrawn;
-        withdrawn.clear();
-        // Running Σ examined_demand over the unapproximated components
-        // (exact in u128, clamped to `Time` range at each comparison —
-        // bit-identical to the former saturating fold).
-        let mut exact_sum: u128 = 0;
-
-        while let Some(Reverse((interval, idx))) = pending.pop() {
-            // The popped interval is an exact deadline of component `idx`
-            // (which is never approximated while it has a pending entry).
-            debug_assert!(states[idx].approximated_from.is_none());
-            let examined = states[idx]
-                .examined_demand
-                .saturating_add(components[idx].wcet());
-            exact_sum += u128::from((examined - states[idx].examined_demand).as_u64());
-            states[idx].examined_demand = examined;
-
-            // Compare the approximated demand against the capacity;
-            // refine (raise the level, withdraw approximations) until it
-            // fits or no approximation is left.
-            loop {
-                counter.record(interval);
-                let exact_part = Time::new(exact_sum.min(u128::from(u64::MAX)) as u64);
-                if approx_demand_within(exact_part, approx_terms, interval) {
-                    break;
-                }
-                if approx_terms.is_empty() {
-                    // Fully exact comparison failed: genuine overload.
-                    let demand = workload.dbf(interval);
-                    return counter.finish(
-                        Verdict::Infeasible,
-                        Some(DemandOverload { interval, demand }),
-                    );
-                }
-                // Raise the level until at least one approximation can be
-                // withdrawn for this interval.
-                let mut revised_any = false;
-                while !revised_any {
-                    let next_level = test.growth.next(level);
-                    if let Some(limit) = test.max_level {
-                        if next_level > limit && level >= limit {
-                            return counter.finish(Verdict::Unknown, None);
-                        }
-                        level = next_level.min(limit);
-                    } else {
-                        level = next_level;
-                    }
-                    // Withdraw the approximation of components that would
-                    // not be approximated at `im` under the new level.
-                    // Collect the whole pass first, then evaluate every
-                    // withdrawn component's exact demand as one batch of
-                    // kernel column gathers; applying in ascending `j`
-                    // preserves the former interleaved loop's heap
-                    // insertion and term-removal order exactly.
-                    withdrawn.clear();
-                    withdrawn.extend((0..states.len()).filter_map(|j| {
-                        let im = states[j].approximated_from?;
-                        (components[j].max_test_interval(level) > im).then_some(j as u32)
-                    }));
-                    for &j in withdrawn.iter() {
-                        let j = j as usize;
-                        remove_term(approx_terms, term_owner, states, j);
-                        states[j].approximated_from = None;
-                        states[j].examined_demand = workload.component_demand(j, interval);
-                        exact_sum += u128::from(states[j].examined_demand.as_u64());
-                        if let Some(next) = components[j].next_deadline_after(interval) {
-                            if next <= horizon {
-                                pending.push(Reverse((next, j)));
-                            }
-                        }
-                        revised_any = true;
-                    }
-                    if level == u64::MAX {
-                        // Cannot grow further; every border has saturated.
-                        break;
-                    }
-                }
-                if !revised_any {
-                    // No approximation could be withdrawn even at the
-                    // maximum representable level; treat the (over-)
-                    // approximated failure as inconclusive.
-                    return counter.finish(Verdict::Unknown, None);
-                }
-            }
-
-            // Decide how component `idx` continues: exactly (next
-            // deadline) while below its test border, approximated from
-            // here on otherwise.  One-shot components have no future
-            // demand — they simply stay in the exact part.
-            if components[idx].period().is_none() {
-                continue;
-            }
-            let border = components[idx].max_test_interval(level);
-            if interval < border {
-                if let Some(next) = components[idx].next_deadline_after(interval) {
-                    if next <= horizon {
-                        pending.push(Reverse((next, idx)));
-                    }
-                }
-            } else {
-                states[idx].approximated_from = Some(interval);
-                states[idx].term_slot = approx_terms.len() as u32;
-                approx_terms.push(ApproxTerm::for_component(
-                    &components[idx],
-                    interval,
-                    states[idx].examined_demand,
-                ));
-                term_owner.push(idx as u32);
-                exact_sum -= u128::from(states[idx].examined_demand.as_u64());
-            }
-        }
-
-        counter.finish(Verdict::Feasible, None)
-    }
-
-    /// The pre-engine all-approximated analysis loop (§4.2, Figure 7).
-    pub fn all_approximated(
-        test: &AllApproximatedTest,
-        workload: &PreparedWorkload,
-        scratch: &mut AnalysisScratch,
-    ) -> Analysis {
-        if workload.is_empty() {
-            return Analysis::trivial(Verdict::Feasible);
-        }
-        if workload.utilization_exceeds_one() {
-            return Analysis::trivial(Verdict::Infeasible);
-        }
-        let Some(horizon) = workload.analysis_horizon() else {
-            return Analysis::trivial(Verdict::Unknown);
-        };
-        let components = workload.components();
-
-        let mut counter = IterationCounter::new();
-        // The state vector and the approximation terms come from the
-        // scratch (see [`AnalysisScratch`]); the pending-interval heap is
-        // local.  The exact part and the
-        // approximation-term list are maintained *incrementally* across
-        // comparisons — a comparison costs one pass over the live terms,
-        // not a rebuild of the whole state vector.
-        let states = &mut scratch.refine;
-        states.clear();
-        states.resize(components.len(), RefinementState::default());
-        let mut approx_seq: u64 = 0;
-        let mut pending: BinaryHeap<Reverse<(Time, usize)>> = components
-            .iter()
-            .enumerate()
-            .filter(|(_, component)| component.first_deadline() <= horizon)
-            .map(|(idx, component)| Reverse((component.first_deadline(), idx)))
-            .collect();
-        let approx_terms = &mut scratch.approx_terms;
-        approx_terms.clear();
-        let term_owner = &mut scratch.term_owner;
-        term_owner.clear();
-        // Running Σ examined_demand over the *unapproximated* components,
-        // tracked exactly in u128 (clamping to `Time` range only at the
-        // comparison, which reproduces the former saturating fold bit for
-        // bit).
-        let mut exact_sum: u128 = 0;
-
-        while let Some(Reverse((interval, idx))) = pending.pop() {
-            // Popped components are never approximated: approximation
-            // happens right after a component's own interval is examined
-            // (without scheduling a next one), and only a withdrawal —
-            // which also clears the approximation — re-enters it into
-            // `pending`.
-            debug_assert!(states[idx].approximated_from.is_none());
-            let examined = states[idx]
-                .examined_demand
-                .saturating_add(components[idx].wcet());
-            exact_sum += u128::from((examined - states[idx].examined_demand).as_u64());
-            states[idx].examined_demand = examined;
-            states[idx].examined_jobs += 1;
-
-            loop {
-                counter.record(interval);
-                let exact_part = Time::new(exact_sum.min(u128::from(u64::MAX)) as u64);
-                if approx_demand_within(exact_part, approx_terms, interval) {
-                    break;
-                }
-                if approx_terms.is_empty() {
-                    return counter.finish(
-                        Verdict::Infeasible,
-                        Some(DemandOverload {
-                            interval,
-                            demand: workload.dbf(interval),
-                        }),
-                    );
-                }
-                // Withdraw one approximation according to the configured
-                // revision order; components refined up to the level
-                // limit are no longer candidates.
-                let Some(revise) = pick_revision(test, components, states, interval) else {
-                    // Every remaining approximation is beyond the limit —
-                    // its over-estimation is within the target error, so
-                    // the failure is inconclusive (see `with_max_level`).
-                    return counter.finish(Verdict::Unknown, None);
-                };
-                remove_term(approx_terms, term_owner, states, revise);
-                states[revise].approximated_from = None;
-                // Re-evaluating the withdrawn component's exact demand is
-                // a kernel column gather (reciprocal multiply, no
-                // hardware division) on the kernel path.
-                states[revise].examined_demand = workload.component_demand(revise, interval);
-                states[revise].examined_jobs = jobs_within(&components[revise], interval);
-                exact_sum += u128::from(states[revise].examined_demand.as_u64());
-                if let Some(next) = components[revise].next_deadline_after(interval) {
-                    if next <= horizon {
-                        pending.push(Reverse((next, revise)));
-                    }
-                }
-            }
-
-            // The examined component is (re-)approximated from this
-            // interval on.  One-shot components have no future demand, so
-            // they stay in the exact part instead.
-            if components[idx].period().is_some() {
-                states[idx].approximated_from = Some(interval);
-                states[idx].approx_seq = approx_seq;
-                approx_seq += 1;
-                states[idx].term_slot = approx_terms.len() as u32;
-                approx_terms.push(ApproxTerm::for_component(
-                    &components[idx],
-                    interval,
-                    states[idx].examined_demand,
-                ));
-                term_owner.push(idx as u32);
-                exact_sum -= u128::from(states[idx].examined_demand.as_u64());
-            }
-        }
-
-        counter.finish(Verdict::Feasible, None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::FeasibilityTest;
-    use crate::tests::LevelGrowth;
     use edf_model::{Task, TaskSet};
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
-    }
-
-    fn sample_sets() -> Vec<TaskSet> {
-        vec![
-            TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]),
-            TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]),
-            TaskSet::from_tasks(vec![t(2, 2, 6), t(2, 4, 8), t(1, 7, 12)]),
-            TaskSet::from_tasks(vec![t(5, 6, 20), t(7, 11, 25), t(4, 9, 35)]),
-            TaskSet::from_tasks(vec![t(1, 2, 2), t(2, 4, 4)]),
-            TaskSet::from_tasks(vec![t(5, 3, 10)]),
-            TaskSet::from_tasks(vec![t(1, 1, 4), t(1, 2, 4), t(1, 3, 4), t(1, 4, 4)]),
-            TaskSet::from_tasks(vec![t(1, 5, 5), t(2, 10, 10), t(30, 200, 200)]),
-            TaskSet::new(),
-        ]
-    }
-
-    #[test]
-    fn dynamic_error_engine_matches_reference_on_hand_picked_sets() {
-        let tests = [
-            DynamicErrorTest::new(),
-            DynamicErrorTest::new().with_growth(LevelGrowth::Increment),
-            DynamicErrorTest::new().with_initial_level(3),
-            DynamicErrorTest::new().with_max_level(2),
-            DynamicErrorTest::from_target_error(0.25),
-        ];
-        for ts in sample_sets() {
-            let prepared = PreparedWorkload::new(&ts);
-            for test in &tests {
-                let mut scratch = AnalysisScratch::new();
-                let engine = test.analyze_demand(&prepared, &mut scratch);
-                let reference = reference::dynamic_error(test, &prepared, &mut scratch);
-                assert_eq!(engine, reference, "{test:?} on {ts}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_approximated_engine_matches_reference_on_hand_picked_sets() {
-        let tests = [
-            AllApproximatedTest::new(),
-            AllApproximatedTest::with_revision_order(RevisionOrder::LargestError),
-            AllApproximatedTest::with_revision_order(RevisionOrder::LargestUtilization),
-            AllApproximatedTest::new().with_max_level(2),
-            AllApproximatedTest::from_target_error(0.5),
-        ];
-        for ts in sample_sets() {
-            let prepared = PreparedWorkload::new(&ts);
-            for test in &tests {
-                let mut scratch = AnalysisScratch::new();
-                let engine = all_approximated(test, &prepared, &mut scratch);
-                let reference = reference::all_approximated(test, &prepared, &mut scratch);
-                assert_eq!(engine, reference, "{test:?} on {ts}");
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! [`ScaledView`] per search re-costs the components through one
 //! [`EditView`](crate::incremental::EditView) and refreshes the derived
 //! state at finalize, instead of re-preparing the workload ~14 times per
-//! search (the [`mod@reference`] submodule keeps the from-scratch variants
-//! for validation and benchmarking).  Every entry point is workload-generic —
+//! search.  The `incremental_equivalence` proptests pin each probe
+//! against a cold preparation and each search result as tight: the
+//! breakdown scaling and the slack are accepted on a cold preparation and
+//! one step more is not.  Every entry point is workload-generic —
 //! event streams, arrival curves and mixed systems probe exactly like task
 //! sets, because the searches act on the component decomposition.
 //!
@@ -128,11 +130,9 @@ pub fn breakdown_scaling_prepared(
     breakdown_with_view(&mut view, test, &mut AnalysisScratch::new())
 }
 
-/// The breakdown probe schedule (doubling to an upper bound, then binary
-/// search over per-mille numerators), shared by the incremental path and
-/// the [`mod@reference`] baseline so both run **identical** probe
-/// sequences — the property the benchmark comparison and the equivalence
-/// proptests rely on.  Returns the last accepted numerator.
+/// The breakdown probe schedule: doubling to an upper bound (capped at
+/// 16×, which is never probed), then binary search over per-mille
+/// numerators.  Returns the last accepted numerator.
 fn breakdown_search(mut accepts: impl FnMut(u64) -> bool) -> Option<u64> {
     if !accepts(SCALE_DENOMINATOR) {
         return None;
@@ -159,8 +159,7 @@ fn breakdown_search(mut accepts: impl FnMut(u64) -> bool) -> Option<u64> {
 }
 
 /// The binary search for the largest accepted extra cost in
-/// `[0, headroom]`, shared by the incremental and [`mod@reference`] slack
-/// searches (identical probe sequences, see [`breakdown_search`]).
+/// `[0, headroom]`.
 fn slack_search(headroom: u64, mut accepts: impl FnMut(u64) -> bool) -> u64 {
     let (mut lo, mut hi) = (0u64, headroom);
     while lo < hi {
@@ -428,91 +427,11 @@ pub fn sensitivity_sweep<W: Workload + Sync>(
     parallel_map(workloads, |workload| sensitivity_report(workload, test))
 }
 
-pub mod reference {
-    //! From-scratch reference implementations of the sensitivity searches.
-    //!
-    //! These reproduce the pre-incremental behaviour faithfully: the
-    //! workload is re-prepared at every probe, so each probe folds its
-    //! components and derives its analysis horizon from scratch.
-    //! They exist for two reasons: the property tests prove the
-    //! incremental searches **bit-identical** to them
-    //! (`crates/core/tests/incremental_equivalence.rs`), and the
-    //! `sensitivity` benchmark measures the incremental engine
-    //! against them.  Use the functions of [`the parent
-    //! module`](crate::sensitivity) for real work.
-
-    use super::{
-        breakdown_search, component_headroom, slack_search, BreakdownScaling, DemandComponent,
-        FeasibilityTest, PreparedWorkload, Time, Workload, SCALE_DENOMINATOR,
-    };
-
-    /// [`breakdown_scaling_workload`](super::breakdown_scaling_workload),
-    /// re-preparing the scaled workload at every probe.
-    #[must_use]
-    pub fn breakdown_scaling_workload(
-        workload: &(impl Workload + ?Sized),
-        test: &dyn FeasibilityTest,
-    ) -> Option<BreakdownScaling> {
-        let base = PreparedWorkload::new(workload);
-        if base.is_empty() {
-            return None;
-        }
-        let mut probes = 0u32;
-        let lo = breakdown_search(|numer| {
-            probes += 1;
-            test.analyze_prepared(&base.with_scaled_wcets(numer, SCALE_DENOMINATOR))
-                .verdict
-                .is_feasible()
-        })?;
-        Some(BreakdownScaling {
-            factor: lo as f64 / SCALE_DENOMINATOR as f64,
-            utilization_at_breakdown: base.with_scaled_wcets(lo, SCALE_DENOMINATOR).utilization(),
-            probes,
-        })
-    }
-
-    /// [`wcet_slack_workload`](super::wcet_slack_workload), rebuilding and
-    /// re-preparing the perturbed component list at every probe.
-    #[must_use]
-    pub fn wcet_slack_workload(
-        workload: &(impl Workload + ?Sized),
-        component_index: usize,
-        test: &dyn FeasibilityTest,
-    ) -> Option<Time> {
-        let base = PreparedWorkload::new(workload);
-        let component = *base.components().get(component_index)?;
-        if !test.analyze_prepared(&base).verdict.is_feasible() {
-            return None;
-        }
-        let headroom = component_headroom(&component);
-        if headroom.is_zero() {
-            return Some(Time::ZERO);
-        }
-        let probe = |extra: Time| -> PreparedWorkload {
-            let mut components: Vec<DemandComponent> = base.components().to_vec();
-            components[component_index].set_wcet(component.clamp_wcet(component.wcet() + extra));
-            PreparedWorkload::from_parts(
-                components,
-                base.task_count(),
-                base.demand_is_exact(),
-                base.utilization_is_exact(),
-            )
-        };
-        let slack = slack_search(headroom.as_u64(), |extra| {
-            test.analyze_prepared(&probe(Time::new(extra)))
-                .verdict
-                .is_feasible()
-        });
-        Some(Time::new(slack))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::ProcessorDemandTest;
-    use crate::workload::MixedSystem;
-    use edf_model::{EventStream, EventStreamTask, Task};
+    use edf_model::Task;
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
@@ -606,36 +525,6 @@ mod tests {
             wcet_slack(&ts, 0, &ProcessorDemandTest::new()),
             Some(Time::ZERO)
         );
-    }
-
-    fn mixed_sample() -> MixedSystem {
-        MixedSystem::new(
-            TaskSet::from_tasks(vec![t(1, 5, 20)]),
-            vec![EventStreamTask::new(
-                EventStream::bursty(2, Time::new(3), Time::new(50)),
-                Time::new(2),
-                Time::new(10),
-            )
-            .expect("valid stream task")],
-        )
-    }
-
-    #[test]
-    fn incremental_searches_match_reference_implementations() {
-        let system = mixed_sample();
-        let test = AllApproximatedTest::new();
-        assert_eq!(
-            breakdown_scaling_workload(&system, &test),
-            reference::breakdown_scaling_workload(&system, &test)
-        );
-        let components = PreparedWorkload::new(&system).components().len();
-        for index in 0..components {
-            assert_eq!(
-                wcet_slack_workload(&system, index, &test),
-                reference::wcet_slack_workload(&system, index, &test),
-                "component {index}"
-            );
-        }
     }
 
     #[test]

@@ -12,33 +12,21 @@
 //!            = dbf(Im, τ) + C·(I − Im)/T            for I > Im(τ)
 //! ```
 //!
-//! An [`ApproxTerm`] is one such line, and [`approx_demand_within`] is the
-//! comparison of Def. 5, evaluating the real-valued superposition in exact
-//! rational arithmetic.  The tests of the superposition family —
+//! An [`ApproxTerm`] is one such line.  Def. 5 compares the real-valued
+//! superposition of the lines and the exact part against the capacity in
+//! exact rational arithmetic.  The tests of the superposition family —
 //! `SuperPos(x)`, the dynamic-error and the all-approximated test — all
 //! run on the shared engine of [`crate::refine`], which keeps the terms
-//! and their sums incrementally.  Where an integer value of the linear
-//! part is needed (the `LargestError` revision order, Lemma 6's
-//! over-estimation [`approximation_error_component`]), it is rounded up,
-//! `⌈C·(I − Im)/T⌉`, which keeps `dbf'` an over-approximation of `dbf`.
+//! and their sums incrementally and makes that comparison from them.
+//! Where an integer value of the linear part is needed (the
+//! `LargestError` revision order, Lemma 6's over-estimation), it is
+//! rounded up, `⌈C·(I − Im)/T⌉`, which keeps `dbf'` an over-approximation
+//! of `dbf`.
 
 use edf_model::Time;
 
-use crate::arith::{ceil_div_u128, fracs_parts_le_integer_iter, Reciprocal};
+use crate::arith::Reciprocal;
 use crate::workload::DemandComponent;
-
-/// `⌈num / period⌉` with a hardware-division fast path for numerators that
-/// fit `u64` (virtually all of them: `C·δ` overflows `u64` only for
-/// astronomically large cost × interval products).  The generic
-/// [`ceil_div_u128`] lowers to a software `__udivti3` call.
-#[inline]
-fn ceil_linear_div(num: u128, period: u64) -> u128 {
-    if let Ok(n64) = u64::try_from(num) {
-        u128::from(n64.div_ceil(period))
-    } else {
-        ceil_div_u128(num, u128::from(period))
-    }
-}
 
 /// The smallest approximation level whose relative demand error is bounded
 /// by `epsilon` — the §4 discussion's target-error knob.
@@ -195,85 +183,10 @@ impl ApproxTerm {
     }
 }
 
-/// Exactly decides whether the approximated demand
-/// `exact_demand + Σⱼ [dbf(Imⱼ, τⱼ) + Cⱼ·(I − Imⱼ)/Tⱼ]` stays within the
-/// capacity `interval`, evaluating the real-valued linear terms with exact
-/// rational arithmetic (no ceiling pessimism).
-///
-/// This is the comparison of every test interval of the superposition
-/// family; the engine of [`crate::refine`] makes the same decision from
-/// its incremental sums, and [`crate::refine::reference`] calls this
-/// form.  Returns `true` when the demand is certainly within the
-/// capacity.  In the
-/// (astronomically rare) case where even the remainder-based rational
-/// comparison overflows, the answer degrades conservatively to `false`,
-/// which at worst triggers one extra refinement — never a wrong verdict.
-#[must_use]
-pub fn approx_demand_within(
-    exact_demand: Time,
-    approx_terms: &[ApproxTerm],
-    interval: Time,
-) -> bool {
-    let mut base = exact_demand.as_u128();
-    for term in approx_terms {
-        debug_assert!(
-            interval >= term.im,
-            "approximation queried before its start"
-        );
-        base += term.dbf_at_im.as_u128();
-    }
-    let capacity = interval.as_u128();
-    if base > capacity {
-        return false;
-    }
-    // The linear parts go straight into the allocation-free, pre-divided
-    // iterator form of the comparison (this runs once per examined test
-    // interval of the refining tests — the hottest rational comparison in
-    // the crate — and every division runs through the terms' precomputed
-    // period reciprocals).
-    fracs_parts_le_integer_iter(
-        approx_terms
-            .iter()
-            .filter_map(|term| term.linear_parts(interval)),
-        capacity - base,
-    )
-}
-
-/// The over-estimation `app(I, τ)` of Lemma 6 in the ceiling-division
-/// variant: the amount by which the approximated contribution of
-/// `component` (started at `im`) exceeds its exact demand at `interval`.
-/// Revising an approximation subtracts exactly this amount from the
-/// approximated total demand.  Zero for one-shot components: their demand
-/// never grows past `im`, so the linear approximation with slope 0 is
-/// exact.
-#[must_use]
-pub fn approximation_error_component(
-    component: &DemandComponent,
-    im: Time,
-    interval: Time,
-) -> Time {
-    let Some(period) = component.period() else {
-        return Time::ZERO;
-    };
-    let delta = interval.saturating_sub(im);
-    let linear = if delta.is_zero() {
-        Time::ZERO
-    } else {
-        let value = ceil_linear_div(
-            component.wcet().as_u128() * delta.as_u128(),
-            period.as_u64(),
-        );
-        Time::new(value.min(u128::from(u64::MAX)) as u64)
-    };
-    component
-        .dbf(im)
-        .saturating_add(linear)
-        .saturating_sub(component.dbf(interval))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::ceil_div_u128;
 
     fn c(wcet: u64, deadline: u64, period: u64) -> DemandComponent {
         DemandComponent::periodic(Time::new(wcet), Time::new(deadline), Time::new(period))
@@ -414,35 +327,25 @@ mod tests {
 
     #[test]
     fn set_approx_is_superposition_of_tasks() {
-        // Def. 5: the comparison over a whole set decides the sum of the
-        // per-component Def. 4 lines, exactly (scaled by lcm(T) = 60, the
-        // real-valued sum is an integer).  The integer form of each line
-        // rounds up by less than one unit.
+        // Def. 5 sums the per-component Def. 4 lines (scaled by
+        // lcm(T) = 60, the real-valued sum is an integer).  The integer
+        // form of each line rounds up by less than one unit.
         let set = [c(1, 3, 6), c(2, 5, 10), c(3, 12, 20)];
         let level = 2;
         for i in 0..150u64 {
             let interval = Time::new(i);
-            let mut exact = Time::ZERO;
-            let mut terms = Vec::new();
             let (mut real_60, mut integer) = (0u64, 0u64);
             for component in &set {
                 let im = component.max_test_interval(level);
                 integer += dbf_approx(component, level, interval).as_u64();
                 if interval <= im {
-                    exact += component.dbf(interval);
                     real_60 += 60 * component.dbf(interval).as_u64();
                 } else {
-                    terms.push(ApproxTerm::for_component(component, im, component.dbf(im)));
                     let period = component.period().expect("periodic").as_u64();
                     real_60 += 60 * component.dbf(im).as_u64()
                         + component.wcet().as_u64() * (i - im.as_u64()) * (60 / period);
                 }
             }
-            assert_eq!(
-                approx_demand_within(exact, &terms, interval),
-                real_60 <= 60 * i,
-                "I = {i}"
-            );
             assert!(
                 60 * integer >= real_60 && 60 * integer < real_60 + 60 * 3,
                 "I = {i}"
@@ -458,76 +361,6 @@ mod tests {
         assert_eq!(term.ceil_linear(im), Time::ZERO);
         assert_eq!(term.linear_parts(im), None);
         assert_eq!(dbf_approx(&tau, 2, im), tau.dbf(im));
-    }
-
-    #[test]
-    fn approximation_error_zero_at_start_and_nonnegative() {
-        let tau = c(3, 5, 12);
-        let im = tau.max_test_interval(2);
-        assert_eq!(approximation_error_component(&tau, im, im), Time::ZERO);
-        for i in im.as_u64()..im.as_u64() + 100 {
-            let i = Time::new(i);
-            let err = approximation_error_component(&tau, im, i);
-            assert_eq!(err, dbf_approx(&tau, 2, i) - tau.dbf(i), "I = {i}");
-            assert!(err <= tau.wcet());
-        }
-        let one_shot = DemandComponent::one_shot(Time::new(3), Time::new(5), Time::ZERO);
-        assert_eq!(
-            approximation_error_component(&one_shot, Time::new(5), Time::new(90)),
-            Time::ZERO
-        );
-    }
-
-    #[test]
-    fn approx_demand_within_matches_real_valued_superposition() {
-        // τ = (3, 5, 12) approximated from its first deadline (Im = 5):
-        // real-valued dbf'(I) = 3 + 3·(I − 5)/12.
-        let term = ApproxTerm::for_component(&c(3, 5, 12), Time::new(5), Time::new(3));
-        for i in 5..200u64 {
-            let real = 3.0 + 3.0 * (i as f64 - 5.0) / 12.0;
-            let within = approx_demand_within(Time::ZERO, &[term], Time::new(i));
-            assert_eq!(within, real <= i as f64, "I = {i}");
-        }
-    }
-
-    #[test]
-    fn approx_demand_within_includes_exact_part() {
-        let term = ApproxTerm::for_component(&c(2, 4, 10), Time::new(4), Time::new(2));
-        // Demand at I = 12 is exact + dbf(4) + 2*(12-4)/10 = exact + 3.6.
-        assert!(approx_demand_within(Time::new(8), &[term], Time::new(12)));
-        assert!(!approx_demand_within(Time::new(9), &[term], Time::new(12)));
-        // No approximated tasks at all: plain integer comparison.
-        assert!(approx_demand_within(Time::new(12), &[], Time::new(12)));
-        assert!(!approx_demand_within(Time::new(13), &[], Time::new(12)));
-    }
-
-    #[test]
-    fn ceil_linear_div_matches_wide_ceiling_at_the_u64_boundary() {
-        // The hardware fast path and the u128 software path must agree on
-        // either side of the numerator-fits-u64 boundary.
-        let boundary = u128::from(u64::MAX);
-        for period in [1u64, 2, 3, 7, 10, 1 << 20, u64::MAX] {
-            let mut numerators = vec![
-                0,
-                1,
-                u128::from(period),
-                u128::from(period) + 1,
-                boundary - 1,
-                boundary,
-                boundary + 1,
-                boundary + u128::from(period),
-                boundary * u128::from(period.max(2)),
-                u128::MAX,
-            ];
-            numerators.push(boundary / u128::from(period) * u128::from(period));
-            for num in numerators {
-                assert_eq!(
-                    ceil_linear_div(num, period),
-                    ceil_div_u128(num, u128::from(period)),
-                    "num {num}, period {period}"
-                );
-            }
-        }
     }
 
     #[test]

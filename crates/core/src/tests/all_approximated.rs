@@ -148,7 +148,7 @@ impl FeasibilityTest for AllApproximatedTest {
         // The analysis loop lives in the shared refinement engine (flat
         // frontier queue, incremental comparison aggregates, live-term
         // revision scan); see [`crate::refine`] for the structure and the
-        // bit-identity argument against the retained reference loop.
+        // bit-identity argument against the plain loop of `edf-oracle`.
         crate::refine::all_approximated(self, workload, scratch)
     }
 }

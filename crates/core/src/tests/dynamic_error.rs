@@ -133,6 +133,18 @@ impl DynamicErrorTest {
             .with_max_level(crate::superposition::level_for_target_error(epsilon))
     }
 
+    /// The level the analysis starts at.
+    #[must_use]
+    pub fn initial_level(&self) -> u64 {
+        self.initial_level
+    }
+
+    /// The level growth strategy.
+    #[must_use]
+    pub fn growth(&self) -> LevelGrowth {
+        self.growth
+    }
+
     /// The configured maximum level, if any.
     #[must_use]
     pub fn max_level(&self) -> Option<u64> {
@@ -166,7 +178,7 @@ impl FeasibilityTest for DynamicErrorTest {
         // The analysis loop lives in the shared refinement engine (flat
         // frontier queue, incremental comparison aggregates, batched
         // withdrawals); see [`crate::refine`] for the structure and the
-        // bit-identity argument against the retained reference loop.
+        // bit-identity argument against the plain loop of `edf-oracle`.
         crate::refine::dynamic_error(self, workload, horizon, scratch)
     }
 }

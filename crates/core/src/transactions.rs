@@ -23,10 +23,9 @@
 //! [`candidate engine`](crate::candidates): dominance-pruned candidate
 //! sets, a density screen, Gray-code incremental re-preparation and a
 //! parallel early-exit sweep — see that module for how each layer stays
-//! verdict-preserving.  The naive re-preparing enumeration survives as
-//! [`crate::candidates::reference`], and [`exhaustive_transaction_check`]
-//! pushes every combination through the naive exhaustive demand sweep as
-//! an independent oracle.
+//! verdict-preserving.  [`exhaustive_transaction_check`] pushes every
+//! combination of the full product, in [`CombinationIter`] order, through
+//! the naive exhaustive demand sweep as an independent oracle.
 //!
 //! The plain [`Workload`] impl of [`TransactionSystem`] is the synchronous
 //! conservative over-approximation (offsets dropped); use it when even the
@@ -66,7 +65,7 @@ use core::fmt;
 use edf_model::{Time, Transaction, TransactionSystem};
 
 use crate::analysis::{Analysis, FeasibilityTest, Verdict};
-use crate::candidates::{self, advance_lex};
+use crate::candidates;
 use crate::exhaustive::exhaustive_check_workload;
 use crate::workload::{DemandComponent, PreparedWorkload, Workload};
 
@@ -180,12 +179,11 @@ pub fn candidate_workloads(
 /// Iterator over every candidate combination of a system in lexicographic
 /// order (the last transaction's candidate varies fastest).
 ///
-/// Backed by the allocation-free mixed-radix core of
-/// [`crate::candidates`]: the counter advances one digit in place, and the
-/// only allocation per step is the `Vec` this iterator must hand out by
-/// its signature.  The engine and the naive reference never materialize
-/// choice vectors at all; this type exists for callers that want to drive
-/// the enumeration themselves.
+/// The counter advances one digit in place, and the only allocation per
+/// step is the `Vec` this iterator must hand out by its signature.  The
+/// candidate engine walks its own Gray-code order and never materializes
+/// choice vectors; this type drives [`exhaustive_transaction_check`] and
+/// serves callers that want to drive the enumeration themselves.
 ///
 /// # Examples
 ///
@@ -243,6 +241,21 @@ impl Iterator for CombinationIter {
         self.done = !advance_lex(&mut self.current, &self.radices);
         Some(item)
     }
+}
+
+/// Advances `digits` to the lexicographic successor under `radices` (the
+/// **last** digit varies fastest, the [`CombinationIter`] order); returns
+/// `false` when `digits` was the last combination.
+fn advance_lex(digits: &mut [usize], radices: &[usize]) -> bool {
+    debug_assert_eq!(digits.len(), radices.len());
+    for (digit, &radix) in digits.iter_mut().zip(radices).rev() {
+        *digit += 1;
+        if *digit < radix {
+            return true;
+        }
+        *digit = 0;
+    }
+    false
 }
 
 /// Runs `test` on every candidate combination of `system` and combines the

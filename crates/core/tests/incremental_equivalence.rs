@@ -1,22 +1,25 @@
-//! Property tests of the incremental sensitivity engine's contract: every
-//! probe and every search through a [`ScaledView`] is **bit-identical** to
-//! the from-scratch path it replaces —
+//! Property tests of the incremental sensitivity engine's contract —
 //!
-//! * a view probe produces the same prepared state (components, exact
-//!   utilization comparison, §4.3 analysis horizon, deadline order) and the same
-//!   [`Analysis`] from every registered test as a cold re-preparation;
-//! * `breakdown_scaling_workload` and `wcet_slack_workload` equal their
-//!   naive [`sensitivity::reference`] implementations — across sporadic
-//!   task sets, event streams and mixed systems;
+//! * a [`ScaledView`] probe produces the same prepared state (components,
+//!   exact utilization comparison, §4.3 analysis horizon, deadline order)
+//!   and the same [`Analysis`] from every registered test as a cold
+//!   re-preparation, for any probe sequence;
+//! * `breakdown_scaling_workload` and `wcet_slack_workload` match their
+//!   from-scratch reference: the reported scaling or slack is accepted and
+//!   one step more is not, judged on cold preparations (scalings) and on
+//!   fresh single-component probes (slacks) — across sporadic task sets,
+//!   event streams and mixed systems;
 //! * `sensitivity_sweep` equals the per-workload searches.
+//!
+//! [`Analysis`]: edf_analysis::Analysis
 
 use edf_analysis::bounds::FeasibilityBounds;
 use edf_analysis::incremental::ScaledView;
 use edf_analysis::sensitivity::{
-    breakdown_scaling_workload, reference, sensitivity_sweep, wcet_slack, wcet_slack_workload,
+    breakdown_scaling_workload, sensitivity_sweep, wcet_slack, wcet_slack_workload,
 };
 use edf_analysis::tests::{AllApproximatedTest, ProcessorDemandTest, QpaTest};
-use edf_analysis::workload::{MixedSystem, PreparedWorkload};
+use edf_analysis::workload::{MixedSystem, PreparedWorkload, Workload};
 use edf_analysis::{all_tests, FeasibilityTest};
 use edf_model::{EventStream, EventStreamTask, Task, TaskSet, Time};
 use proptest::prelude::*;
@@ -75,6 +78,103 @@ fn assert_prepared_identical(view: &PreparedWorkload, cold: &PreparedWorkload) {
     }
 }
 
+/// Per-mille scaling the breakdown search stops below: `16 000` is never
+/// probed.
+const SCALE_CAP: u64 = 16_000;
+
+/// The breakdown scaling of `workload` under `test` is tight on cold
+/// preparations: the reported per-mille scaling `lo` is accepted, `lo + 1`
+/// is rejected unless it reaches the never-probed cap, the search reports
+/// nothing exactly when the unscaled workload is rejected, and the
+/// reported utilization is the cold one at `lo`.
+fn assert_breakdown_tight(workload: &(impl Workload + ?Sized), test: &dyn FeasibilityTest) {
+    let base = PreparedWorkload::new(workload);
+    let accepts = |numer: u64| {
+        test.analyze_prepared(&base.with_scaled_wcets(numer, 1_000))
+            .verdict
+            .is_feasible()
+    };
+    let Some(breakdown) = breakdown_scaling_workload(workload, test) else {
+        assert!(
+            !test.analyze_prepared(&base).verdict.is_feasible(),
+            "{}: no breakdown for an accepted workload",
+            test.name()
+        );
+        return;
+    };
+    assert!(
+        test.analyze_prepared(&base).verdict.is_feasible(),
+        "{}: breakdown for a rejected workload",
+        test.name()
+    );
+    let lo = (breakdown.factor * 1_000.0).round() as u64;
+    assert_eq!(lo as f64 / 1_000.0, breakdown.factor);
+    assert!(accepts(lo), "{}: scaling {lo} is rejected", test.name());
+    if lo + 1 < SCALE_CAP {
+        assert!(
+            !accepts(lo + 1),
+            "{}: scaling {lo} is not maximal",
+            test.name()
+        );
+    }
+    assert_eq!(
+        breakdown.utilization_at_breakdown,
+        base.with_scaled_wcets(lo, 1_000).utilization(),
+        "{}: utilization at scaling {lo}",
+        test.name()
+    );
+}
+
+/// The slack of component `index` is tight: the component at
+/// `wcet + slack` is accepted and at `wcet + slack + 1` is rejected unless
+/// that passes the component's headroom (its period, or for a one-shot
+/// its relative deadline); no slack exactly when the unmodified workload
+/// is rejected.
+fn assert_slack_tight(
+    workload: &(impl Workload + ?Sized),
+    index: usize,
+    test: &dyn FeasibilityTest,
+) {
+    let base = PreparedWorkload::new(workload);
+    let mut view = ScaledView::new(&base);
+    let component = base.components()[index];
+    let Some(slack) = wcet_slack_workload(workload, index, test) else {
+        assert!(
+            !test.analyze_prepared(&base).verdict.is_feasible(),
+            "{}: no slack at component {index} of an accepted workload",
+            test.name()
+        );
+        return;
+    };
+    let accepted = test
+        .analyze_prepared(view.with_component_wcet(index, component.wcet() + slack))
+        .verdict
+        .is_feasible();
+    assert!(
+        accepted,
+        "{}: slack {slack} rejected at component {index}",
+        test.name()
+    );
+    let headroom = match component.period() {
+        Some(period) => period.saturating_sub(component.wcet()),
+        None => component
+            .first_deadline()
+            .saturating_sub(component.release_offset())
+            .saturating_sub(component.wcet()),
+    };
+    if slack < headroom {
+        let over = test
+            .analyze_prepared(view.with_component_wcet(index, component.wcet() + slack + Time::ONE))
+            .verdict
+            .is_feasible();
+        assert!(
+            !over,
+            "{}: slack {slack} not maximal at component {index}",
+            test.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -94,60 +194,63 @@ proptest! {
         }
     }
 
-    /// Breakdown searches through the view equal the re-preparing
-    /// reference, on sporadic sets.
+    /// Breakdown searches through the view match the cold-preparation
+    /// reference (accepted at the reported scaling, rejected one step
+    /// above it), on sporadic sets.
     #[test]
     fn breakdown_matches_reference_on_task_sets(ts in arb_set()) {
         for test in [
             Box::new(AllApproximatedTest::new()) as Box<dyn FeasibilityTest>,
             Box::new(QpaTest::new()),
         ] {
-            prop_assert_eq!(
-                breakdown_scaling_workload(&ts, test.as_ref()),
-                reference::breakdown_scaling_workload(&ts, test.as_ref()),
-                "{} breakdown diverges on {}", test.name(), ts
-            );
+            assert_breakdown_tight(&ts, test.as_ref());
         }
     }
 
     /// ... and on event-stream / mixed systems.
     #[test]
     fn breakdown_matches_reference_on_mixed_systems(system in arb_mixed()) {
-        let test = AllApproximatedTest::new();
-        prop_assert_eq!(
-            breakdown_scaling_workload(&system, &test),
-            reference::breakdown_scaling_workload(&system, &test)
-        );
+        assert_breakdown_tight(&system, &AllApproximatedTest::new());
     }
 
-    /// Slack searches through the view equal the re-preparing reference
-    /// for every component, and the `TaskSet` entry point stays a thin
-    /// wrapper over the workload-generic search.
+    /// Breakdown searches are tight on mixed systems for the other exact
+    /// tests too.
+    #[test]
+    fn breakdown_is_tight(system in arb_mixed()) {
+        for test in [
+            Box::new(QpaTest::new()) as Box<dyn FeasibilityTest>,
+            Box::new(ProcessorDemandTest::new()),
+        ] {
+            assert_breakdown_tight(&system, test.as_ref());
+        }
+    }
+
+    /// Slack searches through the view match the fresh-probe reference for
+    /// every component, report nothing past the last one, and the
+    /// `TaskSet` entry point stays a thin wrapper over the
+    /// workload-generic search.
     #[test]
     fn wcet_slack_matches_reference(ts in arb_set()) {
         let test = ProcessorDemandTest::new();
         for index in 0..ts.len() + 1 {
-            let incremental = wcet_slack_workload(&ts, index, &test);
-            prop_assert_eq!(
-                incremental,
-                reference::wcet_slack_workload(&ts, index, &test),
-                "component {} of {}", index, ts
-            );
-            prop_assert_eq!(incremental, wcet_slack(&ts, index, &test));
+            let slack = wcet_slack_workload(&ts, index, &test);
+            if index < ts.len() {
+                assert_slack_tight(&ts, index, &test);
+            } else {
+                prop_assert_eq!(slack, None);
+            }
+            prop_assert_eq!(slack, wcet_slack(&ts, index, &test));
         }
     }
 
-    /// Slack equivalence on mixed systems (stream components included).
+    /// Slack against the reference on mixed systems (stream components
+    /// included).
     #[test]
     fn wcet_slack_matches_reference_on_mixed_systems(system in arb_mixed()) {
         let test = AllApproximatedTest::new();
         let components = PreparedWorkload::new(&system).components().len();
         for index in 0..components {
-            prop_assert_eq!(
-                wcet_slack_workload(&system, index, &test),
-                reference::wcet_slack_workload(&system, index, &test),
-                "component {}", index
-            );
+            assert_slack_tight(&system, index, &test);
         }
     }
 
@@ -172,41 +275,14 @@ proptest! {
         }
     }
 
-    /// The slack really is the last feasible inflation for stream
-    /// components too: applying it keeps the system accepted, one more
-    /// tick does not (unless capped by the headroom).
+    /// The slack really is the last feasible inflation, stream components
+    /// included: applying it keeps the system accepted, one more tick does
+    /// not (unless capped by the headroom).
     #[test]
     fn workload_slack_is_tight(system in arb_mixed(), pick in 0usize..16) {
-        let test = ProcessorDemandTest::new();
-        let base = PreparedWorkload::new(&system);
         // `arb_mixed` always carries at least one sporadic task.
-        let count = base.components().len();
-        let index = pick % count;
-        if let Some(slack) = wcet_slack_workload(&system, index, &test) {
-            let component = base.components()[index];
-            let mut view = ScaledView::new(&base);
-            let accepted = test
-                .analyze_prepared(view.with_component_wcet(index, component.wcet() + slack))
-                .verdict
-                .is_feasible();
-            prop_assert!(accepted, "slack {} not feasible at component {}", slack, index);
-            let headroom = match component.period() {
-                Some(period) => period.saturating_sub(component.wcet()),
-                None => component
-                    .first_deadline()
-                    .saturating_sub(component.release_offset())
-                    .saturating_sub(component.wcet()),
-            };
-            if slack < headroom {
-                let over = test
-                    .analyze_prepared(
-                        view.with_component_wcet(index, component.wcet() + slack + Time::ONE),
-                    )
-                    .verdict
-                    .is_feasible();
-                prop_assert!(!over, "slack {} not maximal at component {}", slack, index);
-            }
-        }
+        let index = pick % PreparedWorkload::new(&system).components().len();
+        assert_slack_tight(&system, index, &ProcessorDemandTest::new());
     }
 
     /// Regression guard for the removed `.max(Time::ONE)` floor: a zero
@@ -221,5 +297,27 @@ proptest! {
         prop_assert!(zeroed.components().iter().all(|c| c.wcet().is_zero()));
         prop_assert_eq!(zeroed.utilization(), 0.0);
         prop_assert_eq!(zeroed.dbf(Time::new(100_000)), Time::ZERO);
+    }
+}
+
+/// A sporadic task beside a bursty stream: both searches are tight for
+/// every component.
+#[test]
+fn searches_are_tight_on_a_mixed_system() {
+    let system = MixedSystem::new(
+        TaskSet::from_tasks(vec![Task::from_ticks(1, 5, 20).expect("valid task")]),
+        vec![EventStreamTask::new(
+            EventStream::bursty(2, Time::new(3), Time::new(50)),
+            Time::new(2),
+            Time::new(10),
+        )
+        .expect("valid stream task")],
+    );
+    let test = AllApproximatedTest::new();
+    assert_breakdown_tight(&system, &test);
+    let components = PreparedWorkload::new(&system).components().len();
+    assert!(components > 1);
+    for index in 0..components {
+        assert_slack_tight(&system, index, &test);
     }
 }

@@ -1,15 +1,14 @@
 //! Property tests of the refinement engine's contract: the shared
 //! `refine` engine behind [`DynamicErrorTest`] and [`AllApproximatedTest`]
 //! (flat frontier queue, incremental comparison aggregates, screened
-//! comparisons, batched withdrawals) is **bit-identical** to the retained
-//! [`refine::reference`] implementations — verdicts, iteration counts,
+//! comparisons, batched withdrawals) is **bit-identical** to the plain
+//! loops of [`edf_oracle::refine`] — verdicts, iteration counts,
 //! examined intervals and overload witnesses — across sporadic task sets,
 //! event streams, mixed systems and arrival curves, under every test knob
 //! (`LevelGrowth`, `RevisionOrder`, `with_initial_level`, `with_max_level`
 //! / `from_target_error`).
 
 use edf_analysis::kernel::AnalysisScratch;
-use edf_analysis::refine::reference;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
 use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload};
 use edf_analysis::{DemandOverload, FeasibilityTest, Verdict};
@@ -17,6 +16,7 @@ use edf_model::{
     AffineSegment, ArrivalCurve, ArrivalCurveTask, EventStream, EventStreamTask, Task, TaskSet,
     Time,
 };
+use edf_oracle::refine as reference;
 use proptest::prelude::*;
 
 fn arb_task() -> impl Strategy<Value = Task> {
@@ -114,7 +114,7 @@ fn all_approximated_knobs() -> Vec<AllApproximatedTest> {
 
 /// Runs every knob combination of both refining tests on one prepared
 /// workload, comparing the engine's raw analysis (`analyze_demand`)
-/// against the retained reference loop — whole [`Analysis`] values, so
+/// against the oracle's plain loop — whole [`Analysis`] values, so
 /// verdict, iteration count, max examined interval and overload witness
 /// must all match bit for bit.
 ///
@@ -123,12 +123,12 @@ fn assert_engine_equals_reference(prepared: &PreparedWorkload) {
     let mut scratch = AnalysisScratch::new();
     for test in dynamic_error_knobs() {
         let engine = test.analyze_demand(prepared, &mut scratch);
-        let reference = reference::dynamic_error(&test, prepared, &mut scratch);
+        let reference = reference::dynamic_error(&test, prepared);
         assert_eq!(engine, reference, "dynamic-error {test:?} diverges");
     }
     for test in all_approximated_knobs() {
         let engine = test.analyze_demand(prepared, &mut scratch);
-        let reference = reference::all_approximated(&test, prepared, &mut scratch);
+        let reference = reference::all_approximated(&test, prepared);
         assert_eq!(engine, reference, "all-approximated {test:?} diverges");
     }
 }
@@ -163,9 +163,8 @@ proptest! {
         assert_engine_equals_reference(&PreparedWorkload::new(&task));
     }
 
-    /// Scratch reuse across engine and reference runs never changes a
-    /// result: interleaving both implementations through one scratch
-    /// arena equals fresh-scratch analyses.
+    /// Scratch reuse across workloads never changes a result: analyses
+    /// through one shared scratch arena equal fresh-scratch analyses.
     #[test]
     fn engine_scratch_reuse_is_observationally_pure(
         systems in prop::collection::vec(arb_mixed(), 1..=3),
@@ -202,14 +201,14 @@ fn overload_witnesses_are_preserved() {
 
     let dynamic = DynamicErrorTest::new();
     let engine = dynamic.analyze_demand(&prepared, &mut scratch);
-    let reference = reference::dynamic_error(&dynamic, &prepared, &mut scratch);
+    let reference = reference::dynamic_error(&dynamic, &prepared);
     assert_eq!(engine, reference);
     let witness = engine.overload.expect("infeasible set has a witness");
     assert!(witness.demand > witness.interval);
 
     let all = AllApproximatedTest::new();
     let engine = all.analyze_demand(&prepared, &mut scratch);
-    let reference = reference::all_approximated(&all, &prepared, &mut scratch);
+    let reference = reference::all_approximated(&all, &prepared);
     assert_eq!(engine, reference);
     let witness = engine.overload.expect("infeasible set has a witness");
     assert!(witness.demand > witness.interval);
@@ -234,17 +233,66 @@ fn witness_reports_the_full_demand_of_an_equal_deadline_run() {
     let engine = dynamic.analyze_demand(&prepared, &mut scratch);
     assert_eq!(engine.verdict, Verdict::Infeasible);
     assert_eq!(engine.overload, Some(witness));
-    assert_eq!(
-        reference::dynamic_error(&dynamic, &prepared, &mut scratch),
-        engine
-    );
+    assert_eq!(reference::dynamic_error(&dynamic, &prepared), engine);
 
     let all = AllApproximatedTest::new();
     let engine = all.analyze_demand(&prepared, &mut scratch);
     assert_eq!(engine.verdict, Verdict::Infeasible);
     assert_eq!(engine.overload, Some(witness));
-    assert_eq!(
-        reference::all_approximated(&all, &prepared, &mut scratch),
-        engine
-    );
+    assert_eq!(reference::all_approximated(&all, &prepared), engine);
+}
+
+/// The hand-picked sets of the engine's development: tight constrained
+/// deadlines, `U = 1`, an overload, equal periods and an empty set.
+fn hand_picked_sets() -> Vec<TaskSet> {
+    let t = |c, d, p| Task::from_ticks(c, d, p).expect("valid task");
+    vec![
+        TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]),
+        TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]),
+        TaskSet::from_tasks(vec![t(2, 2, 6), t(2, 4, 8), t(1, 7, 12)]),
+        TaskSet::from_tasks(vec![t(5, 6, 20), t(7, 11, 25), t(4, 9, 35)]),
+        TaskSet::from_tasks(vec![t(1, 2, 2), t(2, 4, 4)]),
+        TaskSet::from_tasks(vec![t(5, 3, 10)]),
+        TaskSet::from_tasks(vec![t(1, 1, 4), t(1, 2, 4), t(1, 3, 4), t(1, 4, 4)]),
+        TaskSet::from_tasks(vec![t(1, 5, 5), t(2, 10, 10), t(30, 200, 200)]),
+        TaskSet::new(),
+    ]
+}
+
+#[test]
+fn dynamic_error_engine_matches_reference_on_hand_picked_sets() {
+    let tests = [
+        DynamicErrorTest::new(),
+        DynamicErrorTest::new().with_growth(LevelGrowth::Increment),
+        DynamicErrorTest::new().with_initial_level(3),
+        DynamicErrorTest::new().with_max_level(2),
+        DynamicErrorTest::from_target_error(0.25),
+    ];
+    for ts in hand_picked_sets() {
+        let prepared = PreparedWorkload::new(&ts);
+        for test in &tests {
+            let engine = test.analyze_demand(&prepared, &mut AnalysisScratch::new());
+            let reference = reference::dynamic_error(test, &prepared);
+            assert_eq!(engine, reference, "{test:?} on {ts}");
+        }
+    }
+}
+
+#[test]
+fn all_approximated_engine_matches_reference_on_hand_picked_sets() {
+    let tests = [
+        AllApproximatedTest::new(),
+        AllApproximatedTest::with_revision_order(RevisionOrder::LargestError),
+        AllApproximatedTest::with_revision_order(RevisionOrder::LargestUtilization),
+        AllApproximatedTest::new().with_max_level(2),
+        AllApproximatedTest::from_target_error(0.5),
+    ];
+    for ts in hand_picked_sets() {
+        let prepared = PreparedWorkload::new(&ts);
+        for test in &tests {
+            let engine = test.analyze_demand(&prepared, &mut AnalysisScratch::new());
+            let reference = reference::all_approximated(test, &prepared);
+            assert_eq!(engine, reference, "{test:?} on {ts}");
+        }
+    }
 }

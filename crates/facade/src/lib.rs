@@ -111,7 +111,7 @@ pub use edf_sim as sim;
 pub use edf_analysis::batch;
 pub use edf_analysis::budget::{Progress, ProgressPhase, WorkBudget};
 pub use edf_analysis::candidates::{
-    self, CandidateAnalysis, CandidateView, EngineConfig, EngineStats, MixedRadixGray,
+    self, CandidateAnalysis, CandidateView, EngineStats, MixedRadixGray,
 };
 pub use edf_analysis::exhaustive::{exhaustive_check, exhaustive_check_workload};
 pub use edf_analysis::incremental::{EditView, ScaledView, WorkloadView};
