@@ -1,9 +1,10 @@
 //! Benchmark of the columnar demand kernel: `dbf`-evaluation throughput,
-//! event-merge throughput on the tournament tree, the refining-test engine
+//! throughput of the windowed deadline merge (per job event and per
+//! coalesced demand step), the refining-test engine
 //! against the plain loops of `edf-oracle`, and `analyze_many` workloads/sec with
 //! and without scratch reuse.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
 use edf_analysis::batch::{analyze_many_serial, BoxedTest};
@@ -115,9 +116,13 @@ fn bench_dbf_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// Event-merge throughput on the tournament tree, walking every job
-/// deadline below each workload's analysis horizon.
-fn bench_event_merge(c: &mut Criterion) {
+/// Throughput of the windowed deadline merge on the Fig. 8/9 ratio
+/// fixture, walking every job deadline up to each workload's analysis
+/// horizon: `merge/events` per job (`demand_events`), `merge/steps` per
+/// distinct interval (`demand_steps`, the processor-demand walk without
+/// its comparisons), reported with its interval count and the median
+/// time per interval.
+fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     group
         .sample_size(10)
@@ -131,13 +136,32 @@ fn bench_event_merge(c: &mut Criterion) {
         .map(|p| p.analysis_horizon().unwrap_or(Time::new(10_000)))
         .collect();
 
-    group.bench_function(BenchmarkId::new("merge", "tournament"), |b| {
+    group.bench_function(BenchmarkId::new("merge", "events"), |b| {
         b.iter(|| {
             let mut events = 0usize;
             for (p, &horizon) in prepared.iter().zip(&horizons) {
                 events += p.demand_events(black_box(horizon)).count();
             }
             events
+        })
+    });
+
+    let mut scratch = AnalysisScratch::new();
+    let intervals: usize = prepared
+        .iter()
+        .zip(&horizons)
+        .map(|(p, &horizon)| p.demand_steps(horizon, &mut scratch).count())
+        .sum();
+    group.throughput(Throughput::Elements(intervals as u64));
+    group.bench_function(BenchmarkId::new("merge", "steps"), |b| {
+        b.iter(|| {
+            let mut demand = Time::ZERO;
+            for (p, &horizon) in prepared.iter().zip(&horizons) {
+                for (_, step) in p.demand_steps(black_box(horizon), &mut scratch) {
+                    demand = demand.saturating_add(step);
+                }
+            }
+            demand
         })
     });
     group.finish();
@@ -256,7 +280,7 @@ fn bench_batch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dbf_eval,
-    bench_event_merge,
+    bench_merge,
     bench_refine,
     bench_batch
 );

@@ -14,8 +14,8 @@
 //! against the available capacity `I` at every interval where `dbf`
 //! changes, i.e. at the absolute deadlines of jobs.  [`DeadlineIter`]
 //! enumerates those absolute deadlines across a task set in ascending
-//! order (a lazy k-way merge), which is the backbone of the processor
-//! demand, dynamic-error and all-approximated tests.
+//! order (generated window by window), which is the backbone of the
+//! processor demand, dynamic-error and all-approximated tests.
 
 use edf_model::{Task, TaskSet, Time};
 

@@ -38,7 +38,7 @@
 //!   spread) inputs.
 //!
 //! Supporting modules expose the building blocks: the demand bound
-//! function ([`demand`]), the columnar demand kernel and tournament-tree
+//! function ([`demand`]), the columnar demand kernel and windowed
 //! deadline merge every demand query runs on ([`kernel`]), the
 //! superposition approximation ([`superposition`]), the refinement engine
 //! the superposition-family tests share ([`refine`]), the feasibility

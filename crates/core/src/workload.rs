@@ -306,8 +306,9 @@ pub struct DemandEvent {
 ///
 /// Ties are returned as separate events, one per job, in component order,
 /// so callers can accumulate per-job demand incrementally.  The merge runs
-/// on the kernel's tournament tree ([`MergeState`]), which owns its stream
-/// state, so the iterator does not borrow the component list.
+/// on the kernel's windowed deadline generator ([`MergeState`]), which
+/// owns its stream state, so the iterator does not borrow the component
+/// list.
 #[derive(Debug)]
 pub struct DemandEventIter {
     merge: MergeState,
@@ -327,12 +328,10 @@ impl Iterator for DemandEventIter {
     type Item = DemandEvent;
 
     fn next(&mut self) -> Option<DemandEvent> {
-        self.merge
-            .pop()
-            .map(|(interval, component, _)| DemandEvent {
-                interval,
-                component,
-            })
+        self.merge.pop().map(|(interval, component)| DemandEvent {
+            interval,
+            component,
+        })
     }
 }
 
@@ -1236,7 +1235,10 @@ impl PreparedWorkload {
 
     /// Coalesced demand steps `≤ horizon`: one `(interval, demand
     /// increment)` pair per **distinct** job deadline, in ascending order,
-    /// merged through the scratch's reusable [`MergeState`].
+    /// generated window by window in the scratch's reusable
+    /// [`MergeState`] — the same generator as
+    /// [`PreparedWorkload::demand_events`], with equal-deadline runs
+    /// summed.
     #[must_use]
     pub fn demand_steps<'a>(
         &'a self,

@@ -21,8 +21,8 @@
 //!   budget unification).
 
 use edf_analysis::batch;
-use edf_analysis::budget::{Progress, WorkBudget};
-use edf_analysis::tests::{AllApproximatedTest, ProcessorDemandTest, QpaTest};
+use edf_analysis::budget::{Progress, ProgressPhase, WorkBudget};
+use edf_analysis::tests::{AllApproximatedTest, BoundSelection, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::PreparedWorkload;
 use edf_analysis::{all_tests, Analysis, AnalysisScratch, BoxedTest, Verdict};
 use edf_model::{Task, TaskSet, Time};
@@ -210,5 +210,49 @@ fn zero_budget_exhausts_non_trivial_workloads() {
         assert!(budget.is_exhausted(), "{}", test.name());
         assert_eq!(analysis.verdict, Verdict::Unknown, "{}", test.name());
         assert!(analysis.progress.is_some(), "{}", test.name());
+    }
+}
+
+/// A processor-demand walk cut by its budget at any interval, wherever
+/// that interval falls among the deadline generator's windows, reports
+/// the units it spent (the refused charge included) and the largest
+/// interval it certified: at a budget of `B` units, the `B`-th distinct
+/// job deadline.  The fixed horizon spans about 20 windows and makes
+/// every unit a walk unit.
+#[test]
+fn demand_walk_exhaustion_certifies_the_deadlines_in_order() {
+    let tasks = [(1, 5, 8), (2, 9, 12), (3, 20, 20)];
+    let horizon = 2_000;
+    let ts = TaskSet::from_tasks(
+        tasks
+            .iter()
+            .map(|&(c, d, p)| Task::from_ticks(c, d, p).unwrap())
+            .collect(),
+    );
+    let mut deadlines: Vec<Time> = tasks
+        .iter()
+        .flat_map(|&(_, d, p)| (d..=horizon).step_by(p as usize).map(Time::new))
+        .collect();
+    deadlines.sort_unstable();
+    deadlines.dedup();
+
+    let prepared = PreparedWorkload::new(&ts);
+    let test: BoxedTest = Box::new(ProcessorDemandTest::with_bound(BoundSelection::Fixed(
+        Time::new(horizon),
+    )));
+    let mut scratch = AnalysisScratch::new();
+    for units in 0..=deadlines.len() as u64 {
+        let (analysis, budget) =
+            run_budgeted(&test, &prepared, &mut scratch, WorkBudget::limited(units));
+        if units == deadlines.len() as u64 {
+            assert!(!budget.is_exhausted(), "the whole walk fits");
+            assert_eq!(analysis.iterations, units);
+            break;
+        }
+        let progress = analysis.progress.expect("exhaustion carries progress");
+        assert_eq!(progress.phase, ProgressPhase::DemandWalk);
+        assert_eq!(progress.units_spent, units + 1, "budget {units}");
+        let certified = units.checked_sub(1).map(|i| deadlines[i as usize]);
+        assert_eq!(progress.certified_interval, certified, "budget {units}");
     }
 }

@@ -172,8 +172,8 @@ fn fold_last_below(components: &[DemandComponent], limit: Time) -> Option<Time> 
 }
 
 /// Every job `(deadline, component, cost)` with deadline `≤ horizon`,
-/// listed per component and sorted: the merge order, computed without a
-/// tournament tree.
+/// listed per component and sorted as one list: the merge order,
+/// computed without windows.
 fn sorted_jobs(components: &[DemandComponent], horizon: Time) -> Vec<(Time, usize, Time)> {
     let mut jobs = Vec::new();
     for (idx, component) in components.iter().enumerate() {
@@ -241,6 +241,18 @@ fn assert_queries_match_folds(
         }
     }
 
+    assert_merges_equal_jobs(prepared, horizon, &jobs);
+    jobs
+}
+
+/// The event and step merges up to `horizon` against `jobs`, the sorted
+/// job list: events one per job, steps one per distinct deadline with
+/// the costs of its jobs summed (saturating).
+fn assert_merges_equal_jobs(
+    prepared: &PreparedWorkload,
+    horizon: Time,
+    jobs: &[(Time, usize, Time)],
+) {
     let events: Vec<(Time, usize)> = prepared
         .demand_events(horizon)
         .map(|e| (e.interval, e.component))
@@ -249,7 +261,7 @@ fn assert_queries_match_folds(
     assert_eq!(events, expected, "demand_events up to {horizon}");
 
     let mut expected_steps: Vec<(Time, Time)> = Vec::new();
-    for &(d, _, cost) in &jobs {
+    for &(d, _, cost) in jobs {
         match expected_steps.last_mut() {
             Some((last, demand)) if *last == d => *demand = demand.saturating_add(cost),
             _ => expected_steps.push((d, cost)),
@@ -258,7 +270,16 @@ fn assert_queries_match_folds(
     let mut scratch = AnalysisScratch::new();
     let steps: Vec<(Time, Time)> = prepared.demand_steps(horizon, &mut scratch).collect();
     assert_eq!(steps, expected_steps, "demand_steps up to {horizon}");
-    jobs
+}
+
+/// The merges of a raw component list against its sorted job list.
+fn assert_component_merges_equal_jobs(components: Vec<DemandComponent>, horizon: Time) {
+    let jobs = sorted_jobs(&components, horizon);
+    assert_merges_equal_jobs(
+        &PreparedWorkload::from_components(components),
+        horizon,
+        &jobs,
+    );
 }
 
 /// Every query and merge of the workload's kernel against the folds, then
@@ -326,6 +347,28 @@ proptest! {
         horizon in 0u64..=400,
     ) {
         assert_queries_match_folds(&PreparedWorkload::new(&system), Time::new(horizon));
+    }
+
+    /// Streams of one period `T` generate in windows of `W ≈ 8T`.  First
+    /// deadlines drawn from a few clustered values give equal-deadline runs
+    /// at every offset from the window edges, so some runs straddle each
+    /// window boundary.
+    #[test]
+    fn equal_deadline_runs_across_window_edges_equal_sorted_job_list(
+        period in 1u64..=12,
+        firsts in prop::collection::vec(0u64..=24, 2..=7),
+        costs in prop::collection::vec(1u64..=5, 7),
+        horizon in 0u64..=600,
+    ) {
+        let components = firsts
+            .iter()
+            .zip(&costs)
+            .map(|(&first, &cost)| {
+                let first = first / 3 * period + first % 3;
+                DemandComponent::periodic(Time::new(cost), Time::new(first), Time::new(period))
+            })
+            .collect();
+        assert_component_merges_equal_jobs(components, Time::new(horizon));
     }
 
     /// Queries, merges and analyses against the folds on sporadic task
@@ -517,6 +560,58 @@ proptest! {
             }
         }
     }
+}
+
+/// The windowed merge's edge cases against the sorted job list: a list
+/// of one-shots only (zero density, so the window takes its cap), a
+/// period-1 stream beside a 10⁹-period one (windows of 16 ticks that the
+/// slow stream sits out for many windows), horizons at and near
+/// `Time::MAX` where `d + T` overflows, and more than 2¹⁶ components, so
+/// the packed keys carry a 17-bit component index.
+#[test]
+fn window_edges_equal_sorted_job_list() {
+    let one_shot =
+        |c: u64, d: u64| DemandComponent::one_shot(Time::new(c), Time::new(d), Time::ZERO);
+    let periodic = |c: u64, d: u64, p: u64| {
+        DemandComponent::periodic(Time::new(c), Time::new(d), Time::new(p))
+    };
+
+    let one_shots: Vec<DemandComponent> = (0..50u64)
+        .map(|i| one_shot(1 + i % 4, i * 37 % 23))
+        .collect();
+    for horizon in [0, 11, 22, 1_000, u64::MAX] {
+        assert_component_merges_equal_jobs(one_shots.clone(), Time::new(horizon));
+    }
+
+    let skewed = vec![
+        periodic(1, 1, 1),
+        periodic(7, 500, 1_000_000_000),
+        one_shot(2, 900),
+    ];
+    for horizon in [0, 499, 500, 501, 5_000] {
+        assert_component_merges_equal_jobs(skewed.clone(), Time::new(horizon));
+    }
+
+    const MAX: u64 = u64::MAX;
+    let near_max = vec![
+        periodic(1, MAX - 10, 3),
+        periodic(2, MAX - 4, 4),
+        periodic(3, 5, 1 << 62),
+        periodic(4, MAX, 1),
+        one_shot(5, MAX),
+        one_shot(6, MAX - 1),
+    ];
+    for horizon in [MAX, MAX - 1, MAX - 4, MAX - 7, 1 << 63] {
+        assert_component_merges_equal_jobs(near_max.clone(), Time::new(horizon));
+    }
+
+    let many: Vec<DemandComponent> = (0..(1u64 << 16) + 100)
+        .map(|i| match i % 3 {
+            0 => one_shot(1, 1 + i * 7_919 % 1_000),
+            _ => periodic(1 + i % 5, 1 + i * 7_919 % 1_000, 400 + i % 97),
+        })
+        .collect();
+    assert_component_merges_equal_jobs(many, Time::new(1_600));
 }
 
 /// Deterministic spot check: a feasible `U = 1` set on which `SuperPos(2)`

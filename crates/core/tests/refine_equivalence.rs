@@ -243,7 +243,12 @@ fn witness_reports_the_full_demand_of_an_equal_deadline_run() {
 }
 
 /// The hand-picked sets of the engine's development: tight constrained
-/// deadlines, `U = 1`, an overload, equal periods and an empty set.
+/// deadlines, `U = 1`, an overload, equal periods and an empty set.  The
+/// last two pin all-approximated branches no generated set reached:
+/// under a level limit, the first withdraws one component twice, so its
+/// job count after a withdrawal decides whether it can be revised again;
+/// under `LargestError`, the second meets two approximations with equal
+/// errors, so the tie-break (oldest first) picks the withdrawal.
 fn hand_picked_sets() -> Vec<TaskSet> {
     let t = |c, d, p| Task::from_ticks(c, d, p).expect("valid task");
     vec![
@@ -256,6 +261,8 @@ fn hand_picked_sets() -> Vec<TaskSet> {
         TaskSet::from_tasks(vec![t(1, 1, 4), t(1, 2, 4), t(1, 3, 4), t(1, 4, 4)]),
         TaskSet::from_tasks(vec![t(1, 5, 5), t(2, 10, 10), t(30, 200, 200)]),
         TaskSet::new(),
+        TaskSet::from_tasks(vec![t(9, 16, 24), t(5, 40, 29), t(7, 25, 30), t(4, 9, 28)]),
+        TaskSet::from_tasks(vec![t(7, 15, 29), t(6, 13, 27), t(8, 25, 19)]),
     ]
 }
 
@@ -285,6 +292,7 @@ fn all_approximated_engine_matches_reference_on_hand_picked_sets() {
         AllApproximatedTest::with_revision_order(RevisionOrder::LargestError),
         AllApproximatedTest::with_revision_order(RevisionOrder::LargestUtilization),
         AllApproximatedTest::new().with_max_level(2),
+        AllApproximatedTest::new().with_max_level(3),
         AllApproximatedTest::from_target_error(0.5),
     ];
     for ts in hand_picked_sets() {

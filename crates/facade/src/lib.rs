@@ -23,7 +23,7 @@
 //!   once per test;
 //! * [`analysis::kernel`] — the columnar demand kernel behind every hot
 //!   demand query: structure-of-arrays columns with precomputed period
-//!   reciprocals, a flat tournament-tree deadline merge, and the reusable
+//!   reciprocals, a windowed deadline merge, and the reusable
 //!   [`AnalysisScratch`] arena;
 //! * [`analysis::batch`] — the parallel batch front end:
 //!   [`batch::analyze_many`] fans a workload

@@ -1,7 +1,7 @@
 //! Offline stand-in for the subset of `criterion` 0.5 used by this
 //! workspace's benches: `Criterion`, `benchmark_group`, `bench_function`
-//! / `bench_with_input`, `BenchmarkId`, `black_box` and the
-//! `criterion_group!` / `criterion_main!` macros.
+//! / `bench_with_input`, `BenchmarkId`, `Throughput::Elements`,
+//! `black_box` and the `criterion_group!` / `criterion_main!` macros.
 //!
 //! Measurement model: per benchmark the routine is warmed up for
 //! `warm_up_time`, then timed over `sample_size` samples, where each
@@ -9,7 +9,8 @@
 //! `measurement_time / sample_size`.  Minimum, mean and maximum per-call
 //! wall-clock times are printed to stdout in a criterion-like format,
 //! followed by the median and the 99th percentile over the samples
-//! (nearest rank).
+//! (nearest rank).  Under a group's `Throughput::Elements(n)` the line
+//! also gives `n` and the median time per element.
 //! There is no statistical analysis, no HTML report and no baseline
 //! comparison — just honest wall-clock numbers.
 //!
@@ -21,7 +22,7 @@
 //!   seconds; the numbers are smoke-level only;
 //! * `EDF_BENCH_JSON=<path>` — appends one JSON object per benchmark
 //!   (group, id, min/median/mean/p99/max nanoseconds, sample and
-//!   iteration counts) to
+//!   iteration counts, and `elements` under a throughput) to
 //!   `<path>`, one per line, for the `BENCH_smoke.json` CI artifact.
 
 use std::fmt;
@@ -76,6 +77,14 @@ impl fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.id)
     }
+}
+
+/// The amount of work one call of a routine does, for per-element
+/// reporting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// The routine processes this many elements per call.
+    Elements(u64),
 }
 
 /// Times a routine; handed to the closure of `bench_function` /
@@ -168,6 +177,7 @@ fn fast_mode() -> bool {
 pub struct BenchmarkGroup<'a> {
     name: String,
     settings: Settings,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -191,6 +201,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Sets the work per routine call of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Benchmarks `routine` under `id`.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut routine: F) -> &mut Self
     where
@@ -203,7 +219,7 @@ impl BenchmarkGroup<'_> {
             iters_per_sample: 0,
         };
         routine(&mut bencher);
-        report(&self.name, &id, &bencher);
+        report(&self.name, &id, &bencher, self.throughput);
         self
     }
 
@@ -223,7 +239,7 @@ impl BenchmarkGroup<'_> {
             iters_per_sample: 0,
         };
         routine(&mut bencher, input);
-        report(&self.name, &id, &bencher);
+        report(&self.name, &id, &bencher, self.throughput);
         self
     }
 
@@ -265,13 +281,20 @@ fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn report(group: &str, id: &BenchmarkId, bencher: &Bencher<'_>) {
+fn report(group: &str, id: &BenchmarkId, bencher: &Bencher<'_>, throughput: Option<Throughput>) {
     let Some(summary) = Summary::of(&bencher.samples) else {
         println!("{group}/{id}: no samples (routine never called iter?)");
         return;
     };
+    let per_element = match throughput {
+        Some(Throughput::Elements(n)) => format!(
+            " — {n} elements, {:.1} ns/element",
+            summary.median.as_nanos() as f64 / n.max(1) as f64
+        ),
+        None => String::new(),
+    };
     println!(
-        "{group}/{id}: time [{} {} {}] median {} p99 {} ({} samples × {} iters)",
+        "{group}/{id}: time [{} {} {}] median {} p99 {} ({} samples × {} iters){per_element}",
         fmt_duration(summary.min),
         fmt_duration(summary.mean),
         fmt_duration(summary.max),
@@ -282,7 +305,7 @@ fn report(group: &str, id: &BenchmarkId, bencher: &Bencher<'_>) {
     );
     if let Ok(path) = std::env::var("EDF_BENCH_JSON") {
         if !path.is_empty() {
-            append_json_record(&path, group, id, &summary, bencher);
+            append_json_record(&path, group, id, &summary, bencher, throughput);
         }
     }
 }
@@ -296,10 +319,15 @@ fn append_json_record(
     id: &BenchmarkId,
     summary: &Summary,
     bencher: &Bencher<'_>,
+    throughput: Option<Throughput>,
 ) {
+    let elements = match throughput {
+        Some(Throughput::Elements(n)) => format!(",\"elements\":{n}"),
+        None => String::new(),
+    };
     let record = format!(
         "{{\"group\":\"{}\",\"id\":\"{}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\
-         \"p99_ns\":{},\"max_ns\":{},\"samples\":{},\"iters_per_sample\":{}}}\n",
+         \"p99_ns\":{},\"max_ns\":{},\"samples\":{},\"iters_per_sample\":{}{elements}}}\n",
         json_escape(group),
         json_escape(&id.to_string()),
         summary.min.as_nanos(),
@@ -356,6 +384,7 @@ impl Criterion {
         BenchmarkGroup {
             name,
             settings: Settings::default(),
+            throughput: None,
             _criterion: self,
         }
     }
@@ -368,6 +397,7 @@ impl Criterion {
         let mut group = BenchmarkGroup {
             name: "bench".to_owned(),
             settings: Settings::default(),
+            throughput: None,
             _criterion: self,
         };
         group.bench_function(BenchmarkId::from(id), routine);
@@ -476,6 +506,8 @@ mod tests {
             .sample_size(50)
             .measurement_time(Duration::from_secs(30));
         group.bench_function("fast", |b| b.iter(|| 1 + 1));
+        group.throughput(Throughput::Elements(4));
+        group.bench_function("per_element", |b| b.iter(|| [1u8; 4].len()));
         group.finish();
 
         std::env::remove_var("EDF_BENCH_FAST");
@@ -501,5 +533,10 @@ mod tests {
         assert!(min <= mean && mean <= max);
         // The 50-sample request was clamped to the smoke budget.
         assert!(line.contains("\"samples\":2"));
+        // Only a benchmark under a throughput records its element count.
+        assert!(!line.contains("elements"));
+        assert!(contents
+            .lines()
+            .any(|l| l.contains("\"id\":\"per_element\"") && l.ends_with(",\"elements\":4}")));
     }
 }
