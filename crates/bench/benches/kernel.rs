@@ -177,7 +177,10 @@ fn bench_merge(c: &mut Criterion) {
 /// thresholds at once.  Both sides produce bit-identical analyses (the
 /// `refine_equivalence` proptests pin this), so the delta is the cost of
 /// the plain loops' per-comparison re-summation and `DemandComponent::dbf`
-/// evaluations against the engine's incremental state.
+/// evaluations against the engine's incremental state.  Each lane
+/// reports per comparison (`Throughput::Elements` is its summed iteration
+/// count); `all_approximated` runs that test alone on the engine, the lane
+/// of its FIFO revision queue.
 fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     group
@@ -195,6 +198,15 @@ fn bench_refine(c: &mut Criterion) {
         let all = AllApproximatedTest::new();
 
         let mut scratch = AnalysisScratch::new();
+        let mut comparisons = |test: &dyn FeasibilityTest| -> u64 {
+            prepared
+                .iter()
+                .map(|p| test.analyze_demand(p, &mut scratch).iterations)
+                .sum()
+        };
+        let all_iterations = comparisons(&all);
+        let suite_iterations = comparisons(&dynamic) + all_iterations;
+        group.throughput(Throughput::Elements(suite_iterations));
         group.bench_function(BenchmarkId::new(format!("refine_{lane}"), "engine"), |b| {
             b.iter(|| {
                 let mut iterations = 0u64;
@@ -213,6 +225,19 @@ fn bench_refine(c: &mut Criterion) {
                     for p in &prepared {
                         iterations += refine::dynamic_error(&dynamic, p).iterations;
                         iterations += refine::all_approximated(&all, p).iterations;
+                    }
+                    iterations
+                })
+            },
+        );
+        group.throughput(Throughput::Elements(all_iterations));
+        group.bench_function(
+            BenchmarkId::new(format!("refine_{lane}"), "all_approximated"),
+            |b| {
+                b.iter(|| {
+                    let mut iterations = 0u64;
+                    for p in &prepared {
+                        iterations += all.analyze_demand(p, &mut scratch).iterations;
                     }
                     iterations
                 })

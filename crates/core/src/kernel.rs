@@ -69,6 +69,8 @@
 //! # }
 //! ```
 
+use std::collections::VecDeque;
+
 use edf_model::Time;
 
 use crate::arith::Reciprocal;
@@ -699,6 +701,10 @@ pub struct AnalysisScratch {
     /// Component index owning each entry of `approx_terms` (keeps
     /// [`RefinementState::term_slot`] consistent across swap-removes).
     pub(crate) term_owner: Vec<u32>,
+    /// The all-approximated test's `Fifo` revision queue: the live
+    /// approximations' owners in approximation order (see
+    /// [`crate::refine`]).
+    pub(crate) revision_queue: VecDeque<u32>,
     /// Indices of the components a refining test withdraws in one
     /// level-raise pass — collected first, then evaluated as one batch of
     /// kernel column gathers ([`DemandKernel`]'s `component_demand`).

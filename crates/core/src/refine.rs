@@ -10,7 +10,7 @@
 //! (withdraw approximations) until the comparison succeeds or turns fully
 //! exact.  The PR 6 profile showed that this *bookkeeping* — not demand
 //! evaluation — dominates the exact suite's wall clock, so the engine
-//! restructures it three ways while keeping every observable output
+//! restructures it four ways while keeping every observable output
 //! **bit-identical** to the plain loops of the dev-only `edf-oracle`
 //! crate (verdict, overload witness and iteration counts, pinned by the
 //! `refine_equivalence` proptests):
@@ -34,6 +34,15 @@
 //!    ascending component order (reproducing the plain loop's scan over
 //!    every component bit for bit) with one `component_demand` gather per
 //!    withdrawal.
+//! 4. **FIFO revision queue.**  Under [`RevisionOrder::Fifo`] the
+//!    all-approximated test keeps its live approximations' owners in a
+//!    `VecDeque` in approximation order, and withdraws only the front one,
+//!    so a pick is amortized O(1) instead of a scan over every live term.
+//!    With [`AllApproximatedTest::with_max_level`], an entry whose
+//!    component has reached the limit leaves the queue for good: its term
+//!    is not on the frontier, so its job count cannot change and it can
+//!    never be picked again; the first entry below the limit is the oldest
+//!    eligible term, exactly what the scan would pick.
 //!
 //! # Soundness of the screened comparison
 //!
@@ -99,6 +108,8 @@
 //!
 //! [`fracs_parts_le_integer_iter`]: crate::arith
 
+use std::collections::VecDeque;
+
 use edf_model::Time;
 
 use crate::analysis::{Analysis, DemandOverload, IterationCounter, Verdict};
@@ -136,6 +147,9 @@ struct Engine<'a> {
     frontier: &'a mut FrontierQueue,
     terms: &'a mut Vec<ApproxTerm>,
     owners: &'a mut Vec<u32>,
+    /// The live terms' owners in approximation order, kept under
+    /// [`RevisionOrder::Fifo`] only.
+    revision_queue: &'a mut VecDeque<u32>,
     withdrawn: &'a mut Vec<u32>,
     rcp: &'a mut Vec<Option<Reciprocal>>,
     /// Running `Σ examined_demand` over the unapproximated components,
@@ -166,6 +180,7 @@ impl<'a> Engine<'a> {
             refine,
             approx_terms,
             term_owner,
+            revision_queue,
             withdrawn,
             refine_rcp,
             ..
@@ -174,6 +189,7 @@ impl<'a> Engine<'a> {
         refine.resize(components.len(), RefinementState::default());
         approx_terms.clear();
         term_owner.clear();
+        revision_queue.clear();
         withdrawn.clear();
         refine_rcp.clear();
         refine_rcp.extend((0..components.len()).map(|j| workload.component_reciprocal(j)));
@@ -192,6 +208,7 @@ impl<'a> Engine<'a> {
             frontier,
             terms: approx_terms,
             owners: term_owner,
+            revision_queue,
             withdrawn,
             rcp: refine_rcp,
             exact_sum: 0,
@@ -394,29 +411,35 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// The all-approximated test's revision pick, scanning the compact
-    /// live-term list instead of every component state.  Every comparator
-    /// is a unique total order over the candidates (the approximation
-    /// sequence number breaks all ties), so the pick is independent of
-    /// the scan order and identical to an ascending-index scan.
-    /// `LargestError` evaluates each term's over-estimation through its
-    /// cached reciprocal instead of a `u128` division.
-    fn pick_revision(&self, test: &AllApproximatedTest, interval: Time) -> Option<usize> {
+    /// The all-approximated test's revision pick.  `Fifo` pops the
+    /// revision queue's front entries until one is below the level limit
+    /// (the caller withdraws it; see the module docs).  The other orders
+    /// scan the compact live-term list instead of every component state;
+    /// every comparator is a unique total order over the candidates (the
+    /// approximation sequence number breaks all ties), so the pick is
+    /// independent of the scan order and identical to an ascending-index
+    /// scan.  `LargestError` evaluates each term's over-estimation through
+    /// its cached reciprocal instead of a `u128` division.
+    fn pick_revision(&mut self, test: &AllApproximatedTest, interval: Time) -> Option<usize> {
+        let below_limit = |s: &RefinementState| test.max_level.is_none_or(|l| s.examined_jobs < l);
+        if test.revision_order == RevisionOrder::Fifo {
+            while let Some(owner) = self.revision_queue.pop_front() {
+                let s = &self.states[owner as usize];
+                debug_assert!(s.approximated_from.is_some());
+                if below_limit(s) {
+                    return Some(owner as usize);
+                }
+            }
+            return None;
+        }
         let approximated = self.owners.iter().enumerate().filter_map(|(slot, &owner)| {
             let j = owner as usize;
             let s = &self.states[j];
-            if let Some(limit) = test.max_level {
-                if s.examined_jobs >= limit {
-                    return None;
-                }
-            }
             debug_assert!(s.approximated_from.is_some());
-            Some((j, slot, s.approx_seq))
+            below_limit(s).then_some((j, slot, s.approx_seq))
         });
         match test.revision_order {
-            RevisionOrder::Fifo => approximated
-                .min_by_key(|&(_, _, seq)| seq)
-                .map(|(j, _, _)| j),
+            RevisionOrder::Fifo => unreachable!("answered from the revision queue"),
             RevisionOrder::LargestError => approximated
                 .max_by_key(|&(j, slot, seq)| {
                     let term = &self.terms[slot];
@@ -623,6 +646,9 @@ pub(crate) fn all_approximated(
                 engine.states[idx].approx_seq = approx_seq;
                 approx_seq += 1;
                 engine.approximate(idx, interval);
+                if test.revision_order == RevisionOrder::Fifo {
+                    engine.revision_queue.push_back(idx as u32);
+                }
             }
         }
 

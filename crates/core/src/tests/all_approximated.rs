@@ -29,6 +29,11 @@ use crate::workload::PreparedWorkload;
 ///
 /// The paper's pseudocode (`ApproxList->getAndRemoveFirstTask`) revises in
 /// FIFO order; the alternatives are provided for the ablation benchmarks.
+///
+/// Cost per revision, over the live approximations: `Fifo` is amortized
+/// O(1) (a queue in approximation order); `LargestError` is O(live terms)
+/// with one `component_demand` evaluation per term; `LargestUtilization`
+/// is O(live terms).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RevisionOrder {
@@ -77,7 +82,10 @@ impl AllApproximatedTest {
         }
     }
 
-    /// Creates the test with an explicit revision order.
+    /// Creates the test with an explicit revision order.  `Fifo` picks
+    /// each revision in amortized O(1); `LargestError` scans the live
+    /// approximations with one `component_demand` evaluation each, and
+    /// `LargestUtilization` scans them (see [`RevisionOrder`]).
     #[must_use]
     pub fn with_revision_order(revision_order: RevisionOrder) -> Self {
         AllApproximatedTest {

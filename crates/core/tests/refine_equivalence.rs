@@ -8,6 +8,7 @@
 //! (`LevelGrowth`, `RevisionOrder`, `with_initial_level`, `with_max_level`
 //! / `from_target_error`).
 
+use edf_analysis::budget::WorkBudget;
 use edf_analysis::kernel::AnalysisScratch;
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
 use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload};
@@ -63,6 +64,53 @@ fn arb_curve_task() -> impl Strategy<Value = ArrivalCurveTask> {
             })
         },
     )
+}
+
+fn task_set(params: &[(u64, u64, u64)]) -> TaskSet {
+    TaskSet::from_tasks(
+        params
+            .iter()
+            .map(|&(c, d, p)| Task::from_ticks(c, d, p).expect("valid task"))
+            .collect(),
+    )
+}
+
+/// Runs analyses that stop part-way on `scratch`, each checked against a
+/// fresh scratch: a level-limited FIFO run that drops limit-reached
+/// entries from its revision queue and ends feasible with every
+/// component still approximated, an infeasible run, and a run whose
+/// budget of one unit runs out after the first component is
+/// approximated.  The feasible and the exhausted run leave live entries
+/// in the revision queue; the infeasible one stops once no term is live,
+/// but leaves its frontier and component states behind.
+fn leave_partial_runs_in(scratch: &mut AnalysisScratch) {
+    let limited = task_set(&[(10, 19, 20), (5, 22, 29), (3, 4, 10)]);
+    let infeasible = task_set(&[(3, 4, 10), (4, 6, 10), (2, 5, 12)]);
+    let runs = [
+        (
+            AllApproximatedTest::new().with_max_level(3),
+            &limited,
+            WorkBudget::unlimited(),
+        ),
+        (
+            AllApproximatedTest::new(),
+            &infeasible,
+            WorkBudget::unlimited(),
+        ),
+        (AllApproximatedTest::new(), &limited, WorkBudget::limited(1)),
+    ];
+    for (test, ts, budget) in runs {
+        let prepared = PreparedWorkload::new(ts);
+        let mut fresh = AnalysisScratch::new();
+        fresh.set_budget(budget);
+        scratch.set_budget(budget);
+        assert_eq!(
+            test.analyze_demand(&prepared, scratch),
+            test.analyze_demand(&prepared, &mut fresh),
+            "{test:?} on {ts}",
+        );
+        scratch.take_budget();
+    }
 }
 
 /// Every dynamic-error knob combination the engine must reproduce:
@@ -164,13 +212,16 @@ proptest! {
     }
 
     /// Scratch reuse across workloads never changes a result: analyses
-    /// through one shared scratch arena equal fresh-scratch analyses.
+    /// through one shared scratch arena equal fresh-scratch analyses, also
+    /// right after runs that stopped part-way (see
+    /// `leave_partial_runs_in`).
     #[test]
     fn engine_scratch_reuse_is_observationally_pure(
         systems in prop::collection::vec(arb_mixed(), 1..=3),
     ) {
         let mut scratch = AnalysisScratch::new();
         for system in &systems {
+            leave_partial_runs_in(&mut scratch);
             let prepared = PreparedWorkload::new(system);
             let dynamic = DynamicErrorTest::new();
             let all = AllApproximatedTest::new();
@@ -244,11 +295,18 @@ fn witness_reports_the_full_demand_of_an_equal_deadline_run() {
 
 /// The hand-picked sets of the engine's development: tight constrained
 /// deadlines, `U = 1`, an overload, equal periods and an empty set.  The
-/// last two pin all-approximated branches no generated set reached:
+/// next two pin all-approximated branches no generated set reached:
 /// under a level limit, the first withdraws one component twice, so its
 /// job count after a withdrawal decides whether it can be revised again;
 /// under `LargestError`, the second meets two approximations with equal
-/// errors, so the tie-break (oldest first) picks the withdrawal.
+/// errors, so the tie-break (oldest first) picks the withdrawal.  Under
+/// `with_max_level(3)`, the last two reach the limit on the oldest live
+/// approximation while a younger one is still below it, so the FIFO
+/// revision queue must drop the oldest entry and withdraw the younger
+/// one: the first then answers `Unknown` after 13 comparisons (without
+/// the limit check it refines on to its overload at 137), the second
+/// `Feasible` after 10 (stopping at the limit-reached entry would answer
+/// `Unknown`).
 fn hand_picked_sets() -> Vec<TaskSet> {
     let t = |c, d, p| Task::from_ticks(c, d, p).expect("valid task");
     vec![
@@ -263,6 +321,8 @@ fn hand_picked_sets() -> Vec<TaskSet> {
         TaskSet::new(),
         TaskSet::from_tasks(vec![t(9, 16, 24), t(5, 40, 29), t(7, 25, 30), t(4, 9, 28)]),
         TaskSet::from_tasks(vec![t(7, 15, 29), t(6, 13, 27), t(8, 25, 19)]),
+        TaskSet::from_tasks(vec![t(1, 1, 5), t(12, 21, 28), t(10, 29, 27)]),
+        TaskSet::from_tasks(vec![t(10, 19, 20), t(5, 22, 29), t(3, 4, 10)]),
     ]
 }
 
