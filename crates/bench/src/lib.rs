@@ -1,9 +1,10 @@
 //! # `edf-bench` — shared fixtures for the Criterion benchmarks
 //!
 //! The benchmark targets of this crate (one per figure/table of the paper's
-//! evaluation, plus ablations) need identical, reproducible workloads so
-//! that the measured wall-clock differences reflect the algorithms rather
-//! than the inputs.  This small library provides those fixtures.
+//! evaluation, plus the kernel, service and batch lanes) need identical,
+//! reproducible workloads so that the measured wall-clock differences
+//! reflect the algorithms rather than the inputs.  This small library
+//! provides those fixtures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

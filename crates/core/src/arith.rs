@@ -21,9 +21,6 @@
 //!
 //! [`Time`]: edf_model::Time
 
-use core::cmp::Ordering;
-use core::fmt;
-
 /// Greatest common divisor of two `u128` values (Euclid).
 ///
 /// `gcd(0, x) == x` by convention.
@@ -112,27 +109,6 @@ impl Reciprocal {
         }
     }
 
-    /// `⌈num / d⌉` for the divisor `d` this reciprocal was built from,
-    /// computed through the reciprocal whenever `num` fits `u64`
-    /// (virtually always) and through plain `u128` division otherwise —
-    /// bit-identical to [`ceil_div_u128`]`(num, d)` for every input.
-    ///
-    /// This is the ceiling counterpart of [`Reciprocal::divided_parts`]:
-    /// the superposition helpers evaluate the linear approximation part
-    /// `⌈C·δ/T⌉` once per live term of a failing comparison (the
-    /// `LargestError` revision scan), and the cached reciprocal turns that
-    /// per-term hardware `u128` division into two widening multiplies.
-    /// `den` must equal the construction divisor.
-    #[inline]
-    pub(crate) fn ceil_divide(self, num: u128, den: u64) -> u128 {
-        if let Ok(n64) = u64::try_from(num) {
-            let q = self.divide(n64);
-            u128::from(q) + u128::from(q * den != n64)
-        } else {
-            ceil_div_u128(num, u128::from(den))
-        }
-    }
-
     /// `⌊n / d⌋` for the divisor this reciprocal was built from.
     #[inline]
     pub(crate) fn divide(self, n: u64) -> u64 {
@@ -145,148 +121,6 @@ impl Reciprocal {
         let low_carry = (u128::from(self.lo) * u128::from(n)) >> 64;
         let high = u128::from(self.hi) * u128::from(n);
         ((high + low_carry) >> 64) as u64
-    }
-}
-
-/// A non-negative rational number `num/den` stored in `u128`.
-///
-/// Construction reduces the fraction; arithmetic is checked and returns
-/// `None` on overflow so callers can fall back to a conservative path.
-///
-/// # Examples
-///
-/// ```
-/// use edf_analysis::arith::Ratio;
-///
-/// let a = Ratio::new(1, 3).unwrap();
-/// let b = Ratio::new(1, 6).unwrap();
-/// let sum = a.checked_add(b).unwrap();
-/// assert_eq!(sum, Ratio::new(1, 2).unwrap());
-/// assert!(sum < Ratio::ONE);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ratio {
-    num: u128,
-    den: u128,
-}
-
-impl Ratio {
-    /// The value zero.
-    pub const ZERO: Ratio = Ratio { num: 0, den: 1 };
-    /// The value one.
-    pub const ONE: Ratio = Ratio { num: 1, den: 1 };
-
-    /// Creates a reduced ratio; `None` if `den == 0`.
-    #[must_use]
-    pub fn new(num: u128, den: u128) -> Option<Ratio> {
-        if den == 0 {
-            return None;
-        }
-        if num == 0 {
-            return Some(Ratio::ZERO);
-        }
-        let g = gcd_u128(num, den);
-        Some(Ratio {
-            num: num / g,
-            den: den / g,
-        })
-    }
-
-    /// Creates a ratio from an integer.
-    #[must_use]
-    pub fn from_integer(value: u128) -> Ratio {
-        Ratio { num: value, den: 1 }
-    }
-
-    /// Numerator of the reduced fraction.
-    #[must_use]
-    pub fn numer(&self) -> u128 {
-        self.num
-    }
-
-    /// Denominator of the reduced fraction.
-    #[must_use]
-    pub fn denom(&self) -> u128 {
-        self.den
-    }
-
-    /// Lossy conversion to `f64`.
-    #[must_use]
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
-    /// Checked addition; `None` on overflow.
-    #[must_use]
-    pub fn checked_add(self, other: Ratio) -> Option<Ratio> {
-        let g = gcd_u128(self.den, other.den);
-        let lcm = self.den.checked_mul(other.den / g)?;
-        let a = self.num.checked_mul(lcm / self.den)?;
-        let b = other.num.checked_mul(lcm / other.den)?;
-        Ratio::new(a.checked_add(b)?, lcm)
-    }
-
-    /// Checked multiplication; `None` on overflow.
-    #[must_use]
-    pub fn checked_mul(self, other: Ratio) -> Option<Ratio> {
-        // Cross-reduce first to keep intermediates small.
-        let g1 = gcd_u128(self.num, other.den);
-        let g2 = gcd_u128(other.num, self.den);
-        let num = (self.num / g1).checked_mul(other.num / g2)?;
-        let den = (self.den / g2).checked_mul(other.den / g1)?;
-        Ratio::new(num, den)
-    }
-
-    /// Checked subtraction; `None` on overflow or if the result would be
-    /// negative.
-    #[must_use]
-    pub fn checked_sub(self, other: Ratio) -> Option<Ratio> {
-        let g = gcd_u128(self.den, other.den);
-        let lcm = self.den.checked_mul(other.den / g)?;
-        let a = self.num.checked_mul(lcm / self.den)?;
-        let b = other.num.checked_mul(lcm / other.den)?;
-        Ratio::new(a.checked_sub(b)?, lcm)
-    }
-
-    /// Compares against an integer without overflow where possible;
-    /// `None` if the comparison cannot be performed exactly.
-    #[must_use]
-    pub fn checked_cmp_integer(&self, value: u128) -> Option<Ordering> {
-        let rhs = self.den.checked_mul(value)?;
-        Some(self.num.cmp(&rhs))
-    }
-}
-
-impl PartialOrd for Ratio {
-    fn partial_cmp(&self, other: &Ratio) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ratio {
-    fn cmp(&self, other: &Ratio) -> Ordering {
-        // a/b vs c/d  <=>  a*d vs c*b; fall back to f64 on (unrealistic)
-        // overflow — documented conservative behaviour.
-        match (
-            self.num.checked_mul(other.den),
-            other.num.checked_mul(self.den),
-        ) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
-        }
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
     }
 }
 
@@ -572,10 +406,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reciprocal_ceil_divide_matches_plain_ceiling_at_the_u64_boundary() {
+    fn reciprocal_divided_parts_match_plain_division_at_the_u64_boundary() {
         // Numerators straddling the `u64::MAX` fast-path gate in every
         // combination with exact-multiple and off-by-one remainders: the
-        // reciprocal route and the plain `u128` ceiling must agree bit for
+        // reciprocal route and the plain `u128` division must agree bit for
         // bit on both sides of the boundary.
         let ds = [1u64, 2, 3, 7, 10, 255, 1 << 20, u32::MAX as u64, u64::MAX];
         let boundary = u128::from(u64::MAX);
@@ -595,10 +429,11 @@ mod tests {
                 u128::MAX,
             ];
             for &n in &ns {
+                let den = u128::from(d);
                 assert_eq!(
-                    rcp.ceil_divide(n, d),
-                    ceil_div_u128(n, u128::from(d)),
-                    "⌈{n} / {d}⌉ through the reciprocal"
+                    rcp.divided_parts(n, d),
+                    (n / den, n % den, den),
+                    "{n} / {d} through the reciprocal"
                 );
             }
         }
@@ -624,60 +459,6 @@ mod tests {
     #[should_panic]
     fn ceil_div_by_zero_panics() {
         let _ = ceil_div_u128(1, 0);
-    }
-
-    #[test]
-    fn ratio_construction_and_reduction() {
-        assert_eq!(Ratio::new(2, 4), Ratio::new(1, 2));
-        assert_eq!(Ratio::new(0, 7).unwrap(), Ratio::ZERO);
-        assert_eq!(Ratio::new(5, 0), None);
-        assert_eq!(Ratio::from_integer(3).numer(), 3);
-        assert_eq!(Ratio::from_integer(3).denom(), 1);
-        assert_eq!(Ratio::new(6, 3).unwrap().to_string(), "2");
-        assert_eq!(Ratio::new(3, 6).unwrap().to_string(), "1/2");
-    }
-
-    #[test]
-    fn ratio_arithmetic() {
-        let third = Ratio::new(1, 3).unwrap();
-        let sixth = Ratio::new(1, 6).unwrap();
-        assert_eq!(third.checked_add(sixth), Ratio::new(1, 2));
-        assert_eq!(third.checked_mul(sixth), Ratio::new(1, 18));
-        assert_eq!(third.checked_sub(sixth), Ratio::new(1, 6));
-        assert_eq!(sixth.checked_sub(third), None, "negative result rejected");
-        assert!((third.to_f64() - 1.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn ratio_ordering() {
-        let a = Ratio::new(2, 3).unwrap();
-        let b = Ratio::new(3, 4).unwrap();
-        assert!(a < b);
-        assert!(b > a);
-        assert_eq!(a.cmp(&a), Ordering::Equal);
-        assert_eq!(a.checked_cmp_integer(1), Some(Ordering::Less));
-        assert_eq!(
-            Ratio::from_integer(2).checked_cmp_integer(2),
-            Some(Ordering::Equal)
-        );
-        assert_eq!(
-            Ratio::from_integer(3).checked_cmp_integer(2),
-            Some(Ordering::Greater)
-        );
-    }
-
-    #[test]
-    fn ratio_overflow_paths() {
-        let huge = Ratio::new(u128::MAX, 1).unwrap();
-        assert_eq!(huge.checked_add(Ratio::ONE), None);
-        assert_eq!(huge.checked_mul(huge), None);
-        assert_eq!(huge.checked_cmp_integer(1), Some(Ordering::Greater));
-        let tiny = Ratio::new(1, u128::MAX).unwrap();
-        assert_eq!(
-            tiny.checked_cmp_integer(u128::MAX),
-            None,
-            "den * value overflows"
-        );
     }
 
     #[test]

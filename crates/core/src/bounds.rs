@@ -884,25 +884,10 @@ pub fn george_components(components: &[DemandComponent]) -> Option<Time> {
 /// the first busy period, so its length is a valid feasibility bound.  The
 /// synchronous-pattern argument is specific to the sporadic model, so this
 /// returns `None` whenever a component is one-shot or released after the
-/// window start, and when the iteration does not converge within an
-/// internal budget (which happens for overloaded sets).
+/// window start, and when the iteration does not converge within 100 000
+/// iterations (which happens for overloaded sets).
 #[must_use]
 pub fn busy_period_components(components: &[DemandComponent]) -> Option<Time> {
-    busy_period_components_with(components, &mut WorkBudget::unlimited())
-}
-
-/// [`busy_period_components`] metered against a caller's [`WorkBudget`]:
-/// every fix-point iteration charges one work unit.  The non-convergence
-/// cut-off is itself a second, internal budget of 100 000 iterations, so
-/// overloaded sets are cut off identically whether or not the caller's
-/// budget is limited.  Returns
-/// `None` when the bound is inapplicable, on overload or divergence, and
-/// when the budget runs out mid-iteration; the caller distinguishes the
-/// last case via [`WorkBudget::is_exhausted`].
-pub fn busy_period_components_with(
-    components: &[DemandComponent],
-    budget: &mut WorkBudget,
-) -> Option<Time> {
     if !synchronous_periodic(components) {
         return None;
     }
@@ -911,7 +896,7 @@ pub fn busy_period_components_with(
         .iter()
         .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
     loop {
-        if !convergence.charge(1) || !budget.charge(1) {
+        if !convergence.charge(1) {
             return None;
         }
         let next = components
@@ -1327,9 +1312,7 @@ mod tests {
         // than `p + q` per step towards that lcm and are cut off first.
         let (p, q) = ((1u64 << 32) + 15, (1u64 << 32) + 17);
         let cut_off = vec![periodic(p, 2 * p - 1, 2 * p), periodic(q, 2 * q, 2 * q)];
-        let mut meter = WorkBudget::unlimited();
-        assert_eq!(busy_period_components_with(&cut_off, &mut meter), None);
-        assert_eq!(meter.spent(), BUSY_PERIOD_CONVERGENCE_UNITS);
+        assert_eq!(busy_period_components(&cut_off), None);
         assert_eq!(hyperperiod_components(&cut_off), None);
         // The cut-off is foreseen: the QPA horizon skips the fix-point
         // and still answers what the reference does.

@@ -11,10 +11,10 @@
 //!
 //! [`WorkBudget`] replaces the clock with a count of **deterministic work
 //! units** — demand-merge events consumed, QPA descent iterations,
-//! refinement-frontier comparison steps, candidate combinations, bounds
-//! fix-point iterations.  Every long-running loop in the crate charges one
-//! unit per step at a cheap checkpoint (one saturating add and one compare)
-//! and, when the budget is exhausted, unwinds cleanly to an honest
+//! refinement-frontier comparison steps, candidate combinations.  Every
+//! long-running loop in the crate charges one unit per step at a cheap
+//! checkpoint (one saturating add and one compare) and, when the budget
+//! is exhausted, unwinds cleanly to an honest
 //! [`Verdict::Unknown`](crate::Verdict::Unknown) carrying a [`Progress`]
 //! record of how far the analysis got.  Two runs with the same workload
 //! and the same budget always stop at the same step with the same answer.
@@ -154,8 +154,8 @@ impl Default for WorkBudget {
 /// in the refinement loop".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgressPhase {
-    /// Computing the §4.3 feasibility bounds (busy-period fix point or
-    /// bound search) before any test interval was examined.
+    /// Before any analysis loop started: the admission service's one-unit
+    /// request-entry charge was refused (no test interval was examined).
     Bounds,
     /// Walking the merged demand events of the processor demand test.
     DemandWalk,

@@ -644,8 +644,6 @@ pub(crate) struct RefinementState {
     pub examined_jobs: u64,
     /// `Some(im)` when the component is approximated from `im` on.
     pub approximated_from: Option<Time>,
-    /// Creation sequence number of the approximation (FIFO revision).
-    pub approx_seq: u64,
     /// Position of this component's term inside the incrementally
     /// maintained approximation-term list (valid while approximated).
     pub term_slot: u32,
@@ -701,7 +699,7 @@ pub struct AnalysisScratch {
     /// Component index owning each entry of `approx_terms` (keeps
     /// [`RefinementState::term_slot`] consistent across swap-removes).
     pub(crate) term_owner: Vec<u32>,
-    /// The all-approximated test's `Fifo` revision queue: the live
+    /// The all-approximated test's FIFO revision queue: the live
     /// approximations' owners in approximation order (see
     /// [`crate::refine`]).
     pub(crate) revision_queue: VecDeque<u32>,

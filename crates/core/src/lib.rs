@@ -51,10 +51,8 @@
 //! shared preparation per workload, [`transactions`] analyzes
 //! offset-transaction systems through the [`candidates`] engine
 //! (dominance-pruned critical-instant candidates, Gray-code incremental
-//! re-preparation, parallel early-exit sweep),
-//! [`event_stream_analysis`] keeps the compatibility surface of the former
-//! bespoke event-stream loop, and [`exhaustive`] provides a naive
-//! reference oracle for validation.  The plain loops the refinement
+//! re-preparation, parallel early-exit sweep), and [`exhaustive`]
+//! provides a naive reference oracle for validation.  The plain loops the refinement
 //! engine is tested against live in the dev-only `edf-oracle` crate, not
 //! in this one.
 //!
@@ -126,7 +124,6 @@ pub mod bounds;
 pub mod budget;
 pub mod candidates;
 pub mod demand;
-pub mod event_stream_analysis;
 pub mod exhaustive;
 pub mod incremental;
 pub mod kernel;

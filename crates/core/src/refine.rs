@@ -34,15 +34,16 @@
 //!    ascending component order (reproducing the plain loop's scan over
 //!    every component bit for bit) with one `component_demand` gather per
 //!    withdrawal.
-//! 4. **FIFO revision queue.**  Under [`RevisionOrder::Fifo`] the
-//!    all-approximated test keeps its live approximations' owners in a
-//!    `VecDeque` in approximation order, and withdraws only the front one,
-//!    so a pick is amortized O(1) instead of a scan over every live term.
-//!    With [`AllApproximatedTest::with_max_level`], an entry whose
-//!    component has reached the limit leaves the queue for good: its term
-//!    is not on the frontier, so its job count cannot change and it can
-//!    never be picked again; the first entry below the limit is the oldest
-//!    eligible term, exactly what the scan would pick.
+//! 4. **FIFO revision queue.**  The all-approximated test withdraws the
+//!    oldest live approximation (§4.2's `getAndRemoveFirstTask`).  It
+//!    keeps the live approximations' owners in a `VecDeque` in
+//!    approximation order and withdraws only the front one, so a pick is
+//!    amortized O(1) instead of a scan over every live term.  With
+//!    [`AllApproximatedTest::with_max_level`], an entry whose component
+//!    has reached the limit leaves the queue for good: its term is not on
+//!    the frontier, so its job count cannot change and it can never be
+//!    picked again; the first entry below the limit is the oldest eligible
+//!    term.
 //!
 //! # Soundness of the screened comparison
 //!
@@ -117,7 +118,7 @@ use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
 use crate::budget::ProgressPhase;
 use crate::kernel::{AnalysisScratch, FrontierQueue, RefinementState};
 use crate::superposition::ApproxTerm;
-use crate::tests::{AllApproximatedTest, DynamicErrorTest, RevisionOrder};
+use crate::tests::{AllApproximatedTest, DynamicErrorTest};
 use crate::workload::{DemandComponent, PreparedWorkload};
 
 /// One unit in the last place of the `f64` mantissa: `2⁻⁵³`.
@@ -147,8 +148,8 @@ struct Engine<'a> {
     frontier: &'a mut FrontierQueue,
     terms: &'a mut Vec<ApproxTerm>,
     owners: &'a mut Vec<u32>,
-    /// The live terms' owners in approximation order, kept under
-    /// [`RevisionOrder::Fifo`] only.
+    /// The live terms' owners in approximation order, kept by the
+    /// all-approximated test only.
     revision_queue: &'a mut VecDeque<u32>,
     withdrawn: &'a mut Vec<u32>,
     rcp: &'a mut Vec<Option<Reciprocal>>,
@@ -411,55 +412,18 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// The all-approximated test's revision pick.  `Fifo` pops the
-    /// revision queue's front entries until one is below the level limit
-    /// (the caller withdraws it; see the module docs).  The other orders
-    /// scan the compact live-term list instead of every component state;
-    /// every comparator is a unique total order over the candidates (the
-    /// approximation sequence number breaks all ties), so the pick is
-    /// independent of the scan order and identical to an ascending-index
-    /// scan.  `LargestError` evaluates each term's over-estimation through
-    /// its cached reciprocal instead of a `u128` division.
-    fn pick_revision(&mut self, test: &AllApproximatedTest, interval: Time) -> Option<usize> {
-        let below_limit = |s: &RefinementState| test.max_level.is_none_or(|l| s.examined_jobs < l);
-        if test.revision_order == RevisionOrder::Fifo {
-            while let Some(owner) = self.revision_queue.pop_front() {
-                let s = &self.states[owner as usize];
-                debug_assert!(s.approximated_from.is_some());
-                if below_limit(s) {
-                    return Some(owner as usize);
-                }
-            }
-            return None;
-        }
-        let approximated = self.owners.iter().enumerate().filter_map(|(slot, &owner)| {
-            let j = owner as usize;
-            let s = &self.states[j];
+    /// The all-approximated test's revision pick: pops the revision
+    /// queue's front entries until one is below the level limit (the
+    /// caller withdraws it; see the module docs).
+    fn pick_revision(&mut self, max_level: Option<u64>) -> Option<usize> {
+        while let Some(owner) = self.revision_queue.pop_front() {
+            let s = &self.states[owner as usize];
             debug_assert!(s.approximated_from.is_some());
-            below_limit(s).then_some((j, slot, s.approx_seq))
-        });
-        match test.revision_order {
-            RevisionOrder::Fifo => unreachable!("answered from the revision queue"),
-            RevisionOrder::LargestError => approximated
-                .max_by_key(|&(j, slot, seq)| {
-                    let term = &self.terms[slot];
-                    let error = term
-                        .dbf_at_im
-                        .saturating_add(term.ceil_linear(interval))
-                        .saturating_sub(self.workload.component_demand(j, interval));
-                    (error, u64::MAX - seq)
-                })
-                .map(|(j, _, _)| j),
-            RevisionOrder::LargestUtilization => approximated
-                .max_by(|&(a, _, sa), &(b, _, sb)| {
-                    self.components[a]
-                        .utilization()
-                        .partial_cmp(&self.components[b].utilization())
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                        .then(sb.cmp(&sa))
-                })
-                .map(|(j, _, _)| j),
+            if max_level.is_none_or(|l| s.examined_jobs < l) {
+                return Some(owner as usize);
+            }
         }
+        None
     }
 }
 
@@ -524,14 +488,14 @@ pub(crate) fn dynamic_error(
                 // withdrawn for this interval.
                 let mut revised_any = false;
                 while !revised_any {
-                    let next_level = test.growth.next(level);
+                    let raised = level.saturating_mul(2);
                     if let Some(limit) = test.max_level {
-                        if next_level > limit && level >= limit {
+                        if raised > limit && level >= limit {
                             break 'drive counter.finish(Verdict::Unknown, None);
                         }
-                        level = next_level.min(limit);
+                        level = raised.min(limit);
                     } else {
-                        level = next_level;
+                        level = raised;
                     }
                     revised_any = engine.withdraw_below_level(level, interval);
                     if level == u64::MAX {
@@ -588,7 +552,6 @@ pub(crate) fn all_approximated(
     };
     let mut budget = scratch.budget();
     let mut counter = IterationCounter::new();
-    let mut approx_seq: u64 = 0;
     // As in `dynamic_error`: only a *completed* satisfied comparison
     // certifies its interval.
     let mut certified: Option<Time> = None;
@@ -626,10 +589,9 @@ pub(crate) fn all_approximated(
                         }),
                     );
                 }
-                // Withdraw one approximation according to the configured
-                // revision order; components refined up to the level limit
-                // are no longer candidates.
-                let Some(revise) = engine.pick_revision(test, interval) else {
+                // Withdraw the oldest approximation; components refined up
+                // to the level limit are no longer candidates.
+                let Some(revise) = engine.pick_revision(test.max_level) else {
                     // Every remaining approximation is beyond the limit — its
                     // over-estimation is within the target error, so the
                     // failure is inconclusive (see `with_max_level`).
@@ -643,12 +605,8 @@ pub(crate) fn all_approximated(
             // on.  One-shot components have no future demand, so they stay in
             // the exact part instead.
             if engine.components[idx].period().is_some() {
-                engine.states[idx].approx_seq = approx_seq;
-                approx_seq += 1;
                 engine.approximate(idx, interval);
-                if test.revision_order == RevisionOrder::Fifo {
-                    engine.revision_queue.push_back(idx as u32);
-                }
+                engine.revision_queue.push_back(idx as u32);
             }
         }
 

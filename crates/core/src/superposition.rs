@@ -17,11 +17,9 @@
 //! exact rational arithmetic.  The tests of the superposition family —
 //! `SuperPos(x)`, the dynamic-error and the all-approximated test — all
 //! run on the shared engine of [`crate::refine`], which keeps the terms
-//! and their sums incrementally and makes that comparison from them.
-//! Where an integer value of the linear part is needed (the
-//! `LargestError` revision order, Lemma 6's over-estimation), it is
-//! rounded up, `⌈C·(I − Im)/T⌉`, which keeps `dbf'` an over-approximation
-//! of `dbf`.
+//! and their sums incrementally and makes that comparison from them, so
+//! the integer form of a line, with its linear part rounded up to
+//! `⌈C·(I − Im)/T⌉`, is never needed.
 
 use edf_model::Time;
 
@@ -151,23 +149,6 @@ impl ApproxTerm {
         }
     }
 
-    /// The ceiling-division linear part `⌈C·(interval − Im)/T⌉` of this
-    /// term, clamped to the `Time` range — the amount the integer `dbf'`
-    /// adds to `dbf(Im)`, computed through the
-    /// term's cached reciprocal (the `LargestError` revision scan calls
-    /// this once per live term per revision pick).
-    #[inline]
-    #[must_use]
-    pub(crate) fn ceil_linear(&self, interval: Time) -> Time {
-        let delta = interval.saturating_sub(self.im);
-        if delta.is_zero() {
-            return Time::ZERO;
-        }
-        let num = self.wcet.as_u128() * delta.as_u128();
-        let value = self.rcp.ceil_divide(num, self.period.as_u64());
-        Time::new(value.min(u128::from(u64::MAX)) as u64)
-    }
-
     /// The pre-divided linear part `(⌊C·δ/T⌋, C·δ mod T, T)` of this term
     /// at `interval` (`δ = interval − Im`), or `None` when the linear part
     /// is still zero — computed through the precomputed reciprocal
@@ -192,6 +173,17 @@ mod tests {
         DemandComponent::periodic(Time::new(wcet), Time::new(deadline), Time::new(period))
     }
 
+    /// The ceiling-division linear part `⌈C·(interval − Im)/T⌉` of `term`,
+    /// clamped to the `Time` range, from the pre-divided parts the
+    /// refining engine compares.
+    fn ceil_linear(term: &ApproxTerm, interval: Time) -> Time {
+        let Some((quotient, remainder, _)) = term.linear_parts(interval) else {
+            return Time::ZERO;
+        };
+        let value = quotient + u128::from(remainder != 0);
+        Time::new(value.min(u128::from(u64::MAX)) as u64)
+    }
+
     /// Def. 4 on one component in its integer (ceiling) form, through the
     /// term API the refining engine uses.
     fn dbf_approx(component: &DemandComponent, level: u64, interval: Time) -> Time {
@@ -200,7 +192,7 @@ mod tests {
             return component.dbf(interval);
         }
         let term = ApproxTerm::for_component(component, im, component.dbf(im));
-        term.dbf_at_im.saturating_add(term.ceil_linear(interval))
+        term.dbf_at_im.saturating_add(ceil_linear(&term, interval))
     }
 
     #[test]
@@ -358,7 +350,7 @@ mod tests {
         let tau = c(3, 5, 12);
         let im = Time::new(17); // deadline of 2nd job
         let term = ApproxTerm::for_component(&tau, im, tau.dbf(im));
-        assert_eq!(term.ceil_linear(im), Time::ZERO);
+        assert_eq!(ceil_linear(&term, im), Time::ZERO);
         assert_eq!(term.linear_parts(im), None);
         assert_eq!(dbf_approx(&tau, 2, im), tau.dbf(im));
     }
@@ -371,7 +363,7 @@ mod tests {
         for i in im.as_u64()..im.as_u64() + 150 {
             let expected = ceil_div_u128(3 * u128::from(i - im.as_u64()), 12);
             assert_eq!(
-                term.ceil_linear(Time::new(i)).as_u128(),
+                ceil_linear(&term, Time::new(i)).as_u128(),
                 expected,
                 "I = {i}"
             );
@@ -380,10 +372,10 @@ mod tests {
         // quotient past `u64` clamps to the `Time` range.
         let wide = c(u64::MAX, 1, u64::MAX);
         let wide_term = ApproxTerm::for_component(&wide, Time::new(1), Time::new(u64::MAX));
-        assert_eq!(wide_term.ceil_linear(Time::MAX), Time::new(u64::MAX - 1));
+        assert_eq!(ceil_linear(&wide_term, Time::MAX), Time::new(u64::MAX - 1));
         let steep = c(u64::MAX, 1, 1);
         let steep_term = ApproxTerm::for_component(&steep, Time::new(1), Time::new(u64::MAX));
-        assert_eq!(steep_term.ceil_linear(Time::MAX), Time::MAX);
+        assert_eq!(ceil_linear(&steep_term, Time::MAX), Time::MAX);
     }
 
     #[test]
@@ -395,7 +387,6 @@ mod tests {
         for i in 5..120u64 {
             let i = Time::new(i);
             assert_eq!(a.linear_parts(i), b.linear_parts(i), "I = {i}");
-            assert_eq!(a.ceil_linear(i), b.ceil_linear(i), "I = {i}");
         }
     }
 

@@ -25,28 +25,6 @@ use crate::analysis::{Analysis, FeasibilityTest};
 use crate::kernel::AnalysisScratch;
 use crate::workload::PreparedWorkload;
 
-/// Order in which approximations are withdrawn when a comparison fails.
-///
-/// The paper's pseudocode (`ApproxList->getAndRemoveFirstTask`) revises in
-/// FIFO order; the alternatives are provided for the ablation benchmarks.
-///
-/// Cost per revision, over the live approximations: `Fifo` is amortized
-/// O(1) (a queue in approximation order); `LargestError` is O(live terms)
-/// with one `component_demand` evaluation per term; `LargestUtilization`
-/// is O(live terms).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RevisionOrder {
-    /// Withdraw the approximation that was created first (paper default).
-    #[default]
-    Fifo,
-    /// Withdraw the approximation with the largest current over-estimation
-    /// `app(I, τ)` — greedily removes the most pessimism per revision.
-    LargestError,
-    /// Withdraw the approximation of the task with the largest utilization.
-    LargestUtilization,
-}
-
 /// The all-approximated feasibility test.
 ///
 /// # Examples
@@ -68,36 +46,16 @@ pub enum RevisionOrder {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllApproximatedTest {
-    pub(crate) revision_order: RevisionOrder,
     pub(crate) max_level: Option<u64>,
 }
 
 impl AllApproximatedTest {
-    /// Creates the test with the paper's FIFO revision order.
+    /// Creates the exact test.  A failing comparison withdraws the oldest
+    /// approximation first (the paper's FIFO revision order), each pick in
+    /// amortized O(1).
     #[must_use]
     pub fn new() -> Self {
-        AllApproximatedTest {
-            revision_order: RevisionOrder::Fifo,
-            max_level: None,
-        }
-    }
-
-    /// Creates the test with an explicit revision order.  `Fifo` picks
-    /// each revision in amortized O(1); `LargestError` scans the live
-    /// approximations with one `component_demand` evaluation each, and
-    /// `LargestUtilization` scans them (see [`RevisionOrder`]).
-    #[must_use]
-    pub fn with_revision_order(revision_order: RevisionOrder) -> Self {
-        AllApproximatedTest {
-            revision_order,
-            max_level: None,
-        }
-    }
-
-    /// The configured revision order.
-    #[must_use]
-    pub fn revision_order(&self) -> RevisionOrder {
-        self.revision_order
+        AllApproximatedTest { max_level: None }
     }
 
     /// Limits how far any single component may be refined: once
@@ -154,8 +112,8 @@ impl FeasibilityTest for AllApproximatedTest {
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
         // The analysis loop lives in the shared refinement engine (flat
-        // frontier queue, incremental comparison aggregates, live-term
-        // revision scan); see [`crate::refine`] for the structure and the
+        // frontier queue, incremental comparison aggregates, FIFO revision
+        // queue); see [`crate::refine`] for the structure and the
         // bit-identity argument against the plain loop of `edf-oracle`.
         crate::refine::all_approximated(self, workload, scratch)
     }
@@ -242,7 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn revision_orders_agree_on_the_verdict() {
+    fn fifo_revision_agrees_with_processor_demand() {
+        // The oldest approximation is withdrawn first (§4.2); with or
+        // without a level limit, every decisive verdict is the exact one.
         let sets = vec![
             TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]),
             TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]),
@@ -250,13 +210,21 @@ mod tests {
             TaskSet::from_tasks(vec![t(1, 3, 12), t(4, 9, 20), t(6, 25, 50), t(10, 60, 120)]),
         ];
         for ts in sets {
-            let fifo = AllApproximatedTest::with_revision_order(RevisionOrder::Fifo).analyze(&ts);
-            let error =
-                AllApproximatedTest::with_revision_order(RevisionOrder::LargestError).analyze(&ts);
-            let util = AllApproximatedTest::with_revision_order(RevisionOrder::LargestUtilization)
-                .analyze(&ts);
-            assert_eq!(fifo.verdict, error.verdict);
-            assert_eq!(fifo.verdict, util.verdict);
+            let exact = ProcessorDemandTest::new().analyze(&ts).verdict;
+            assert_eq!(
+                AllApproximatedTest::new().analyze(&ts).verdict,
+                exact,
+                "on {ts}"
+            );
+            for limit in [1, 2, 7] {
+                let limited = AllApproximatedTest::new()
+                    .with_max_level(limit)
+                    .analyze(&ts)
+                    .verdict;
+                if limited.is_decisive() {
+                    assert_eq!(limited, exact, "limit {limit} on {ts}");
+                }
+            }
         }
     }
 
@@ -291,7 +259,6 @@ mod tests {
         let test = AllApproximatedTest::new();
         assert_eq!(test.name(), "all-approximated");
         assert!(test.is_exact());
-        assert_eq!(test.revision_order(), RevisionOrder::Fifo);
         assert_eq!(test, AllApproximatedTest::default());
     }
 

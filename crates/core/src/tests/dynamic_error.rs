@@ -22,26 +22,6 @@ use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::kernel::AnalysisScratch;
 use crate::workload::PreparedWorkload;
 
-/// How the approximation level grows when the current level is too coarse.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LevelGrowth {
-    /// Double the level at every refinement (the paper's proposal, which
-    /// limits the number of level switches to `log₂ nmax`).
-    #[default]
-    Double,
-    /// Increase the level by one at every refinement (ablation baseline).
-    Increment,
-}
-
-impl LevelGrowth {
-    pub(crate) fn next(self, level: u64) -> u64 {
-        match self {
-            LevelGrowth::Double => level.saturating_mul(2),
-            LevelGrowth::Increment => level.saturating_add(1),
-        }
-    }
-}
-
 /// The dynamic-error feasibility test.
 ///
 /// # Examples
@@ -66,7 +46,6 @@ impl LevelGrowth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynamicErrorTest {
     pub(crate) initial_level: u64,
-    pub(crate) growth: LevelGrowth,
     pub(crate) max_level: Option<u64>,
 }
 
@@ -83,7 +62,6 @@ impl DynamicErrorTest {
     pub fn new() -> Self {
         DynamicErrorTest {
             initial_level: 1,
-            growth: LevelGrowth::Double,
             max_level: None,
         }
     }
@@ -97,13 +75,6 @@ impl DynamicErrorTest {
     pub fn with_initial_level(mut self, level: u64) -> Self {
         assert!(level >= 1, "approximation level must be at least 1");
         self.initial_level = level;
-        self
-    }
-
-    /// Sets the level growth strategy (default: doubling).
-    #[must_use]
-    pub fn with_growth(mut self, growth: LevelGrowth) -> Self {
-        self.growth = growth;
         self
     }
 
@@ -137,12 +108,6 @@ impl DynamicErrorTest {
     #[must_use]
     pub fn initial_level(&self) -> u64 {
         self.initial_level
-    }
-
-    /// The level growth strategy.
-    #[must_use]
-    pub fn growth(&self) -> LevelGrowth {
-        self.growth
     }
 
     /// The configured maximum level, if any.
@@ -284,20 +249,25 @@ mod tests {
     }
 
     #[test]
-    fn growth_strategies_agree_on_verdict() {
+    fn level_doubling_agrees_with_processor_demand() {
+        // Doubling from level 1 (1, 2, 4, …) and from level 3 (3, 6, 12, …)
+        // walks different level sequences to the same exact verdict.
         let sets = vec![
             TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]),
             TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]),
             TaskSet::from_tasks(vec![t(2, 5, 11), t(3, 9, 17), t(4, 16, 23)]),
         ];
         for ts in sets {
-            let double = DynamicErrorTest::new()
-                .with_growth(LevelGrowth::Double)
-                .analyze(&ts);
-            let increment = DynamicErrorTest::new()
-                .with_growth(LevelGrowth::Increment)
-                .analyze(&ts);
-            assert_eq!(double.verdict, increment.verdict);
+            for level in [1, 3] {
+                let analysis = DynamicErrorTest::new()
+                    .with_initial_level(level)
+                    .analyze(&ts);
+                assert_eq!(
+                    analysis.verdict,
+                    exact_reference(&ts),
+                    "level {level} on {ts}"
+                );
+            }
         }
     }
 

@@ -23,9 +23,9 @@ mod qpa;
 mod superposition_test;
 mod utilization;
 
-pub use all_approximated::{AllApproximatedTest, RevisionOrder};
+pub use all_approximated::AllApproximatedTest;
 pub use devi::DeviTest;
-pub use dynamic_error::{DynamicErrorTest, LevelGrowth};
+pub use dynamic_error::DynamicErrorTest;
 pub use processor_demand::{BoundSelection, ProcessorDemandTest};
 pub use qpa::QpaTest;
 pub use superposition_test::SuperpositionTest;

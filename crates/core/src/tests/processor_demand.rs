@@ -12,7 +12,7 @@ use edf_model::Time;
 
 use crate::analysis::{Analysis, DemandOverload, FeasibilityTest, IterationCounter, Verdict};
 use crate::bounds;
-use crate::budget::{ProgressPhase, WorkBudget};
+use crate::budget::ProgressPhase;
 use crate::kernel::AnalysisScratch;
 use crate::workload::PreparedWorkload;
 
@@ -23,14 +23,10 @@ pub enum BoundSelection {
     /// The minimum over every bound that can be computed (default).
     #[default]
     Tightest,
-    /// Baruah et al.: `U/(1−U)·max(Tᵢ − Dᵢ)`.
+    /// Baruah et al.: `U/(1−U)·max(Tᵢ − Dᵢ)` (Table 1's baseline).  Where
+    /// that bound does not apply — no component with `D < T`, a one-shot
+    /// component, or `U = 1` — the walk runs to the tightest bound instead.
     Baruah,
-    /// George et al.: `Σ(1 − Dᵢ/Tᵢ)Cᵢ/(1 − U)`.
-    George,
-    /// The synchronous busy period.
-    BusyPeriod,
-    /// `lcm(Tᵢ) + max Dᵢ`.
-    Hyperperiod,
     /// A caller-supplied horizon (useful for experiments and for bounding
     /// the worst-case run time at the price of exactness).
     Fixed(Time),
@@ -87,19 +83,11 @@ impl ProcessorDemandTest {
         self.bound
     }
 
-    fn horizon(&self, workload: &PreparedWorkload, budget: &mut WorkBudget) -> Option<Time> {
-        // A specific selection computes only that bound; the cached
-        // all-bounds struct is reserved for `Tightest` (where every bound
-        // is needed anyway and sharing across tests pays off).  The busy
-        // period is the one live fix-point here, so it is the one bound
-        // metered against the work budget.
-        let components = workload.components();
+    fn horizon(&self, workload: &PreparedWorkload) -> Option<Time> {
         match self.bound {
             BoundSelection::Tightest => workload.analysis_horizon(),
-            BoundSelection::Baruah => bounds::baruah_components(components),
-            BoundSelection::George => bounds::george_components(components),
-            BoundSelection::BusyPeriod => bounds::busy_period_components_with(components, budget),
-            BoundSelection::Hyperperiod => bounds::hyperperiod_components(components),
+            BoundSelection::Baruah => bounds::baruah_components(workload.components())
+                .or_else(|| workload.analysis_horizon()),
             BoundSelection::Fixed(limit) => Some(limit),
         }
     }
@@ -125,19 +113,14 @@ impl FeasibilityTest for ProcessorDemandTest {
         if workload.utilization_exceeds_one() {
             return Analysis::trivial(Verdict::Infeasible);
         }
+        let Some(horizon) = self.horizon(workload) else {
+            // U == 1 with an overflowing hyperperiod: no usable bound.
+            return Analysis::trivial(Verdict::Unknown);
+        };
         // The budget travels as a local copy: `demand_steps` borrows the
         // scratch for the whole walk, so the spend is written back after
         // the loop ends (the labeled block funnels every exit there).
         let mut budget = scratch.budget();
-        let horizon = self.horizon(workload, &mut budget);
-        if budget.is_exhausted() {
-            scratch.set_budget(budget);
-            return IterationCounter::new().finish_exhausted(&budget, ProgressPhase::Bounds, None);
-        }
-        let Some(horizon) = horizon else {
-            // U == 1 with an overflowing hyperperiod: no usable bound.
-            return Analysis::trivial(Verdict::Unknown);
-        };
         let mut counter = IterationCounter::new();
         let analysis = 'walk: {
             let mut demand = Time::ZERO;
@@ -181,6 +164,7 @@ impl FeasibilityTest for ProcessorDemandTest {
 mod tests {
     use super::*;
     use crate::demand::dbf_set;
+    use crate::workload::DemandComponent;
     use edf_model::{Task, TaskSet};
 
     fn t(c: u64, d: u64, p: u64) -> Task {
@@ -275,9 +259,7 @@ mod tests {
             let reference = ProcessorDemandTest::new().analyze(&ts).verdict;
             for bound in [
                 BoundSelection::Baruah,
-                BoundSelection::George,
-                BoundSelection::BusyPeriod,
-                BoundSelection::Hyperperiod,
+                BoundSelection::Fixed(Time::new(1_000)),
             ] {
                 let analysis = ProcessorDemandTest::with_bound(bound).analyze(&ts);
                 if analysis.verdict.is_decisive() {
@@ -288,13 +270,38 @@ mod tests {
     }
 
     #[test]
+    fn baruah_falls_back_to_the_tightest_bound_where_it_does_not_apply() {
+        // No `D < T` component, and a one-shot component: Baruah's bound is
+        // undefined, yet the selection is exact and must answer.
+        let implicit =
+            PreparedWorkload::new(&TaskSet::from_tasks(vec![t(1, 10, 10), t(2, 20, 20)]));
+        let one_shot = PreparedWorkload::from_components(vec![
+            DemandComponent::periodic(Time::new(1), Time::new(4), Time::new(10)),
+            DemandComponent::one_shot(Time::new(2), Time::new(5), Time::ZERO),
+        ]);
+        let baruah = ProcessorDemandTest::with_bound(BoundSelection::Baruah);
+        assert!(baruah.is_exact());
+        for workload in [&implicit, &one_shot] {
+            assert_eq!(bounds::baruah_components(workload.components()), None);
+            let tightest = ProcessorDemandTest::new().analyze_prepared(workload);
+            let analysis = baruah.analyze_prepared(workload);
+            assert_eq!(analysis.verdict, Verdict::Feasible);
+            assert_eq!(analysis.verdict, tightest.verdict);
+        }
+    }
+
+    #[test]
     fn tighter_bounds_need_fewer_iterations() {
         let ts = TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]);
         let tightest = ProcessorDemandTest::new().analyze(&ts).iterations;
-        let hyper = ProcessorDemandTest::with_bound(BoundSelection::Hyperperiod)
+        let baruah = ProcessorDemandTest::with_bound(BoundSelection::Baruah)
             .analyze(&ts)
             .iterations;
-        assert!(tightest <= hyper);
+        let wide = ProcessorDemandTest::with_bound(BoundSelection::Fixed(Time::new(1_000)))
+            .analyze(&ts)
+            .iterations;
+        assert!(tightest <= baruah);
+        assert!(baruah <= wide);
     }
 
     #[test]

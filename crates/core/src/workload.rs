@@ -826,16 +826,16 @@ impl Workload for Box<dyn Workload + Send + Sync> {
 /// A system mixing sporadic tasks and event-stream activated tasks — the
 /// "advanced task model" of §2/§3.6.
 ///
-/// `MixedSystem` used to carry its own bespoke analysis loop; it is now an
-/// ordinary [`Workload`] and every feasibility test of this crate applies.
-/// The convenience methods ([`MixedSystem::analyze`], …) are thin wrappers
-/// over the common path.
+/// `MixedSystem` is an ordinary [`Workload`]: every feasibility test of
+/// this crate analyzes it through
+/// [`FeasibilityTest::analyze_workload`](crate::FeasibilityTest::analyze_workload).
 ///
 /// # Examples
 ///
 /// ```
+/// use edf_analysis::tests::ProcessorDemandTest;
 /// use edf_analysis::workload::MixedSystem;
-/// use edf_analysis::Verdict;
+/// use edf_analysis::{FeasibilityTest, Verdict};
 /// use edf_model::{EventStream, EventStreamTask, Task, TaskSet, Time};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -849,7 +849,10 @@ impl Workload for Box<dyn Workload + Send + Sync> {
 /// )?;
 /// let system = MixedSystem::new(sporadic, vec![burst]);
 /// assert!(edf_analysis::workload::Workload::utilization(&system) < 1.0);
-/// assert_eq!(system.analyze().verdict, Verdict::Feasible);
+/// assert_eq!(
+///     ProcessorDemandTest::new().analyze_workload(&system).verdict,
+///     Verdict::Feasible
+/// );
 /// # Ok(())
 /// # }
 /// ```
@@ -1477,6 +1480,8 @@ pub(crate) fn components_exceed_one(components: &[DemandComponent]) -> bool {
 mod tests {
     use super::*;
     use crate::demand::{dbf_set, rbf_set};
+    use crate::tests::ProcessorDemandTest;
+    use crate::{Analysis, FeasibilityTest, Verdict};
     use edf_model::EventStream;
 
     fn t(c: u64, d: u64, p: u64) -> Task {
@@ -1775,6 +1780,86 @@ mod tests {
                     test.name()
                 );
             }
+        }
+    }
+
+    /// The exact processor-demand analysis of a mixed system, on the
+    /// common workload path.
+    fn analyze(system: &MixedSystem) -> Analysis {
+        ProcessorDemandTest::new().analyze_workload(system)
+    }
+
+    #[test]
+    fn purely_sporadic_system_matches_the_sporadic_test() {
+        let sets = vec![
+            TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]),
+            TaskSet::from_tasks(vec![t(3, 4, 10), t(4, 6, 10), t(2, 5, 12)]),
+            TaskSet::from_tasks(vec![t(2, 7, 10), t(3, 15, 25), t(5, 40, 50)]),
+        ];
+        for ts in sets {
+            let system = MixedSystem::new(ts.clone(), vec![]);
+            let expected = ProcessorDemandTest::new().analyze(&ts).verdict;
+            assert_eq!(analyze(&system).verdict, expected, "on {ts}");
+        }
+    }
+
+    #[test]
+    fn bursty_load_detected_as_infeasible_when_too_dense() {
+        // Background of 60 % plus a burst needing 3*10 time units within 25
+        // of its occurrence, every 100: around the burst the demand exceeds
+        // the capacity.
+        let background = TaskSet::from_tasks(vec![t(6, 10, 10)]);
+        let heavy_burst = burst(3, 1, 100, 10, 25);
+        let system = MixedSystem::new(background, vec![heavy_burst]);
+        let analysis = analyze(&system);
+        assert_eq!(analysis.verdict, Verdict::Infeasible);
+        let witness = analysis.overload.expect("witness");
+        assert_eq!(system.demand(witness.interval), witness.demand);
+        assert!(witness.demand > witness.interval);
+    }
+
+    #[test]
+    fn sparse_burst_is_feasible() {
+        let background = TaskSet::from_tasks(vec![t(2, 8, 10), t(5, 35, 40)]);
+        let sparse_burst = burst(4, 5, 200, 3, 30);
+        let system = MixedSystem::new(background, vec![sparse_burst]);
+        assert!(system.utilization() < 1.0);
+        assert_eq!(analyze(&system).verdict, Verdict::Feasible);
+    }
+
+    #[test]
+    fn overload_and_empty_paths() {
+        let empty = MixedSystem::new(TaskSet::new(), vec![]);
+        assert_eq!(analyze(&empty).verdict, Verdict::Feasible);
+        let overloaded = MixedSystem::new(
+            TaskSet::from_tasks(vec![t(9, 10, 10)]),
+            vec![burst(2, 1, 10, 2, 10)],
+        );
+        assert!(overloaded.utilization() > 1.0);
+        assert_eq!(analyze(&overloaded).verdict, Verdict::Infeasible);
+        // Utilization exactly 1 with implicit deadlines: no finite George
+        // bound, but the workload path falls back to the hyperperiod bound
+        // and answers exactly.
+        let saturated = MixedSystem::new(TaskSet::from_tasks(vec![t(10, 10, 10)]), vec![]);
+        assert_eq!(analyze(&saturated).verdict, Verdict::Feasible);
+    }
+
+    #[test]
+    fn accessors_and_bound() {
+        let system = MixedSystem::new(
+            TaskSet::from_tasks(vec![t(2, 8, 10)]),
+            vec![burst(2, 2, 40, 3, 12)],
+        );
+        assert_eq!(system.sporadic().len(), 1);
+        assert_eq!(system.stream_tasks().len(), 1);
+        let bound = PreparedWorkload::new(&system)
+            .analysis_horizon()
+            .expect("finite bound");
+        assert!(bound > Time::ZERO);
+        // The bound really is safe: no violation may exist at or beyond it
+        // for this feasible system (spot-check a window beyond the bound).
+        for i in bound.as_u64()..bound.as_u64() + 50 {
+            assert!(system.demand(Time::new(i)) <= Time::new(i));
         }
     }
 }

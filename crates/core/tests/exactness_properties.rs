@@ -7,12 +7,11 @@
 //! * every sufficient acceptance implies exact feasibility.
 
 use edf_analysis::demand::dbf_set;
-use edf_analysis::event_stream_analysis::MixedSystem;
 use edf_analysis::exhaustive::exhaustive_check;
 use edf_analysis::sensitivity::{breakdown_scaling_exact, wcet_slack};
 use edf_analysis::tests::{
     AllApproximatedTest, DensityTest, DeviTest, DynamicErrorTest, LiuLaylandTest,
-    ProcessorDemandTest, QpaTest, RevisionOrder, SuperpositionTest,
+    ProcessorDemandTest, QpaTest, SuperpositionTest,
 };
 use edf_analysis::{FeasibilityTest, Verdict};
 use edf_model::{Task, TaskSet, Time};
@@ -153,13 +152,21 @@ proptest! {
         }
     }
 
-    /// The all-approximated test stays exact under every revision order.
+    /// Both refining tests stay sound under a level limit: every decisive
+    /// verdict of the bounded test is the exact one.
     #[test]
-    fn revision_orders_stay_exact(ts in arb_small_set()) {
+    fn level_limited_refinement_stays_sound(ts in arb_small_set()) {
         let reference = brute_force_feasible(&ts);
-        for order in [RevisionOrder::Fifo, RevisionOrder::LargestError, RevisionOrder::LargestUtilization] {
-            let verdict = AllApproximatedTest::with_revision_order(order).analyze(&ts).verdict;
-            prop_assert_eq!(verdict.is_feasible(), reference, "order {:?} on {}", order, ts);
+        for limit in [1, 2, 4] {
+            for test in [
+                Box::new(AllApproximatedTest::new().with_max_level(limit)) as Box<dyn FeasibilityTest>,
+                Box::new(DynamicErrorTest::new().with_max_level(limit)),
+            ] {
+                let verdict = test.analyze(&ts).verdict;
+                if verdict.is_decisive() {
+                    prop_assert_eq!(verdict.is_feasible(), reference, "{} limit {} on {}", test.name(), limit, ts);
+                }
+            }
         }
     }
 
@@ -268,7 +275,7 @@ proptest! {
         let mut as_sporadic = ts.clone();
         as_sporadic.push(stream_task.to_sporadic().unwrap());
         let mixed = MixedSystem::new(ts, vec![stream_task]);
-        let mixed_verdict = mixed.analyze().verdict;
+        let mixed_verdict = ProcessorDemandTest::new().analyze_workload(&mixed).verdict;
         let sporadic_verdict = ProcessorDemandTest::new().analyze(&as_sporadic).verdict;
         if mixed_verdict.is_decisive() && sporadic_verdict.is_decisive() {
             prop_assert_eq!(mixed_verdict, sporadic_verdict);
@@ -281,7 +288,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use edf_analysis::tests::AllApproximatedTest as AaTest;
-use edf_analysis::workload::PreparedWorkload;
+use edf_analysis::workload::{MixedSystem, PreparedWorkload};
 use edf_model::{EventStream, EventStreamTask};
 
 /// Re-expresses a sporadic task set as periodic event-stream tasks.

@@ -5,12 +5,11 @@
 //! loops of [`edf_oracle::refine`] — verdicts, iteration counts,
 //! examined intervals and overload witnesses — across sporadic task sets,
 //! event streams, mixed systems and arrival curves, under every test knob
-//! (`LevelGrowth`, `RevisionOrder`, `with_initial_level`, `with_max_level`
-//! / `from_target_error`).
+//! (`with_initial_level`, `with_max_level` / `from_target_error`).
 
 use edf_analysis::budget::WorkBudget;
 use edf_analysis::kernel::AnalysisScratch;
-use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
+use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest};
 use edf_analysis::workload::{DemandComponent, MixedSystem, PreparedWorkload};
 use edf_analysis::{DemandOverload, FeasibilityTest, Verdict};
 use edf_model::{
@@ -113,25 +112,16 @@ fn leave_partial_runs_in(scratch: &mut AnalysisScratch) {
     }
 }
 
-/// Every dynamic-error knob combination the engine must reproduce:
-/// both growth strategies, shifted initial levels, hard level limits and
-/// target-error-derived limits.
+/// Every dynamic-error knob combination the engine must reproduce: a
+/// shifted initial level, hard level limits and target-error-derived
+/// limits.
 fn dynamic_error_knobs() -> Vec<DynamicErrorTest> {
-    let mut knobs = Vec::new();
-    for growth in [LevelGrowth::Double, LevelGrowth::Increment] {
-        knobs.push(DynamicErrorTest::new().with_growth(growth));
-        knobs.push(
-            DynamicErrorTest::new()
-                .with_growth(growth)
-                .with_initial_level(3),
-        );
-        for limit in [1, 2, 7] {
-            knobs.push(
-                DynamicErrorTest::new()
-                    .with_growth(growth)
-                    .with_max_level(limit),
-            );
-        }
+    let mut knobs = vec![
+        DynamicErrorTest::new(),
+        DynamicErrorTest::new().with_initial_level(3),
+    ];
+    for limit in [1, 2, 7] {
+        knobs.push(DynamicErrorTest::new().with_max_level(limit));
     }
     for epsilon in [1.0, 0.3, 0.05] {
         knobs.push(DynamicErrorTest::from_target_error(epsilon));
@@ -139,20 +129,12 @@ fn dynamic_error_knobs() -> Vec<DynamicErrorTest> {
     knobs
 }
 
-/// Every all-approximated knob combination: the three revision orders,
-/// crossed with unbounded, hard-limited and target-error-derived
-/// refinement limits.
+/// Every all-approximated knob combination: unbounded, hard-limited and
+/// target-error-derived refinement limits.
 fn all_approximated_knobs() -> Vec<AllApproximatedTest> {
-    let mut knobs = Vec::new();
-    for order in [
-        RevisionOrder::Fifo,
-        RevisionOrder::LargestError,
-        RevisionOrder::LargestUtilization,
-    ] {
-        knobs.push(AllApproximatedTest::with_revision_order(order));
-        for limit in [1, 2, 7] {
-            knobs.push(AllApproximatedTest::with_revision_order(order).with_max_level(limit));
-        }
+    let mut knobs = vec![AllApproximatedTest::new()];
+    for limit in [1, 2, 7] {
+        knobs.push(AllApproximatedTest::new().with_max_level(limit));
     }
     for epsilon in [1.0, 0.3, 0.05] {
         knobs.push(AllApproximatedTest::from_target_error(epsilon));
@@ -298,8 +280,8 @@ fn witness_reports_the_full_demand_of_an_equal_deadline_run() {
 /// next two pin all-approximated branches no generated set reached:
 /// under a level limit, the first withdraws one component twice, so its
 /// job count after a withdrawal decides whether it can be revised again;
-/// under `LargestError`, the second meets two approximations with equal
-/// errors, so the tie-break (oldest first) picks the withdrawal.  Under
+/// the second adds a constrained-deadline set whose failing comparison
+/// meets two approximations with equal over-estimations.  Under
 /// `with_max_level(3)`, the last two reach the limit on the oldest live
 /// approximation while a younger one is still below it, so the FIFO
 /// revision queue must drop the oldest entry and withdraw the younger
@@ -330,7 +312,6 @@ fn hand_picked_sets() -> Vec<TaskSet> {
 fn dynamic_error_engine_matches_reference_on_hand_picked_sets() {
     let tests = [
         DynamicErrorTest::new(),
-        DynamicErrorTest::new().with_growth(LevelGrowth::Increment),
         DynamicErrorTest::new().with_initial_level(3),
         DynamicErrorTest::new().with_max_level(2),
         DynamicErrorTest::from_target_error(0.25),
@@ -349,8 +330,6 @@ fn dynamic_error_engine_matches_reference_on_hand_picked_sets() {
 fn all_approximated_engine_matches_reference_on_hand_picked_sets() {
     let tests = [
         AllApproximatedTest::new(),
-        AllApproximatedTest::with_revision_order(RevisionOrder::LargestError),
-        AllApproximatedTest::with_revision_order(RevisionOrder::LargestUtilization),
         AllApproximatedTest::new().with_max_level(2),
         AllApproximatedTest::new().with_max_level(3),
         AllApproximatedTest::from_target_error(0.5),

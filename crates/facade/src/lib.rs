@@ -122,8 +122,8 @@ pub use edf_analysis::sensitivity::{
     wcet_slack_prepared, wcet_slack_workload, BreakdownScaling, SensitivityReport,
 };
 pub use edf_analysis::tests::{
-    AllApproximatedTest, BoundSelection, DensityTest, DeviTest, DynamicErrorTest, LevelGrowth,
-    LiuLaylandTest, ProcessorDemandTest, QpaTest, RevisionOrder, SuperpositionTest,
+    AllApproximatedTest, BoundSelection, DensityTest, DeviTest, DynamicErrorTest, LiuLaylandTest,
+    ProcessorDemandTest, QpaTest, SuperpositionTest,
 };
 pub use edf_analysis::transactions::{
     analyze_transaction_system, candidate_workloads, exhaustive_transaction_check, CombinationIter,

@@ -7,11 +7,10 @@
 //! plain form of the two loops — a `BinaryHeap` of pending intervals, one
 //! state record per demand component, and every demand comparison
 //! re-summed from those records ([`refine`]) — together with the exact
-//! Def. 5 comparison and Lemma 6's over-estimation they are written in
-//! ([`superposition`]).
+//! Def. 5 comparison they are written in ([`superposition`]).
 //!
 //! It is the only oracle for the refining tests' iteration counts under
-//! every knob (level growth, initial level, level limit, revision order):
+//! every knob (initial level, level limit):
 //! the `refine_equivalence` proptests of `edf-analysis` require the
 //! engine's whole [`Analysis`](edf_analysis::Analysis) — verdict,
 //! iteration count, largest examined interval and overload witness — to

@@ -8,9 +8,9 @@
 //! per-component state records: the exact part sums the examined
 //! demand of every unapproximated component, and every approximated
 //! component contributes its [`ApproxTerm`] to [`approx_demand_within`].
-//! A failed comparison withdraws approximations — by raising the level
-//! (dynamic-error) or by the configured revision order (all-approximated)
-//! — until it succeeds or turns fully exact.
+//! A failed comparison withdraws approximations — by doubling the level
+//! (dynamic-error) or oldest first (all-approximated) — until it succeeds
+//! or turns fully exact.
 //!
 //! Each function answers exactly what the matching test's
 //! [`FeasibilityTest::analyze_demand`](edf_analysis::FeasibilityTest::analyze_demand)
@@ -20,12 +20,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use edf_analysis::superposition::ApproxTerm;
-use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, LevelGrowth, RevisionOrder};
+use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest};
 use edf_analysis::workload::{DemandComponent, PreparedWorkload};
 use edf_analysis::{Analysis, DemandOverload, Verdict};
 use edf_model::Time;
 
-use crate::superposition::{approx_demand_within, approximation_error_component};
+use crate::superposition::approx_demand_within;
 
 /// What the loops know about one demand component.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,7 +40,7 @@ struct State {
     /// reached, compared against the level limit).
     examined_jobs: u64,
     /// Approximation sequence number (all-approximated test: the FIFO
-    /// revision order and every tie-break).
+    /// revision order).
     approx_seq: u64,
 }
 
@@ -161,14 +161,6 @@ fn withdraw(states: &mut [State], components: &[DemandComponent], j: usize, inte
     states[j].examined_demand = components[j].dbf(interval);
 }
 
-/// The level after `level` under `growth`.
-fn next_level(growth: LevelGrowth, level: u64) -> u64 {
-    match growth {
-        LevelGrowth::Double => level.saturating_mul(2),
-        LevelGrowth::Increment => level.saturating_add(1),
-    }
-}
-
 /// The dynamic-error analysis (§4.1, Figure 5).
 #[must_use]
 pub fn dynamic_error(test: &DynamicErrorTest, workload: &PreparedWorkload) -> Analysis {
@@ -200,7 +192,7 @@ pub fn dynamic_error(test: &DynamicErrorTest, workload: &PreparedWorkload) -> An
             }
             let mut revised_any = false;
             while !revised_any {
-                let raised = next_level(test.growth(), level);
+                let raised = level.saturating_mul(2);
                 if let Some(limit) = test.max_level() {
                     if raised > limit && level >= limit {
                         return counter.finish(Verdict::Unknown, None);
@@ -258,44 +250,16 @@ fn jobs_within(component: &DemandComponent, interval: Time) -> u64 {
 }
 
 /// The approximated component whose approximation the all-approximated
-/// test withdraws next at `interval`, or `None` when every approximated
-/// component has reached the level limit.
-fn pick_revision(
-    test: &AllApproximatedTest,
-    components: &[DemandComponent],
-    states: &[State],
-    interval: Time,
-) -> Option<usize> {
-    let candidates = states.iter().enumerate().filter_map(|(j, s)| {
-        if test
-            .max_level()
-            .is_some_and(|limit| s.examined_jobs >= limit)
-        {
-            return None;
-        }
-        s.approximated_from.map(|im| (j, im, s.approx_seq))
-    });
-    match test.revision_order() {
-        RevisionOrder::Fifo => candidates.min_by_key(|&(_, _, seq)| seq).map(|(j, _, _)| j),
-        RevisionOrder::LargestError => candidates
-            .max_by_key(|&(j, im, seq)| {
-                (
-                    approximation_error_component(&components[j], im, interval),
-                    u64::MAX - seq,
-                )
-            })
-            .map(|(j, _, _)| j),
-        RevisionOrder::LargestUtilization => candidates
-            .max_by(|&(a, _, sa), &(b, _, sb)| {
-                components[a]
-                    .utilization()
-                    .partial_cmp(&components[b].utilization())
-                    .unwrap_or(core::cmp::Ordering::Equal)
-                    .then(sb.cmp(&sa))
-            })
-            .map(|(j, _, _)| j),
-        other => unimplemented!("no reference loop for revision order {other:?}"),
-    }
+/// test withdraws next — the oldest one below the level limit — or `None`
+/// when every approximated component has reached the limit.
+fn pick_revision(test: &AllApproximatedTest, states: &[State]) -> Option<usize> {
+    states
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.approximated_from.is_some())
+        .filter(|(_, s)| test.max_level().is_none_or(|limit| s.examined_jobs < limit))
+        .min_by_key(|(_, s)| s.approx_seq)
+        .map(|(j, _)| j)
 }
 
 /// The all-approximated analysis (§4.2, Figure 7).
@@ -329,7 +293,7 @@ pub fn all_approximated(test: &AllApproximatedTest, workload: &PreparedWorkload)
             // Every remaining approximation is at the level limit: its
             // over-estimation is within the target error, so the failure
             // is inconclusive.
-            let Some(revise) = pick_revision(test, components, &states, interval) else {
+            let Some(revise) = pick_revision(test, &states) else {
                 return counter.finish(Verdict::Unknown, None);
             };
             withdraw(&mut states, components, revise, interval);

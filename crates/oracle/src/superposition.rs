@@ -1,17 +1,13 @@
-//! The exact superposition comparison (Def. 5) and the over-estimation of
-//! an approximated component (Lemma 6), as the [`crate::refine`] loops
-//! evaluate them.
+//! The exact superposition comparison (Def. 5), as the [`crate::refine`]
+//! loops evaluate it.
 //!
 //! An [`ApproxTerm`] is the line `dbf(Im) + C·(I − Im)/T` that replaces a
 //! component's demand staircase beyond its maximum test interval `Im`.
 //! [`approx_demand_within`] decides the real-valued sum of such lines in
-//! exact rational arithmetic; [`approximation_error_component`] rounds
-//! the linear part up, which keeps the integer `dbf'` an
-//! over-approximation of `dbf`.
+//! exact rational arithmetic.
 
-use edf_analysis::arith::{ceil_div_u128, fracs_le_integer_iter};
+use edf_analysis::arith::fracs_le_integer_iter;
 use edf_analysis::superposition::ApproxTerm;
-use edf_analysis::workload::DemandComponent;
 use edf_model::Time;
 
 /// Exactly decides whether the approximated demand
@@ -51,64 +47,13 @@ pub fn approx_demand_within(
     )
 }
 
-/// The over-estimation `app(I, τ)` of Lemma 6 in the ceiling-division
-/// variant: the amount by which the approximated contribution of
-/// `component` (started at `im`) exceeds its exact demand at `interval`.
-/// Revising an approximation subtracts exactly this amount from the
-/// approximated total demand.  Zero for one-shot components: their demand
-/// never grows past `im`, so the linear approximation with slope 0 is
-/// exact.
-#[must_use]
-pub fn approximation_error_component(
-    component: &DemandComponent,
-    im: Time,
-    interval: Time,
-) -> Time {
-    let Some(period) = component.period() else {
-        return Time::ZERO;
-    };
-    let delta = interval.saturating_sub(im);
-    let linear = ceil_div_u128(
-        component.wcet().as_u128() * delta.as_u128(),
-        period.as_u128(),
-    );
-    component
-        .dbf(im)
-        .saturating_add(Time::new(linear.min(u128::from(u64::MAX)) as u64))
-        .saturating_sub(component.dbf(interval))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edf_analysis::workload::DemandComponent;
 
     fn c(wcet: u64, deadline: u64, period: u64) -> DemandComponent {
         DemandComponent::periodic(Time::new(wcet), Time::new(deadline), Time::new(period))
-    }
-
-    #[test]
-    fn approximation_error_zero_at_start_and_nonnegative() {
-        // τ = (3, 5, 12) approximated from its second deadline, Im = 17,
-        // where dbf(Im) = 6: dbf'(I) = 6 + ⌈3·(I − 17)/12⌉.
-        let tau = c(3, 5, 12);
-        let im = tau.max_test_interval(2);
-        assert_eq!(im, Time::new(17));
-        assert_eq!(approximation_error_component(&tau, im, im), Time::ZERO);
-        for i in 17..117u64 {
-            let err = approximation_error_component(&tau, im, Time::new(i));
-            let approx = 6 + (3 * (i - 17)).div_ceil(12);
-            assert_eq!(
-                err.as_u64(),
-                approx - tau.dbf(Time::new(i)).as_u64(),
-                "I = {i}"
-            );
-            assert!(err <= tau.wcet());
-        }
-        let one_shot = DemandComponent::one_shot(Time::new(3), Time::new(5), Time::ZERO);
-        assert_eq!(
-            approximation_error_component(&one_shot, Time::new(5), Time::new(90)),
-            Time::ZERO
-        );
     }
 
     #[test]
