@@ -14,9 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use edf_analysis::sensitivity::{
-    breakdown_scaling_workload, sensitivity_sweep, wcet_slack_workload,
-};
+use edf_analysis::sensitivity::{breakdown_scaling, sensitivity_sweep, wcet_slack};
 use edf_analysis::tests::{AllApproximatedTest, QpaTest};
 use edf_analysis::workload::{MixedSystem, PreparedWorkload};
 use edf_bench::{ratio_fixture, slack_fixture, stream_fixture};
@@ -57,7 +55,7 @@ fn bench_breakdown(c: &mut Criterion) {
             |b, sets| {
                 b.iter(|| {
                     sets.iter()
-                        .filter_map(|ts| breakdown_scaling_workload(ts, &qpa))
+                        .filter_map(|ts| breakdown_scaling(ts, &qpa))
                         .count()
                 })
             },
@@ -71,14 +69,14 @@ fn bench_breakdown(c: &mut Criterion) {
     group.bench_function("incremental_all_approx/10", |b| {
         b.iter(|| {
             sets.iter()
-                .filter_map(|ts| breakdown_scaling_workload(ts, &all_approx))
+                .filter_map(|ts| breakdown_scaling(ts, &all_approx))
                 .count()
         })
     });
 
     let mixed = mixed_system();
     group.bench_function("incremental_qpa/mixed", |b| {
-        b.iter(|| breakdown_scaling_workload(&mixed, &qpa))
+        b.iter(|| breakdown_scaling(&mixed, &qpa))
     });
     group.finish();
 }
@@ -93,7 +91,7 @@ fn bench_wcet_slack(c: &mut Criterion) {
     let qpa = QpaTest::new();
     let slack_all = |ts: &TaskSet| -> usize {
         (0..ts.len())
-            .filter_map(|index| wcet_slack_workload(ts, index, &qpa))
+            .filter_map(|index| wcet_slack(ts, index, &qpa))
             .count()
     };
     // Headline series: the robustness-budgeting regime (moderate load).
@@ -117,7 +115,7 @@ fn bench_wcet_slack(c: &mut Criterion) {
     group.bench_function("incremental_qpa/mixed", |b| {
         b.iter(|| {
             (0..components)
-                .filter_map(|index| wcet_slack_workload(&mixed, index, &qpa))
+                .filter_map(|index| wcet_slack(&mixed, index, &qpa))
                 .count()
         })
     });

@@ -274,31 +274,6 @@ pub trait FeasibilityTest {
     fn analyze_workload(&self, workload: &dyn Workload) -> Analysis {
         self.analyze_prepared(&PreparedWorkload::new(workload))
     }
-
-    /// Runs the test on any incremental view of the
-    /// [`WorkloadView`](crate::incremental::WorkloadView) family
-    /// ([`ScaledView`](crate::incremental::ScaledView),
-    /// [`CandidateView`](crate::candidates::CandidateView),
-    /// [`EditView`](crate::incremental::EditView)): finalizes pending
-    /// mutations (a `ScaledView` probe arrives finalized, through its
-    /// `EditView`) and analyzes the prepared state — equivalent to
-    /// [`FeasibilityTest::analyze_prepared`] on a cold preparation of the
-    /// same components, without the cold preparation.
-    fn analyze_view(&self, view: &mut dyn crate::incremental::WorkloadView) -> Analysis {
-        self.analyze_prepared(view.finalize())
-    }
-
-    /// [`FeasibilityTest::analyze_view`] with a caller-provided scratch
-    /// arena — the inner loop of the sensitivity searches, the candidate
-    /// sweep and the admission service, which reuse one scratch across
-    /// thousands of view analyses.
-    fn analyze_view_with(
-        &self,
-        view: &mut dyn crate::incremental::WorkloadView,
-        scratch: &mut AnalysisScratch,
-    ) -> Analysis {
-        self.analyze_prepared_with(view.finalize(), scratch)
-    }
 }
 
 /// Mutable counter for the effort metric, shared by the test

@@ -45,7 +45,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::analysis::{Analysis, FeasibilityTest};
-use crate::budget::WorkBudget;
 use crate::kernel::AnalysisScratch;
 use crate::workload::{PreparedWorkload, Workload};
 
@@ -143,35 +142,14 @@ impl WorkerState {
         workload: &W,
         tests: &[BoxedTest],
     ) -> Vec<Analysis> {
-        self.analyze_budgeted(workload, tests, None)
-    }
-
-    /// [`WorkerState::analyze`] with an optional **per-workload** work
-    /// budget: each workload starts from a fresh allowance of `units`
-    /// work units, shared by every test of the suite in order.  Seeding
-    /// per workload (not per batch) is what makes batched exhaustion
-    /// identical to sequential exhaustion — no worker races another for
-    /// a shared pool.
-    fn analyze_budgeted<W: Workload + ?Sized>(
-        &mut self,
-        workload: &W,
-        tests: &[BoxedTest],
-        units: Option<u64>,
-    ) -> Vec<Analysis> {
         let prepared = match self.prepared.take() {
             Some(slot) => slot.recycled(workload),
             None => PreparedWorkload::new(workload),
         };
-        if let Some(units) = units {
-            self.scratch.set_budget(WorkBudget::limited(units));
-        }
         let results = tests
             .iter()
             .map(|test| test.analyze_prepared_with(&prepared, &mut self.scratch))
             .collect();
-        if units.is_some() {
-            let _ = self.scratch.take_budget();
-        }
         self.prepared = Some(prepared);
         results
     }
@@ -213,62 +191,6 @@ pub fn analyze_many_serial<W: Workload>(
         .iter()
         .map(|workload| state.analyze(workload, tests))
         .collect()
-}
-
-/// [`analyze_many`] under **per-workload** [`WorkBudget`]s: every workload
-/// starts from its own fresh allowance of `units` deterministic work
-/// units, shared by the tests of the suite in order; a workload whose
-/// allowance runs out answers an honest [`Verdict::Unknown`](crate::Verdict::Unknown) carrying a
-/// [`Progress`](crate::budget::Progress) record.  Because the allowance
-/// is seeded per workload, the results — exhaustion points included — are
-/// **identical** to [`analyze_many_serial_budgeted`] on the same inputs,
-/// regardless of how the batch is split over workers (pinned by the
-/// `budget_exhaustion` property suite).
-#[must_use]
-pub fn analyze_many_budgeted<W: Workload + Sync>(
-    workloads: &[W],
-    tests: &[BoxedTest],
-    units: u64,
-) -> Vec<Vec<Analysis>> {
-    parallel_map_with(workloads, WorkerState::default, |state, workload| {
-        state.analyze_budgeted(workload, tests, Some(units))
-    })
-}
-
-/// Single-threaded [`analyze_many_budgeted`]; bit-identical results.
-#[must_use]
-pub fn analyze_many_serial_budgeted<W: Workload>(
-    workloads: &[W],
-    tests: &[BoxedTest],
-    units: u64,
-) -> Vec<Vec<Analysis>> {
-    let mut state = WorkerState::default();
-    workloads
-        .iter()
-        .map(|workload| state.analyze_budgeted(workload, tests, Some(units)))
-        .collect()
-}
-
-/// Runs every prepared workload through every test, in parallel — the
-/// variant for callers that already hold prepared workloads (e.g. to run
-/// several suites over one preparation).  One scratch arena per worker.
-///
-/// Generic over ownership: accepts owned preparations
-/// (`&[PreparedWorkload]`) as well as borrowed ones
-/// (`&[&PreparedWorkload]`), so preparations held elsewhere run without
-/// being cloned.
-#[must_use]
-pub fn analyze_many_prepared<P>(workloads: &[P], tests: &[BoxedTest]) -> Vec<Vec<Analysis>>
-where
-    P: std::borrow::Borrow<PreparedWorkload> + Sync,
-{
-    parallel_map_with(workloads, AnalysisScratch::new, |scratch, prepared| {
-        let prepared = prepared.borrow();
-        tests
-            .iter()
-            .map(|test| test.analyze_prepared_with(prepared, scratch))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -368,11 +290,16 @@ mod tests {
     fn prepared_variant_agrees() {
         let workloads = sample_sets();
         let tests = suite();
-        let prepared = prepare_many(&workloads);
-        assert_eq!(
-            analyze_many_prepared(&prepared, &tests),
-            analyze_many(&workloads, &tests)
-        );
+        let prepared: Vec<Vec<Analysis>> = prepare_many(&workloads)
+            .iter()
+            .map(|prepared| {
+                tests
+                    .iter()
+                    .map(|test| test.analyze_prepared(prepared))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(prepared, analyze_many(&workloads, &tests));
     }
 
     #[test]

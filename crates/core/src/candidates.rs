@@ -107,7 +107,6 @@ use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
 use crate::batch::parallel_map_with;
 use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
 use crate::budget::{Progress, ProgressPhase, WorkBudget};
-use crate::incremental::WorkloadView;
 use crate::kernel::AnalysisScratch;
 use crate::transactions::{candidate_components, combination_components};
 use crate::workload::{DemandComponent, PreparedWorkload};
@@ -487,9 +486,6 @@ pub struct CandidateView {
     /// division) per column per swap.
     reciprocals: Vec<Reciprocal>,
     choice: Vec<usize>,
-    /// The choice at the last finalize — the state
-    /// [`WorkloadView::revert`] rolls pending swaps back to.
-    committed: Vec<usize>,
     /// Transactions patched since the last finalize.
     dirty: Vec<usize>,
     /// Reused repair buffers (previous order minus dirty blocks; the dirty
@@ -550,7 +546,6 @@ impl CandidateView {
             scratch,
             folds,
             reciprocals,
-            committed: choice.clone(),
             choice,
             dirty: Vec::new(),
             order_rest: Vec::new(),
@@ -690,28 +685,6 @@ impl CandidateView {
             &self.reciprocals,
         );
         self.dirty.clear();
-        self.committed.clone_from(&self.choice);
-    }
-}
-
-impl WorkloadView for CandidateView {
-    fn finalize(&mut self) -> &PreparedWorkload {
-        self.prepared()
-    }
-
-    fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Rolls pending (unfinalized) swaps back to the last finalized
-    /// combination by re-patching the affected blocks; nothing to repair
-    /// afterwards — the scratch's derived state still matches.
-    fn revert(&mut self) {
-        while let Some(transaction) = self.dirty.pop() {
-            let candidate = self.committed[transaction];
-            self.choice[transaction] = candidate;
-            self.patch(transaction, candidate);
-        }
     }
 }
 
@@ -818,7 +791,7 @@ impl<T: FeasibilityTest + ?Sized> Sweep<'_, T> {
                 out.screened += 1;
                 out.iterations = out.iterations.saturating_add(1);
             } else {
-                let analysis = self.test.analyze_view_with(view, scratch);
+                let analysis = self.test.analyze_prepared_with(view.prepared(), scratch);
                 out.iterations = out.iterations.saturating_add(analysis.iterations);
                 out.max_examined = out.max_examined.max(analysis.max_examined_interval);
                 match analysis.verdict {

@@ -1,4 +1,4 @@
-//! The demand bound function and related workload abstractions (Def. 2).
+//! The demand and request bound functions of sporadic tasks (Def. 2).
 //!
 //! For a sporadic task `τ = (C, D, T)` released synchronously, the jobs
 //! whose release *and* absolute deadline lie inside an interval of length
@@ -12,14 +12,12 @@
 //!
 //! The processor demand criterion (Def. 3) compares `dbf(I, Γ) = Σ dbf(I, τ)`
 //! against the available capacity `I` at every interval where `dbf`
-//! changes, i.e. at the absolute deadlines of jobs.  [`DeadlineIter`]
-//! enumerates those absolute deadlines across a task set in ascending
-//! order (generated window by window), which is the backbone of the
-//! processor demand, dynamic-error and all-approximated tests.
+//! changes, i.e. at the absolute deadlines of jobs.  The tests evaluate
+//! demand on the columnar [`kernel`](crate::kernel), whose windowed
+//! deadline merge enumerates those deadlines; the per-task closed forms
+//! here are the reference the tests of that machinery compare against.
 
 use edf_model::{Task, TaskSet, Time};
-
-use crate::workload::{DemandComponent, DemandEventIter};
 
 /// Demand bound function of a single task for interval length `interval`
 /// (Def. 2, split per task).
@@ -49,16 +47,6 @@ pub fn dbf_task(task: &Task, interval: Time) -> Time {
     }
     let jobs = (interval - task.deadline()).div_floor(task.period()) + 1;
     task.wcet().saturating_mul(jobs)
-}
-
-/// Number of jobs of `task` with release and deadline inside an interval of
-/// length `interval` (the job count underlying [`dbf_task`]).
-#[must_use]
-pub fn jobs_with_deadline_in(task: &Task, interval: Time) -> u64 {
-    if interval < task.deadline() {
-        return 0;
-    }
-    (interval - task.deadline()).div_floor(task.period()) + 1
 }
 
 /// Demand bound function of a whole task set.
@@ -109,105 +97,10 @@ pub fn rbf_set(task_set: &TaskSet, interval: Time) -> Time {
     })
 }
 
-/// The absolute deadline of the first job of `task` strictly *after*
-/// `interval` under synchronous release (Lemma 5's `NextInt`).
-///
-/// For `interval < D` this is simply `D`.  Returns `None` on overflow.
-///
-/// # Examples
-///
-/// ```
-/// use edf_analysis::demand::next_deadline_after;
-/// use edf_model::{Task, Time};
-///
-/// # fn main() -> Result<(), edf_model::TaskError> {
-/// let tau = Task::new(Time::new(1), Time::new(4), Time::new(10))?;
-/// assert_eq!(next_deadline_after(&tau, Time::new(0)), Some(Time::new(4)));
-/// assert_eq!(next_deadline_after(&tau, Time::new(4)), Some(Time::new(14)));
-/// assert_eq!(next_deadline_after(&tau, Time::new(15)), Some(Time::new(24)));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn next_deadline_after(task: &Task, interval: Time) -> Option<Time> {
-    if interval < task.deadline() {
-        return Some(task.deadline());
-    }
-    let k = (interval - task.deadline()).div_floor(task.period()) + 1;
-    task.period().checked_mul(k)?.checked_add(task.deadline())
-}
-
-/// One entry produced by [`DeadlineIter`]: an absolute deadline and the
-/// index of the task it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineEvent {
-    /// Absolute deadline (interval length at which `dbf` increases).
-    pub deadline: Time,
-    /// Index of the task within the originating [`TaskSet`].
-    pub task_index: usize,
-}
-
-/// Lazily merged stream of the absolute deadlines of all tasks of a set,
-/// in non-decreasing order, up to (and including) `horizon`.
-///
-/// Ties between tasks are returned as separate events (one per job), which
-/// lets callers accumulate per-job demand incrementally.
-///
-/// Since the columnar-kernel rebuild this is a thin wrapper over the
-/// component-based
-/// [`DemandEventIter`] (a task maps to
-/// one component, so task indices and component indices coincide); the
-/// former task-specific binary-heap merge is gone.
-///
-/// # Examples
-///
-/// ```
-/// use edf_analysis::demand::DeadlineIter;
-/// use edf_model::{Task, TaskSet, Time};
-///
-/// # fn main() -> Result<(), edf_model::TaskError> {
-/// let ts = TaskSet::from_tasks(vec![
-///     Task::new(Time::new(1), Time::new(3), Time::new(5))?,
-///     Task::new(Time::new(1), Time::new(4), Time::new(10))?,
-/// ]);
-/// let deadlines: Vec<u64> = DeadlineIter::new(&ts, Time::new(15))
-///     .map(|e| e.deadline.as_u64())
-///     .collect();
-/// assert_eq!(deadlines, vec![3, 4, 8, 13, 14]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct DeadlineIter {
-    inner: DemandEventIter,
-}
-
-impl DeadlineIter {
-    /// Creates an iterator over all absolute deadlines `≤ horizon`.
-    #[must_use]
-    pub fn new(task_set: &TaskSet, horizon: Time) -> Self {
-        let components: Vec<DemandComponent> =
-            task_set.iter().map(DemandComponent::from_task).collect();
-        DeadlineIter {
-            inner: DemandEventIter::new(&components, horizon),
-        }
-    }
-}
-
-impl Iterator for DeadlineIter {
-    type Item = DeadlineEvent;
-
-    fn next(&mut self) -> Option<DeadlineEvent> {
-        self.inner.next().map(|event| DeadlineEvent {
-            deadline: event.interval,
-            task_index: event.component,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{DemandComponent, DemandEventIter};
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
@@ -255,18 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn job_count_matches_dbf() {
-        let tau = t(3, 7, 12);
-        for i in 0..100 {
-            let i = Time::new(i);
-            assert_eq!(
-                dbf_task(&tau, i).as_u64(),
-                jobs_with_deadline_in(&tau, i) * 3
-            );
-        }
-    }
-
-    #[test]
     fn rbf_staircase() {
         let tau = t(2, 4, 10);
         assert_eq!(rbf_task(&tau, Time::ZERO), Time::new(2));
@@ -286,21 +167,31 @@ mod tests {
         }
     }
 
+    /// Lemma 5's `NextInt` of a task's component: the first job deadline
+    /// strictly after the interval.
+    fn next_int(task: &Task, interval: Time) -> Option<Time> {
+        DemandComponent::from_task(task).next_deadline_after(interval)
+    }
+
+    /// Every job deadline `≤ horizon` of the task set's components, as
+    /// `(deadline, task index)` in the merge's order.
+    fn deadlines(task_set: &TaskSet, horizon: Time) -> Vec<(Time, usize)> {
+        let components: Vec<DemandComponent> =
+            task_set.iter().map(DemandComponent::from_task).collect();
+        DemandEventIter::new(&components, horizon)
+            .map(|event| (event.interval, event.component))
+            .collect()
+    }
+
     #[test]
     fn next_deadline_after_matches_enumeration() {
         let tau = t(1, 4, 10);
         // deadlines: 4, 14, 24, ...
-        assert_eq!(next_deadline_after(&tau, Time::ZERO), Some(Time::new(4)));
-        assert_eq!(next_deadline_after(&tau, Time::new(3)), Some(Time::new(4)));
-        assert_eq!(next_deadline_after(&tau, Time::new(4)), Some(Time::new(14)));
-        assert_eq!(
-            next_deadline_after(&tau, Time::new(13)),
-            Some(Time::new(14))
-        );
-        assert_eq!(
-            next_deadline_after(&tau, Time::new(14)),
-            Some(Time::new(24))
-        );
+        assert_eq!(next_int(&tau, Time::ZERO), Some(Time::new(4)));
+        assert_eq!(next_int(&tau, Time::new(3)), Some(Time::new(4)));
+        assert_eq!(next_int(&tau, Time::new(4)), Some(Time::new(14)));
+        assert_eq!(next_int(&tau, Time::new(13)), Some(Time::new(14)));
+        assert_eq!(next_int(&tau, Time::new(14)), Some(Time::new(24)));
     }
 
     #[test]
@@ -308,7 +199,7 @@ mod tests {
         let tau = t(2, 5, 7);
         let mut at = Time::ZERO;
         for _ in 0..50 {
-            let next = next_deadline_after(&tau, at).unwrap();
+            let next = next_int(&tau, at).unwrap();
             assert!(next > at);
             assert!(dbf_task(&tau, next) > dbf_task(&tau, next - Time::ONE));
             at = next;
@@ -319,10 +210,10 @@ mod tests {
     fn deadline_iter_sorted_and_complete() {
         let ts = TaskSet::from_tasks(vec![t(1, 3, 5), t(1, 4, 10), t(1, 20, 25)]);
         let horizon = Time::new(50);
-        let events: Vec<DeadlineEvent> = DeadlineIter::new(&ts, horizon).collect();
+        let mut got = deadlines(&ts, horizon);
         // Sorted.
-        for w in events.windows(2) {
-            assert!(w[0].deadline <= w[1].deadline);
+        for w in got.windows(2) {
+            assert!(w[0].0 <= w[1].0);
         }
         // Complete: every job deadline <= horizon appears exactly once.
         let mut expected = Vec::new();
@@ -337,26 +228,21 @@ mod tests {
             }
         }
         expected.sort();
-        let mut got: Vec<(Time, usize)> =
-            events.iter().map(|e| (e.deadline, e.task_index)).collect();
         got.sort();
         assert_eq!(got, expected);
     }
 
     #[test]
     fn deadline_iter_empty_cases() {
-        let ts = TaskSet::new();
-        assert_eq!(DeadlineIter::new(&ts, Time::new(100)).count(), 0);
+        assert!(deadlines(&TaskSet::new(), Time::new(100)).is_empty());
         let ts = TaskSet::from_tasks(vec![t(1, 50, 60)]);
-        assert_eq!(DeadlineIter::new(&ts, Time::new(10)).count(), 0);
+        assert!(deadlines(&ts, Time::new(10)).is_empty());
     }
 
     #[test]
     fn deadline_iter_counts_ties_per_task() {
         let ts = TaskSet::from_tasks(vec![t(1, 10, 10), t(2, 10, 10)]);
-        let events: Vec<_> = DeadlineIter::new(&ts, Time::new(10)).collect();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].deadline, Time::new(10));
-        assert_eq!(events[1].deadline, Time::new(10));
+        let events = deadlines(&ts, Time::new(10));
+        assert_eq!(events, vec![(Time::new(10), 0), (Time::new(10), 1)]);
     }
 }

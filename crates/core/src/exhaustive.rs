@@ -7,7 +7,7 @@
 //! test-suite and for debugging: any disagreement between a fast test and
 //! this function on a small task set pinpoints a bug immediately.
 
-use edf_model::{TaskSet, Time};
+use edf_model::Time;
 
 use crate::analysis::{Analysis, DemandOverload, IterationCounter, Verdict};
 use crate::bounds::hyperperiod_components;
@@ -16,10 +16,12 @@ use crate::workload::{PreparedWorkload, Workload};
 /// Default cap on the exhaustive horizon (ticks).
 const DEFAULT_HORIZON_CAP: u64 = 1 << 22;
 
-/// Exhaustively checks the processor demand criterion for every integer
-/// interval `1 ..= horizon`, where `horizon` is `hyperperiod + max deadline`
-/// capped at `2²²` ticks (pass an explicit horizon via
-/// [`exhaustive_check_up_to`] to override).
+/// Exhaustively checks the processor demand criterion of any
+/// demand-characterized workload for every integer interval
+/// `1 ..= horizon`, where `horizon` is the component hyperperiod bound
+/// (`lcm` of the cycles plus the largest first deadline) capped at `2²²`
+/// ticks (pass an explicit horizon via
+/// [`exhaustive_check_prepared_up_to`] to override).
 ///
 /// The verdict is exact whenever the natural horizon fits under the cap, and
 /// [`Verdict::Unknown`] otherwise (unless a violation is found below the
@@ -42,15 +44,7 @@ const DEFAULT_HORIZON_CAP: u64 = 1 << 22;
 /// # }
 /// ```
 #[must_use]
-pub fn exhaustive_check(task_set: &TaskSet) -> Analysis {
-    exhaustive_check_workload(task_set)
-}
-
-/// [`exhaustive_check`] for any demand-characterized workload: the natural
-/// horizon is the component hyperperiod bound (`lcm` of the cycles plus the
-/// largest first deadline), capped at `2²²` ticks.
-#[must_use]
-pub fn exhaustive_check_workload(workload: &(impl Workload + ?Sized)) -> Analysis {
+pub fn exhaustive_check(workload: &(impl Workload + ?Sized)) -> Analysis {
     let prepared = PreparedWorkload::new(workload);
     let natural = hyperperiod_components(prepared.components());
     match natural {
@@ -61,23 +55,13 @@ pub fn exhaustive_check_workload(workload: &(impl Workload + ?Sized)) -> Analysi
     }
 }
 
-/// Exhaustively checks the processor demand criterion for every integer
-/// interval `1 ..= horizon`.
+/// Exhaustively checks the processor demand criterion of a prepared
+/// workload for every integer interval `1 ..= horizon`.
 ///
 /// `horizon_is_exact` states whether the caller guarantees that the horizon
 /// covers every possible violation (e.g. it is the hyperperiod plus the
 /// largest deadline, or a valid feasibility bound); only then can the
 /// function answer [`Verdict::Feasible`].
-#[must_use]
-pub fn exhaustive_check_up_to(
-    task_set: &TaskSet,
-    horizon: Time,
-    horizon_is_exact: bool,
-) -> Analysis {
-    exhaustive_check_prepared_up_to(&PreparedWorkload::new(task_set), horizon, horizon_is_exact)
-}
-
-/// [`exhaustive_check_up_to`] on a prepared workload.
 #[must_use]
 pub fn exhaustive_check_prepared_up_to(
     workload: &PreparedWorkload,
@@ -127,7 +111,7 @@ mod tests {
     use super::*;
     use crate::tests::ProcessorDemandTest;
     use crate::FeasibilityTest;
-    use edf_model::Task;
+    use edf_model::{Task, TaskSet};
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
@@ -161,10 +145,11 @@ mod tests {
     #[test]
     fn bounded_horizon_is_inconclusive_when_nothing_is_found() {
         let ts = TaskSet::from_tasks(vec![t(1, 5, 10)]);
-        let analysis = exhaustive_check_up_to(&ts, Time::new(50), false);
+        let prepared = PreparedWorkload::new(&ts);
+        let analysis = exhaustive_check_prepared_up_to(&prepared, Time::new(50), false);
         assert_eq!(analysis.verdict, Verdict::Unknown);
         assert_eq!(analysis.iterations, 50);
-        let exact = exhaustive_check_up_to(&ts, Time::new(50), true);
+        let exact = exhaustive_check_prepared_up_to(&prepared, Time::new(50), true);
         assert_eq!(exact.verdict, Verdict::Feasible);
     }
 

@@ -37,16 +37,14 @@
 //! [analysis horizon](PreparedWorkload::analysis_horizon) runs lazily,
 //! once per refresh, for the tests that read it.
 //!
-//! All three implement [`WorkloadView`] — finalize to a
-//! [`&PreparedWorkload`](PreparedWorkload), dirty-tracking, revert — so
-//! any registered test drives any view through
-//! [`FeasibilityTest::analyze_view`](crate::FeasibilityTest::analyze_view)
-//! (or the scratch-reusing
-//! [`analyze_view_with`](crate::FeasibilityTest::analyze_view_with)).
+//! Each view hands its prepared state to the tests as an ordinary
+//! [`&PreparedWorkload`](PreparedWorkload), through
+//! [`FeasibilityTest::analyze_prepared_with`](crate::FeasibilityTest::analyze_prepared_with).
 //! [`EditView`] is the admission-control member: a long-running service
 //! holds one per tenant and answers admit / evict / what-if requests
 //! through structural edits plus delta re-analysis instead of cold
-//! preparation (see the `edf-serve` crate).
+//! preparation (see the `edf-serve` crate).  Its rollback and poison
+//! hooks form the [`WorkloadView`] trait.
 //!
 //! # Examples
 //!
@@ -80,56 +78,26 @@ use crate::arith::Reciprocal;
 use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
 use crate::workload::{DemandComponent, PreparedWorkload};
 
-/// The common interface of the incremental view family ([`ScaledView`],
-/// [`CandidateView`](crate::candidates::CandidateView), [`EditView`]):
-/// one scratch [`PreparedWorkload`] mutated in place, finalized on
-/// demand, with pending (unfinalized or uncommitted) mutations
-/// revertible.
-///
-/// The trait is object-safe, so
-/// [`FeasibilityTest::analyze_view`](crate::FeasibilityTest::analyze_view)
-/// accepts `&mut dyn WorkloadView` — every registered test drives every
-/// view through one entry point, and the finalized state is always
-/// **bit-identical** to a cold preparation of the same component list
-/// (property-tested per view in `incremental_equivalence`,
-/// `candidate_equivalence` and `edit_equivalence`).
+/// The rollback and poison hooks of an [`EditView`], the methods the
+/// admission service calls on a tenant's view.
 pub trait WorkloadView {
-    /// Applies any pending mutations (order repair, kernel rebuild,
-    /// bound refresh) and returns the finalized prepared state.
-    fn finalize(&mut self) -> &PreparedWorkload;
-
-    /// `true` while mutations are pending that [`WorkloadView::finalize`]
-    /// has not yet folded into the prepared state.  A [`ScaledView`]
-    /// finalizes every probe before returning it, so it is never dirty.
-    fn is_dirty(&self) -> bool;
-
-    /// Discards pending mutations, returning the view to its last stable
-    /// state: the base costs for a [`ScaledView`], the last finalized
-    /// combination for a
-    /// [`CandidateView`](crate::candidates::CandidateView), the last
-    /// [`EditView::commit`] point for an [`EditView`].
+    /// Discards the edits since the last [`EditView::commit`], returning
+    /// the view to that commit point.
     fn revert(&mut self);
 
     /// `true` once the view has been [poisoned](WorkloadView::mark_poisoned):
     /// a panic unwound through a mutation or an analysis of this view, so
     /// its scratch state can no longer be trusted and must be rebuilt from
-    /// a known-good source before further use.  The default is `false` —
-    /// borrow-based views ([`ScaledView`],
-    /// [`CandidateView`](crate::candidates::CandidateView)) live inside
-    /// one search call and are simply dropped when a panic unwinds, so
-    /// they never observe poisoning.
-    fn is_poisoned(&self) -> bool {
-        false
-    }
+    /// a known-good source before further use.
+    fn is_poisoned(&self) -> bool;
 
     /// Marks the view poisoned (see [`WorkloadView::is_poisoned`]).  A
     /// fault-isolating caller ([`catch_unwind`](std::panic::catch_unwind)
     /// around per-request analysis) calls this when a panic unwinds while
     /// the view's scratch state may be mid-mutation; the owner then
     /// rebuilds the view cold ([`EditView::rebuild_from`]) from its last
-    /// committed source of truth.  No-op for views that do not support
-    /// poisoning.
-    fn mark_poisoned(&mut self) {}
+    /// committed source of truth.
+    fn mark_poisoned(&mut self);
 }
 
 /// A re-costable view of a [`PreparedWorkload`]: one [`EditView`] over
@@ -228,27 +196,6 @@ impl<'a> ScaledView<'a> {
     }
 }
 
-impl WorkloadView for ScaledView<'_> {
-    /// The prepared state of the most recent probe.
-    fn finalize(&mut self) -> &PreparedWorkload {
-        self.edits.prepared()
-    }
-
-    /// Always `false`: every probe and [`WorkloadView::revert`] finalizes
-    /// before returning.
-    fn is_dirty(&self) -> bool {
-        self.edits.is_dirty()
-    }
-
-    /// Restores the base components verbatim (the state the view was
-    /// created in), so components whose base cost exceeds their period
-    /// (infeasible inputs kept for honest rejection) survive the round
-    /// trip unclamped.
-    fn revert(&mut self) {
-        self.probe(|_, component| component.wcet());
-    }
-}
-
 /// The inverse of one structural edit, recorded by [`EditView`] for
 /// [`EditView::revert`].
 #[derive(Debug, Clone, Copy)]
@@ -318,10 +265,9 @@ enum EditOp {
 ///
 /// Repair is *lazy*: edits only patch the component vector and the order,
 /// and the aggregate/kernel/bound refresh runs once inside
-/// [`EditView::prepared`] (or [`WorkloadView::finalize`]), so a burst of
-/// edits pays for one refresh.  The finalized state is **bit-identical**
-/// to a cold [`PreparedWorkload`] of the same component list
-/// (property-tested in `edit_equivalence`).
+/// [`EditView::prepared`], so a burst of edits pays for one refresh.  The
+/// finalized state is **bit-identical** to a cold [`PreparedWorkload`] of
+/// the same component list (property-tested in `edit_equivalence`).
 ///
 /// Edits accumulate in an undo log until [`EditView::commit`] accepts
 /// them or [`EditView::revert`] rolls them back — the admit (analyze,
@@ -493,12 +439,6 @@ impl EditView {
         old
     }
 
-    /// Whether edits since the last [`EditView::commit`] are pending.
-    #[must_use]
-    pub fn has_uncommitted_edits(&self) -> bool {
-        !self.undo.is_empty()
-    }
-
     /// Accepts the edits since the last commit: [`EditView::revert`] can
     /// no longer roll them back.
     pub fn commit(&mut self) {
@@ -535,8 +475,7 @@ impl EditView {
     ///
     /// # Panics
     ///
-    /// Panics if the view is dirty (call [`EditView::prepared`] or
-    /// [`WorkloadView::finalize`] first).
+    /// Panics if the view is dirty (call [`EditView::prepared`] first).
     #[must_use]
     pub fn finalized(&self) -> &PreparedWorkload {
         assert!(
@@ -646,14 +585,6 @@ impl EditView {
 }
 
 impl WorkloadView for EditView {
-    fn finalize(&mut self) -> &PreparedWorkload {
-        self.prepared()
-    }
-
-    fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -832,22 +763,6 @@ mod tests {
         let _ = view.with_component_wcet(1, Time::new(2));
     }
 
-    #[test]
-    fn scaled_view_revert_restores_base_state() {
-        let base = PreparedWorkload::new(&sample_system());
-        let mut view = ScaledView::new(&base);
-        view.scale_wcets(3_000, 1_000);
-        assert!(!view.is_dirty());
-        view.revert();
-        let cold = PreparedWorkload::from_parts(
-            base.components().to_vec(),
-            base.task_count(),
-            base.demand_is_exact(),
-            base.utilization_is_exact(),
-        );
-        assert_matches_cold(view.finalize(), &cold);
-    }
-
     /// Cold preparation of an edit view's current components, carrying the
     /// view's metadata so the full observable state is comparable.
     fn cold_of(view: &mut EditView) -> PreparedWorkload {
@@ -887,7 +802,6 @@ mod tests {
         let cold = cold_of(&mut view);
         assert_matches_cold(view.prepared(), &cold);
         view.commit();
-        assert!(!view.has_uncommitted_edits());
     }
 
     #[test]

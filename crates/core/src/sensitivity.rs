@@ -27,13 +27,12 @@
 //! For fleets of workloads, [`sensitivity_sweep`] runs both searches over
 //! a whole batch with the multi-core fan-out of [`crate::batch`].
 
-use edf_model::{TaskSet, Time};
+use edf_model::Time;
 
 use crate::analysis::FeasibilityTest;
 use crate::batch::parallel_map;
 use crate::incremental::ScaledView;
 use crate::kernel::AnalysisScratch;
-use crate::tests::AllApproximatedTest;
 use crate::workload::{DemandComponent, PreparedWorkload, Workload};
 
 /// Precision denominator used for scaling factors: factors are expressed in
@@ -53,11 +52,13 @@ pub struct BreakdownScaling {
 }
 
 /// Finds the largest per-mille scaling of every WCET under which `test`
-/// still accepts the task set, searching factors in `[0, 16]` with 1/1000
-/// resolution.
+/// still accepts the workload, searching factors in `[0, 16]` with 1/1000
+/// resolution.  Any demand-characterized workload qualifies — event
+/// streams and mixed systems included, since scaling acts on the
+/// component decomposition.
 ///
-/// Returns `None` if the set is infeasible as given (factor 1.0), or if the
-/// supplied test cannot even accept the unscaled set.
+/// Returns `None` if the workload is empty, or if the supplied test cannot
+/// accept it unscaled (factor 1.0).
 ///
 /// # Examples
 ///
@@ -77,22 +78,11 @@ pub struct BreakdownScaling {
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn breakdown_scaling(
-    task_set: &TaskSet,
-    test: &dyn FeasibilityTest,
-) -> Option<BreakdownScaling> {
-    breakdown_scaling_workload(task_set, test)
-}
-
-/// [`breakdown_scaling`] for any demand-characterized workload — event
-/// streams and mixed systems included, since scaling acts on the component
-/// decomposition.
 ///
-/// # Examples
+/// The same search on a bursty event stream:
 ///
 /// ```
-/// use edf_analysis::sensitivity::breakdown_scaling_workload;
+/// use edf_analysis::sensitivity::breakdown_scaling;
 /// use edf_analysis::tests::AllApproximatedTest;
 /// use edf_analysis::workload::MixedSystem;
 /// use edf_model::{EventStream, EventStreamTask, TaskSet, Time};
@@ -104,29 +94,19 @@ pub fn breakdown_scaling(
 ///     Time::new(40),
 /// )?;
 /// let system = MixedSystem::new(TaskSet::new(), vec![burst]);
-/// let breakdown = breakdown_scaling_workload(&system, &AllApproximatedTest::new())
+/// let breakdown = breakdown_scaling(&system, &AllApproximatedTest::new())
 ///     .expect("feasible system");
 /// assert!(breakdown.factor >= 1.0);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn breakdown_scaling_workload(
+pub fn breakdown_scaling(
     workload: &(impl Workload + ?Sized),
     test: &dyn FeasibilityTest,
 ) -> Option<BreakdownScaling> {
-    breakdown_scaling_prepared(&PreparedWorkload::new(workload), test)
-}
-
-/// [`breakdown_scaling_workload`] for callers that already hold a prepared
-/// workload (the view is created over it, so the caller's preparation is
-/// reused rather than repeated).
-#[must_use]
-pub fn breakdown_scaling_prepared(
-    base: &PreparedWorkload,
-    test: &dyn FeasibilityTest,
-) -> Option<BreakdownScaling> {
-    let mut view = ScaledView::new(base);
+    let base = PreparedWorkload::new(workload);
+    let mut view = ScaledView::new(&base);
     breakdown_with_view(&mut view, test, &mut AnalysisScratch::new())
 }
 
@@ -187,8 +167,7 @@ fn breakdown_with_view(
     let mut probes = 0u32;
     let lo = breakdown_search(|numer| {
         probes += 1;
-        view.scale_wcets(numer, SCALE_DENOMINATOR);
-        test.analyze_view_with(&mut *view, scratch)
+        test.analyze_prepared_with(view.scale_wcets(numer, SCALE_DENOMINATOR), scratch)
             .verdict
             .is_feasible()
     })?;
@@ -199,20 +178,16 @@ fn breakdown_with_view(
     })
 }
 
-/// Convenience wrapper: [`breakdown_scaling`] with the all-approximated
-/// exact test.
-#[must_use]
-pub fn breakdown_scaling_exact(task_set: &TaskSet) -> Option<BreakdownScaling> {
-    breakdown_scaling(task_set, &AllApproximatedTest::new())
-}
-
 /// The largest additional execution time (in whole ticks) that can be added
-/// to the WCET of the task at `task_index` while the set remains accepted
-/// by `test`.
+/// to the cost of the demand component at `component_index` while the
+/// workload remains accepted by `test`.  For a [`TaskSet`](edf_model::TaskSet)
+/// the component order is the task order, so the index is the task index.
 ///
-/// Returns `None` if the index is out of range or the unmodified set is not
-/// accepted.  The result is clamped so that the inflated WCET never exceeds
-/// the task's period.
+/// Returns `None` if the index is out of range or the unmodified workload
+/// is not accepted.  The result is clamped so that the inflated cost never
+/// exceeds the component's period (for a one-shot component, its relative
+/// deadline).  The probes perturb the single component in place through a
+/// [`ScaledView`] — no rebuild, no re-preparation.
 ///
 /// # Examples
 ///
@@ -231,28 +206,11 @@ pub fn breakdown_scaling_exact(task_set: &TaskSet) -> Option<BreakdownScaling> {
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn wcet_slack(
-    task_set: &TaskSet,
-    task_index: usize,
-    test: &dyn FeasibilityTest,
-) -> Option<Time> {
-    wcet_slack_workload(task_set, task_index, test)
-}
-
-/// [`wcet_slack`] for any demand-characterized workload: the slack of the
-/// demand component at `component_index` (for a [`TaskSet`] the component
-/// order is the task order, so this strictly generalizes the task entry
-/// point).  Periodic components are capped at their period; one-shot
-/// components at their relative deadline.
 ///
-/// The probes perturb the single component in place through a
-/// [`ScaledView`] — no task-set rebuild, no re-preparation.
-///
-/// # Examples
+/// The slack of one event of a bursty stream:
 ///
 /// ```
-/// use edf_analysis::sensitivity::wcet_slack_workload;
+/// use edf_analysis::sensitivity::wcet_slack;
 /// use edf_analysis::tests::ProcessorDemandTest;
 /// use edf_model::{EventStream, EventStreamTask, Time};
 ///
@@ -264,40 +222,30 @@ pub fn wcet_slack(
 /// )?;
 /// // How much the cost of the first burst event could grow: the slack of
 /// // component 0 of the stream's decomposition.
-/// let slack = wcet_slack_workload(&burst, 0, &ProcessorDemandTest::new());
+/// let slack = wcet_slack(&burst, 0, &ProcessorDemandTest::new());
 /// assert!(slack.expect("feasible stream") > Time::ZERO);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn wcet_slack_workload(
+pub fn wcet_slack(
     workload: &(impl Workload + ?Sized),
     component_index: usize,
     test: &dyn FeasibilityTest,
 ) -> Option<Time> {
-    wcet_slack_prepared(&PreparedWorkload::new(workload), component_index, test)
-}
-
-/// [`wcet_slack_workload`] for callers that already hold a prepared
-/// workload.
-#[must_use]
-pub fn wcet_slack_prepared(
-    base: &PreparedWorkload,
-    component_index: usize,
-    test: &dyn FeasibilityTest,
-) -> Option<Time> {
+    let base = PreparedWorkload::new(workload);
     if component_index >= base.components().len() {
         return None;
     }
     let mut scratch = AnalysisScratch::new();
     if !test
-        .analyze_prepared_with(base, &mut scratch)
+        .analyze_prepared_with(&base, &mut scratch)
         .verdict
         .is_feasible()
     {
         return None;
     }
-    let mut view = ScaledView::new(base);
+    let mut view = ScaledView::new(&base);
     Some(wcet_slack_with_view(
         &mut view,
         component_index,
@@ -321,8 +269,8 @@ fn wcet_slack_with_view(
         return Time::ZERO;
     }
     let slack = slack_search(headroom.as_u64(), |extra| {
-        view.with_component_wcet(component_index, component.wcet() + Time::new(extra));
-        test.analyze_view_with(&mut *view, scratch)
+        let probe = view.with_component_wcet(component_index, component.wcet() + Time::new(extra));
+        test.analyze_prepared_with(probe, scratch)
             .verdict
             .is_feasible()
     });
@@ -350,7 +298,7 @@ pub struct SensitivityReport {
     /// Result of the breakdown-scaling search (`None` when the workload is
     /// empty or not accepted by the test as given).
     pub breakdown: Option<BreakdownScaling>,
-    /// [`wcet_slack_workload`] of every demand component, in component
+    /// [`wcet_slack`] of every demand component, in component
     /// order (all `None` when the unscaled workload is not accepted).
     pub component_slack: Vec<Option<Time>>,
 }
@@ -430,8 +378,9 @@ pub fn sensitivity_sweep<W: Workload + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::ProcessorDemandTest;
-    use edf_model::Task;
+    use crate::tests::{AllApproximatedTest, ProcessorDemandTest};
+    use crate::workload::MixedSystem;
+    use edf_model::{Task, TaskSet};
 
     fn t(c: u64, d: u64, p: u64) -> Task {
         Task::from_ticks(c, d, p).expect("valid task")
@@ -441,7 +390,7 @@ mod tests {
     fn breakdown_of_implicit_deadline_set_reaches_full_utilization() {
         // U = 0.5: the breakdown factor should be ~2.0 (U -> 1.0).
         let ts = TaskSet::from_tasks(vec![t(1, 4, 4), t(1, 4, 4)]);
-        let breakdown = breakdown_scaling_exact(&ts).expect("feasible");
+        let breakdown = breakdown_scaling(&ts, &AllApproximatedTest::new()).expect("feasible");
         assert!(
             (breakdown.factor - 2.0).abs() < 0.01,
             "factor {}",
@@ -454,7 +403,7 @@ mod tests {
     #[test]
     fn breakdown_of_constrained_set_stops_before_full_utilization() {
         let ts = TaskSet::from_tasks(vec![t(1, 2, 10), t(2, 3, 10), t(5, 9, 10)]);
-        let breakdown = breakdown_scaling_exact(&ts).expect("feasible");
+        let breakdown = breakdown_scaling(&ts, &AllApproximatedTest::new()).expect("feasible");
         // Already tight: dbf(3) = 3 means scaling beyond ~1.0 is impossible.
         assert!(breakdown.factor >= 1.0);
         assert!(breakdown.factor < 1.2);
@@ -463,7 +412,7 @@ mod tests {
     #[test]
     fn infeasible_sets_have_no_breakdown() {
         let ts = TaskSet::from_tasks(vec![t(5, 3, 10)]);
-        assert_eq!(breakdown_scaling_exact(&ts), None);
+        assert_eq!(breakdown_scaling(&ts, &AllApproximatedTest::new()), None);
         assert_eq!(
             breakdown_scaling(&TaskSet::new(), &AllApproximatedTest::new()),
             None
@@ -528,13 +477,14 @@ mod tests {
     }
 
     #[test]
-    fn wcet_slack_workload_generalizes_the_task_entry_point() {
+    fn task_set_slack_equals_its_stream_free_mixed_system() {
         let ts = TaskSet::from_tasks(vec![t(2, 10, 10), t(2, 20, 20)]);
+        let system = MixedSystem::new(ts.clone(), Vec::new());
         let test = ProcessorDemandTest::new();
         for index in 0..ts.len() {
             assert_eq!(
                 wcet_slack(&ts, index, &test),
-                wcet_slack_workload(&ts, index, &test)
+                wcet_slack(&system, index, &test)
             );
         }
     }
@@ -549,7 +499,7 @@ mod tests {
         )];
         let base = PreparedWorkload::from_components(components);
         assert_eq!(
-            wcet_slack_prepared(&base, 0, &ProcessorDemandTest::new()),
+            wcet_slack(&base, 0, &ProcessorDemandTest::new()),
             Some(Time::new(8))
         );
     }
@@ -559,7 +509,7 @@ mod tests {
         // A degenerate component with wcet > period: the base is rejected
         // (U > 1), but the breakdown's first probe clamps the cost to the
         // period and is accepted — the slacks must still be gated on the
-        // base, matching the individual `wcet_slack_workload` calls.
+        // base, matching the individual `wcet_slack` calls.
         struct Degenerate;
         impl Workload for Degenerate {
             fn demand_components(&self) -> Vec<DemandComponent> {
@@ -574,10 +524,7 @@ mod tests {
         let report = sensitivity_report(&Degenerate, &test);
         assert!(report.breakdown.is_some(), "clamped probe is accepted");
         assert_eq!(report.component_slack, vec![None]);
-        assert_eq!(
-            report.component_slack[0],
-            wcet_slack_workload(&Degenerate, 0, &test)
-        );
+        assert_eq!(report.component_slack[0], wcet_slack(&Degenerate, 0, &test));
     }
 
     #[test]
@@ -592,15 +539,12 @@ mod tests {
         let reports = sensitivity_sweep(&workloads, &test);
         assert_eq!(reports.len(), workloads.len());
         for (workload, report) in workloads.iter().zip(&reports) {
-            assert_eq!(
-                report.breakdown,
-                breakdown_scaling_workload(workload, &test)
-            );
+            assert_eq!(report.breakdown, breakdown_scaling(workload, &test));
             assert_eq!(report.component_slack.len(), workload.len());
             for (index, slack) in report.component_slack.iter().enumerate() {
                 assert_eq!(
                     *slack,
-                    wcet_slack_workload(workload, index, &test),
+                    wcet_slack(workload, index, &test),
                     "component {index}"
                 );
             }

@@ -60,13 +60,11 @@
 //! # }
 //! ```
 
-use core::fmt;
-
 use edf_model::{Time, Transaction, TransactionSystem};
 
 use crate::analysis::{Analysis, FeasibilityTest, Verdict};
 use crate::candidates;
-use crate::exhaustive::exhaustive_check_workload;
+use crate::exhaustive::exhaustive_check;
 use crate::workload::{DemandComponent, PreparedWorkload, Workload};
 
 /// The component list of one critical-instant candidate of a transaction:
@@ -117,63 +115,6 @@ pub fn combination_components(
         components.extend(candidate_components(transaction, candidate));
     }
     components
-}
-
-/// Largest candidate product [`candidate_workloads`] will materialize:
-/// each combination costs a full prepared component vector, so products
-/// beyond this are an out-of-memory hazard, not a working set.
-pub const MAX_MATERIALIZED_COMBINATIONS: usize = 1 << 20;
-
-/// Error of [`candidate_workloads`]: the candidate product is too large to
-/// materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProductTooLarge {
-    /// The product, `None` when it overflows `usize` outright.
-    pub combinations: Option<usize>,
-}
-
-impl fmt::Display for ProductTooLarge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.combinations {
-            Some(count) => write!(
-                f,
-                "candidate product of {count} combinations exceeds the \
-                 materialization cap of {MAX_MATERIALIZED_COMBINATIONS}; \
-                 enumerate lazily (analyze_transaction_system) instead"
-            ),
-            None => write!(
-                f,
-                "candidate product overflows usize; enumerate lazily \
-                 (analyze_transaction_system) instead"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ProductTooLarge {}
-
-/// All candidate combinations of `system`, each prepared for analysis.
-///
-/// The result has [`TransactionSystem::candidate_count`] entries — the
-/// product is exponential in the number of transactions, so products
-/// beyond [`MAX_MATERIALIZED_COMBINATIONS`] (or overflowing `usize`) are
-/// refused with a [`ProductTooLarge`] error instead of exhausting memory;
-/// [`analyze_transaction_system`] enumerates lazily and has no such limit.
-///
-/// # Errors
-///
-/// Returns [`ProductTooLarge`] when the candidate product exceeds the cap.
-pub fn candidate_workloads(
-    system: &TransactionSystem,
-) -> Result<Vec<PreparedWorkload>, ProductTooLarge> {
-    match system.candidate_count_checked() {
-        Some(count) if count <= MAX_MATERIALIZED_COMBINATIONS => Ok(CombinationIter::new(system)
-            .map(|choice| {
-                PreparedWorkload::from_components(combination_components(system, &choice))
-            })
-            .collect()),
-        combinations => Err(ProductTooLarge { combinations }),
-    }
 }
 
 /// Iterator over every candidate combination of a system in lexicographic
@@ -283,7 +224,7 @@ pub fn analyze_transaction_system(
 
 /// The exhaustive reference oracle for transaction systems: every
 /// candidate combination is checked by the naive
-/// [`exhaustive_check_workload`] sweep.  Deliberately slow; exists to
+/// [`exhaustive_check`] sweep.  Deliberately slow; exists to
 /// cross-validate [`analyze_transaction_system`] on small systems.
 #[must_use]
 pub fn exhaustive_transaction_check(system: &TransactionSystem) -> Analysis {
@@ -292,7 +233,7 @@ pub fn exhaustive_transaction_check(system: &TransactionSystem) -> Analysis {
     let mut all_decisive = true;
     for choice in CombinationIter::new(system) {
         let prepared = PreparedWorkload::from_components(combination_components(system, &choice));
-        let analysis = exhaustive_check_workload(&prepared);
+        let analysis = exhaustive_check(&prepared);
         iterations += analysis.iterations;
         max_examined = max_examined.max(analysis.max_examined_interval);
         match analysis.verdict {
@@ -365,23 +306,7 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), 6);
-        assert_eq!(candidate_workloads(&system).unwrap().len(), 6);
-    }
-
-    #[test]
-    fn huge_products_are_refused_not_materialized() {
-        // 8 transactions of 12 candidates each: 12^8 ≈ 4.3·10^8 exceeds the
-        // cap by orders of magnitude but still fits in usize.
-        let wide = tr(24, (0..12).map(|o| part(2 * o, 1, 2)).collect());
-        let system = TransactionSystem::new(TaskSet::new(), vec![wide; 8]);
-        let error = candidate_workloads(&system).unwrap_err();
-        assert_eq!(error.combinations, Some(12usize.pow(8)));
-        assert!(error.to_string().contains("candidate product"));
-        // The lazy analysis is still available (and instant: U > 1 is
-        // combination-invariant, so the first combination rejects).
-        assert!(system.utilization() > 1.0);
-        let analysis = analyze_transaction_system(&QpaTest::new(), &system);
-        assert_eq!(analysis.verdict, Verdict::Infeasible);
+        assert_eq!(CombinationIter::new(&system).count(), 6);
     }
 
     #[test]
@@ -438,6 +363,15 @@ mod tests {
         assert_eq!(test.analyze_workload(&system).verdict, Verdict::Infeasible);
         assert_eq!(
             analyze_transaction_system(&test, &system).verdict,
+            Verdict::Infeasible
+        );
+        // U > 1 is combination-invariant, so the candidate engine rejects at
+        // the first combination even when the product is 12^8.
+        let wide = tr(24, (0..12).map(|o| part(2 * o, 1, 2)).collect());
+        let huge = TransactionSystem::new(TaskSet::new(), vec![wide; 8]);
+        assert!(huge.utilization() > 1.0);
+        assert_eq!(
+            analyze_transaction_system(&QpaTest::new(), &huge).verdict,
             Verdict::Infeasible
         );
     }

@@ -300,9 +300,7 @@ pub struct DemandEvent {
 }
 
 /// Lazily merged stream of all component job deadlines `≤ horizon` in
-/// non-decreasing order (the k-way merge behind the demand-based tests,
-/// generalizing [`DeadlineIter`](crate::demand::DeadlineIter) to arbitrary
-/// workloads).
+/// non-decreasing order.
 ///
 /// Ties are returned as separate events, one per job, in component order,
 /// so callers can accumulate per-job demand incrementally.  The merge runs
@@ -338,8 +336,8 @@ impl Iterator for DemandEventIter {
 /// A demand-characterized workload: anything that can decompose itself
 /// into [`DemandComponent`]s.
 ///
-/// The provided methods (`dbf`, `rbf`, `utilization`, `next_demand_point`,
-/// `demand_events`) are derived from the decomposition; implementors only
+/// The provided methods (`task_count`, `is_empty`, `utilization`, `dbf`,
+/// `rbf`) are derived from the decomposition; implementors only
 /// supply [`Workload::demand_components`] (and may override the rest with
 /// cheaper model-specific versions).  For anything hot, wrap the workload
 /// in a [`PreparedWorkload`] once and reuse it — the trait methods here
@@ -388,15 +386,6 @@ pub trait Workload {
         self.demand_components()
             .iter()
             .fold(Time::ZERO, |acc, c| acc.saturating_add(c.rbf(interval)))
-    }
-
-    /// The smallest interval length strictly greater than `interval` at
-    /// which the demand increases, or `None` if demand never grows again.
-    fn next_demand_point(&self, interval: Time) -> Option<Time> {
-        self.demand_components()
-            .iter()
-            .filter_map(|c| c.next_deadline_after(interval))
-            .min()
     }
 
     /// `true` (the default) when [`Workload::demand_components`] reproduces
@@ -808,10 +797,6 @@ impl Workload for Box<dyn Workload + Send + Sync> {
 
     fn rbf(&self, interval: Time) -> Time {
         (**self).rbf(interval)
-    }
-
-    fn next_demand_point(&self, interval: Time) -> Option<Time> {
-        (**self).next_demand_point(interval)
     }
 
     fn demand_is_exact(&self) -> bool {
@@ -1593,13 +1578,28 @@ mod tests {
     }
 
     #[test]
-    fn next_demand_point_matches_event_enumeration() {
+    fn component_next_deadlines_step_through_demand_events() {
         let ts = TaskSet::from_tasks(vec![t(1, 3, 5), t(1, 4, 10)]);
+        let prepared = PreparedWorkload::new(&ts);
         // deadlines: 3, 4, 8, 13, 14, 18, ...
-        assert_eq!(ts.next_demand_point(Time::ZERO), Some(Time::new(3)));
-        assert_eq!(ts.next_demand_point(Time::new(3)), Some(Time::new(4)));
-        assert_eq!(ts.next_demand_point(Time::new(4)), Some(Time::new(8)));
-        assert_eq!(ts.next_demand_point(Time::new(8)), Some(Time::new(13)));
+        let next_point = |interval: Time| {
+            prepared
+                .components()
+                .iter()
+                .filter_map(|c| c.next_deadline_after(interval))
+                .min()
+        };
+        let mut intervals: Vec<Time> = prepared
+            .demand_events(Time::new(40))
+            .map(|event| event.interval)
+            .collect();
+        intervals.dedup();
+        assert_eq!(&intervals[..4], &[3, 4, 8, 13].map(Time::new));
+        let mut at = Time::ZERO;
+        for interval in intervals {
+            assert_eq!(next_point(at), Some(interval));
+            at = interval;
+        }
     }
 
     #[test]

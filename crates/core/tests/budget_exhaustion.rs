@@ -10,9 +10,6 @@
 //!   [`Verdict::Unknown`] carrying a [`Progress`] record whose spend
 //!   matches the budget's own counter, and a non-exhausted run never
 //!   carries one;
-//! * **batched ≡ sequential**: [`batch::analyze_many_budgeted`] equals
-//!   [`batch::analyze_many_serial_budgeted`] bit for bit, exhaustion
-//!   points included, for any worker split;
 //! * **overload stays exact**: a workload with `U > 1` answers
 //!   [`Verdict::Infeasible`] under *any* budget, zero included — the
 //!   exact rational utilization comparison and the bounds fix-point
@@ -20,7 +17,6 @@
 //!   cheap certain rejections (the regression guard for the bounds
 //!   budget unification).
 
-use edf_analysis::batch;
 use edf_analysis::budget::{Progress, ProgressPhase, WorkBudget};
 use edf_analysis::tests::{AllApproximatedTest, BoundSelection, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::PreparedWorkload;
@@ -151,20 +147,6 @@ proptest! {
                 prop_assert!(budget.spent() <= units);
             }
         }
-    }
-
-    /// The batch front end under per-workload budgets equals a serial
-    /// loop bit for bit — exhaustion points, progress records and all —
-    /// whatever the worker split.
-    #[test]
-    fn batched_budgets_equal_sequential_budgets(
-        sets in prop::collection::vec(arb_set(), 1..=8),
-        units in 0u64..5_000,
-    ) {
-        let tests = charging_suite();
-        let parallel = batch::analyze_many_budgeted(&sets, &tests, units);
-        let serial = batch::analyze_many_serial_budgeted(&sets, &tests, units);
-        prop_assert_eq!(parallel, serial);
     }
 
     /// The bounds-unification regression guard: `U > 1` is answered

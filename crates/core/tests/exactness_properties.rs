@@ -8,7 +8,7 @@
 
 use edf_analysis::demand::dbf_set;
 use edf_analysis::exhaustive::exhaustive_check;
-use edf_analysis::sensitivity::{breakdown_scaling_exact, wcet_slack};
+use edf_analysis::sensitivity::{breakdown_scaling, wcet_slack};
 use edf_analysis::tests::{
     AllApproximatedTest, DensityTest, DeviTest, DynamicErrorTest, LiuLaylandTest,
     ProcessorDemandTest, QpaTest, SuperpositionTest,
@@ -222,7 +222,7 @@ proptest! {
     /// feasibility, and the factor is at least 1 for feasible sets.
     #[test]
     fn breakdown_scaling_is_consistent(ts in arb_small_set()) {
-        match breakdown_scaling_exact(&ts) {
+        match breakdown_scaling(&ts, &AllApproximatedTest::new()) {
             Some(result) => {
                 prop_assert!(result.factor >= 1.0);
                 prop_assert!(result.utilization_at_breakdown <= 1.0 + 1e-9);

@@ -4,7 +4,7 @@
 //!   exact utilization comparison, §4.3 analysis horizon, deadline order)
 //!   and the same [`Analysis`] from every registered test as a cold
 //!   re-preparation, for any probe sequence;
-//! * `breakdown_scaling_workload` and `wcet_slack_workload` match their
+//! * `breakdown_scaling` and `wcet_slack` match their
 //!   from-scratch reference: the reported scaling or slack is accepted and
 //!   one step more is not, judged on cold preparations (scalings) and on
 //!   fresh single-component probes (slacks) — across sporadic task sets,
@@ -15,9 +15,7 @@
 
 use edf_analysis::bounds::FeasibilityBounds;
 use edf_analysis::incremental::ScaledView;
-use edf_analysis::sensitivity::{
-    breakdown_scaling_workload, sensitivity_sweep, wcet_slack, wcet_slack_workload,
-};
+use edf_analysis::sensitivity::{breakdown_scaling, sensitivity_sweep, wcet_slack};
 use edf_analysis::tests::{AllApproximatedTest, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::{MixedSystem, PreparedWorkload, Workload};
 use edf_analysis::{all_tests, FeasibilityTest};
@@ -94,7 +92,7 @@ fn assert_breakdown_tight(workload: &(impl Workload + ?Sized), test: &dyn Feasib
             .verdict
             .is_feasible()
     };
-    let Some(breakdown) = breakdown_scaling_workload(workload, test) else {
+    let Some(breakdown) = breakdown_scaling(workload, test) else {
         assert!(
             !test.analyze_prepared(&base).verdict.is_feasible(),
             "{}: no breakdown for an accepted workload",
@@ -138,7 +136,7 @@ fn assert_slack_tight(
     let base = PreparedWorkload::new(workload);
     let mut view = ScaledView::new(&base);
     let component = base.components()[index];
-    let Some(slack) = wcet_slack_workload(workload, index, test) else {
+    let Some(slack) = wcet_slack(workload, index, test) else {
         assert!(
             !test.analyze_prepared(&base).verdict.is_feasible(),
             "{}: no slack at component {index} of an accepted workload",
@@ -226,20 +224,20 @@ proptest! {
     }
 
     /// Slack searches through the view match the fresh-probe reference for
-    /// every component, report nothing past the last one, and the
-    /// `TaskSet` entry point stays a thin wrapper over the
-    /// workload-generic search.
+    /// every component, report nothing past the last one, and a `TaskSet`
+    /// answers exactly as the same tasks in a stream-free `MixedSystem`.
     #[test]
     fn wcet_slack_matches_reference(ts in arb_set()) {
         let test = ProcessorDemandTest::new();
+        let system = MixedSystem::new(ts.clone(), Vec::new());
         for index in 0..ts.len() + 1 {
-            let slack = wcet_slack_workload(&ts, index, &test);
+            let slack = wcet_slack(&ts, index, &test);
             if index < ts.len() {
                 assert_slack_tight(&ts, index, &test);
             } else {
                 prop_assert_eq!(slack, None);
             }
-            prop_assert_eq!(slack, wcet_slack(&ts, index, &test));
+            prop_assert_eq!(slack, wcet_slack(&system, index, &test));
         }
     }
 
@@ -266,11 +264,11 @@ proptest! {
         for (workload, report) in workloads.iter().zip(&reports) {
             prop_assert_eq!(
                 report.breakdown,
-                breakdown_scaling_workload(workload, &test)
+                breakdown_scaling(workload, &test)
             );
             prop_assert_eq!(report.component_slack.len(), workload.len());
             for (index, slack) in report.component_slack.iter().enumerate() {
-                prop_assert_eq!(*slack, wcet_slack_workload(workload, index, &test));
+                prop_assert_eq!(*slack, wcet_slack(workload, index, &test));
             }
         }
     }

@@ -9,7 +9,7 @@
 //!   path, cross-validated against the exhaustive oracle;
 //! * `dbf`/`rbf` monotonicity invariants hold for mixed systems.
 
-use edf_analysis::exhaustive::{exhaustive_check_prepared_up_to, exhaustive_check_workload};
+use edf_analysis::exhaustive::{exhaustive_check, exhaustive_check_prepared_up_to};
 use edf_analysis::tests::{AllApproximatedTest, DynamicErrorTest, ProcessorDemandTest, QpaTest};
 use edf_analysis::workload::{MixedSystem, PreparedWorkload};
 use edf_analysis::{FeasibilityTest, Verdict};
@@ -75,7 +75,7 @@ fn literature_sets_are_model_invariant_and_oracle_consistent() {
         }
 
         // Cross-validated against the exhaustive oracle.
-        let oracle = exhaustive_check_workload(&streams);
+        let oracle = exhaustive_check(&streams);
         if oracle.verdict.is_decisive() {
             assert_eq!(
                 oracle.verdict,
@@ -137,7 +137,7 @@ fn bursty_example_systems_match_the_exhaustive_oracle() {
 
     for (name, system) in systems {
         let prepared = PreparedWorkload::new(&system);
-        let oracle = exhaustive_check_workload(&system);
+        let oracle = exhaustive_check(&system);
         assert!(
             oracle.verdict.is_decisive(),
             "{name}: oracle horizon should be exact for these cycles"

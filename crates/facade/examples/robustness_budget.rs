@@ -11,8 +11,8 @@
 //! Run with `cargo run --example robustness_budget`.
 
 use edf_feasibility::{
-    breakdown_scaling_exact, wcet_slack, AllApproximatedTest, FeasibilityTest, Task, TaskError,
-    TaskSet, Time,
+    breakdown_scaling, wcet_slack, AllApproximatedTest, FeasibilityTest, Task, TaskError, TaskSet,
+    Time,
 };
 
 fn control_unit() -> Result<TaskSet, TaskError> {
@@ -36,7 +36,8 @@ fn main() -> Result<(), TaskError> {
     println!();
 
     // 1. Global breakdown scaling.
-    let breakdown = breakdown_scaling_exact(&ts).expect("the nominal system is feasible");
+    let exact = AllApproximatedTest::new();
+    let breakdown = breakdown_scaling(&ts, &exact).expect("the nominal system is feasible");
     println!(
         "breakdown scaling: every WCET can grow by {:.1}% (U reaches {:.3}, {} exact-test probes)",
         (breakdown.factor - 1.0) * 100.0,
@@ -46,7 +47,6 @@ fn main() -> Result<(), TaskError> {
     println!();
 
     // 2. Per-task WCET slack.
-    let exact = AllApproximatedTest::new();
     println!(
         "{:<16} {:>10} {:>14} {:>12}",
         "task", "WCET", "slack (ticks)", "headroom"

@@ -33,15 +33,16 @@
 //! * [`analysis::incremental`] — the incremental sensitivity engine:
 //!   [`ScaledView`] probes WCET perturbations of one prepared workload
 //!   without re-preparation (cost-only [`EditView`] edits, kept deadline
-//!   order, refreshed §4.3 bounds), behind the breakdown-scaling and
+//!   order, refreshed QPA horizon), behind the breakdown-scaling and
 //!   WCET-slack searches and the batch [`sensitivity_sweep`];
 //! * [`analysis::transactions`] — exact critical-instant-candidate
 //!   analysis of offset-transaction systems;
 //! * [`serve`] (`edf-serve`) — the online admission-control service:
 //!   thousands of tenants, each a [`PreparedWorkload`] behind an
 //!   [`EditView`], answering admit / evict / what-if requests through
-//!   delta re-analysis (with an anytime budgeted mode that answers an
-//!   honest `Unknown` when its per-request deadline fires);
+//!   delta re-analysis (with a budgeted mode that answers an honest
+//!   `Unknown` when a request's allowance of deterministic work units
+//!   runs out);
 //! * [`sim`] (`edf-sim`) — a discrete-event EDF / fixed-priority scheduler
 //!   simulator used as an independent oracle;
 //! * [`gen`] (`edf-gen`) — reproducible random task-set generation
@@ -113,21 +114,19 @@ pub use edf_analysis::budget::{Progress, ProgressPhase, WorkBudget};
 pub use edf_analysis::candidates::{
     self, CandidateAnalysis, CandidateView, EngineStats, MixedRadixGray,
 };
-pub use edf_analysis::exhaustive::{exhaustive_check, exhaustive_check_workload};
+pub use edf_analysis::exhaustive::exhaustive_check;
 pub use edf_analysis::incremental::{EditView, ScaledView, WorkloadView};
 pub use edf_analysis::kernel::{AnalysisScratch, DemandKernel};
 pub use edf_analysis::sensitivity::{
-    breakdown_scaling, breakdown_scaling_exact, breakdown_scaling_prepared,
-    breakdown_scaling_workload, sensitivity_report, sensitivity_sweep, wcet_slack,
-    wcet_slack_prepared, wcet_slack_workload, BreakdownScaling, SensitivityReport,
+    breakdown_scaling, sensitivity_report, sensitivity_sweep, wcet_slack, BreakdownScaling,
+    SensitivityReport,
 };
 pub use edf_analysis::tests::{
     AllApproximatedTest, BoundSelection, DensityTest, DeviTest, DynamicErrorTest, LiuLaylandTest,
     ProcessorDemandTest, QpaTest, SuperpositionTest,
 };
 pub use edf_analysis::transactions::{
-    analyze_transaction_system, candidate_workloads, exhaustive_transaction_check, CombinationIter,
-    ProductTooLarge,
+    analyze_transaction_system, exhaustive_transaction_check, CombinationIter,
 };
 pub use edf_analysis::workload::{DemandComponent, DemandEvent, DemandEventIter};
 pub use edf_analysis::{
@@ -173,9 +172,6 @@ mod tests {
         let prepared = PreparedWorkload::new(&system);
         let exact = AllApproximatedTest::new().analyze_prepared(&prepared);
         assert_eq!(exact.verdict, Verdict::Feasible);
-        assert_eq!(
-            exhaustive_check_workload(&system).verdict,
-            Verdict::Feasible
-        );
+        assert_eq!(exhaustive_check(&system).verdict, Verdict::Feasible);
     }
 }

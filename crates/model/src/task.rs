@@ -18,7 +18,7 @@
 //! # fn main() -> Result<(), edf_model::TaskError> {
 //! let tau = Task::new(Time::new(2), Time::new(8), Time::new(10))?;
 //! assert_eq!(tau.wcet(), Time::new(2));
-//! assert!(tau.is_constrained_deadline());
+//! assert!(tau.deadline() < tau.period());
 //! assert!((tau.utilization() - 0.2).abs() < 1e-12);
 //! # Ok(())
 //! # }
@@ -84,8 +84,8 @@ impl std::error::Error for TaskError {}
 ///
 /// # fn main() -> Result<(), edf_model::TaskError> {
 /// // A task with an implicit deadline (D = T).
-/// let tau = Task::with_implicit_deadline(Time::new(3), Time::new(12))?;
-/// assert_eq!(tau.deadline(), tau.period());
+/// let tau = Task::new(Time::new(3), Time::new(12), Time::new(12))?;
+/// assert!(tau.is_implicit_deadline());
 /// # Ok(())
 /// # }
 /// ```
@@ -120,16 +120,6 @@ impl Task {
     /// ```
     pub fn new(wcet: Time, deadline: Time, period: Time) -> Result<Self, TaskError> {
         TaskBuilder::new(wcet, deadline, period).build()
-    }
-
-    /// Creates a task whose relative deadline equals its period
-    /// (the Liu & Layland model of §3.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TaskError`] if a parameter is zero or `wcet > period`.
-    pub fn with_implicit_deadline(wcet: Time, period: Time) -> Result<Self, TaskError> {
-        Task::new(wcet, period, period)
     }
 
     /// Convenience constructor from raw `u64` ticks.
@@ -211,12 +201,6 @@ impl Task {
         (self.period - effective).as_f64() / self.period.as_f64()
     }
 
-    /// `true` if `D < T` (constrained deadline).
-    #[must_use]
-    pub fn is_constrained_deadline(&self) -> bool {
-        self.deadline < self.period
-    }
-
     /// `true` if `D == T` (implicit deadline).
     #[must_use]
     pub fn is_implicit_deadline(&self) -> bool {
@@ -242,13 +226,6 @@ impl Task {
     #[must_use]
     pub fn job_deadline(&self, k: u64) -> Option<Time> {
         self.period.checked_mul(k)?.checked_add(self.deadline)
-    }
-
-    /// Release time of the `k`-th job (0-based) under synchronous release:
-    /// `k·T`. Returns `None` on overflow.
-    #[must_use]
-    pub fn job_release(&self, k: u64) -> Option<Time> {
-        self.period.checked_mul(k)
     }
 
     /// Returns a copy of this task with a new name.
@@ -451,9 +428,8 @@ mod tests {
         assert!((tau.density() - 0.4).abs() < 1e-12);
         assert!((tau.deadline_gap() - 0.5).abs() < 1e-12);
 
-        let implicit = Task::with_implicit_deadline(Time::new(2), Time::new(10)).unwrap();
+        let implicit = t(2, 10, 10);
         assert!(implicit.is_implicit_deadline());
-        assert!(!implicit.is_constrained_deadline());
         assert!((implicit.deadline_gap()).abs() < 1e-12);
 
         // D > T: gap clamps at 0 (effective deadline is the period).
@@ -464,8 +440,6 @@ mod tests {
     #[test]
     fn job_deadlines_and_releases() {
         let tau = t(1, 4, 10);
-        assert_eq!(tau.job_release(0), Some(Time::ZERO));
-        assert_eq!(tau.job_release(3), Some(Time::new(30)));
         assert_eq!(tau.job_deadline(0), Some(Time::new(4)));
         assert_eq!(tau.job_deadline(3), Some(Time::new(34)));
         assert_eq!(tau.job_deadline(u64::MAX), None, "overflow is reported");

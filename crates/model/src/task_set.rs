@@ -80,12 +80,6 @@ impl TaskSet {
         &self.tasks
     }
 
-    /// Consumes the set and returns the underlying vector.
-    #[must_use]
-    pub fn into_tasks(self) -> Vec<Task> {
-        self.tasks
-    }
-
     /// Returns the task at `index`, or `None` if out of bounds.
     #[must_use]
     pub fn get(&self, index: usize) -> Option<&Task> {
@@ -214,14 +208,6 @@ impl TaskSet {
         Some(max.as_f64() / min.as_f64())
     }
 
-    /// Sum of all worst-case execution times.
-    #[must_use]
-    pub fn total_wcet(&self) -> Time {
-        self.tasks
-            .iter()
-            .fold(Time::ZERO, |acc, t| acc.saturating_add(t.wcet()))
-    }
-
     /// Average deadline gap (see [`Task::deadline_gap`]), or `None` for an
     /// empty set.
     #[must_use]
@@ -251,15 +237,6 @@ impl TaskSet {
     pub fn sorted_by_deadline(&self) -> TaskSet {
         let mut tasks = self.tasks.clone();
         tasks.sort_by_key(Task::deadline);
-        TaskSet { tasks }
-    }
-
-    /// A copy of the set sorted by non-decreasing period (rate-monotonic /
-    /// deadline-monotonic index order helpers for fixed-priority baselines).
-    #[must_use]
-    pub fn sorted_by_period(&self) -> TaskSet {
-        let mut tasks = self.tasks.clone();
-        tasks.sort_by_key(Task::period);
         TaskSet { tasks }
     }
 
@@ -389,7 +366,6 @@ mod tests {
         assert_eq!((&ts).into_iter().count(), 3);
         assert_eq!(ts.clone().into_iter().count(), 3);
         assert_eq!(ts.tasks().len(), 3);
-        assert_eq!(ts.clone().into_tasks().len(), 3);
     }
 
     #[test]
@@ -418,7 +394,6 @@ mod tests {
         assert_eq!(ts.max_period(), Some(Time::new(24)));
         assert_eq!(ts.min_period(), Some(Time::new(8)));
         assert!((ts.period_ratio().unwrap() - 3.0).abs() < 1e-12);
-        assert_eq!(ts.total_wcet(), Time::new(6));
     }
 
     #[test]
@@ -479,9 +454,6 @@ mod tests {
         let by_d = ts.sorted_by_deadline();
         let deadlines: Vec<u64> = by_d.iter().map(|t| t.deadline().as_u64()).collect();
         assert_eq!(deadlines, vec![4, 7, 10]);
-        let by_p = ts.sorted_by_period();
-        let periods: Vec<u64> = by_p.iter().map(|t| t.period().as_u64()).collect();
-        assert_eq!(periods, vec![10, 20, 30]);
         // Original untouched.
         assert_eq!(ts[0].deadline(), Time::new(10));
     }

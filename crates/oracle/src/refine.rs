@@ -315,7 +315,7 @@ pub fn all_approximated(test: &AllApproximatedTest, workload: &PreparedWorkload)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edf_analysis::exhaustive::exhaustive_check_workload;
+    use edf_analysis::exhaustive::exhaustive_check;
     use edf_analysis::workload::MixedSystem;
     use edf_model::{EventStream, EventStreamTask, Task, TaskSet};
 
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn unlimited_loops_match_the_exhaustive_check() {
         for workload in workloads() {
-            let exhaustive = exhaustive_check_workload(&workload);
+            let exhaustive = exhaustive_check(&workload);
             assert!(exhaustive.verdict.is_decisive());
             for analysis in [
                 dynamic_error(&DynamicErrorTest::new(), &workload),

@@ -127,8 +127,10 @@ use journal::{Journal, JournalRecord, JournalState};
 /// Every exact test returns the same verdict; QPA is chosen by
 /// measurement.  On the end-to-end benchmark's 128 near-critical tenant
 /// base sets it spends 2 633 work units where the paper's §4.2
-/// all-approximated test spends 14 166: about 0.38 ms against 3.1 ms on
-/// a 2-vCPU x86-64 host.
+/// all-approximated test spends 14 166.  Two traced `serve_critical`
+/// seed-1 runs (`perfbench/run.py --workload serve_critical --seed 1
+/// --seconds 5 --trace 1`) on a 2-vCPU x86-64 host read 0.27–0.33 ms
+/// against 1.05–1.19 ms.
 pub const SERVICE_TEST: QpaTest = QpaTest;
 
 /// Service-level objective for analysis latency.
