@@ -148,6 +148,16 @@ mod tests {
     }
 
     #[test]
+    fn job_count_matches_dbf() {
+        let tau = t(3, 7, 12);
+        for i in 0..100u64 {
+            // Jobs released at k*12 whose deadline k*12 + 7 falls within [0, i].
+            let jobs = (0..=i / 12).filter(|k| k * 12 + 7 <= i).count() as u64;
+            assert_eq!(dbf_task(&tau, Time::new(i)).as_u64(), jobs * 3, "I = {i}");
+        }
+    }
+
+    #[test]
     fn rbf_staircase() {
         let tau = t(2, 4, 10);
         assert_eq!(rbf_task(&tau, Time::ZERO), Time::new(2));
