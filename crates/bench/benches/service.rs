@@ -1,21 +1,22 @@
 //! Benchmark of the `edf-serve` admission-control service: the cost of one
 //! admission decision through the [`EditView`] delta path (structural
 //! edit, deadline-order repair, in-place kernel rebuild, horizon refresh)
-//! versus a cold re-preparation of the edited component list, and the
-//! budgeted anytime lane.
+//! versus a cold re-preparation of the edited component list, the
+//! budgeted anytime lane, and the restart cost of journal recovery.
 //!
 //! Both decision paths run the service's exact test ([`SERVICE_TEST`], QPA
 //! descent from the §4.3 horizon), so the `whatif_*` gap is pure
 //! preparation overhead — exactly what an admission server pays per
 //! request on its committed systems.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
 use edf_analysis::workload::{DemandComponent, PreparedWorkload};
 use edf_analysis::{AnalysisScratch, FeasibilityTest, Workload};
 use edf_bench::ratio_fixture;
 use edf_model::{TaskSet, Time};
+use edf_serve::journal::{Journal, JournalRecord};
 use edf_serve::{AdmissionService, SlaMode, SERVICE_TEST};
 
 /// The committed base system of one tenant: a ratio-controlled sporadic
@@ -158,5 +159,68 @@ fn bench_budgeted(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_admission_paths, bench_budgeted);
+/// The restart cost: [`AdmissionService::recover`] over a journal with the
+/// tenant shape of the perfbench serve workloads — 128 near-critical
+/// tenants of 5–50 components, each written as one `Tenant` record and
+/// one `Admit` per component under consecutive ids.  Each iteration
+/// opens, replays and builds every tenant's view from the same file;
+/// throughput is counted in journal records.
+fn bench_recover(c: &mut Criterion) {
+    const TENANTS: usize = 128;
+    let path = std::env::temp_dir().join(format!(
+        "edf-bench-service-recover-{}.journal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut records = 0u64;
+    {
+        let (mut journal, _) = Journal::open(&path).expect("create the journal");
+        let mut id = 0u64;
+        for (index, set) in ratio_fixture(100, TENANTS).iter().enumerate() {
+            let tenant = format!("tenant-{index:03}");
+            journal
+                .append(&JournalRecord::Tenant {
+                    tenant: tenant.clone(),
+                })
+                .expect("append");
+            records += 1;
+            let mut components = Vec::new();
+            set.append_components(&mut components);
+            for component in components {
+                journal
+                    .append(&JournalRecord::Admit {
+                        tenant: tenant.clone(),
+                        id,
+                        component,
+                    })
+                    .expect("append");
+                id += 1;
+                records += 1;
+            }
+        }
+    }
+
+    let mut group = c.benchmark_group("service_recover");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(records));
+    group.bench_function(BenchmarkId::new("recover", TENANTS), |b| {
+        b.iter(|| {
+            let service = AdmissionService::recover(&path).expect("recover");
+            assert_eq!(service.tenant_count(), TENANTS);
+            black_box(service)
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+}
+
+criterion_group!(
+    benches,
+    bench_admission_paths,
+    bench_budgeted,
+    bench_recover
+);
 criterion_main!(benches);

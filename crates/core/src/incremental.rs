@@ -342,17 +342,12 @@ pub struct EditView {
 
 impl EditView {
     /// Creates an editable copy of `base`.  The scratch starts
-    /// bit-identical (the deadline order is computed once on the base,
-    /// where it is cached for other users too, and copied).
+    /// bit-identical: it copies the base's utilization, `U > 1`
+    /// comparison and deadline order (computed once on the base, where it
+    /// is cached for other users too) rather than deriving them again.
     #[must_use]
     pub fn new(base: &PreparedWorkload) -> Self {
-        let mut scratch = PreparedWorkload::from_parts(
-            base.components().to_vec(),
-            base.task_count(),
-            base.demand_is_exact(),
-            base.utilization_is_exact(),
-        );
-        scratch.seed_deadline_order(base.deadline_order().to_vec());
+        let scratch = PreparedWorkload::copy_of(base);
         EditView {
             committed_folds: None,
             last_folds: None,

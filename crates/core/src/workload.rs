@@ -1294,11 +1294,28 @@ impl PreparedWorkload {
             .sum()
     }
 
-    /// Seeds the cached deadline order (crate-internal: lets an
-    /// [`EditView`](crate::incremental::EditView) copy the base
-    /// workload's sorted order instead of re-sorting).
-    pub(crate) fn seed_deadline_order(&mut self, order: Vec<usize>) {
-        let _ = self.deadline_order.set(order);
+    /// A preparation of `base`'s components that copies its aggregates —
+    /// the utilization, the exact `U > 1` comparison and the exactness
+    /// flags — and its deadline order instead of recomputing them
+    /// (crate-internal: the [`EditView`](crate::incremental::EditView)
+    /// scratch).  The order is computed on `base` if it was not yet,
+    /// where it stays cached for other users; every other cache starts
+    /// empty.
+    pub(crate) fn copy_of(base: &PreparedWorkload) -> Self {
+        PreparedWorkload {
+            components: base.components.clone(),
+            task_count: base.task_count,
+            utilization: base.utilization,
+            exceeds_one: base.exceeds_one,
+            demand_exact: base.demand_exact,
+            utilization_exact: base.utilization_exact,
+            bounds: OnceLock::new(),
+            qpa_horizon: OnceLock::new(),
+            horizon: OnceLock::new(),
+            deadline_order: OnceLock::from(base.deadline_order().to_vec()),
+            kernel: OnceLock::new(),
+            spare_kernel: DemandKernel::default(),
+        }
     }
 
     /// Takes the cached deadline order out of the preparation (empty when

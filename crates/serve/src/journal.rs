@@ -45,7 +45,19 @@
 //! aggregate (utilization sums, bounds, deadline order) is reproduced
 //! exactly; the `recovery_equivalence` proptest pins this against the
 //! live service.
+//!
+//! Recovery ([`Journal::replay`]) is one pass over the file's bytes,
+//! read into one buffer: each frame is checked (length cap, checksum,
+//! full decode) and applied at once, its tenant name read in place and
+//! found by one lookup in a name index, not a scan of every tenant.  A
+//! replay therefore costs O(records) beyond each record's own work (an
+//! `Evict` searches its tenant's list, a `Register` copies its
+//! components), and the FNV-1a checksum, one multiply per byte, is its
+//! per-byte floor.  It allocates per tenant (the name and the committed
+//! list), never per record.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -108,61 +120,162 @@ pub enum JournalRecord {
     NextId(u64),
 }
 
+/// A decoded record whose tenant name borrows the journal bytes: what
+/// replay applies straight to a [`JournalState`], and what
+/// [`Journal::open`] turns into an owned [`JournalRecord`].  Its variants
+/// mirror [`JournalRecord`]'s.
+enum RecordRef<'a> {
+    Tenant(&'a str),
+    Admit {
+        tenant: &'a str,
+        id: u64,
+        component: DemandComponent,
+    },
+    Evict {
+        tenant: &'a str,
+        id: u64,
+    },
+    Register {
+        tenant: &'a str,
+        first_id: u64,
+        components: Cow<'a, [DemandComponent]>,
+    },
+    Mode(SlaMode),
+    NextId(u64),
+}
+
+impl JournalRecord {
+    fn borrowed(&self) -> RecordRef<'_> {
+        match self {
+            JournalRecord::Tenant { tenant } => RecordRef::Tenant(tenant),
+            JournalRecord::Admit {
+                tenant,
+                id,
+                component,
+            } => RecordRef::Admit {
+                tenant,
+                id: *id,
+                component: *component,
+            },
+            JournalRecord::Evict { tenant, id } => RecordRef::Evict { tenant, id: *id },
+            JournalRecord::Register {
+                tenant,
+                first_id,
+                components,
+            } => RecordRef::Register {
+                tenant,
+                first_id: *first_id,
+                components: Cow::Borrowed(components),
+            },
+            JournalRecord::Mode(mode) => RecordRef::Mode(*mode),
+            JournalRecord::NextId(id) => RecordRef::NextId(*id),
+        }
+    }
+}
+
+impl From<RecordRef<'_>> for JournalRecord {
+    fn from(record: RecordRef<'_>) -> Self {
+        match record {
+            RecordRef::Tenant(tenant) => JournalRecord::Tenant {
+                tenant: tenant.to_owned(),
+            },
+            RecordRef::Admit {
+                tenant,
+                id,
+                component,
+            } => JournalRecord::Admit {
+                tenant: tenant.to_owned(),
+                id,
+                component,
+            },
+            RecordRef::Evict { tenant, id } => JournalRecord::Evict {
+                tenant: tenant.to_owned(),
+                id,
+            },
+            RecordRef::Register {
+                tenant,
+                first_id,
+                components,
+            } => JournalRecord::Register {
+                tenant: tenant.to_owned(),
+                first_id,
+                components: components.into_owned(),
+            },
+            RecordRef::Mode(mode) => JournalRecord::Mode(mode),
+            RecordRef::NextId(id) => JournalRecord::NextId(id),
+        }
+    }
+}
+
 /// The state a journal replays into: per-tenant committed components
 /// (with their stable ids, in insertion order), the last recorded mode
 /// and the id allocator floor.
 #[derive(Debug, Clone, Default)]
 pub struct JournalState {
     /// `(tenant, committed (id, component) list)` in tenant creation
-    /// order.
+    /// order.  Replay finds a record's tenant through a private name
+    /// index kept in step by [`JournalState::apply`], so read this list
+    /// but grow or reorder it only through `apply`.
     pub tenants: Vec<(String, Vec<(u64, DemandComponent)>)>,
     /// The last recorded [`SlaMode`], if any.
     pub mode: Option<SlaMode>,
     /// Smallest id the allocator may hand out next.
     pub next_id: u64,
+    /// Position of each tenant in `tenants`, by name.
+    index: HashMap<String, usize>,
 }
 
 impl JournalState {
     /// Replays `record` into the state (see the [module docs](self)).
     pub fn apply(&mut self, record: &JournalRecord) {
+        self.apply_ref(record.borrowed());
+    }
+
+    fn apply_ref(&mut self, record: RecordRef<'_>) {
         match record {
-            JournalRecord::Tenant { tenant } => {
+            RecordRef::Tenant(tenant) => {
                 self.tenant_entry(tenant);
             }
-            JournalRecord::Admit {
+            RecordRef::Admit {
                 tenant,
                 id,
                 component,
             } => {
-                self.next_id = self.next_id.max(id + 1);
-                self.tenant_entry(tenant).push((*id, *component));
+                self.next_id = self.next_id.max(id.saturating_add(1));
+                self.tenant_entry(tenant).push((id, component));
             }
-            JournalRecord::Evict { tenant, id } => {
+            RecordRef::Evict { tenant, id } => {
                 let committed = self.tenant_entry(tenant);
-                if let Some(index) = committed.iter().position(|(existing, _)| existing == id) {
+                if let Some(index) = committed.iter().position(|&(existing, _)| existing == id) {
                     committed.remove(index);
                 }
             }
-            JournalRecord::Register {
+            RecordRef::Register {
                 tenant,
                 first_id,
                 components,
             } => {
-                self.next_id = self.next_id.max(first_id + components.len() as u64);
-                *self.tenant_entry(tenant) =
-                    (*first_id..).zip(components.iter().copied()).collect();
+                self.next_id = self
+                    .next_id
+                    .max(first_id.saturating_add(components.len() as u64));
+                *self.tenant_entry(tenant) = (first_id..).zip(components.iter().copied()).collect();
             }
-            JournalRecord::Mode(mode) => self.mode = Some(*mode),
-            JournalRecord::NextId(id) => self.next_id = self.next_id.max(*id),
+            RecordRef::Mode(mode) => self.mode = Some(mode),
+            RecordRef::NextId(id) => self.next_id = self.next_id.max(id),
         }
     }
 
     fn tenant_entry(&mut self, tenant: &str) -> &mut Vec<(u64, DemandComponent)> {
-        if let Some(index) = self.tenants.iter().position(|(name, _)| name == tenant) {
-            return &mut self.tenants[index].1;
-        }
-        self.tenants.push((tenant.to_owned(), Vec::new()));
-        &mut self.tenants.last_mut().expect("just pushed").1
+        let index = match self.index.get(tenant) {
+            Some(&index) => index,
+            None => {
+                let index = self.tenants.len();
+                self.index.insert(tenant.to_owned(), index);
+                self.tenants.push((tenant.to_owned(), Vec::new()));
+                index
+            }
+        };
+        &mut self.tenants[index].1
     }
 }
 
@@ -209,28 +322,53 @@ impl Journal {
     /// Fails only on real I/O errors (open/read/truncate); corruption is
     /// not an error — it bounds the replayed prefix.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(Journal, Vec<JournalRecord>)> {
-        let path = path.as_ref().to_path_buf();
+        let mut records = Vec::new();
+        let journal = Journal::open_with(path.as_ref(), |record| records.push(record.into()))?;
+        Ok((journal, records))
+    }
+
+    /// Opens the journal as [`Journal::open`] does, but applies each valid
+    /// record to a fresh [`JournalState`] as it is decoded instead of
+    /// collecting it: tenant names are read in place from the journal
+    /// bytes, so replay allocates per tenant, never per record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::open`].
+    pub fn replay(path: impl AsRef<Path>) -> io::Result<(Journal, JournalState)> {
+        let mut state = JournalState::default();
+        let journal = Journal::open_with(path.as_ref(), |record| state.apply_ref(record))?;
+        Ok((journal, state))
+    }
+
+    /// The shared body of [`Journal::open`] and [`Journal::replay`]:
+    /// reads the file into one buffer, hands each record of the valid
+    /// prefix to `visit` in append order, and truncates the rest.
+    fn open_with(path: &Path, visit: impl FnMut(RecordRef<'_>)) -> io::Result<Journal> {
+        let path = path.to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
+        // `read_to_end` on a file reserves its remaining length up front,
+        // so the bytes land in one allocation.
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
         let (records, valid_len) = if bytes.is_empty() {
             file.write_all(MAGIC)?;
-            (Vec::new(), MAGIC.len() as u64)
+            (0, MAGIC.len() as u64)
         } else if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
             // A torn or foreign header: nothing is trustworthy, start
             // over (the old bytes are dropped by the truncate below).
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(MAGIC)?;
-            (Vec::new(), MAGIC.len() as u64)
+            (0, MAGIC.len() as u64)
         } else {
-            let (records, consumed) = decode_frames(&bytes[MAGIC.len()..]);
+            let (records, consumed) = decode_frames(&bytes[MAGIC.len()..], visit);
             (records, (MAGIC.len() + consumed) as u64)
         };
 
@@ -238,16 +376,12 @@ impl Journal {
             file.set_len(valid_len)?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        let record_count = records.len() as u64;
-        Ok((
-            Journal {
-                file,
-                path,
-                len: valid_len,
-                records: record_count,
-            },
+        Ok(Journal {
+            file,
+            path,
+            len: valid_len,
             records,
-        ))
+        })
     }
 
     /// Appends one record frame.  The bytes are handed to the OS before
@@ -355,11 +489,11 @@ impl Journal {
     }
 }
 
-/// Decodes frames from `bytes`, stopping at the first torn or corrupt
-/// one; returns the records and the number of bytes consumed by valid
-/// frames.
-fn decode_frames(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
-    let mut records = Vec::new();
+/// Walks the frames of `bytes`, handing each record to `visit` and
+/// stopping at the first torn or corrupt frame; returns the number of
+/// records and the number of bytes consumed by valid frames.
+fn decode_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(RecordRef<'a>)) -> (u64, usize) {
+    let mut records = 0;
     let mut offset = 0usize;
     while let Some(header) = bytes.get(offset..offset + 12) {
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
@@ -376,7 +510,8 @@ fn decode_frames(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
         let Some(record) = decode_record(payload) else {
             break;
         };
-        records.push(record);
+        visit(record);
+        records += 1;
         offset += 12 + len;
     }
     (records, offset)
@@ -472,18 +607,22 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
+fn decode_record(payload: &[u8]) -> Option<RecordRef<'_>> {
     let (&tag, mut rest) = payload.split_first()?;
     let record = match tag {
-        TAG_TENANT => JournalRecord::Tenant {
-            tenant: take_name(&mut rest)?,
-        },
-        TAG_ADMIT => JournalRecord::Admit {
-            tenant: take_name(&mut rest)?,
-            id: take_u64(&mut rest)?,
-            component: take_component(&mut rest)?,
-        },
-        TAG_EVICT => JournalRecord::Evict {
+        TAG_TENANT => RecordRef::Tenant(take_name(&mut rest)?),
+        TAG_ADMIT => {
+            let tenant = take_name(&mut rest)?;
+            let id = take_u64(&mut rest)?;
+            // Replay lifts the allocator to `id + 1`.
+            id.checked_add(1)?;
+            RecordRef::Admit {
+                tenant,
+                id,
+                component: take_component(&mut rest)?,
+            }
+        }
+        TAG_EVICT => RecordRef::Evict {
             tenant: take_name(&mut rest)?,
             id: take_u64(&mut rest)?,
         },
@@ -496,10 +635,10 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
                 .collect::<Option<Vec<_>>>()?;
             // Replay lifts the allocator to `first_id + count`.
             first_id.checked_add(count)?;
-            JournalRecord::Register {
+            RecordRef::Register {
                 tenant,
                 first_id,
-                components,
+                components: Cow::Owned(components),
             }
         }
         TAG_MODE => {
@@ -509,7 +648,7 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             // work budget (kind 2), deadline nanos for the retired
             // wall-clock budget (kind 1).
             let payload = take_u64(&mut rest)?;
-            JournalRecord::Mode(match kind {
+            RecordRef::Mode(match kind {
                 0 => SlaMode::Exact,
                 // Kind 1 is no longer written; older journals hold it.
                 // Replay runs before the service's work rate is pinned or
@@ -522,7 +661,7 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
                 _ => return None,
             })
         }
-        TAG_NEXT_ID => JournalRecord::NextId(take_u64(&mut rest)?),
+        TAG_NEXT_ID => RecordRef::NextId(take_u64(&mut rest)?),
         _ => return None,
     };
     rest.is_empty().then_some(record)
@@ -535,12 +674,12 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(bytes);
 }
 
-fn take_name(rest: &mut &[u8]) -> Option<String> {
+fn take_name<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
     let (len_bytes, tail) = rest.split_at_checked(2)?;
     let len = usize::from(u16::from_le_bytes(len_bytes.try_into().ok()?));
     let (name, tail) = tail.split_at_checked(len)?;
     *rest = tail;
-    String::from_utf8(name.to_vec()).ok()
+    std::str::from_utf8(name).ok()
 }
 
 fn take_u64(rest: &mut &[u8]) -> Option<u64> {

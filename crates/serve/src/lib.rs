@@ -112,7 +112,7 @@ use edf_analysis::{
 use edf_model::Time;
 
 use fault::{FaultPlan, RequestFaults};
-use journal::{Journal, JournalRecord, JournalState};
+use journal::{Journal, JournalRecord};
 
 /// The one exact test the service decides every request with: QPA
 /// (Zhang & Burns 2009), descending from the prepared
@@ -350,6 +350,10 @@ pub enum RequestError {
     },
     /// The operation needs a journal but none is attached.
     NoJournal,
+    /// The id allocator has no ids left for the request: an id is handed
+    /// out only when its successor fits in a `u64`, so replay can always
+    /// raise the allocator past it.
+    IdsExhausted,
 }
 
 impl RequestError {
@@ -370,6 +374,7 @@ impl RequestError {
             RequestError::AnalysisPanic { .. } => "analysis-panic",
             RequestError::Journal { .. } => "journal",
             RequestError::NoJournal => "no-journal",
+            RequestError::IdsExhausted => "ids-exhausted",
         }
     }
 }
@@ -401,6 +406,7 @@ impl fmt::Display for RequestError {
             }
             RequestError::Journal { error } => write!(formatter, " {error}"),
             RequestError::NoJournal => write!(formatter, " no journal attached"),
+            RequestError::IdsExhausted => write!(formatter, " component ids exhausted"),
         }
     }
 }
@@ -591,12 +597,9 @@ impl AdmissionService {
     /// Real I/O errors from opening or truncating the journal file;
     /// corruption is not an error (it bounds the replayed prefix).
     pub fn recover(path: impl AsRef<Path>) -> io::Result<Self> {
-        let (journal, records) = Journal::open(path)?;
-        let mut state = JournalState::default();
-        for record in &records {
-            state.apply(record);
-        }
+        let (journal, state) = Journal::replay(path)?;
         let mut service = Self::with_mode(state.mode.unwrap_or(SlaMode::Exact));
+        service.tenants.reserve(state.tenants.len());
         for (tenant, committed) in state.tenants {
             service
                 .tenants
@@ -818,9 +821,11 @@ impl AdmissionService {
     ///
     /// # Errors
     ///
-    /// Validation, cap or journal errors; on any error nothing changes.
-    /// A base whose record exceeds the journal's 1 MiB frame cap (about
-    /// 31 000 periodic components) is refused as a journal error.
+    /// Validation, cap or journal errors, or
+    /// [`RequestError::IdsExhausted`] when the base's ids would run past
+    /// `u64::MAX`; on any error nothing changes.  A base whose record
+    /// exceeds the journal's 1 MiB frame cap (about 31 000 periodic
+    /// components) is refused as a journal error.
     pub fn register_tenant(
         &mut self,
         tenant: &str,
@@ -845,6 +850,9 @@ impl AdmissionService {
         // refused or torn append leaves the journal at the previous
         // registration, never between the two.
         let first_id = self.next_id;
+        let next_id = first_id
+            .checked_add(base.components().len() as u64)
+            .ok_or(RequestError::IdsExhausted)?;
         self.journal_append(&JournalRecord::Register {
             tenant: tenant.to_owned(),
             first_id,
@@ -853,7 +861,7 @@ impl AdmissionService {
         let committed: Vec<(u64, DemandComponent)> = (first_id..)
             .zip(base.components().iter().copied())
             .collect();
-        self.next_id += committed.len() as u64;
+        self.next_id = next_id;
         let ids: Vec<u64> = committed.iter().map(|&(id, _)| id).collect();
         self.tenants.insert(
             tenant.to_owned(),
@@ -872,8 +880,9 @@ impl AdmissionService {
     ///
     /// # Errors
     ///
-    /// Validation, cap, journal or panic-isolation errors; on any error
-    /// the committed state is unchanged.
+    /// Validation, cap, journal or panic-isolation errors, or
+    /// [`RequestError::IdsExhausted`] once the allocator has no id left;
+    /// on any error the committed state is unchanged.
     pub fn admit(
         &mut self,
         tenant: &str,
@@ -1035,6 +1044,9 @@ impl AdmissionService {
         validate_component(&component).map_err(|fault| RequestError::InvalidComponent { fault })?;
         self.check_tenant_name(tenant)?;
         if commit {
+            if self.next_id.checked_add(1).is_none() {
+                return Err(RequestError::IdsExhausted);
+            }
             match self.tenants.get(tenant) {
                 Some(entry) if entry.committed.len() >= self.limits.max_components_per_tenant => {
                     return Err(RequestError::ComponentLimit {

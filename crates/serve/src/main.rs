@@ -91,6 +91,7 @@
 //! | `analysis-panic` | analysis panicked; tenant view rebuilt, no verdict fabricated |
 //! | `journal` | journal I/O failed; the mutation was rolled back |
 //! | `no-journal` | `SYNC`/`SNAPSHOT` without `--journal` |
+//! | `ids-exhausted` | `ADMIT` with no component id left to hand out |
 //!
 //! # Durability and recovery
 //!

@@ -12,10 +12,11 @@
 //! state the live service reached incrementally, so a crash-restart can
 //! never drift from the pre-crash answers.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use edf_analysis::workload::DemandComponent;
+use edf_analysis::workload::{DemandComponent, PreparedWorkload};
 use edf_model::Time;
+use edf_serve::journal::{Journal, JournalRecord};
 use edf_serve::{protocol, AdmissionDecision, AdmissionService, SlaMode};
 use proptest::prelude::*;
 
@@ -220,4 +221,96 @@ fn a_journal_in_the_previous_format_recovers() {
         "the allocator resumes at the NextId floor"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Writes `records` as a fresh journal at `path`.
+fn write_journal(path: &Path, records: &[JournalRecord]) {
+    let _ = std::fs::remove_file(path);
+    let (mut journal, _) = Journal::open(path).expect("create journal");
+    for record in records {
+        journal.append(record).expect("append");
+    }
+}
+
+fn journal_len(path: &Path) -> u64 {
+    std::fs::metadata(path).expect("journal exists").len()
+}
+
+/// An `Admit` under id `u64::MAX` leaves the allocator no successor, so
+/// replay takes it for a corrupt frame: recovery keeps the prefix before
+/// it, truncates the rest and resumes the allocator after the last
+/// replayed id, instead of overflowing `id + 1`.
+#[test]
+fn an_admit_at_the_last_id_ends_the_replay() {
+    let path = journal_path("last-id", 0);
+    let component = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
+    let admit = |id| JournalRecord::Admit {
+        tenant: "t".into(),
+        id,
+        component,
+    };
+    write_journal(
+        &path,
+        &[
+            JournalRecord::Tenant { tenant: "t".into() },
+            admit(0),
+            admit(u64::MAX),
+            admit(1),
+        ],
+    );
+    let mut service = AdmissionService::recover(&path).expect("replay");
+    assert_eq!(service.stat("t").expect("t recovered").components, 1);
+    let (_, replayed) = Journal::open(&path).expect("reopen");
+    assert_eq!(
+        replayed.len(),
+        2,
+        "the frame at the last id and its suffix are cut"
+    );
+    let reply = protocol::dispatch(&mut service, "ADMIT t 1 9 10");
+    assert!(reply.starts_with("ADMITTED id=1 "), "{reply}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A service whose allocator floor is `u64::MAX` — lifted there by a
+/// `NextId` or by a `Register` whose ids end just below it — has no id
+/// left to hand out: `ADMIT` and `register_tenant` answer
+/// `ids-exhausted`, append nothing and never wrap the allocator, also
+/// after a restart.  A what-if needs no id and still answers.
+#[test]
+fn exhausted_ids_are_refused_without_a_journal_append() {
+    let component = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
+    let floors = [
+        ("next-id", JournalRecord::NextId(u64::MAX)),
+        (
+            "register",
+            JournalRecord::Register {
+                tenant: "r".into(),
+                first_id: u64::MAX - 2,
+                components: vec![component, component],
+            },
+        ),
+    ];
+    for (tag, floor) in floors {
+        let path = journal_path(tag, 0);
+        write_journal(&path, &[floor]);
+        let len = journal_len(&path);
+        for _restart in 0..2 {
+            let mut service = AdmissionService::recover(&path).expect("replay");
+            let tenants = service.tenant_count();
+            let reply = protocol::dispatch(&mut service, "ADMIT t 1 9 10");
+            assert!(
+                reply.starts_with("ERR code=ids-exhausted"),
+                "{tag}: {reply}"
+            );
+            let error = service
+                .register_tenant("u", &PreparedWorkload::from_components(vec![component]))
+                .expect_err("no id left for the base");
+            assert_eq!(error.code(), "ids-exhausted", "{tag}");
+            let reply = protocol::dispatch(&mut service, "WHATIF t 1 9 10");
+            assert!(reply.starts_with("WHATIF admit "), "{tag}: {reply}");
+            assert_eq!(service.tenant_count(), tenants, "{tag}: no tenant created");
+            assert_eq!(journal_len(&path), len, "{tag}: nothing appended");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -2,13 +2,17 @@
 //! and matches the request without allocating and formats the reply
 //! once, and the serve loop adds nothing (reading, classifying and
 //! writing a line allocate nothing once the loop's buffers exist).
-//! Counted by a global allocator that tallies the calling thread's
-//! allocations.
+//! Recovering a journal allocates per tenant, not per record.  Counted by
+//! a global allocator that tallies the calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
+use std::path::Path;
 
+use edf_analysis::workload::DemandComponent;
+use edf_model::Time;
+use edf_serve::journal::{Journal, JournalRecord};
 use edf_serve::protocol;
 use edf_serve::AdmissionService;
 
@@ -103,5 +107,63 @@ fn serve_allocates_no_more_per_line_than_dispatch() {
     assert!(
         served <= dispatched,
         "per {LINES} lines, serve allocates {served} times and dispatch {dispatched}"
+    );
+}
+
+/// Writes a journal of `tenants` tenants with `components` admitted
+/// components each: one `Tenant` record, then one `Admit` per component.
+fn write_tenants(path: &Path, tenants: usize, components: u64) {
+    let _ = std::fs::remove_file(path);
+    let (mut journal, _) = Journal::open(path).expect("create journal");
+    let mut id = 0;
+    for tenant in 0..tenants {
+        let tenant = format!("tenant-{tenant:02}");
+        journal
+            .append(&JournalRecord::Tenant {
+                tenant: tenant.clone(),
+            })
+            .expect("append");
+        for index in 0..components {
+            let component =
+                DemandComponent::periodic(Time::new(1), Time::new(90 + index), Time::new(1_000));
+            journal
+                .append(&JournalRecord::Admit {
+                    tenant: tenant.clone(),
+                    id,
+                    component,
+                })
+                .expect("append");
+            id += 1;
+        }
+    }
+}
+
+/// Allocations of one recovery of a journal of `tenants` tenants with
+/// `components` components each, the recovered service dropped.
+fn recovery_allocations(tenants: usize, components: u64) -> u64 {
+    let dir = std::env::temp_dir().join(format!("edf-serve-allocations-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join(format!("recover-{components}.journal"));
+    write_tenants(&path, tenants, components);
+    let counted = allocations(|| {
+        let service = AdmissionService::recover(&path).expect("recover");
+        assert_eq!(service.tenant_count(), tenants);
+    });
+    let _ = std::fs::remove_file(&path);
+    counted
+}
+
+#[test]
+fn recovery_allocates_per_tenant_not_per_record() {
+    const TENANTS: usize = 32;
+    let few = recovery_allocations(TENANTS, 8);
+    let many = recovery_allocations(TENANTS, 64);
+    // The same tenants with 56 more records each: what grows is each
+    // tenant's committed list, three doublings from 8 to 64 entries.
+    let added_records = TENANTS as u64 * (64 - 8);
+    let grown = many.saturating_sub(few);
+    assert!(
+        grown <= 4 * TENANTS as u64,
+        "{added_records} more records cost {grown} more allocations ({few} -> {many})"
     );
 }
