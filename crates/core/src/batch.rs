@@ -167,7 +167,10 @@ pub fn prepare_many<W: Workload + Sync>(workloads: &[W]) -> Vec<PreparedWorkload
 /// `tests[j]`; each workload is prepared exactly once and shared by all
 /// tests, and each worker reuses one scratch arena and one recycled
 /// preparation, so the steady state performs **zero transient allocations
-/// per workload**.
+/// per workload**: once a worker's buffers fit its largest workload, a
+/// workload allocates only its result vector (the `batch_allocations`
+/// test counts this for QPA, processor demand, dynamic-error and
+/// all-approximated).
 #[must_use]
 pub fn analyze_many<W: Workload + Sync>(
     workloads: &[W],

@@ -40,13 +40,14 @@
 //! walk and the refining tests examine every deadline below their
 //! horizon, so they read the analysis horizon, the minimum of all bounds:
 //! `min(QPA horizon, busy period)`.  Every preparation derives the QPA
-//! horizon on one path, from aggregates folded one component at a time —
-//! a cold [`PreparedWorkload`](crate::workload::PreparedWorkload) on first
-//! use, a [`CandidateView`](crate::candidates::CandidateView) finalize
-//! after every re-phasing (it keeps the period lcm and re-folds the
-//! rest), and an [`EditView`](crate::incremental::EditView) finalize —
-//! the [`ScaledView`](crate::incremental::ScaledView) probes included —
-//! from the folds it carries across commits.  Baruah and superposition are
+//! horizon on one path, on first use, from the aggregates and period
+//! reciprocals its [`PreparedWorkload`](crate::workload::PreparedWorkload)
+//! stores: folded one component at a time by a cold preparation, refolded
+//! (keeping the period lcm) by a
+//! [`CandidateView`](crate::candidates::CandidateView) finalize after every
+//! re-phasing, and extended from the committed folds or refolded by an
+//! [`EditView`](crate::incremental::EditView) finalize — the
+//! [`ScaledView`](crate::incremental::ScaledView) probes included.  Baruah and superposition are
 //! never below George, and a `U > 1` list reads its hyperperiod.  The
 //! analysis horizon is derived lazily from the QPA horizon, once per
 //! component list and only when a test asks for it: a busy-period
@@ -265,14 +266,16 @@ impl GeorgeFolds {
 
 /// Every aggregate the analysis horizon of a component list depends on,
 /// folded one component at a time: the [`TimingAggregates`], the
-/// [`GeorgeFolds`] and the period lcm.  A cold preparation folds its list
-/// once; an [`EditView`](crate::incremental::EditView) keeps these for its
+/// [`GeorgeFolds`] and the period lcm.  A
+/// [`PreparedWorkload`](crate::workload::PreparedWorkload) stores the folds
+/// of its list: a cold preparation folds it once; an
+/// [`EditView`](crate::incremental::EditView) keeps these for its
 /// committed components and extends a copy by a probe's appended ones, so
 /// a finalize pays `O(1)` aggregate work per appended component instead
-/// of a pass over the whole list; a
-/// [`CandidateView`](crate::candidates::CandidateView) finalize, which
-/// never moves a period, [refolds](ComponentFolds::refold) all but the
-/// lcm.  The
+/// of a pass over the whole list; a finalize after edits that move no
+/// period — every [`CandidateView`](crate::candidates::CandidateView)
+/// finalize — [refolds](ComponentFolds::refold) the stored folds, all but
+/// the lcm.  The
 /// `f64` sums are order-sensitive, which is why only appends extend them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ComponentFolds {
@@ -360,20 +363,14 @@ impl ComponentFolds {
     }
 }
 
-/// The period reciprocal of one component, as [`qpa_horizon`] and the
-/// kernel columns take it: one-shots get the divisor-1 sentinel.
-pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
-    Reciprocal::new(component.period().map_or(1, Time::as_u64))
-}
-
 /// The QPA horizon of `components`: equal to
 /// `FeasibilityBounds::for_components(components).qpa_horizon()` on every
-/// list.  The one path every preparation derives it on — a cold
-/// [`PreparedWorkload`](crate::workload::PreparedWorkload) on first use,
-/// and the [`CandidateView`](crate::candidates::CandidateView) and
-/// [`EditView`](crate::incremental::EditView) refreshes.
+/// list.  The one path every preparation derives it on:
+/// [`PreparedWorkload::qpa_horizon`](crate::workload::PreparedWorkload::qpa_horizon),
+/// from its stored state, on first use after a preparation or a view
+/// finalize.
 ///
-/// Every aggregate comes from `folds`, the caller's [`ComponentFolds`] of
+/// Every aggregate comes from `folds`, the [`ComponentFolds`] of
 /// exactly `components`; `reciprocals` holds one period reciprocal per
 /// component (the divisor-1 sentinel for one-shots), and `exceeds_one` is
 /// the exact `U > 1` of the list.  The George bound is read in closed form
@@ -935,7 +932,7 @@ fn hyperperiod_from(period_lcm: Option<Time>, max_first_deadline: Option<Time>) 
 mod tests {
     use super::*;
     use crate::demand::dbf_set;
-    use crate::workload::PreparedWorkload;
+    use crate::workload::{period_reciprocal, PreparedWorkload};
     use edf_model::{EventStream, EventStreamTask, Task};
     use proptest::prelude::*;
 

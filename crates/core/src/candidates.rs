@@ -103,9 +103,8 @@ use std::thread;
 use edf_model::{Time, Transaction, TransactionSystem};
 
 use crate::analysis::{Analysis, FeasibilityTest, Verdict};
-use crate::arith::{fracs_parts_le_integer_iter, Reciprocal};
+use crate::arith::fracs_parts_le_integer_iter;
 use crate::batch::parallel_map_with;
-use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
 use crate::budget::{Progress, ProgressPhase, WorkBudget};
 use crate::kernel::AnalysisScratch;
 use crate::transactions::{candidate_components, combination_components};
@@ -427,13 +426,15 @@ impl TransactionSlot {
 /// rewrites one transaction's offsets and first deadlines while costs and
 /// periods stay put.  Consequently the component allocation, the sporadic
 /// prefix, the utilization and the exact `U > 1` comparison are shared
-/// across the whole sweep; the deadline order is repaired by merging the
-/// swapped block's pre-sorted run into the unchanged remainder (`O(n)`,
-/// not a re-sort); the kernel columns are rebuilt in place from that
-/// order; and the §4.3 QPA horizon is re-derived on the one path
-/// every preparation uses (see [`crate::bounds`]), with the period
-/// reciprocals and the period lcm cached for the whole sweep.  The
-/// repaired state is installed on the same path as an
+/// across the whole sweep, and so are the scratch preparation's period
+/// reciprocals, which no swap touches; the deadline order is repaired by
+/// merging the swapped block's pre-sorted run into the unchanged
+/// remainder (`O(n)`, not a re-sort) and handed back to the scratch,
+/// which refolds its own folds (keeping the period lcm), rebuilds the
+/// kernel columns in place from the order and the reciprocals, and
+/// re-derives the §4.3 QPA horizon on first read, on the one path every
+/// preparation uses (see [`crate::bounds`]).  The view holds no copy of
+/// any of it.  The repaired order is installed on the same path as an
 /// [`EditView`](crate::incremental::EditView) finalize; the view is not an
 /// `EditView` itself, whose per-edit order repair the sweep would pay even
 /// on the combinations the density screen decides.
@@ -477,14 +478,6 @@ impl TransactionSlot {
 pub struct CandidateView {
     slots: Vec<TransactionSlot>,
     scratch: PreparedWorkload,
-    /// The [`ComponentFolds`] of the last finalized combination; each
-    /// finalize re-folds them, keeping the period lcm.
-    folds: ComponentFolds,
-    /// Per-component period reciprocals — periods are invariant across
-    /// candidate swaps, so the kernel's retimed rebuilds and the horizon
-    /// re-use these instead of re-deriving a reciprocal (a 128-bit
-    /// division) per column per swap.
-    reciprocals: Vec<Reciprocal>,
     choice: Vec<usize>,
     /// Transactions patched since the last finalize.
     dirty: Vec<usize>,
@@ -501,8 +494,7 @@ impl CandidateView {
     pub fn new(system: &TransactionSystem) -> Self {
         let transactions = system.transactions();
         let choice = vec![0usize; transactions.len()];
-        let mut scratch =
-            PreparedWorkload::from_components(combination_components(system, &choice));
+        let scratch = PreparedWorkload::from_components(combination_components(system, &choice));
         let mut slots = Vec::with_capacity(transactions.len());
         let mut start =
             scratch.components().len() - transactions.iter().map(Transaction::len).sum::<usize>();
@@ -522,30 +514,9 @@ impl CandidateView {
             });
             start += transaction.len();
         }
-        let components = scratch.components();
-        let reciprocals: Vec<Reciprocal> = components.iter().map(period_reciprocal).collect();
-        let folds = ComponentFolds::of(components);
-        let horizon = qpa_horizon(
-            components,
-            &reciprocals,
-            &folds,
-            scratch.utilization_exceeds_one(),
-        );
-        let mut order: Vec<usize> = (0..components.len()).collect();
-        order.sort_by_key(|&i| components[i].first_deadline());
-        scratch.install_edited_state(
-            scratch.task_count(),
-            scratch.utilization(),
-            scratch.utilization_exceeds_one(),
-            order,
-            horizon,
-            &reciprocals,
-        );
         CandidateView {
             slots,
             scratch,
-            folds,
-            reciprocals,
             choice,
             dirty: Vec::new(),
             order_rest: Vec::new(),
@@ -668,22 +639,9 @@ impl CandidateView {
             order.extend_from_slice(&rest[r..]);
             order.extend_from_slice(&fresh[f..]);
         }
-        let components = self.scratch.components();
-        self.folds.refold(components);
-        let horizon = qpa_horizon(
-            components,
-            &self.reciprocals,
-            &self.folds,
-            self.scratch.utilization_exceeds_one(),
-        );
-        self.scratch.install_edited_state(
-            self.scratch.task_count(),
-            self.scratch.utilization(),
-            self.scratch.utilization_exceeds_one(),
-            order,
-            horizon,
-            &self.reciprocals,
-        );
+        // No swap moves a period: the scratch refolds its folds, keeping
+        // the period lcm, and rebuilds the kernel from its reciprocals.
+        self.scratch.install_edited_state(order, None);
         self.dirty.clear();
     }
 }

@@ -7,14 +7,19 @@
 //! that the probe does not move: the component and kernel-column
 //! allocations, the deadline order and the period reciprocals.
 //!
-//! [`EditView`] keeps that state across structural edits (insert, remove,
-//! replace) and repairs the rest at finalize.  [`ScaledView`] is the
+//! That state is the [`PreparedWorkload`]'s own: every view edits one
+//! scratch preparation through its crate-internal primitives, which keep
+//! the period reciprocals in step, and hands the repaired deadline order
+//! back at finalize, where the preparation refreshes its folds and kernel
+//! columns itself.  No view keeps a copy.  [`EditView`] carries its
+//! scratch across structural edits (insert, remove, replace) and repairs
+//! the rest at finalize.  [`ScaledView`] is the
 //! sensitivity searches' face of it: a probe —
 //! [`ScaledView::scale_wcets`] (uniform scaling, breakdown searches) or
 //! [`ScaledView::with_component_wcet`] (one perturbed component, slack
 //! searches) — replaces each component whose cost it changes.  A cost
 //! edit moves no deadline and no period, so it skips the order repair and
-//! the reciprocal, and the finalize keeps the period lcm.  Every probe
+//! keeps the reciprocal, and the finalize keeps the period lcm.  Every probe
 //! returns an ordinary [`&PreparedWorkload`](PreparedWorkload) whose
 //! observable state is **bit-identical** to a from-scratch preparation of
 //! the same components, so every
@@ -24,16 +29,19 @@
 //! # The view family
 //!
 //! Every view mutates one scratch preparation in place and installs the
-//! repaired state through the same crate-internal path:
+//! repaired deadline order through the same crate-internal path, where
+//! the preparation derives its folds, `U > 1` decision and kernel columns
+//! from its own stored state:
 //!
-//! | view | may mutate | repair path | refresh cost |
-//! |------|-----------|-------------|--------------|
-//! | [`ScaledView`] | WCETs only | [`EditView`] replaces that keep deadlines and periods, then the [`EditView`] finalize (period lcm kept) | `O(n)` |
-//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild, horizon refresh | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair; at finalize the committed aggregate folds extended by the appended components (a full fold after a remove or replace), a horizon-only bound refresh and a kernel rebuild | `O(log n)` per edit + `O(n)` per finalize (kernel), `O(1)` aggregate work per appended component |
+//! | view | may mutate | order repair | folds at finalize | refresh cost |
+//! |------|-----------|--------------|-------------------|--------------|
+//! | [`ScaledView`] | WCETs only | none ([`EditView`] replaces that keep deadlines and periods) | the stored folds refolded (period lcm kept) | `O(n)` |
+//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge of the swapped blocks' pre-sorted runs | the stored folds refolded (period lcm kept) | `O(n)` |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary insertion/removal | the committed folds extended by the appended components; after a remove or replace the stored folds refolded, or a full fold once a period moved | `O(log n)` per edit + `O(n)` per finalize (kernel), `O(1)` aggregate work per appended component |
 //!
-//! Every refresh installs the QPA horizon only; the busy-period
-//! fix-point behind the tightest
+//! Every finalize rebuilds the kernel columns into their allocations and
+//! resets both horizons: the QPA horizon is re-derived from the folds on
+//! its first read, and the busy-period fix-point behind the tightest
 //! [analysis horizon](PreparedWorkload::analysis_horizon) runs lazily,
 //! once per refresh, for the tests that read it.
 //!
@@ -74,8 +82,7 @@
 
 use edf_model::Time;
 
-use crate::arith::Reciprocal;
-use crate::bounds::{period_reciprocal, qpa_horizon, ComponentFolds};
+use crate::bounds::ComponentFolds;
 use crate::workload::{DemandComponent, PreparedWorkload};
 
 /// The rollback and poison hooks of an [`EditView`], the methods the
@@ -95,8 +102,8 @@ pub trait WorkloadView {
     /// fault-isolating caller ([`catch_unwind`](std::panic::catch_unwind)
     /// around per-request analysis) calls this when a panic unwinds while
     /// the view's scratch state may be mid-mutation; the owner then
-    /// rebuilds the view cold ([`EditView::rebuild_from`]) from its last
-    /// committed source of truth.
+    /// replaces the view with a fresh one built from its last committed
+    /// source of truth.
     fn mark_poisoned(&mut self);
 }
 
@@ -105,9 +112,9 @@ pub trait WorkloadView {
 ///
 /// A probe replaces each component whose cost it changes and finalizes;
 /// a cost edit moves neither a deadline nor a period, so the edits skip
-/// the order repair and the period reciprocals (see
-/// [`EditView::replace_component`]) and the finalize keeps the period
-/// lcm.  See [`ScaledView::scale_wcets`] /
+/// the order repair and keep the period reciprocals (see
+/// [`EditView::replace_component`]) and the finalize refolds the stored
+/// folds, keeping the period lcm.  See [`ScaledView::scale_wcets`] /
 /// [`ScaledView::with_component_wcet`] for the probe operations.
 #[derive(Debug)]
 pub struct ScaledView<'a> {
@@ -231,25 +238,28 @@ enum EditOp {
 ///   merge-of-sorted-runs repair, `O(log n)` search plus one `memmove`
 ///   instead of a re-sort — and not at all by a replacement that keeps
 ///   the first deadline;
-/// * the **period reciprocals** feeding the kernel columns and the bound
-///   searches are recomputed only for a touched index whose period moves
-///   (a 128-bit division each; the others are kept);
+/// * the **period reciprocals** feeding the kernel columns, the bound
+///   searches and the refining tests are kept in step by the scratch's
+///   edit primitives: computed for an inserted component and recomputed
+///   for a replacement only when its period moves (a 128-bit division
+///   each; the others are kept);
 /// * the **kernel columns** are rebuilt in place into their existing
-///   allocations
-///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel)),
-///   except at `U > 1`, which every test rejects before reading demand;
+///   allocations from the scratch's order and reciprocals, except at
+///   `U > 1`, which every test rejects before reading demand;
 /// * the **aggregates** — the `f64` utilization and George numerator, the
 ///   deadline extremes, the one-shot/offset/degenerate flags and the
-///   period lcm — are folds of the committed components, built at the
-///   first finalize whose undo log holds only inserts, extended at
-///   [`EditView::commit`] and dropped by any remove or replace; while no
-///   edit moves a period, a finalize refolds the previous finalize's
-///   folds instead, keeping the lcm.  A probe's finalize extends a copy
-///   of the committed folds by the appended components and decides
-///   `U > 1` from the folded sum behind the proven `10⁻³` screen (the
-///   exact rational check inside the margin);
+///   period lcm — are folds of the committed components, taken from the
+///   preparation the view starts from, extended at [`EditView::commit`],
+///   dropped by any remove or replace and rebuilt at the next finalize
+///   whose undo log holds only inserts; without
+///   them, a finalize refolds the scratch's own folds, keeping the lcm,
+///   unless an edit since the last finalize moved a period.  A probe's
+///   finalize extends a copy of the committed folds by the appended
+///   components and decides `U > 1` from the folded sum behind the
+///   proven `10⁻³` screen (the exact rational check inside the margin);
 /// * only the **QPA horizon** — `min(George, hyperperiod)`, all QPA
-///   reads — is re-derived, by the crate-internal `bounds::qpa_horizon`:
+///   reads — is re-derived, on its first read after the finalize, by the
+///   crate-internal `bounds::qpa_horizon`:
 ///   the George bound read in closed form from the folds (the
 ///   estimate-seeded search only where the closed form cannot certify
 ///   its answer) and the hyperperiod from the folded lcm.  The
@@ -263,8 +273,9 @@ enum EditOp {
 ///   debug assertions pin that an admit/evict cycle never churns the
 ///   allocator (the `recycled`-style buffer-reuse contract).
 ///
-/// Repair is *lazy*: edits only patch the component vector and the order,
-/// and the aggregate/kernel/bound refresh runs once inside
+/// Repair is *lazy*: edits only patch the component vector, its
+/// reciprocals and the order, and the aggregate/kernel/bound refresh runs
+/// once inside
 /// [`EditView::prepared`], so a burst of edits pays for one refresh.  The
 /// finalized state is **bit-identical** to a cold [`PreparedWorkload`] of
 /// the same component list (property-tested in `edit_equivalence`).
@@ -309,25 +320,15 @@ enum EditOp {
 pub struct EditView {
     scratch: PreparedWorkload,
     /// The [`ComponentFolds`] of the committed components (a prefix of the
-    /// component vector while the undo log holds only inserts).  Built at
-    /// the first finalize whose undo log holds only inserts, extended at
-    /// [`EditView::commit`], dropped by any remove or replace.
+    /// component vector while the undo log holds only inserts).  Taken
+    /// from the scratch when the view is created, extended at
+    /// [`EditView::commit`], dropped by any remove or replace and rebuilt
+    /// at the next finalize whose undo log holds only inserts.
     committed_folds: Option<ComponentFolds>,
-    /// The [`ComponentFolds`] of the last finalize while no edit since has
-    /// moved a period: a finalize without committed folds to extend
-    /// refolds them, keeping the period lcm.  Dropped by any insert,
-    /// remove or period-moving write.
-    last_folds: Option<ComponentFolds>,
-    /// Per-component period reciprocals, maintained parallel to the
-    /// component vector (recomputed only for touched indices).
-    reciprocals: Vec<Reciprocal>,
     /// The deadline order under maintenance while dirty (taken out of the
     /// scratch on the first edit, handed back at finalize); empty while
     /// clean.
     order: Vec<usize>,
-    /// Source-workload task count, tracked as base ± net structural edits
-    /// (metadata only — no analysis reads it).
-    task_count: usize,
     /// `true` while the scratch's derived state (aggregates, order,
     /// kernel, bounds) lags behind the component vector.
     dirty: bool,
@@ -335,40 +336,21 @@ pub struct EditView {
     /// last.
     undo: Vec<EditOp>,
     /// Set by [`WorkloadView::mark_poisoned`] after a panic unwound
-    /// through a mutation or analysis of this view; cleared only by
-    /// [`EditView::rebuild_from`].
+    /// through a mutation or analysis of this view; never cleared (the
+    /// owner replaces a poisoned view).
     poisoned: bool,
 }
 
 impl EditView {
     /// Creates an editable copy of `base`.  The scratch starts
-    /// bit-identical: it copies the base's utilization, `U > 1`
-    /// comparison and deadline order (computed once on the base, where it
-    /// is cached for other users too) rather than deriving them again.
+    /// bit-identical: it copies the base's components and their derived
+    /// state (reciprocals, folds, `U > 1` comparison, deadline order)
+    /// rather than deriving them again.  A caller that owns a fresh
+    /// preparation hands it over with [`EditView::from`] instead, without
+    /// the copy.
     #[must_use]
     pub fn new(base: &PreparedWorkload) -> Self {
-        let scratch = PreparedWorkload::copy_of(base);
-        EditView {
-            committed_folds: None,
-            last_folds: None,
-            reciprocals: base.components().iter().map(period_reciprocal).collect(),
-            order: Vec::new(),
-            task_count: base.task_count(),
-            dirty: false,
-            undo: Vec::new(),
-            poisoned: false,
-            scratch,
-        }
-    }
-
-    /// Rebuilds the view cold from `base`, discarding every bit of scratch
-    /// state (components, order, undo log, bound caches) and clearing any
-    /// [poison](WorkloadView::is_poisoned).  This is the recovery hook a
-    /// fault-isolating service uses after a panic unwound through this
-    /// view: the base is the tenant's last committed (journal-backed)
-    /// state, so one bad request can never leave a corrupted view behind.
-    pub fn rebuild_from(&mut self, base: &PreparedWorkload) {
-        *self = EditView::new(base);
+        EditView::from(PreparedWorkload::copy_of(base))
     }
 
     /// The current component vector — always up to date, even between an
@@ -383,12 +365,9 @@ impl EditView {
     /// [`EditView::remove_component`] of a lower index shifts it).
     pub fn insert_component(&mut self, component: DemandComponent) -> usize {
         self.begin_edit();
-        self.last_folds = None;
         let index = self.scratch.components().len();
         self.scratch.insert_component_at(index, component);
-        self.reciprocals.push(period_reciprocal(&component));
         self.order_insert_entry(index);
-        self.task_count += 1;
         self.undo.push(EditOp::RemoveLast);
         index
     }
@@ -403,14 +382,11 @@ impl EditView {
     pub fn remove_component(&mut self, index: usize) -> DemandComponent {
         self.begin_edit();
         self.committed_folds = None;
-        self.last_folds = None;
         self.order_remove_entry(index);
         for entry in &mut self.order {
             *entry -= usize::from(*entry > index);
         }
         let removed = self.scratch.remove_component_at(index);
-        self.reciprocals.remove(index);
-        self.task_count = self.task_count.saturating_sub(1);
         self.undo.push(EditOp::InsertAt(index, removed));
         removed
     }
@@ -418,7 +394,7 @@ impl EditView {
     /// Replaces the component at `index` wholesale (cost, timing *and*
     /// period may change), returning the old component.  A replacement
     /// that keeps the first deadline skips the order repair; one that
-    /// keeps the period skips the period reciprocal.
+    /// keeps the period keeps the period reciprocal.
     ///
     /// # Panics
     ///
@@ -451,12 +427,12 @@ impl EditView {
     /// # Panics
     ///
     /// Panics if the view is [poisoned](WorkloadView::is_poisoned) — a
-    /// poisoned scratch must be rebuilt via [`EditView::rebuild_from`]
-    /// before it can be trusted again.
+    /// poisoned scratch cannot be trusted again; replace the view with a
+    /// fresh one.
     pub fn prepared(&mut self) -> &PreparedWorkload {
         assert!(
             !self.poisoned,
-            "EditView is poisoned (a panic unwound mid-mutation); rebuild_from a committed base"
+            "EditView is poisoned (a panic unwound mid-mutation); rebuild it from a committed base"
         );
         if self.dirty {
             self.refresh();
@@ -514,10 +490,10 @@ impl EditView {
     }
 
     /// The shared write path of [`EditView::replace_component`] and the
-    /// [`EditOp::WriteAt`] rollback: the component is written, the order
-    /// entry moves only when the first deadline does and the period
-    /// reciprocal is recomputed only when the period moves — a cost edit
-    /// touches neither.
+    /// [`EditOp::WriteAt`] rollback: the component is written (the scratch
+    /// recomputes its period reciprocal only when the period moves) and
+    /// the order entry moves only when the first deadline does — a cost
+    /// edit touches neither.
     fn write_component(&mut self, index: usize, component: DemandComponent) -> DemandComponent {
         self.begin_edit();
         let old = self.scratch.components()[index];
@@ -526,56 +502,46 @@ impl EditView {
             self.order_remove_entry(index);
         }
         self.scratch.replace_component_at(index, component);
-        if old.period() != component.period() {
-            self.reciprocals[index] = period_reciprocal(&component);
-            self.last_folds = None;
-        }
         if moves {
             self.order_insert_entry(index);
         }
         old
     }
 
-    /// Recomputes the cost-and-structure-dependent aggregates and installs
-    /// them with the maintained order: the [`ComponentFolds`] (the
-    /// committed folds extended by the appended components while the undo
-    /// log holds only inserts, else the last finalize's folds refolded
-    /// while no period has moved, else one pass in component order — each
-    /// bit-identical to a cold preparation's `f64` sums), the screened
-    /// `U > 1` decision, the QPA horizon refresh and the in-place kernel
-    /// rebuild.
+    /// Hands the maintained order back to the scratch with the committed
+    /// folds, rebuilt here after a remove or replace dropped them once the
+    /// undo log holds only inserts: the scratch extends them by the appended components, or
+    /// without them refolds or folds its own (each bit-identical to a cold
+    /// preparation's `f64` sums), and derives the screened `U > 1`
+    /// decision and the kernel columns from them.
     fn refresh(&mut self) {
-        let components = self.scratch.components();
         if self.committed_folds.is_none()
             && self.undo.iter().all(|op| matches!(op, EditOp::RemoveLast))
         {
+            let components = self.scratch.components();
             let committed = components.len() - self.undo.len();
             self.committed_folds = Some(ComponentFolds::of(&components[..committed]));
         }
-        let folds = match (self.committed_folds, self.last_folds) {
-            (Some(mut folds), _) => {
-                folds.extend(&components[folds.len()..]);
-                folds
-            }
-            (None, Some(mut folds)) => {
-                folds.refold(components);
-                folds
-            }
-            (None, None) => ComponentFolds::of(components),
-        };
-        self.last_folds = Some(folds);
-        let exceeds_one = folds.exceeds_one(components);
-        let horizon = qpa_horizon(components, &self.reciprocals, &folds, exceeds_one);
         let order = std::mem::take(&mut self.order);
-        self.scratch.install_edited_state(
-            self.task_count,
-            folds.utilization(),
-            exceeds_one,
-            order,
-            horizon,
-            &self.reciprocals,
-        );
+        self.scratch
+            .install_edited_state(order, self.committed_folds);
         self.dirty = false;
+    }
+}
+
+impl From<PreparedWorkload> for EditView {
+    /// An editable view that takes the preparation over as its scratch,
+    /// with no copy: the constructor for a caller that prepares a fresh
+    /// workload only to edit it, such as a service recovering a tenant.
+    fn from(scratch: PreparedWorkload) -> Self {
+        EditView {
+            committed_folds: Some(scratch.folds()),
+            scratch,
+            order: Vec::new(),
+            dirty: false,
+            undo: Vec::new(),
+            poisoned: false,
+        }
     }
 }
 
@@ -601,23 +567,16 @@ impl WorkloadView for EditView {
         while let Some(op) = self.undo.pop() {
             match op {
                 EditOp::RemoveLast => {
-                    self.last_folds = None;
                     let index = self.scratch.components().len() - 1;
                     self.order_remove_entry(index);
                     let _ = self.scratch.remove_component_at(index);
-                    self.reciprocals.pop();
-                    self.task_count = self.task_count.saturating_sub(1);
                 }
                 EditOp::InsertAt(index, component) => {
-                    self.last_folds = None;
                     for entry in &mut self.order {
                         *entry += usize::from(*entry >= index);
                     }
                     self.scratch.insert_component_at(index, component);
-                    self.reciprocals
-                        .insert(index, period_reciprocal(&component));
                     self.order_insert_entry(index);
-                    self.task_count += 1;
                 }
                 EditOp::WriteAt(index, component) => {
                     let _ = self.write_component(index, component);
@@ -860,7 +819,6 @@ mod tests {
         view.prepared();
         view.commit();
         let capacity = view.scratch.component_capacity();
-        let reciprocal_capacity = view.reciprocals.capacity();
         for round in 0..8 {
             let index = view.insert_component(DemandComponent::periodic(
                 Time::new(1 + round % 2),
@@ -880,7 +838,6 @@ mod tests {
             view.prepared();
             view.commit();
             assert_eq!(view.scratch.component_capacity(), capacity);
-            assert_eq!(view.reciprocals.capacity(), reciprocal_capacity);
         }
     }
 
@@ -913,7 +870,7 @@ mod tests {
         ));
         view.mark_poisoned();
         assert!(view.is_poisoned());
-        view.rebuild_from(&base);
+        view = EditView::new(&base);
         assert!(!view.is_poisoned());
         let cold = cold_of(&mut view);
         assert_matches_cold(view.prepared(), &cold);

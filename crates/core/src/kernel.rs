@@ -19,9 +19,14 @@
 //!   search plus a precomputed (saturating) prefix sum of costs; the
 //!   periodic contribution is a tight loop over contiguous columns with no
 //!   per-element enum branch — the deadline cutoff is found by **one**
-//!   binary search and the loop body is pure arithmetic.  A view that
-//!   mutates its preparation rebuilds the columns in place, into their
-//!   existing allocations, at finalize.
+//!   binary search and the loop body is pure arithmetic.  The columns
+//!   copy their period reciprocals from the preparation, which derives
+//!   each once (an edit only for an inserted or re-periodized component),
+//!   so no build divides.  The kernel has one build,
+//!   `DemandKernel::rebuild(components, order, reciprocals)`: on the
+//!   first demand query of a cold preparation, and in place, into the
+//!   existing allocations, when a recycled preparation or a view's
+//!   finalize installs a new component list.
 //! * [`MergeState`] — the merge of the per-component deadline streams by
 //!   **windowed generation**: every stream writes its deadlines in the
 //!   next window `[lo, lo + W)` into one reused buffer as packed
@@ -90,8 +95,9 @@ struct Slot {
 /// The columnar (structure-of-arrays) form of a prepared component list.
 ///
 /// Built once per [`PreparedWorkload`](crate::workload::PreparedWorkload)
-/// (lazily, on the first demand query) from the cached ascending-deadline
-/// order; see the [module documentation](self) for the layout.
+/// (lazily, on the first demand query) from its ascending-deadline order
+/// and period reciprocals; see the [module documentation](self) for the
+/// layout.
 #[derive(Debug, Clone, Default)]
 pub struct DemandKernel {
     /// Periodic columns, ascending first deadline (ties keep component
@@ -106,41 +112,25 @@ pub struct DemandKernel {
     o_wcet: Vec<u64>,
     /// Saturating prefix sums of `o_wcet` (`prefix[i] = min(Σ₀..=i, MAX)`).
     o_prefix: Vec<u64>,
-    /// Component index → column slot (the per-component gathers of the
-    /// refining tests: `component_demand` and `period_reciprocal`).
+    /// Component index → column slot (the refining tests' per-component
+    /// `component_demand` gathers).
     slot_of: Vec<Slot>,
 }
 
 impl DemandKernel {
     /// (Re)builds the columns from `components`, walking `deadline_order`
-    /// (the indices sorted by ascending first deadline).  All column
-    /// allocations are reused.
-    pub(crate) fn rebuild(&mut self, components: &[DemandComponent], deadline_order: &[usize]) {
-        self.rebuild_impl(components, deadline_order, None);
-    }
-
-    /// [`DemandKernel::rebuild`] with the per-component period reciprocals
-    /// supplied by the caller (`reciprocals[i]` belongs to component `i`;
-    /// one-shot entries are ignored) — the candidate-swap path, where the
-    /// periods are invariant across arbitrarily many rebuilds and
-    /// re-deriving each [`Reciprocal`] (a 128-bit division) per rebuild
-    /// would dominate the repair cost.
-    pub(crate) fn rebuild_with_reciprocals(
+    /// (the indices sorted by ascending first deadline), with the period
+    /// reciprocals of the preparation (`reciprocals[i]` belongs to
+    /// component `i`; one-shot entries are ignored), so no rebuild divides.
+    /// All column allocations are reused.
+    pub(crate) fn rebuild(
         &mut self,
         components: &[DemandComponent],
         deadline_order: &[usize],
         reciprocals: &[Reciprocal],
     ) {
-        self.rebuild_impl(components, deadline_order, Some(reciprocals));
-    }
-
-    fn rebuild_impl(
-        &mut self,
-        components: &[DemandComponent],
-        deadline_order: &[usize],
-        reciprocals: Option<&[Reciprocal]>,
-    ) {
         debug_assert_eq!(components.len(), deadline_order.len());
+        debug_assert_eq!(components.len(), reciprocals.len());
         self.p_deadline.clear();
         self.p_period.clear();
         self.p_wcet.clear();
@@ -159,14 +149,8 @@ impl DemandKernel {
                     };
                     self.p_deadline.push(component.first_deadline().as_u64());
                     self.p_period.push(period.as_u64());
-                    let rcp = match reciprocals {
-                        Some(cache) => {
-                            debug_assert_eq!(cache[idx], Reciprocal::new(period.as_u64()));
-                            cache[idx]
-                        }
-                        None => Reciprocal::new(period.as_u64()),
-                    };
-                    self.p_rcp.push(rcp);
+                    debug_assert_eq!(reciprocals[idx], Reciprocal::new(period.as_u64()));
+                    self.p_rcp.push(reciprocals[idx]);
                     self.p_wcet.push(component.wcet().as_u64());
                 }
                 None => {
@@ -272,17 +256,6 @@ impl DemandKernel {
         } else {
             Time::new(self.o_wcet[index])
         }
-    }
-
-    /// The cached period reciprocal of a periodic component, gathered from
-    /// its column slot (`None` for one-shot components).  The refining
-    /// tests pull these once per analysis so every deadline step and
-    /// withdrawal evaluation divides by the period through two widening
-    /// multiplies instead of a hardware division (see [`crate::refine`]).
-    #[must_use]
-    pub(crate) fn period_reciprocal(&self, component: usize) -> Option<Reciprocal> {
-        let slot = self.slot_of[component];
-        slot.periodic.then(|| self.p_rcp[slot.index as usize])
     }
 
     /// The cost and period reciprocal of every periodic column — what the
@@ -687,9 +660,6 @@ pub struct AnalysisScratch {
     /// (one slot per component; see [`FrontierQueue`] and
     /// [`crate::refine`]).
     pub(crate) frontier: FrontierQueue,
-    /// Per-component period reciprocals of the refining tests, gathered
-    /// once per analysis from the kernel columns (`None` for one-shots).
-    pub(crate) refine_rcp: Vec<Option<Reciprocal>>,
     /// Per-component refinement states of the refining tests.
     pub(crate) refine: Vec<RefinementState>,
     /// Approximated demand terms — maintained incrementally by the
@@ -776,11 +746,9 @@ mod tests {
     }
 
     fn kernel_of(components: &[DemandComponent]) -> DemandKernel {
-        let mut order: Vec<usize> = (0..components.len()).collect();
-        order.sort_by_key(|&i| components[i].first_deadline());
-        let mut kernel = DemandKernel::default();
-        kernel.rebuild(components, &order);
-        kernel
+        PreparedWorkload::from_components(components.to_vec())
+            .kernel()
+            .clone()
     }
 
     fn scalar_dbf(components: &[DemandComponent], t: Time) -> Time {
@@ -1088,23 +1056,34 @@ mod tests {
         }
     }
 
+    /// The preparation holds one reciprocal per component, of its period
+    /// (the divisor-1 sentinel for a one-shot), and the kernel's periodic
+    /// columns carry exactly the periodic components' ones, in deadline
+    /// order.
     #[test]
     fn period_reciprocal_exists_exactly_for_periodic_components() {
         let components = sample_components();
-        let kernel = kernel_of(&components);
+        let prepared = PreparedWorkload::from_components(components.clone());
         for (idx, component) in components.iter().enumerate() {
-            let rcp = kernel.period_reciprocal(idx);
-            match component.period() {
-                Some(period) => {
-                    assert_eq!(
-                        rcp,
-                        Some(Reciprocal::new(period.as_u64())),
-                        "component {idx}"
-                    );
-                }
-                None => assert_eq!(rcp, None, "component {idx}"),
-            }
+            let period = component.period().map_or(1, Time::as_u64);
+            assert_eq!(
+                prepared.reciprocals()[idx],
+                Reciprocal::new(period),
+                "component {idx}"
+            );
         }
+        let periodic: Vec<Reciprocal> = prepared
+            .deadline_order()
+            .iter()
+            .filter(|&&idx| components[idx].period().is_some())
+            .map(|&idx| prepared.reciprocals()[idx])
+            .collect();
+        let columns: Vec<Reciprocal> = prepared
+            .kernel()
+            .periodic_costs()
+            .map(|(_, rcp)| rcp)
+            .collect();
+        assert_eq!(columns, periodic);
     }
 
     /// Drives a [`FrontierQueue`] and a `BinaryHeap<Reverse<(Time, usize)>>`

@@ -26,7 +26,7 @@
 //!    replaced by `kernel::FrontierQueue`, a tournament tree in the
 //!    scratch arena with one slot per component (the refining tests keep
 //!    at most one pending interval per component).  Next deadlines are
-//!    stepped with the kernel's cached period `arith::Reciprocal`s
+//!    stepped with the preparation's period `arith::Reciprocal`s
 //!    instead of `next_deadline_after`'s per-pop hardware division.
 //! 3. **Batched withdrawal passes.**  The dynamic-error level-raise scan
 //!    runs over the engine's compact live-term list instead of all
@@ -152,7 +152,8 @@ struct Engine<'a> {
     /// all-approximated test only.
     revision_queue: &'a mut VecDeque<u32>,
     withdrawn: &'a mut Vec<u32>,
-    rcp: &'a mut Vec<Option<Reciprocal>>,
+    /// The preparation's period reciprocals, one per component.
+    rcp: &'a [Reciprocal],
     /// Running `Σ examined_demand` over the unapproximated components,
     /// exact in `u128` (clamped to the `Time` range only at comparisons).
     exact_sum: u128,
@@ -183,7 +184,6 @@ impl<'a> Engine<'a> {
             term_owner,
             revision_queue,
             withdrawn,
-            refine_rcp,
             ..
         } = scratch;
         refine.clear();
@@ -192,8 +192,6 @@ impl<'a> Engine<'a> {
         term_owner.clear();
         revision_queue.clear();
         withdrawn.clear();
-        refine_rcp.clear();
-        refine_rcp.extend((0..components.len()).map(|j| workload.component_reciprocal(j)));
         frontier.reset(components.len());
         for (idx, component) in components.iter().enumerate() {
             if component.first_deadline() <= horizon {
@@ -211,7 +209,7 @@ impl<'a> Engine<'a> {
             owners: term_owner,
             revision_queue,
             withdrawn,
-            rcp: refine_rcp,
+            rcp: workload.reciprocals(),
             exact_sum: 0,
             base_sum: 0,
             slope: 0.0,
@@ -301,9 +299,9 @@ impl<'a> Engine<'a> {
     /// term (reusing the cached period reciprocal — no division) and
     /// updates every incremental aggregate.
     fn approximate(&mut self, idx: usize, interval: Time) {
-        let rcp = self.rcp[idx].expect("one-shot components are never approximated");
         let dbf_at_im = self.states[idx].examined_demand;
-        let term = ApproxTerm::with_reciprocal(&self.components[idx], interval, dbf_at_im, rcp);
+        let term =
+            ApproxTerm::with_reciprocal(&self.components[idx], interval, dbf_at_im, self.rcp[idx]);
         self.states[idx].approximated_from = Some(interval);
         self.states[idx].term_slot = self.terms.len() as u32;
         self.base_sum += u128::from(dbf_at_im.as_u64());
@@ -325,11 +323,8 @@ impl<'a> Engine<'a> {
         if interval < deadline {
             return Some(deadline);
         }
-        let rcp = self.rcp[idx]?;
-        let period = self.components[idx]
-            .period()
-            .expect("a cached reciprocal implies a periodic component");
-        let k = rcp.divide((interval - deadline).as_u64()) + 1;
+        let period = self.components[idx].period()?;
+        let k = self.rcp[idx].divide((interval - deadline).as_u64()) + 1;
         period.checked_mul(k)?.checked_add(deadline)
     }
 
@@ -358,9 +353,9 @@ impl<'a> Engine<'a> {
         if interval < first {
             return 0;
         }
-        match self.rcp[idx] {
+        match self.components[idx].period() {
             None => 1,
-            Some(rcp) => rcp.divide((interval - first).as_u64()) + 1,
+            Some(_) => self.rcp[idx].divide((interval - first).as_u64()) + 1,
         }
     }
 

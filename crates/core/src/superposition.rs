@@ -117,8 +117,8 @@ impl ApproxTerm {
     }
 
     /// [`ApproxTerm::for_component`] with an already-computed period
-    /// reciprocal.  The refining tests gather every periodic component's
-    /// reciprocal once per analysis (from the kernel columns), so
+    /// reciprocal.  The refining tests read every periodic component's
+    /// reciprocal from the prepared workload, which derives it once, so
     /// re-approximating a popped interval costs no `u128` division.
     ///
     /// # Panics

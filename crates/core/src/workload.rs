@@ -16,9 +16,10 @@
 //!   implemented for [`TaskSet`], [`Task`], [`EventStreamTask`], slices
 //!   and vectors of event-stream tasks, and [`MixedSystem`];
 //! * [`PreparedWorkload`] — a workload snapshot with the shared state every
-//!   test needs (components, exact utilization comparison, §4.3
-//!   feasibility bounds, deadline ordering) computed **once** and cached,
-//!   so a suite of tests re-uses it instead of recomputing per test.
+//!   test needs (components, their period reciprocals and folds, exact
+//!   utilization comparison, §4.3 feasibility bounds, deadline ordering)
+//!   computed **once** and cached, so a suite of tests re-uses it instead
+//!   of recomputing per test.
 //!
 //! Every [`FeasibilityTest`](crate::FeasibilityTest) consumes a
 //! [`PreparedWorkload`], which is what lets the exact tests of the paper
@@ -59,7 +60,7 @@ use edf_model::{
 };
 
 use crate::arith::{fracs_le_integer_iter, Reciprocal};
-use crate::bounds::{self, period_reciprocal, ComponentFolds, FeasibilityBounds};
+use crate::bounds::{self, ComponentFolds, FeasibilityBounds};
 use crate::kernel::{AnalysisScratch, DemandKernel, DemandSteps, MergeState};
 
 /// The elementary demand generator behind every supported task model.
@@ -913,30 +914,46 @@ impl Workload for MixedSystem {
 }
 
 /// A [`Workload`] snapshot with all per-suite state computed once: the
-/// component decomposition, the exact `U > 1` comparison, the feasibility
-/// bounds of §4.3 and the deadline ordering.
+/// component decomposition, its period reciprocals, folds and deadline
+/// order, the exact `U > 1` comparison and the feasibility bounds of §4.3.
 ///
-/// Preparing is cheap (linear in the number of components; the bounds are
-/// computed lazily on first use) and pays off as soon as a workload is
-/// analyzed by more than one test — which is what every experiment in the
-/// paper does.  `PreparedWorkload` is `Sync`, so one prepared instance can
-/// be shared by the parallel batch front end ([`crate::batch`]).
+/// Preparing is cheap (one pass over the components, one deadline sort;
+/// the horizons, the bounds and the kernel columns are derived lazily on
+/// first use) and pays off as soon as a workload is analyzed by more than
+/// one test — which is what every experiment in the paper does.
+/// `PreparedWorkload` is the one owner of the per-component state: the
+/// views of [`crate::incremental`] and [`crate::candidates`] edit it
+/// through crate-internal primitives that keep the reciprocals in step,
+/// and reinstall the folds, the order and the kernel at finalize.
+/// `PreparedWorkload` is `Sync`, so one prepared instance can be shared by
+/// the parallel batch front end ([`crate::batch`]).
 #[derive(Debug)]
 pub struct PreparedWorkload {
     components: Vec<DemandComponent>,
+    /// One period reciprocal per component, in component order (the
+    /// divisor-1 sentinel for one-shots): the kernel columns, the QPA
+    /// horizon and the refining tests divide by the periods through them.
+    reciprocals: Vec<Reciprocal>,
+    /// The [`ComponentFolds`] of the components, in order: the utilization,
+    /// the screened `U > 1` comparison and the QPA horizon read them.
+    folds: ComponentFolds,
+    /// Component indices by ascending `(first deadline, index)`.
+    deadline_order: Vec<usize>,
     task_count: usize,
-    utilization: f64,
     exceeds_one: bool,
     demand_exact: bool,
     utilization_exact: bool,
+    /// Set by an edit primitive that inserts, removes or re-periods a
+    /// component: the next install folds the list afresh instead of
+    /// refolding `folds`, whose period lcm is then stale.
+    periods_moved: bool,
     bounds: OnceLock<FeasibilityBounds>,
-    /// The QPA horizon, cached on its own so a view refresh can install
-    /// it without computing the full bounds.
+    /// The QPA horizon, derived lazily from the folds; every install
+    /// resets it.
     qpa_horizon: OnceLock<Option<Time>>,
     /// The analysis horizon, derived lazily from `qpa_horizon` by the
     /// busy-period fix-point; every install resets it.
     horizon: OnceLock<Option<Time>>,
-    deadline_order: OnceLock<Vec<usize>>,
     /// The columnar demand kernel (built lazily on the first demand
     /// query; see [`crate::kernel`]).
     kernel: OnceLock<DemandKernel>,
@@ -974,27 +991,29 @@ impl PreparedWorkload {
         demand_exact: bool,
         utilization_exact: bool,
     ) -> Self {
-        let utilization = components.iter().map(DemandComponent::utilization).sum();
-        let exceeds_one = components_exceed_one(&components);
-        PreparedWorkload {
+        let mut prepared = PreparedWorkload {
             components,
+            reciprocals: Vec::new(),
+            folds: ComponentFolds::of(&[]),
+            deadline_order: Vec::new(),
             task_count,
-            utilization,
-            exceeds_one,
+            exceeds_one: false,
             demand_exact,
             utilization_exact,
+            periods_moved: false,
             bounds: OnceLock::new(),
             qpa_horizon: OnceLock::new(),
             horizon: OnceLock::new(),
-            deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
             spare_kernel: DemandKernel::default(),
-        }
+        };
+        prepared.derive();
+        prepared
     }
 
     /// Rebuilds this preparation **in place** for a different workload,
-    /// reusing every buffer (component vector, deadline order, kernel
-    /// columns) — the allocation-free path behind
+    /// reusing every buffer (components, reciprocals, deadline order,
+    /// kernel columns) — the allocation-free path behind
     /// [`crate::batch::analyze_many`], where one recycled preparation per
     /// worker serves the whole batch.  Observable state is identical to
     /// `PreparedWorkload::new(workload)`.
@@ -1005,24 +1024,46 @@ impl PreparedWorkload {
         self.task_count = workload.task_count();
         self.demand_exact = workload.demand_is_exact();
         self.utilization_exact = workload.utilization_is_exact();
-        self.utilization = self
-            .components
-            .iter()
-            .map(DemandComponent::utilization)
-            .sum();
-        self.exceeds_one = components_exceed_one(&self.components);
+        self.derive();
+        // The kernel is rebuilt into its existing allocations, as at an
+        // edited install.
+        self.install_kernel();
+        self
+    }
+
+    /// Derives the per-component state of the current component list into
+    /// the existing allocations: the reciprocals, the deadline order and
+    /// the folds (see [`PreparedWorkload::install_folds`]).
+    fn derive(&mut self) {
+        self.reciprocals.clear();
+        self.reciprocals
+            .extend(self.components.iter().map(period_reciprocal));
+        let components = &self.components;
+        self.deadline_order.clear();
+        self.deadline_order.extend(0..components.len());
+        self.deadline_order
+            .sort_by_key(|&i| components[i].first_deadline());
+        self.install_folds(ComponentFolds::of(&self.components));
+    }
+
+    /// Installs `folds`, the folds of the current component list, with
+    /// the `U > 1` comparison they decide behind the proven `10⁻³` screen
+    /// (see [`ComponentFolds::exceeds_one`]), and resets the caches
+    /// derived from them: the bounds and both horizons.
+    fn install_folds(&mut self, folds: ComponentFolds) {
+        self.exceeds_one = folds.exceeds_one(&self.components);
+        self.folds = folds;
+        self.periods_moved = false;
         self.bounds.take();
         self.qpa_horizon.take();
         self.horizon.take();
-        // The previous workload's cached order and kernel are stale; both
-        // are rebuilt into their existing allocations.  As in
-        // `install_edited_state`, the kernel of a `U > 1` workload is left
-        // to its lazy path (every test rejects it before touching the
-        // demand), its columns parked for the next rebuild.
-        let mut order = self.deadline_order.take().unwrap_or_default();
-        order.clear();
-        order.extend(0..self.components.len());
-        order.sort_by_key(|&i| self.components[i].first_deadline());
+    }
+
+    /// Rebuilds the kernel columns into their existing allocations —
+    /// except at `U > 1`, where every test rejects the list before reading
+    /// its demand: the columns are then parked for the next rebuild and
+    /// an off-chance query takes the lazy path.
+    fn install_kernel(&mut self) {
         let mut kernel = self
             .kernel
             .take()
@@ -1030,11 +1071,9 @@ impl PreparedWorkload {
         if self.exceeds_one {
             self.spare_kernel = kernel;
         } else {
-            kernel.rebuild(&self.components, &order);
+            kernel.rebuild(&self.components, &self.deadline_order, &self.reciprocals);
             let _ = self.kernel.set(kernel);
         }
-        let _ = self.deadline_order.set(order);
-        self
     }
 
     /// `false` when the component decomposition over-approximates the
@@ -1073,10 +1112,11 @@ impl PreparedWorkload {
         self.components.is_empty()
     }
 
-    /// Long-run utilization as `f64`.
+    /// Long-run utilization as `f64`: `Σ Cᵢ/Tᵢ` summed in component order,
+    /// read from the folds.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        self.utilization
+        self.folds.utilization()
     }
 
     /// Exact (integer arithmetic) test whether the long-run utilization
@@ -1103,21 +1143,27 @@ impl PreparedWorkload {
         self.kernel().component_demand(component, interval)
     }
 
-    /// The precomputed reciprocal of a component's period (`None` for
-    /// one-shots), served from the kernel columns — gathered once per
-    /// refining analysis so the frontier steps deadlines and
-    /// re-approximates terms without dividing.
-    #[must_use]
-    pub(crate) fn component_reciprocal(&self, component: usize) -> Option<Reciprocal> {
-        self.kernel().period_reciprocal(component)
+    /// The folds of the component list (crate-internal: an
+    /// [`EditView`](crate::incremental::EditView) starts its committed
+    /// folds from them).
+    pub(crate) fn folds(&self) -> ComponentFolds {
+        self.folds
+    }
+
+    /// The period reciprocal of every component, in component order (the
+    /// divisor-1 sentinel for one-shots) — the refining tests step
+    /// deadlines and re-approximate terms through them without dividing.
+    pub(crate) fn reciprocals(&self) -> &[Reciprocal] {
+        &self.reciprocals
     }
 
     /// The columnar demand kernel of this preparation, built on first use
-    /// from the cached deadline order and reused by every demand query.
+    /// from the deadline order and the reciprocals and reused by every
+    /// demand query.
     pub fn kernel(&self) -> &DemandKernel {
         self.kernel.get_or_init(|| {
             let mut kernel = DemandKernel::default();
-            kernel.rebuild(&self.components, self.deadline_order());
+            kernel.rebuild(&self.components, &self.deadline_order, &self.reciprocals);
             kernel
         })
     }
@@ -1144,19 +1190,16 @@ impl PreparedWorkload {
 
     /// The horizon QPA descends from (equal to
     /// [`FeasibilityBounds::qpa_horizon`]: `min(George, hyperperiod)`, the
-    /// busy period only when neither is defined), cached.  A view refresh
-    /// installs it directly; otherwise the first call folds the
-    /// components once and derives it on the same path (see
-    /// [`crate::bounds`]).
+    /// busy period only when neither is defined), derived on first use
+    /// from the stored folds and reciprocals (see [`crate::bounds`]) and
+    /// cached.
     #[must_use]
     pub fn qpa_horizon(&self) -> Option<Time> {
         *self.qpa_horizon.get_or_init(|| {
-            let reciprocals: Vec<Reciprocal> =
-                self.components.iter().map(period_reciprocal).collect();
             bounds::qpa_horizon(
                 &self.components,
-                &reciprocals,
-                &ComponentFolds::of(&self.components),
+                &self.reciprocals,
+                &self.folds,
                 self.exceeds_one,
             )
         })
@@ -1168,9 +1211,8 @@ impl PreparedWorkload {
     /// per component list, from the cached
     /// [QPA horizon](PreparedWorkload::qpa_horizon): where the synchronous
     /// busy-period argument applies, the fix-point runs over the kernel's
-    /// periodic columns and stops at the QPA horizon.  No view install
-    /// fills it, so a caller that reads only the QPA horizon never pays
-    /// for the fix-point.
+    /// periodic columns and stops at the QPA horizon.  A caller that reads
+    /// only the QPA horizon never pays for the fix-point.
     #[must_use]
     pub fn analysis_horizon(&self) -> Option<Time> {
         *self.horizon.get_or_init(|| {
@@ -1201,15 +1243,11 @@ impl PreparedWorkload {
     }
 
     /// Component indices sorted by non-decreasing first deadline, ties in
-    /// component order (cached).  Devi's test iterates in this order, and
-    /// the [demand kernel](crate::kernel) lays its columns out in it.
+    /// component order.  Devi's test iterates in this order, and the
+    /// [demand kernel](crate::kernel) lays its columns out in it.
     #[must_use]
     pub fn deadline_order(&self) -> &[usize] {
-        self.deadline_order.get_or_init(|| {
-            let mut order: Vec<usize> = (0..self.components.len()).collect();
-            order.sort_by_key(|&i| self.components[i].first_deadline());
-            order
-        })
+        &self.deadline_order
     }
 
     /// Merged stream of all job deadlines `≤ horizon` in ascending
@@ -1294,69 +1332,76 @@ impl PreparedWorkload {
             .sum()
     }
 
-    /// A preparation of `base`'s components that copies its aggregates —
-    /// the utilization, the exact `U > 1` comparison and the exactness
-    /// flags — and its deadline order instead of recomputing them
+    /// A copy of `base`'s components and of their derived state — the
+    /// reciprocals, the folds, the `U > 1` comparison, the deadline order
+    /// and the exactness flags — instead of a re-derivation
     /// (crate-internal: the [`EditView`](crate::incremental::EditView)
-    /// scratch).  The order is computed on `base` if it was not yet,
-    /// where it stays cached for other users; every other cache starts
-    /// empty.
+    /// scratch).  The lazy caches and the kernel start empty.
     pub(crate) fn copy_of(base: &PreparedWorkload) -> Self {
         PreparedWorkload {
             components: base.components.clone(),
+            reciprocals: base.reciprocals.clone(),
+            folds: base.folds,
+            deadline_order: base.deadline_order.clone(),
             task_count: base.task_count,
-            utilization: base.utilization,
             exceeds_one: base.exceeds_one,
             demand_exact: base.demand_exact,
             utilization_exact: base.utilization_exact,
+            periods_moved: base.periods_moved,
             bounds: OnceLock::new(),
             qpa_horizon: OnceLock::new(),
             horizon: OnceLock::new(),
-            deadline_order: OnceLock::from(base.deadline_order().to_vec()),
             kernel: OnceLock::new(),
             spare_kernel: DemandKernel::default(),
         }
     }
 
-    /// Takes the cached deadline order out of the preparation (empty when
-    /// never computed), so a mutating caller can repair it in place without
-    /// reallocating; pair with [`PreparedWorkload::install_edited_state`].
+    /// Takes the deadline order out of the preparation, so a mutating
+    /// caller can repair it in place without reallocating; pair with
+    /// [`PreparedWorkload::install_edited_state`].
     pub(crate) fn take_deadline_order(&mut self) -> Vec<usize> {
-        self.deadline_order.take().unwrap_or_default()
+        std::mem::take(&mut self.deadline_order)
     }
 
-    /// Allocated capacity of the component column (crate-internal: the
-    /// buffer-reuse assertions of the edit tests).
+    /// Allocated capacity of the component and reciprocal columns
+    /// (crate-internal: the buffer-reuse assertions of the edit tests).
     #[cfg(test)]
-    pub(crate) fn component_capacity(&self) -> usize {
-        self.components.capacity()
+    pub(crate) fn component_capacity(&self) -> (usize, usize) {
+        (self.components.capacity(), self.reciprocals.capacity())
     }
 
-    /// Inserts `component` at `index`, shifting the suffix up
-    /// (crate-internal: the [`EditView`](crate::incremental::EditView)
-    /// edit path).  Every derived state — utilization, the
-    /// `U > 1` comparison, order, kernel, bounds — is stale afterwards;
-    /// the caller must install it via
+    /// Inserts `component` at `index`, shifting the suffix up, with its
+    /// period reciprocal; the task count grows by one (crate-internal: the
+    /// [`EditView`](crate::incremental::EditView) edit path).  The folds,
+    /// the `U > 1` comparison, the order, the kernel and the horizons are
+    /// stale afterwards; the caller must install them via
     /// [`PreparedWorkload::install_edited_state`] before the next query.
     pub(crate) fn insert_component_at(&mut self, index: usize, component: DemandComponent) {
         self.components.insert(index, component);
+        self.reciprocals
+            .insert(index, period_reciprocal(&component));
+        self.task_count += 1;
+        self.periods_moved = true;
     }
 
-    /// Removes and returns the component at `index`, shifting the suffix
-    /// down (crate-internal, see
-    /// [`PreparedWorkload::insert_component_at`]).  Shrinking edits
-    /// **reuse** the column capacity — the debug assertion pins the
-    /// `recycled`-style buffer-reuse contract: an admission service
-    /// cycling through admit/evict sequences must not churn the
-    /// allocator.
+    /// Removes and returns the component at `index` with its reciprocal,
+    /// shifting the suffix down; the task count falls by one
+    /// (crate-internal, see [`PreparedWorkload::insert_component_at`]).
+    /// Shrinking edits **reuse** the column capacity — the debug
+    /// assertion pins the `recycled`-style buffer-reuse contract: an
+    /// admission service cycling through admit/evict sequences must not
+    /// churn the allocator.
     pub(crate) fn remove_component_at(&mut self, index: usize) -> DemandComponent {
         let capacity = self.components.capacity();
         let removed = self.components.remove(index);
+        self.reciprocals.remove(index);
         debug_assert_eq!(
             self.components.capacity(),
             capacity,
             "a shrinking edit must reuse the component column's capacity"
         );
+        self.task_count = self.task_count.saturating_sub(1);
+        self.periods_moved = true;
         removed
     }
 
@@ -1364,19 +1409,18 @@ impl PreparedWorkload {
     /// (crate-internal, see [`PreparedWorkload::insert_component_at`]; the
     /// [`EditView`](crate::incremental::EditView) edits and the
     /// [`CandidateView`](crate::candidates::CandidateView) block patches
-    /// both write through it).
+    /// both write through it).  The reciprocal is recomputed only when the
+    /// period moves — a cost or timing edit keeps it.
     pub(crate) fn replace_component_at(
         &mut self,
         index: usize,
         component: DemandComponent,
     ) -> DemandComponent {
-        let capacity = self.components.capacity();
         let old = std::mem::replace(&mut self.components[index], component);
-        debug_assert_eq!(
-            self.components.capacity(),
-            capacity,
-            "an in-place replacement must not touch the component column's capacity"
-        );
+        if old.period() != component.period() {
+            self.reciprocals[index] = period_reciprocal(&component);
+            self.periods_moved = true;
+        }
         old
     }
 
@@ -1384,24 +1428,19 @@ impl PreparedWorkload {
     /// batch of edits ([`PreparedWorkload::insert_component_at`] /
     /// [`PreparedWorkload::remove_component_at`] /
     /// [`PreparedWorkload::replace_component_at`]) — the one install path
-    /// of every view.  A caller whose edits move no cost or period passes
-    /// its task count, utilization and `U > 1` comparison through
-    /// unchanged.  `order` must be the stable ascending-`(first deadline,
-    /// index)` order of the components; the kernel columns are rebuilt
-    /// from it into their existing allocations re-using the caller's
-    /// per-component period `reciprocals` (not at `U > 1`, where the kernel
-    /// is left to its lazy path).  `qpa_horizon` is the refreshed
-    /// [QPA horizon](PreparedWorkload::qpa_horizon); the bounds and the
-    /// [analysis horizon](PreparedWorkload::analysis_horizon) are reset to
-    /// their lazy paths, so a finalize runs no busy-period fix-point.
+    /// of every view.  `order` must be the stable ascending-`(first
+    /// deadline, index)` order of the components.  The folds come from
+    /// `committed_folds`, the folds of a prefix of the list, extended by
+    /// the rest; without them the stored folds are refolded, keeping the
+    /// period lcm, unless an edit moved a period, which folds the list
+    /// afresh.  The `U > 1` comparison follows from the folds, the kernel
+    /// columns are rebuilt from the order and the reciprocals into their
+    /// existing allocations (not at `U > 1`), and the bounds and both
+    /// horizons are reset to their lazy paths.
     pub(crate) fn install_edited_state(
         &mut self,
-        task_count: usize,
-        utilization: f64,
-        exceeds_one: bool,
         order: Vec<usize>,
-        qpa_horizon: Option<Time>,
-        reciprocals: &[Reciprocal],
+        committed_folds: Option<ComponentFolds>,
     ) {
         debug_assert_eq!(order.len(), self.components.len());
         debug_assert!(order.windows(2).all(|w| {
@@ -1409,26 +1448,21 @@ impl PreparedWorkload {
             a.first_deadline() < b.first_deadline()
                 || (a.first_deadline() == b.first_deadline() && w[0] < w[1])
         }));
-        self.task_count = task_count;
-        self.utilization = utilization;
-        self.exceeds_one = exceeds_one;
-        let mut kernel = self
-            .kernel
-            .take()
-            .unwrap_or_else(|| std::mem::take(&mut self.spare_kernel));
-        if exceeds_one {
-            // Every test rejects a `U > 1` list before reading its demand
-            // (as in `recycled`): an off-chance query takes the lazy path.
-            self.spare_kernel = kernel;
-        } else {
-            kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
-            let _ = self.kernel.set(kernel);
-        }
-        self.deadline_order.take();
-        let _ = self.deadline_order.set(order);
-        self.bounds.take();
-        self.horizon.take();
-        self.qpa_horizon = OnceLock::from(qpa_horizon);
+        self.deadline_order = order;
+        let folds = match committed_folds {
+            Some(mut folds) => {
+                folds.extend(&self.components[folds.len()..]);
+                folds
+            }
+            None if self.periods_moved => ComponentFolds::of(&self.components),
+            None => {
+                let mut folds = self.folds;
+                folds.refold(&self.components);
+                folds
+            }
+        };
+        self.install_folds(folds);
+        self.install_kernel();
     }
 }
 
@@ -1446,7 +1480,7 @@ impl Workload for PreparedWorkload {
     }
 
     fn utilization(&self) -> f64 {
-        self.utilization
+        PreparedWorkload::utilization(self)
     }
 
     fn dbf(&self, interval: Time) -> Time {
@@ -1464,6 +1498,12 @@ impl Workload for PreparedWorkload {
     fn utilization_is_exact(&self) -> bool {
         self.utilization_exact
     }
+}
+
+/// The period reciprocal of one component, as the kernel columns and the
+/// QPA horizon take it: one-shots get the divisor-1 sentinel.
+pub(crate) fn period_reciprocal(component: &DemandComponent) -> Reciprocal {
+    Reciprocal::new(component.period().map_or(1, Time::as_u64))
 }
 
 /// Exact `Σ Cᵢ/Tᵢ > 1` over the periodic components (one-shots have no

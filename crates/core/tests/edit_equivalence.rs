@@ -406,7 +406,7 @@ fn committed_folds_follow_the_admission_lifecycle() {
     view.insert_component(periodic(4, 9, 30));
     assert_folds_match_cold(&mut view);
     view.mark_poisoned();
-    view.rebuild_from(&committed);
+    view = EditView::from(committed);
     assert_folds_match_cold(&mut view);
     view.insert_component(periodic(1, 7, 25));
     assert_folds_match_cold(&mut view);

@@ -391,7 +391,10 @@ impl Journal {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`], before any byte is written, if
-    /// the record encodes to more than the 1 MiB payload cap; any I/O
+    /// the record encodes to more than the 1 MiB payload cap or holds ids
+    /// replay refuses (an `Admit` at id `u64::MAX`, a `Register` whose
+    /// ids pass `u64::MAX`: they leave the allocator no successor, so
+    /// recovery would truncate that frame and every later one); any I/O
     /// error from the underlying write.  On error the in-memory
     /// accounting is left unchanged (the caller should treat the append
     /// as not having happened and roll back its own state).
@@ -412,8 +415,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// As [`Journal::append`]: an oversized record, or any I/O error from
-    /// the underlying write.
+    /// As [`Journal::append`]: an oversized record or one with refused
+    /// ids, or any I/O error from the underlying write.
     pub fn append_faulty(&mut self, record: &JournalRecord, fault: WriteFault) -> io::Result<()> {
         let mut frame = encode_frame(record)?;
         match fault {
@@ -517,10 +520,26 @@ fn decode_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(RecordRef<'a>)) -> (
     (records, offset)
 }
 
-/// Encodes one record as a full frame (header + payload), refusing a
-/// payload over [`MAX_PAYLOAD_BYTES`], which the reader would take for
-/// corruption.
+/// Encodes one record as a full frame (header + payload), refusing what
+/// the reader would take for corruption: a payload over
+/// [`MAX_PAYLOAD_BYTES`], and ids that leave the allocator no successor —
+/// the checks of [`decode_record`], so every frame written replays.
 fn encode_frame(record: &JournalRecord) -> io::Result<Vec<u8>> {
+    let ids_have_successor = match record {
+        JournalRecord::Admit { id, .. } => id.checked_add(1).is_some(),
+        JournalRecord::Register {
+            first_id,
+            components,
+            ..
+        } => first_id.checked_add(components.len() as u64).is_some(),
+        _ => true,
+    };
+    if !ids_have_successor {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "record ids run past u64::MAX",
+        ));
+    }
     let payload = encode_record(record);
     if payload.len() > MAX_PAYLOAD_BYTES as usize {
         return Err(io::Error::new(
@@ -528,11 +547,16 @@ fn encode_frame(record: &JournalRecord) -> io::Result<Vec<u8>> {
             format!("record of {} bytes over the 1 MiB frame cap", payload.len()),
         ));
     }
+    Ok(frame(&payload))
+}
+
+/// The frame of `payload`: its length, its checksum, then the bytes.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(12 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption check
@@ -922,6 +946,87 @@ mod tests {
         }
         assert_eq!(state.tenants[0].1.len(), 0);
         assert_eq!(state.next_id, 17);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An `Admit` at id `u64::MAX` and a `Register` whose ids pass
+    /// `u64::MAX` are refused before a byte is written, by both append
+    /// paths; a `Register` ending exactly at `u64::MAX` is written.
+    #[test]
+    fn records_with_ids_past_the_last_are_refused() {
+        let path = temp_journal("refused-ids");
+        let component = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
+        let register = |first_id| JournalRecord::Register {
+            tenant: "r".into(),
+            first_id,
+            components: vec![component, component],
+        };
+        let (mut journal, _) = Journal::open(&path).expect("open");
+        journal.append(&sample_records()[0]).expect("append");
+        let (len, count) = (journal.len_bytes(), journal.record_count());
+        let refused = [
+            JournalRecord::Admit {
+                tenant: "t".into(),
+                id: u64::MAX,
+                component,
+            },
+            register(u64::MAX - 1),
+        ];
+        for record in &refused {
+            let error = journal.append(record).expect_err("refused append");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{record:?}");
+            let fault = WriteFault::ShortWrite { keep: 5 };
+            let error = journal
+                .append_faulty(record, fault)
+                .expect_err("refused faulty append");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{record:?}");
+            assert_eq!((journal.len_bytes(), journal.record_count()), (len, count));
+        }
+        journal.append(&register(u64::MAX - 2)).expect("append");
+        drop(journal);
+        let (_, replayed) = Journal::open(&path).expect("reopen");
+        assert_eq!(
+            replayed,
+            [sample_records()[0].clone(), register(u64::MAX - 2)]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An `Admit` under id `u64::MAX` leaves the allocator no successor, so
+    /// replay takes it for a corrupt frame: recovery keeps the prefix
+    /// before it, truncates the rest and resumes the allocator after the
+    /// last replayed id, instead of overflowing `id + 1`.  The appends
+    /// refuse to write that record, so its frame is built here from
+    /// `encode_record`'s bytes.
+    #[test]
+    fn an_admit_at_the_last_id_ends_the_replay() {
+        let path = temp_journal("last-id");
+        let component = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
+        let admit = |id| JournalRecord::Admit {
+            tenant: "t".into(),
+            id,
+            component,
+        };
+        let mut bytes = MAGIC.to_vec();
+        for record in [
+            JournalRecord::Tenant { tenant: "t".into() },
+            admit(0),
+            admit(u64::MAX),
+            admit(1),
+        ] {
+            bytes.extend(frame(&encode_record(&record)));
+        }
+        std::fs::write(&path, bytes).expect("write journal");
+        let mut service = crate::AdmissionService::recover(&path).expect("replay");
+        assert_eq!(service.stat("t").expect("t recovered").components, 1);
+        let (_, replayed) = Journal::open(&path).expect("reopen");
+        assert_eq!(
+            replayed.len(),
+            2,
+            "the frame at the last id and its suffix are cut"
+        );
+        let reply = crate::protocol::dispatch(&mut service, "ADMIT t 1 9 10");
+        assert!(reply.starts_with("ADMITTED id=1 "), "{reply}");
         let _ = std::fs::remove_file(&path);
     }
 

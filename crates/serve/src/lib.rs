@@ -460,17 +460,12 @@ struct Tenant {
 
 impl Tenant {
     fn empty() -> Self {
-        Tenant {
-            view: EditView::new(&PreparedWorkload::from_components(Vec::new())),
-            committed: Vec::new(),
-        }
+        Tenant::from_committed(Vec::new())
     }
 
     fn from_committed(committed: Vec<(u64, DemandComponent)>) -> Self {
-        let components: Vec<DemandComponent> =
-            committed.iter().map(|&(_, component)| component).collect();
         Tenant {
-            view: EditView::new(&PreparedWorkload::from_components(components)),
+            view: view_of(&committed),
             committed,
         }
     }
@@ -478,14 +473,15 @@ impl Tenant {
     /// Rebuilds the view cold from the committed list (the recovery path
     /// after a panic unwound mid-edit).
     fn rebuild(&mut self) {
-        let components: Vec<DemandComponent> = self
-            .committed
-            .iter()
-            .map(|&(_, component)| component)
-            .collect();
-        self.view
-            .rebuild_from(&PreparedWorkload::from_components(components));
+        self.view = view_of(&self.committed);
     }
+}
+
+/// A fresh edit view over a committed `(id, component)` list: the list is
+/// prepared once and the view takes the preparation over.
+fn view_of(committed: &[(u64, DemandComponent)]) -> EditView {
+    let components = committed.iter().map(|&(_, component)| component).collect();
+    EditView::from(PreparedWorkload::from_components(components))
 }
 
 /// The admission-control service: a map of tenants, the active

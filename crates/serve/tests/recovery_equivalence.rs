@@ -236,41 +236,6 @@ fn journal_len(path: &Path) -> u64 {
     std::fs::metadata(path).expect("journal exists").len()
 }
 
-/// An `Admit` under id `u64::MAX` leaves the allocator no successor, so
-/// replay takes it for a corrupt frame: recovery keeps the prefix before
-/// it, truncates the rest and resumes the allocator after the last
-/// replayed id, instead of overflowing `id + 1`.
-#[test]
-fn an_admit_at_the_last_id_ends_the_replay() {
-    let path = journal_path("last-id", 0);
-    let component = DemandComponent::periodic(Time::new(1), Time::new(9), Time::new(10));
-    let admit = |id| JournalRecord::Admit {
-        tenant: "t".into(),
-        id,
-        component,
-    };
-    write_journal(
-        &path,
-        &[
-            JournalRecord::Tenant { tenant: "t".into() },
-            admit(0),
-            admit(u64::MAX),
-            admit(1),
-        ],
-    );
-    let mut service = AdmissionService::recover(&path).expect("replay");
-    assert_eq!(service.stat("t").expect("t recovered").components, 1);
-    let (_, replayed) = Journal::open(&path).expect("reopen");
-    assert_eq!(
-        replayed.len(),
-        2,
-        "the frame at the last id and its suffix are cut"
-    );
-    let reply = protocol::dispatch(&mut service, "ADMIT t 1 9 10");
-    assert!(reply.starts_with("ADMITTED id=1 "), "{reply}");
-    let _ = std::fs::remove_file(&path);
-}
-
 /// A service whose allocator floor is `u64::MAX` — lifted there by a
 /// `NextId` or by a `Register` whose ids end just below it — has no id
 /// left to hand out: `ADMIT` and `register_tenant` answer
